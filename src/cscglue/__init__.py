@@ -8,8 +8,9 @@ The package has three layers:
   (:mod:`cscglue.resolution`), ALE log-term coefficients and masses
   (:mod:`cscglue.logmass`);
 * exact classification: parabolic slopes and polystability
-  (:mod:`cscglue.parabolic`), orbifold bases, the gluing matrix and its
-  feasibility (:mod:`cscglue.gluing`, :mod:`cscglue.exactlp`);
+  (:mod:`cscglue.parabolic`), orbifold bases, the one-row gluing matrix
+  and its feasibility by exact rank and a closed-form positive-kernel
+  test (:mod:`cscglue.gluing`, :mod:`cscglue.exactlp`);
 * floating-point verification of the explicit torus-symmetric
   scalar-flat Kähler ansatz and its ALE asymptotics
   (:mod:`cscglue.metricnum`).
@@ -18,7 +19,7 @@ Everything upstream of :mod:`cscglue.metricnum` is exact: no verdict in
 the classification pipeline depends on floating point.
 """
 
-from cscglue.cfrac import HJExpansion, approximant_pairs, eval_negative_cfrac, hj_expand
+from cscglue.cfrac import HJExpansion, eval_negative_cfrac, hj_expand
 from cscglue.resolution import (
     blow_down_fully,
     blow_down_once,
@@ -56,15 +57,12 @@ from cscglue.gluing import (
     GluingVerdict,
     OrbifoldSurface,
     PipelineReport,
-    RotationSet,
     chi_orb,
-    classify_fixed_points,
     existence_report,
     feasibility,
     gluing_matrix,
     is_good,
     orbifold_from_parabolic,
-    rotation_data,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,6 @@ __all__ = [
     "HJExpansion",
     "hj_expand",
     "eval_negative_cfrac",
-    "approximant_pairs",
     "fiber_chain",
     "blow_down_once",
     "blow_down_fully",
@@ -100,7 +97,6 @@ __all__ = [
     "classify",
     "is_sporadic",
     "OrbifoldSurface",
-    "RotationSet",
     "FixType",
     "GluingVerdict",
     "GluingReport",
@@ -108,8 +104,6 @@ __all__ = [
     "orbifold_from_parabolic",
     "chi_orb",
     "is_good",
-    "classify_fixed_points",
-    "rotation_data",
     "gluing_matrix",
     "feasibility",
     "existence_report",

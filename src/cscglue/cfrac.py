@@ -140,12 +140,3 @@ def eval_negative_cfrac(digits) -> Fraction:
         value = e - 1 / value
     return value
 
-
-def approximant_pairs(exp: HJExpansion) -> tuple[tuple[int, int], ...]:
-    """Return the approximant pairs (m_j, n_j), j = 0, ..., k+2."""
-    return _approximants(exp.digits)
-
-
-def approximant_chain(p: int, q: int) -> tuple[tuple[int, int], ...]:
-    """Shorthand for ``hj_expand(p, q).approximants``."""
-    return hj_expand(p, q).approximants

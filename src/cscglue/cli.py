@@ -31,6 +31,7 @@ from cscglue import __version__
 from cscglue.cfrac import hj_expand
 from cscglue.gluing import GluingVerdict, existence_report
 from cscglue.logmass import (
+    BURNS_CHAIN,
     INFINITY,
     blowup_insert,
     log_coeffs_from_levels,
@@ -38,6 +39,7 @@ from cscglue.logmass import (
     monopole_from_fraction,
     mu_from_chain,
     mu_from_u,
+    verdict_from_coeffs,
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
 from cscglue.resolution import blowup_count, fiber_chain, format_chain, singular_strings
@@ -179,6 +181,8 @@ def parse_coord(text: str):
 
 def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
     """Build a surface and its extra points from a JSON document."""
+    if not isinstance(doc, dict):
+        raise InputError(f"surface document must be a JSON object, got {type(doc).__name__}")
     try:
         genus = int(doc.get("genus", 0))
         model = doc.get("model", "trivial-p1")
@@ -207,8 +211,6 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             model=model,
             sections=sections,
         )
-    except InputError:
-        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad surface document: {exc}") from None
     # A marked point listed in the contains of one section must not have
@@ -325,21 +327,19 @@ def cmd_mass(args) -> int:
         levels = parse_rational_list(args.levels)
         try:
             if (p, q) == (1, 1):
-                data = monopole_from_chain(((0, -1), (1, 0), (1, 1), (0, 1)), levels)
+                data = monopole_from_chain(BURNS_CHAIN, levels)
             else:
                 data = monopole_from_fraction(p, q, levels)
             coeffs = log_coeffs_from_levels(data)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    mu = coeffs.mu
-    sign = 0 if mu == 0 else (1 if mu > 0 else -1)
-    crepant = p == q - 1
+    verdict = verdict_from_coeffs(p, q, coeffs)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
         **_coeffs_payload(coeffs),
-        "sign": {1: "positive", 0: "zero", -1: "negative"}[sign],
-        "crepant": crepant,
+        "sign": {1: "positive", 0: "zero", -1: "negative"}[verdict.sign],
+        "crepant": verdict.crepant,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -350,7 +350,7 @@ def cmd_mass(args) -> int:
     print(f"  mu = {coeffs.mu}  ({float(coeffs.mu):.6g})")
     for i, (c, u) in enumerate(coeffs.per_term, start=1):
         print(f"  term {i}: coefficient {c}, u = {u}")
-    print(f"  sign: {payload['sign']}   crepant: {'yes' if crepant else 'no'}")
+    print(f"  sign: {payload['sign']}   crepant: {'yes' if verdict.crepant else 'no'}")
     return EXIT_OK
 
 
@@ -377,10 +377,9 @@ def cmd_blowup_insert(args) -> int:
             coeffs = mu_from_chain(inserted.chain, u)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        payload.update(_coeffs_payload(coeffs))
     else:
         coeffs = log_coeffs_from_levels(inserted)
-        payload.update(_coeffs_payload(coeffs))
+    payload.update(_coeffs_payload(coeffs))
     if args.json:
         print(json.dumps(payload, indent=2))
         return EXIT_OK

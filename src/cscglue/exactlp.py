@@ -1,4 +1,4 @@
-"""Exact rational rank and positive-kernel tests for small matrices.
+"""Exact rational rank and the one-row positive-kernel test.
 
 The gluing feasibility question reduces to two pieces of exact linear
 algebra on a matrix with rational entries:
@@ -6,23 +6,18 @@ algebra on a matrix with rational entries:
 * its rank;
 * whether its kernel contains a strictly positive vector.
 
-A strictly positive kernel vector exists iff the system
-
-    M s = -M 1,   s >= 0
-
-is feasible (then w = 1 + s >= 1 is such a vector, and conversely any
-strictly positive kernel vector rescales to one with minimum entry 1).
-Feasibility is decided by a phase-one simplex with Bland's rule, entirely
-in ``fractions.Fraction`` arithmetic.  The matrices arising here have at
-most a handful of rows and a few dozen columns, so exactness costs
-nothing.
+The gluing matrix of a strictly polystable surface has one row, one entry
+per log term, because there is exactly one kernel function phi beyond the
+constants.  For a single row r with entry sum s, a strictly positive
+kernel vector exists iff s = 0 or some entry has the sign opposite to s,
+and then it has a closed form: w = 1 when s = 0, otherwise w is 1 except
+at the first such entry r_k, where w_k = 1 - s/r_k > 1 makes r . w = 0.
+Everything is ``fractions.Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def rational_rank(rows) -> int:
@@ -56,7 +51,7 @@ def positive_kernel_vector(rows, ncols: int):
     Parameters
     ----------
     rows : iterable of rows
-        The matrix M; may be empty (no constraints).
+        The matrix M with at most one row; may be empty (no constraints).
     ncols : int
         Number of columns of M, needed explicitly when M has no rows.
 
@@ -64,88 +59,25 @@ def positive_kernel_vector(rows, ncols: int):
     -------
     tuple of Fraction or None
         A vector with every entry >= 1 annihilated by M, if one exists.
+
+    Raises
+    ------
+    ValueError
+        If M has more than one row.
     """
     if ncols == 0:
         return None
     rows = [tuple(map(Fraction, row)) for row in rows]
+    if len(rows) > 1:
+        raise ValueError(f"the kernel test takes at most one row, got {len(rows)}")
+    w = [Fraction(1)] * ncols
     if not rows:
-        return tuple(Fraction(1) for _ in range(ncols))
-    rhs = [-sum(row) for row in rows]
-    s = solve_nonneg(rows, rhs)
-    if s is None:
-        return None
-    return tuple(1 + x for x in s)
-
-
-def solve_nonneg(rows, rhs):
-    """Solve M s = b with s >= 0 exactly; return s or None.
-
-    Phase-one simplex: minimise the sum of artificial variables over
-    ``M s + I a = b`` (rows negated as needed so b >= 0).  Bland's rule
-    guarantees termination.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = []
-    b = []
-    for row, bi in zip(rows, rhs):
-        row = list(map(Fraction, row))
-        bi = Fraction(bi)
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        tableau.append(row)
-        b.append(bi)
-    # Append the artificial identity block.
-    for i in range(m):
-        tableau[i].extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-    basis = [n + i for i in range(m)]
-
-    # Reduced-cost row for minimising the artificial sum: artificial
-    # columns start with cost 0, structural columns with -(column sum).
-    obj = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
-    obj += [Fraction(0)] * m
-
-    while True:
-        # Bland's rule: smallest-index entering and leaving variables.
-        enter = next((j for j, cj in enumerate(obj) if cj < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (b[i] / tableau[i][enter], basis[i], i)
-            for i in range(m)
-            if tableau[i][enter] > 0
-        ]
-        if not ratios:
-            # Unbounded phase-one problem cannot happen (objective >= 0),
-            # but guard against malformed input.
+        return tuple(w)
+    row = rows[0]
+    s = sum(row)
+    if s != 0:
+        k = next((k for k, x in enumerate(row) if x * s < 0), None)
+        if k is None:
             return None
-        _, _, leave = min(ratios)
-        _pivot(tableau, b, obj, enter, leave)
-        basis[leave] = enter
-
-    # Optimal artificial sum: recompute from the basic solution.
-    total = sum(b[i] for i in range(m) if basis[i] >= n)
-    if total != 0:
-        return None
-    solution = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[var] = b[i]
-    return tuple(solution)
-
-
-def _pivot(tableau, b, obj, enter: int, leave: int) -> None:
-    m = len(tableau)
-    pv = tableau[leave][enter]
-    tableau[leave] = [x / pv for x in tableau[leave]]
-    b[leave] /= pv
-    for i in range(m):
-        if i != leave and tableau[i][enter]:
-            factor = tableau[i][enter]
-            tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[leave])]
-            b[i] -= factor * b[leave]
-    if obj[enter]:
-        factor = obj[enter]
-        for j in range(len(obj)):
-            obj[j] -= factor * tableau[leave][j]
+        w[k] = 1 - s / row[k]
+    return tuple(w)

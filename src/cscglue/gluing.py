@@ -27,7 +27,8 @@ Feasibility of the glued constant-scalar-curvature metric asks for
     c_1 = rank M = dim V_0    and    c_2 != 0,
 
 where c_2 counts the dimension of ker M when a strictly positive kernel
-vector exists and is zero otherwise.  Both are decided exactly.  The
+vector exists and is zero otherwise.  With one kernel function M has one
+row, and both are decided exactly by :mod:`cscglue.exactlp`.  The
 positive kernel vector is a balancing condition: its entries weight the
 chosen points so that the configuration is balanced against the kernel
 vector fields, in the spirit of a zero of a moment map.
@@ -41,7 +42,6 @@ model and the +1 side is the first section of the witness pair.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +58,11 @@ from cscglue.resolution import blowup_count, singular_strings
 
 
 class FixType(enum.Enum):
-    """Fixed-point structure of the fiberwise rotation group."""
+    """Fixed-point structure of the fiberwise rotation group.
+
+    :func:`existence_report` selects the case; its ``dim_v0`` is the
+    number of kernel functions the gluing has to balance.
+    """
 
     NO_FIXED_POINT = "no-fixed-point"
     TWO_FIXED_POINTS = "two-fixed-points"
@@ -97,33 +101,6 @@ class OrbifoldSurface:
 
 
 @dataclass(frozen=True)
-class RotationSet:
-    """Images of the puncture loops under a fiberwise rotation action.
-
-    Either symbolic (rotations by 2 pi alpha_j about one common axis,
-    each with a sign selecting the pole) or explicit (axis vectors with
-    angles in radians).  Symbolic data never touches floating point.
-    """
-
-    symbolic: tuple[tuple[Fraction, int], ...] | None = None
-    explicit: tuple[tuple[tuple[float, float, float], float], ...] | None = None
-
-    @staticmethod
-    def common_axis(alphas_signs) -> "RotationSet":
-        sym = tuple((Fraction(a), int(s)) for a, s in alphas_signs)
-        for a, s in sym:
-            if not (0 < a < 1):
-                raise ValueError(f"symbolic angle fraction {a} outside (0, 1)")
-            if s not in (-1, 1):
-                raise ValueError(f"sign must be +-1, got {s}")
-        return RotationSet(symbolic=sym)
-
-    @staticmethod
-    def from_axes(entries) -> "RotationSet":
-        return RotationSet(explicit=tuple((tuple(map(float, ax)), float(th)) for ax, th in entries))
-
-
-@dataclass(frozen=True)
 class GluingReport:
     """Exact feasibility data for the gluing matrix."""
 
@@ -136,7 +113,6 @@ class GluingReport:
     kernel_witness: tuple[Fraction, ...] | None
     dim_v0: int
     verdict: GluingVerdict
-    case: FixType | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -187,62 +163,6 @@ def is_good(orb: OrbifoldSurface) -> bool:
     return True
 
 
-AXIS_TOLERANCE = 1e-9
-
-
-def classify_fixed_points(rotations: RotationSet, base: OrbifoldSurface | None = None) -> FixType:
-    """Fixed-point case of the rotation action, with its dim V_0.
-
-    The two-equal-order sphere base is special: the base itself has a
-    rotation field, dim V_0 = 2, and the equivariant branch applies
-    regardless of the rotation data.  Otherwise: trivial data gives
-    dim V_0 = 3, a common axis gives two fixed points and dim V_0 = 1,
-    and two distinct axes leave nothing fixed.
-    """
-    if base is not None and _is_two_equal_order_sphere(base):
-        return FixType.QUOTIENT_SPHERE_BASE
-    if rotations.symbolic is not None:
-        if not rotations.symbolic:
-            return FixType.TRIVIAL
-        return FixType.TWO_FIXED_POINTS
-    entries = rotations.explicit or ()
-    axes = []
-    for axis, angle in entries:
-        norm = sum(x * x for x in axis) ** 0.5
-        if norm == 0:
-            raise ValueError("rotation axis must be a nonzero vector")
-        if abs(_mod_angle(angle)) <= AXIS_TOLERANCE:
-            continue  # identity rotation
-        axes.append(tuple(x / norm for x in axis))
-    if not axes:
-        return FixType.TRIVIAL
-    first = axes[0]
-    for ax in axes[1:]:
-        cross = (
-            first[1] * ax[2] - first[2] * ax[1],
-            first[2] * ax[0] - first[0] * ax[2],
-            first[0] * ax[1] - first[1] * ax[0],
-        )
-        if sum(c * c for c in cross) ** 0.5 > AXIS_TOLERANCE:
-            return FixType.NO_FIXED_POINT
-    return FixType.TWO_FIXED_POINTS
-
-
-def rotation_data(surface: ParabolicSurface, verdict: StabilityVerdict) -> RotationSet:
-    """The fiberwise rotation set a strictly polystable surface induces.
-
-    Each puncture loop acts by a rotation through 2 pi alpha_j about the
-    axis fixed by the two witness sections; the sign records which
-    section carries the marked point (which pole the rotation favours).
-    """
-    if verdict.kind is not StabilityKind.STRICTLY_POLYSTABLE or verdict.pair is None:
-        raise ValueError("rotation data requires a strictly polystable verdict")
-    s1, _ = verdict.pair
-    return RotationSet.common_axis(
-        (w, 1 if j in s1.contains else -1) for j, w in enumerate(surface.weights)
-    )
-
-
 def phi_value(coord) -> Fraction:
     """The kernel function (|u|^2 - |v|^2)/(|u|^2 + |v|^2) at [u : v]."""
     u, v = normalize_coord(*coord)
@@ -291,7 +211,7 @@ def gluing_matrix(
     return tuple(entries), tuple(labels)
 
 
-def feasibility(rows, ncols: int, dim_v0: int, case=None, col_labels=()) -> GluingReport:
+def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     """Exact rank / positive-kernel verdict for a gluing matrix.
 
     * empty matrix (no columns) with dim V_0 > 0: obstructed (no log
@@ -329,7 +249,6 @@ def feasibility(rows, ncols: int, dim_v0: int, case=None, col_labels=()) -> Glui
             kernel_witness=None,
             dim_v0=dim_v0,
             verdict=verdict,
-            case=case,
             notes=tuple(notes),
         )
     c1 = rational_rank(rows)
@@ -354,7 +273,6 @@ def feasibility(rows, ncols: int, dim_v0: int, case=None, col_labels=()) -> Glui
         kernel_witness=witness,
         dim_v0=dim_v0,
         verdict=verdict,
-        case=case,
         notes=tuple(notes),
     )
 
@@ -418,10 +336,10 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
             notes.append("no blow-ups: the minimal ruled surface keeps its product metric")
     elif verdict.kind is StabilityKind.STABLE:
         case = FixType.NO_FIXED_POINT
-        gluing = feasibility((), ncols=len(extra_points), dim_v0=0, case=case)
+        gluing = feasibility((), ncols=len(extra_points), dim_v0=0)
         final = GluingVerdict.FEASIBLE
         notes.append("stable: no holomorphic vector fields, gluing is unobstructed")
-    elif _is_two_equal_order_sphere(orb):
+    elif orb.genus == 0 and len(orb.orders) == 2 and orb.orders[0] == orb.orders[1]:
         case = FixType.QUOTIENT_SPHERE_BASE
         notes.append(
             "base is the sphere with two equal-order points: dim V_0 = 2 "
@@ -445,7 +363,7 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     else:
         case = FixType.TWO_FIXED_POINTS
         row, labels = gluing_matrix(surface, verdict, extra_points)
-        gluing = feasibility((row,) if row else (), ncols=len(row), dim_v0=1, case=case, col_labels=labels)
+        gluing = feasibility((row,) if row else (), ncols=len(row), dim_v0=1, col_labels=labels)
         final = gluing.verdict
         if sporadic and final in (GluingVerdict.INFEASIBLE, GluingVerdict.OBSTRUCTED):
             notes.append(
@@ -472,25 +390,11 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     )
 
 
-def _is_two_equal_order_sphere(orb: OrbifoldSurface) -> bool:
-    return (
-        orb.genus == 0
-        and len(orb.orders) == 2
-        and orb.orders[0] == orb.orders[1]
-    )
-
-
 def _z2_invariant(coords) -> bool:
     """Is the multiset of fiber positions invariant under [u:v] -> [v:u]?"""
     normalized = [normalize_coord(*c) for c in coords]
     swapped = [normalize_coord(c[1], c[0]) for c in coords]
     return sorted(normalized) == sorted(swapped)
-
-
-def _mod_angle(angle: float) -> float:
-    two_pi = 2 * math.pi
-    a = angle % two_pi
-    return min(a, two_pi - a)
 
 
 def _describe(surface: ParabolicSurface, blow_total: int) -> str:

@@ -50,11 +50,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from cscglue.cfrac import approximant_chain
+from cscglue.cfrac import hj_expand
 
 INFINITY = math.inf
 
 Pair = tuple[int, int]
+
+# The blow-up of the plane at one point, admitted as (p, q) = (1, 1).
+BURNS_CHAIN: tuple[Pair, ...] = ((0, -1), (1, 0), (1, 1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def monopole_from_fraction(p: int, q: int, levels) -> MonopoleData:
         the digit count of the expansion of q/p.  The first entry may be
         ``math.inf``.
     """
-    chain = approximant_chain(p, q)
+    chain = hj_expand(p, q).approximants
     return monopole_from_chain(chain, levels)
 
 
@@ -291,7 +294,11 @@ def mass_verdict(p: int, q: int, u) -> MassVerdict:
     sign is never positive and is zero exactly in the crepant case
     p = q - 1.  The Burns datum (1, 1) is the positive-mass exception.
     """
-    coeffs = mu_from_u(p, q, u)
+    return verdict_from_coeffs(p, q, mu_from_u(p, q, u))
+
+
+def verdict_from_coeffs(p: int, q: int, coeffs: LogCoefficients) -> MassVerdict:
+    """The mass sign rule of :func:`mass_verdict`, on coefficients of (p, q)."""
     mu = coeffs.mu
     sign = 0 if mu == 0 else (1 if mu > 0 else -1)
     return MassVerdict(
@@ -304,12 +311,12 @@ def mass_verdict(p: int, q: int, u) -> MassVerdict:
 
 def _chain_for(p: int, q: int) -> tuple[Pair, ...]:
     if (p, q) == (1, 1):
-        return ((0, -1), (1, 0), (1, 1), (0, 1))
+        return BURNS_CHAIN
     if not (0 < p < q):
         raise ValueError(f"need 0 < p < q (or the Burns datum (1, 1)), got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ValueError(f"p={p} and q={q} are not coprime")
-    return approximant_chain(p, q)
+    return hj_expand(p, q).approximants
 
 
 def _chain_coefficient(chain, j: int) -> Fraction:

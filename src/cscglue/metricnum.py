@@ -257,10 +257,6 @@ def _extrapolate(d, depth: int):
     return vals[0]
 
 
-def _depth(richardson) -> int:
-    return int(richardson)
-
-
 def central_diff(fn, x: float, h: float, richardson=True):
     """First derivative by central differences.
 
@@ -268,7 +264,7 @@ def central_diff(fn, x: float, h: float, richardson=True):
     level, integers for more).
     """
     d = lambda i: (fn(x + h / 2**i) - fn(x - h / 2**i)) / (2 * h / 2**i)
-    return _extrapolate(d, _depth(richardson))
+    return _extrapolate(d, int(richardson))
 
 
 def second_diff(fn, x: float, h: float, richardson=True):
@@ -278,7 +274,7 @@ def second_diff(fn, x: float, h: float, richardson=True):
         hh = h / 2**i
         return (fn(x + hh) - 2 * f0 + fn(x - hh)) / (hh * hh)
 
-    return _extrapolate(d, _depth(richardson))
+    return _extrapolate(d, int(richardson))
 
 
 def mixed_diff(fn, x: float, y: float, hx: float, hy: float, richardson=True):
@@ -288,7 +284,7 @@ def mixed_diff(fn, x: float, y: float, hx: float, hy: float, richardson=True):
             fn(x + ax, y + ay) - fn(x + ax, y - ay) - fn(x - ax, y + ay) + fn(x - ax, y - ay)
         ) / (4 * ax * ay)
 
-    return _extrapolate(d, _depth(richardson))
+    return _extrapolate(d, int(richardson))
 
 
 # ---------------------------------------------------------------------------

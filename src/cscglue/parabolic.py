@@ -70,6 +70,8 @@ class ParabolicSurface:
     sections: tuple[SectionData, ...] = ()
 
     def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError(f"genus must be >= 0, got {self.genus}")
         if len(set(self.points)) != len(self.points):
             raise ValueError("base points must be pairwise distinct")
         if not (len(self.points) == len(self.weights) == len(self.incidence)):

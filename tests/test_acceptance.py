@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cscglue.cfrac import hj_expand
-from cscglue.exactlp import positive_kernel_vector
 from cscglue.gluing import GluingVerdict, FixType, existence_report
 from cscglue.logmass import (
     INFINITY,

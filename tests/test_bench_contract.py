@@ -1,0 +1,31 @@
+"""The benchmark's traced run wraps library functions by name.
+
+``bench/spans.py`` lists, per module, the functions it rebinds for
+``bench/run.py --trace 1``; the traced run fails at the first name that
+no longer exists.  This test reads that list (without importing the
+benchmark package or writing anything under ``bench/``) and checks every
+name against the library.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def test_traced_layers_exist():
+    layers = runpy.run_path(str(SPANS))["LAYERS"]
+    missing = []
+    for layer, functions in layers.items():
+        module = importlib.import_module(f"cscglue.{layer}")
+        missing += [f"{layer}.{fn}" for fn in functions if not callable(getattr(module, fn, None))]
+    assert not missing, f"bench/spans.py wraps functions that are gone: {missing}"
+
+
+def test_gluing_calls_kernel_test_by_imported_name():
+    # The tracer finds positive_kernel_vector's calls from gluing through
+    # the name gluing imported, so that import must stay.
+    from cscglue import exactlp, gluing
+
+    assert gluing.positive_kernel_vector is exactlp.positive_kernel_vector

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from cscglue.cfrac import approximant_pairs, eval_negative_cfrac, hj_expand
+from cscglue.cfrac import eval_negative_cfrac, hj_expand
 
 
 def coprime_pairs(max_q):
@@ -114,10 +114,3 @@ def coprime(draw):
 def test_round_trip_property(pq):
     p, q = pq
     assert eval_negative_cfrac(hj_expand(p, q).digits) == Fraction(q, p)
-
-
-@given(coprime())
-def test_approximant_pairs_match(pq):
-    p, q = pq
-    exp = hj_expand(p, q)
-    assert approximant_pairs(exp) == exp.approximants

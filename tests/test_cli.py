@@ -151,6 +151,15 @@ def test_pipeline_bad_document(tmp_path):
     code, _, err = run_cli("pipeline", str(doc))
     assert code == 2
     assert "line" in err
+    # Well-formed JSON that is not a surface document: a non-object
+    # document and a negative genus.
+    for text in ("[1, 2]", '{"genus": -1, "model": "sections"}'):
+        doc.write_text(text)
+        for command in ("stability", "pipeline"):
+            code, _, err = run_cli(command, str(doc))
+            assert code == 2, (text, command)
+            assert err.startswith("error:"), (text, command)
+            assert "Traceback" not in err
 
 
 def test_metric_verify(tmp_path):

@@ -9,9 +9,7 @@ from cscglue.gluing import (
     FixType,
     GluingVerdict,
     OrbifoldSurface,
-    RotationSet,
     chi_orb,
-    classify_fixed_points,
     existence_report,
     feasibility,
     gluing_matrix,
@@ -96,36 +94,10 @@ def test_is_good():
 
 
 def test_classify_fixed_points():
-    assert classify_fixed_points(RotationSet.common_axis([])) is FixType.TRIVIAL
     assert FixType.TRIVIAL.dim_v0 == 3
-    sym = RotationSet.common_axis([(F(1, 2), 1), (F(1, 3), -1)])
-    assert classify_fixed_points(sym) is FixType.TWO_FIXED_POINTS
     assert FixType.TWO_FIXED_POINTS.dim_v0 == 1
-    same_axis = RotationSet.from_axes([((0, 0, 1.0), 1.0), ((0, 0, -2.0), 0.5)])
-    assert classify_fixed_points(same_axis) is FixType.TWO_FIXED_POINTS
-    distinct = RotationSet.from_axes([((0, 0, 1.0), 1.0), ((0, 1.0, 0), 0.5)])
-    assert classify_fixed_points(distinct) is FixType.NO_FIXED_POINT
     assert FixType.NO_FIXED_POINT.dim_v0 == 0
-    identity_only = RotationSet.from_axes([((0, 0, 1.0), 0.0)])
-    assert classify_fixed_points(identity_only) is FixType.TRIVIAL
-    base = OrbifoldSurface(0, (4, 4))
-    assert classify_fixed_points(sym, base) is FixType.QUOTIENT_SPHERE_BASE
     assert FixType.QUOTIENT_SPHERE_BASE.dim_v0 == 2
-    with pytest.raises(ValueError):
-        classify_fixed_points(RotationSet.from_axes([((0, 0, 0), 1.0)]))
-
-
-def test_rotation_data():
-    from cscglue.gluing import classify_fixed_points, rotation_data
-
-    verdict = classify(FOUR_POINT)
-    rot = rotation_data(FOUR_POINT, verdict)
-    assert sorted(a for a, _ in rot.symbolic) == sorted(FOUR_POINT.weights)
-    assert {s for _, s in rot.symbolic} == {-1, 1}
-    assert classify_fixed_points(rot) is FixType.TWO_FIXED_POINTS
-    unstable = trivial_surface([F(1, 5), F(2, 5)], [(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        rotation_data(unstable, classify(unstable))
 
 
 def test_phi_values():
