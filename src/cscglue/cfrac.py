@@ -75,10 +75,7 @@ def hj_expand(p: int, q: int) -> HJExpansion:
     ValueError
         If (p, q) is out of range or not coprime.
     """
-    if not (0 < p < q):
-        raise ValueError(f"need 0 < p < q, got p={p}, q={q}")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p={p} and q={q} are not coprime")
+    _check_pair(p, q)
 
     # Iterated ceiling division: e = ceil(a/b), then (a, b) <- (b, e*b - a).
     # The remainder e*b - a lies in [0, b), so digits stay >= 2 and the
@@ -93,6 +90,36 @@ def hj_expand(p: int, q: int) -> HJExpansion:
     exp = HJExpansion(p=p, q=q, digits=tuple(digits), approximants=_approximants(digits))
     _check_invariants(exp)
     return exp
+
+
+def hj_length(p: int, q: int) -> int:
+    """Number of digits of ``hj_expand(p, q)``, in O(log q) steps.
+
+    With q/p = [a_1; a_2, ..., a_n] the regular continued fraction, the
+    expansion turns a_1 into one digit and a_2 into a_2 - 1 digits 2,
+    then restarts on [a_3 + 1; a_4, ..., a_n].  It therefore has
+    a_2 + a_4 + ... digits, plus one when n is odd, which bounds chain
+    lengths without building the O(q) digits of fractions like (q-1)/q.
+
+    Raises
+    ------
+    ValueError
+        If (p, q) is out of range or not coprime.
+    """
+    _check_pair(p, q)
+    quotients = []
+    a, b = q, p
+    while b > 0:
+        quotients.append(a // b)
+        a, b = b, a % b
+    return sum(quotients[1::2]) + len(quotients) % 2
+
+
+def _check_pair(p: int, q: int) -> None:
+    if not (0 < p < q):
+        raise ValueError(f"need 0 < p < q, got p={p}, q={q}")
+    if gcd(p, q) != 1:
+        raise ValueError(f"p={p} and q={q} are not coprime")
 
 
 def _approximants(digits) -> tuple[tuple[int, int], ...]:

@@ -16,7 +16,9 @@ machine-readable mirror of the human report.
 
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
-any tolerance fails.
+any tolerance fails.  A command whose standard output is closed early
+(``cscglue pipeline doc.json --json | head``) exits 141, the status a
+shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -49,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_APPLICABLE = 4
+EXIT_BROKEN_PIPE = 141
 
 VERDICT_EXIT = {
     GluingVerdict.FEASIBLE: EXIT_OK,
@@ -67,10 +71,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (recipe from the Python
+        # documentation of SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,12 +192,19 @@ def parse_coord(text: str):
         raise InputError(f"cannot parse coordinate {text!r}: {exc}") from None
 
 
+def parse_json_int(value, name: str) -> int:
+    """A JSON integer; floats, strings and booleans are malformed input."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
     """Build a surface and its extra points from a JSON document."""
     if not isinstance(doc, dict):
         raise InputError(f"surface document must be a JSON object, got {type(doc).__name__}")
     try:
-        genus = int(doc.get("genus", 0))
+        genus = parse_json_int(doc.get("genus", 0), "genus")
         model = doc.get("model", "trivial-p1")
         points = tuple(str(p) for p in doc.get("points", ()))
         weights = tuple(Fraction(str(w)) for w in doc.get("weights", ()))
@@ -196,7 +216,8 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         sections = tuple(
             SectionData(
                 id=str(s["id"]),
-                self_intersection=int(s.get("self_intersection", 0)),
+                self_intersection=parse_json_int(s.get("self_intersection", 0),
+                                                 "self_intersection"),
                 contains=frozenset(str(x) for x in s.get("contains", ())),
                 disjoint_from=frozenset(str(x) for x in s.get("disjoint_from", ())),
             )

@@ -309,3 +309,27 @@ def test_criterion_11_asymptotics():
             assert err < 0.25
     report(11, f"fit error {worst_fit:.2e} (10 fractions), potential decay "
                f"ratio within {worst_ratio_err:.1%} of 2^-4, mass signs match")
+
+
+def test_criterion_12_metric_verify_sweep():
+    """verify_metric at its defaults passes every check on every q <= 25.
+
+    The long chains 13/14, 17/21 and 21/22 failed scalar flatness when the
+    curvature step sat in the roundoff regime; tolerances and sample
+    counts are the defaults.
+    """
+    fractions = list(coprime_pairs(25))
+    assert len(fractions) == 199
+    assert {(13, 14), (17, 21), (21, 22)} <= set(fractions)
+    worst = {}
+    start = time.perf_counter()
+    for p, q in fractions:
+        rep = verify_metric(p, q)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert not failed, (p, q, failed)
+        for c in rep.checks:
+            if c.tolerance > 0 and c.name != "mass-sign":
+                worst[c.name] = max(worst.get(c.name, 0.0), c.value / c.tolerance)
+    elapsed = time.perf_counter() - start
+    report(12, f"199 fractions pass in {elapsed:.1f}s; worst value/tolerance "
+               + ", ".join(f"{name} {m:.1e}" for name, m in worst.items()))

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from cscglue.cfrac import eval_negative_cfrac, hj_expand
+from cscglue.cfrac import eval_negative_cfrac, hj_expand, hj_length
 
 
 def coprime_pairs(max_q):
@@ -114,3 +114,12 @@ def coprime(draw):
 def test_round_trip_property(pq):
     p, q = pq
     assert eval_negative_cfrac(hj_expand(p, q).digits) == Fraction(q, p)
+
+
+def test_hj_length_matches_expansion():
+    for p, q in coprime_pairs(300):
+        assert hj_length(p, q) == len(hj_expand(p, q).digits)
+    # (q-1)/q has q - 1 digits, counted without building them.
+    assert hj_length(10**30 - 1, 10**30) == 10**30 - 1
+    with pytest.raises(ValueError):
+        hj_length(2, 4)

@@ -152,8 +152,19 @@ def test_pipeline_bad_document(tmp_path):
     assert code == 2
     assert "line" in err
     # Well-formed JSON that is not a surface document: a non-object
-    # document and a negative genus.
-    for text in ("[1, 2]", '{"genus": -1, "model": "sections"}'):
+    # document, a negative genus, and a genus or self-intersection that is
+    # not a JSON integer (1.9 must not truncate to 1).
+    torus = json.loads((FIXTURES / "torus_two_points.json").read_text())
+    sections = json.loads((FIXTURES / "sporadic_genus1.json").read_text())
+    sections["sections"][0]["self_intersection"] = 0.5
+    for text in (
+        "[1, 2]",
+        '{"genus": -1, "model": "sections"}',
+        json.dumps({**torus, "genus": 1.9}),
+        json.dumps({**torus, "genus": True}),
+        json.dumps({**torus, "genus": "1"}),
+        json.dumps(sections),
+    ):
         doc.write_text(text)
         for command in ("stability", "pipeline"):
             code, _, err = run_cli(command, str(doc))
@@ -215,6 +226,38 @@ def test_metric_verify_bad_args():
     assert code == 2
     code, _, _ = run_cli("metric-verify", "0/2")
     assert code == 2
+
+
+def test_metric_verify_input_bounds():
+    from cscglue.metricnum import MAX_LEVELS, MAX_SAMPLES
+
+    # (q-1)/q needs q + 1 levels; the check must not build the q - 1
+    # digits first, so a huge q is as quick to reject as a small one.
+    for args in (
+        ("1/2", "--samples", str(MAX_SAMPLES + 1)),
+        (f"{MAX_LEVELS - 1}/{MAX_LEVELS}",),
+        ("999999/1000000",),
+        (f"{10**30 - 1}/{10**30}",),
+    ):
+        code, out, err = run_cli("metric-verify", *args)
+        assert code == 2, args
+        assert err.startswith("error:"), args
+        assert out == ""
+
+
+def test_broken_pipe_exit_code():
+    # The reader closes the pipe before the command writes its report.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cscglue.cli", "pipeline",
+         str(FIXTURES / "torus_two_points.json"), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_document_round_trip():

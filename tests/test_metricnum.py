@@ -10,6 +10,7 @@ from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from
 from cscglue.metricnum import (
     HalfSpacePoint,
     PolarPoint,
+    as_batch,
     default_levels,
     derivative_consistency,
     fit_log_coeffs,
@@ -300,3 +301,49 @@ def test_sample_points_seeded():
     a = sample_points(np.random.default_rng(5), 10, 1.0, 5.0)
     b = sample_points(np.random.default_rng(5), 10, 1.0, 5.0)
     assert [(p.r, p.theta) for p in a] == [(p.r, p.theta) for p in b]
+
+
+def _oracle_metric(a, b):
+    """The symbolic-oracle metric above, for arrays of (a, b)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    g = np.zeros(a.shape + (4, 4))
+    g[..., 0, 0] = 1 + np.exp(b) / 10
+    g[..., 0, 1] = g[..., 1, 0] = a * b / 20
+    g[..., 1, 1] = 1 + a * a / 5
+    g[..., 2, 2] = 1 + a * a / 3 + b * b / 7
+    g[..., 2, 3] = g[..., 3, 2] = a * b / 9
+    g[..., 3, 3] = 2 + np.sin(a + b) / 5
+    return g
+
+
+def _assert_close_relative(batch, single, tol=1e-12):
+    batch, single = np.asarray(batch), np.asarray(single)
+    assert batch.shape == single.shape
+    assert np.max(np.abs(batch - single)) <= tol * max(np.max(np.abs(single)), 1e-300)
+
+
+def test_batch_matches_single_points():
+    data = data_for(17, 21)
+    pts = sample_points(np.random.default_rng(8), 12, 1.0, 5.0)
+    batch = as_batch(pts)
+    hp = from_polar(batch)
+    frames = v_eval(data, hp.x, hp.y)
+    samples = metric_at(data, batch)
+    for i, pt in enumerate(pts):
+        one = from_polar(pt)
+        frame = v_eval(data, one.x, one.y)
+        for name in ("v1", "v2", "det", "dv1", "dv2"):
+            _assert_close_relative(getattr(frames, name)[i], getattr(frame, name))
+        sample = metric_at(data, pt)
+        for name in ("g", "omega", "J"):
+            _assert_close_relative(getattr(samples, name)[i], getattr(sample, name))
+
+    a = np.array([0.7, 1.1, 0.2, 0.45])
+    b = np.array([0.4, -0.3, 0.9, 0.1])
+    values = scalar_curvature_generic(_oracle_metric, a, b, 1e-3, 1e-3)
+    assert values.shape == a.shape
+    for i in range(len(a)):
+        single = scalar_curvature_generic(_oracle_metric, float(a[i]), float(b[i]), 1e-3, 1e-3)
+        _assert_close_relative(values[i], single)
+    # The batched oracle metric reproduces the frozen symbolic value.
+    assert abs(values[0] - -0.86043286947471933346) < 1e-7
