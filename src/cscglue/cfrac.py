@@ -132,14 +132,20 @@ def _approximants(digits) -> tuple[tuple[int, int], ...]:
 
 
 def _check_invariants(exp: HJExpansion) -> None:
+    # Explicit raises, not asserts: the checks must survive ``python -O``.
     k = len(exp.digits)
     pairs = exp.approximants
-    assert pairs[k + 1] == (exp.q, exp.p)
+    if pairs[k + 1] != (exp.q, exp.p):
+        raise RuntimeError(f"expansion of {exp.q}/{exp.p} closes at {pairs[k + 1]}")
     for j in range(k + 1):
         mj, nj = pairs[j]
         mj1, nj1 = pairs[j + 1]
-        assert mj * nj1 - mj1 * nj == 1
-    assert all(pairs[j][0] < pairs[j + 1][0] for j in range(1, k + 1))
+        det = mj * nj1 - mj1 * nj
+        if det != 1:
+            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: junction {j} has determinant {det}")
+    for j in range(1, k + 1):
+        if not pairs[j][0] < pairs[j + 1][0]:
+            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: m_j not increasing at j={j}")
 
 
 def eval_negative_cfrac(digits) -> Fraction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -68,10 +69,11 @@ class InputError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Look the handler up at call time, so a rebound cmd_* takes effect.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except InputError as exc:
@@ -98,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_hj = sub.add_parser("hj", help="continued fraction, chain and blow-up data of a weight")
     p_hj.add_argument("fraction", help='weight "p/q" in (0,1)')
     p_hj.add_argument("--json", action="store_true")
-    p_hj.set_defaults(func=cmd_hj)
+    p_hj.set_defaults(command="hj")
 
     p_mass = sub.add_parser("mass", help="exact log coefficient and mass sign")
     p_mass.add_argument("fraction", help='"p/q" with 0 < p < q, or "1/1" for the plane blow-up')
     p_mass.add_argument("--u", help="comma-separated positive rationals u_1..u_k")
     p_mass.add_argument("--levels", help="comma-separated decreasing levels ending in 0 (first may be inf)")
     p_mass.add_argument("--json", action="store_true")
-    p_mass.set_defaults(func=cmd_mass)
+    p_mass.set_defaults(command="mass")
 
     p_ins = sub.add_parser("blowup-insert", help="insert a blow-up interval into a chain")
     p_ins.add_argument("fraction", help='"p/q" base data')
@@ -113,17 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--u", help="u parameters for the inserted chain (k+1 entries)")
     p_ins.add_argument("--levels", help="levels for the base chain before insertion")
     p_ins.add_argument("--json", action="store_true")
-    p_ins.set_defaults(func=cmd_blowup_insert)
+    p_ins.set_defaults(command="blowup-insert")
 
     p_stab = sub.add_parser("stability", help="slope table and polystability verdict")
     p_stab.add_argument("document", help="surface document (JSON)")
     p_stab.add_argument("--json", action="store_true")
-    p_stab.set_defaults(func=cmd_stability)
+    p_stab.set_defaults(command="stability")
 
     p_pipe = sub.add_parser("pipeline", help="full existence pipeline for a surface document")
     p_pipe.add_argument("document", help="surface document (JSON)")
     p_pipe.add_argument("--json", action="store_true")
-    p_pipe.set_defaults(func=cmd_pipeline)
+    p_pipe.set_defaults(command="pipeline")
 
     p_ver = sub.add_parser("metric-verify", help="numerical verification battery for (p, q)")
     p_ver.add_argument("fraction", help='"p/q" with 0 < p < q')
@@ -133,8 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--csv", help="write the (r, residual) decay series here")
     p_ver.add_argument("--fit-csv", help="write the (r, coeff_a, coeff_b) series here")
     p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=cmd_metric_verify)
+    p_ver.set_defaults(command="metric-verify")
     return parser
+
+
+# Built on the first call to main, not at import, and reused after it.
+_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def parse_rational_list(text: str):
                     file=sys.stderr,
                 )
                 out.append(Fraction(float(item)).limit_denominator(10**12))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"cannot parse rational {item!r}: {exc}") from None
     if not out:
         raise InputError("empty rational list")
@@ -232,7 +238,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             model=model,
             sections=sections,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad surface document: {exc}") from None
     # A marked point listed in the contains of one section must not have
     # its incidence pointing at a different one: the two declarations

@@ -26,21 +26,29 @@ gives the closed forms
     q a = sum_{j=0}^{k+1} (c_j - c_{j-1}) m_j
     q b = sum_{j=0}^{k+1} (c_j - c_{j-1}) (p m_j - q n_j)
 
-with the conventions c_{-1} = c_{k+1} = 0.  Substituting the positive
-parameters u_j = m_j (c_j - c_{j-1}) turns the log coefficient
-mu = a + b into
+with the conventions c_{-1} = c_{k+1} = 0.  Summed by parts, these are
+the level sums computed here,
+
+    q a = sum_{j=0}^{k} c_j (m_j - m_{j+1})
+    q b = sum_{j=0}^{k} c_j ((p m_j - q n_j) - (p m_{j+1} - q n_{j+1})).
+
+Substituting the positive parameters u_j = m_j (c_j - c_{j-1}) turns the
+log coefficient mu = a + b into
 
     mu = sum_{j=1}^{k} (p/q - n_j/m_j + 1/q - 1/m_j) u_j,
 
 a formula that stays valid for non-monotone chains such as the ones
-produced by extra blow-ups.  The coefficient of u_j is <= 0 for
-Hirzebruch-Jung data, vanishing exactly when e_1 = ... = e_j = 2, so mu
-is never positive and vanishes precisely in the crepant case p = q - 1.
-The coefficient mu equals the ADM-type mass of the metric, so these sums
-decide its sign exactly.
+produced by extra blow-ups.  Over the denominator q m_j the coefficient
+of u_j has the integer numerator (p + 1) m_j - q (n_j + 1).  It is <= 0
+for Hirzebruch-Jung data, vanishing exactly when e_1 = ... = e_j = 2, so
+mu is never positive and vanishes precisely in the crepant case
+p = q - 1.  The coefficient mu equals the ADM-type mass of the metric,
+so these sums decide its sign exactly.
 
 Everything here is exact rational arithmetic; ``math.inf`` is the one
-permitted non-rational level value.
+permitted non-rational level value.  The sums run over integer
+numerators with a running common denominator, so each returned value is
+normalised once, as a single ``Fraction``.
 """
 
 from __future__ import annotations
@@ -159,9 +167,9 @@ def flat_monopole() -> MonopoleData:
 def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
     """Exact (a, b, mu) from the level sums.
 
-    Uses the telescoped closed forms for q a and q b quoted in the module
-    docstring, with c_j = 1/y_j, c_{-1} = c_{k+1} = 0 and c_0 = 0 when
-    y_0 is infinite.
+    Uses the summed-by-parts forms of q a and q b from the module
+    docstring, with c_j = 1/y_j and c_0 = 0 when y_0 is infinite, in
+    integer arithmetic over a running common denominator.
 
     Raises
     ------
@@ -173,19 +181,30 @@ def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
     chain = data.chain
     k = data.k
     q, p = chain[-2]
-    c = [_inverse_level(y) for y in data.levels[: k + 1]] + [Fraction(0)]
-    c_prev = [Fraction(0)] + c[:-1]
+    # c_j = cn / cd with cd > 0: every level up to y_k is positive.
+    c = [_reciprocal(y) for y in data.levels[: k + 1]]
 
-    qa = sum((c[j] - c_prev[j]) * chain[j][0] for j in range(k + 2))
-    qb = sum((c[j] - c_prev[j]) * (p * chain[j][0] - q * chain[j][1]) for j in range(k + 2))
-    a = Fraction(qa, q)
-    b = Fraction(qb, q)
+    qa = qb = 0
+    den = 1
+    for j, (cn, cd) in enumerate(c):
+        (m0, n0), (m1, n1) = chain[j], chain[j + 1]
+        g = gcd(den, cd)
+        scale, step = cd // g, cn * (den // g)
+        qa = qa * scale + step * (m0 - m1)
+        qb = qb * scale + step * (p * (m0 - m1) - q * (n0 - n1))
+        den *= scale
+    den *= q
 
     per_term = tuple(
-        (_chain_coefficient(chain, j), chain[j][0] * (c[j] - c[j - 1]))
-        for j in range(1, k + 1)
+        (_chain_coefficient(chain, j), Fraction(chain[j][0] * (cn * pd - pn * cd), cd * pd))
+        for j, ((pn, pd), (cn, cd)) in enumerate(zip(c, c[1:]), start=1)
     )
-    return LogCoefficients(a=a, b=b, mu=a + b, per_term=per_term)
+    return LogCoefficients(
+        a=Fraction(qa, den),
+        b=Fraction(qb, den),
+        mu=Fraction(qa + qb, den),
+        per_term=per_term,
+    )
 
 
 def mu_from_u(p: int, q: int, u) -> LogCoefficients:
@@ -216,21 +235,38 @@ def mu_from_chain(chain, u) -> LogCoefficients:
     chain = tuple((int(m), int(n)) for m, n in chain)
     _validate_chain(chain)
     k = len(chain) - 3
-    u = tuple(Fraction(x) for x in u)
+    u = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in u)
     if len(u) != k:
         raise ValueError(f"expected {k} u-parameters, got {len(u)}")
-    if any(x <= 0 for x in u):
+    if any(x.numerator <= 0 for x in u):
         raise ValueError("all u_j must be positive")
 
-    per_term = tuple((_chain_coefficient(chain, j), u[j - 1]) for j in range(1, k + 1))
-    mu = sum((coeff * uj for coeff, uj in per_term), Fraction(0))
-
-    # Recover (a, b) in the c_0 = 0 normalisation: c_k is the cumulative
-    # sum of u_j / m_j and q a = sum(u_j) - q c_k.
+    # S = sum u_j, A = sum u_j / m_j and B = sum n_j u_j / m_j as
+    # numerators over the common denominator den.  Then
+    # mu = (p + 1) S / q - (A + B), and in the c_0 = 0 normalisation c_k = A
+    # and q a = S - q A, so b = mu - a = (p S - q B) / q.
     q, p = chain[-2]
-    c_k = sum((u[j - 1] / chain[j][0] for j in range(1, k + 1)), Fraction(0))
-    a = (sum(u, Fraction(0)) - q * c_k) / q
-    return LogCoefficients(a=a, b=mu - a, mu=mu, per_term=per_term)
+    s_num = a_num = b_num = 0
+    den = 1
+    for j in range(1, k + 1):
+        m, n = chain[j]
+        x = u[j - 1]
+        d = x.denominator * m
+        g = gcd(den, d)
+        scale, step = d // g, x.numerator * (den // g)
+        s_num = s_num * scale + step * m
+        a_num = a_num * scale + step
+        b_num = b_num * scale + step * n
+        den *= scale
+    den *= q
+
+    per_term = tuple((_chain_coefficient(chain, j), u[j - 1]) for j in range(1, k + 1))
+    return LogCoefficients(
+        a=Fraction(s_num - q * a_num, den),
+        b=Fraction(p * s_num - q * b_num, den),
+        mu=Fraction((p + 1) * s_num - q * (a_num + b_num), den),
+        per_term=per_term,
+    )
 
 
 def mu_coefficient(p: int, q: int, j: int) -> Fraction:
@@ -320,9 +356,10 @@ def _chain_for(p: int, q: int) -> tuple[Pair, ...]:
 
 
 def _chain_coefficient(chain, j: int) -> Fraction:
+    # p/q - n_j/m_j + 1/q - 1/m_j over the denominator q m_j.
     q, p = chain[-2]
     m, n = chain[j]
-    return Fraction(p, q) - Fraction(n, m) + Fraction(1, q) - Fraction(1, m)
+    return Fraction((p + 1) * m - q * (n + 1), q * m)
 
 
 def _validate_chain(chain) -> None:
@@ -347,7 +384,9 @@ def _validate_chain(chain) -> None:
 def _validate_levels(levels, expected: int) -> tuple:
     out = []
     for i, y in enumerate(levels):
-        if y == INFINITY:
+        if isinstance(y, Fraction):
+            out.append(y)
+        elif y == INFINITY:
             if i != 0:
                 raise ValueError("only y_0 may be infinite")
             out.append(INFINITY)
@@ -363,7 +402,10 @@ def _validate_levels(levels, expected: int) -> tuple:
     return tuple(out)
 
 
-def _inverse_level(y) -> Fraction:
-    if y == INFINITY:
-        return Fraction(0)
-    return 1 / Fraction(y)
+def _reciprocal(y) -> Pair:
+    """1/y as an integer pair (numerator, denominator); 1/inf is (0, 1)."""
+    if not isinstance(y, Fraction):
+        if y == INFINITY:
+            return 0, 1
+        y = Fraction(y)
+    return y.denominator, y.numerator

@@ -683,6 +683,26 @@ def _max_entry(m):
     return np.abs(m).max(axis=(-2, -1))
 
 
+def invariant_residual(sample: MetricSample) -> np.ndarray:
+    """Worst defect of the algebraic invariants at each point of a batch.
+
+    J^2 = -1 is measured as is.  J^T g J = g and omega = J^T g are
+    measured entrywise against the magnitudes of their summed terms,
+    |J|^T |g| |J| and |J|^T |g|, which bound the roundoff of the products.
+    A g that is not positive definite counts as 1.
+    """
+    g, J = sample.g, sample.J
+    Jtg = _transpose(J) @ g
+    terms = np.abs(_transpose(J)) @ np.abs(g)
+    tiny = np.finfo(float).tiny
+    worst = np.maximum.reduce([
+        _max_entry(J @ J + np.eye(4)),
+        _max_entry(np.abs(Jtg @ J - g) / np.maximum(terms @ np.abs(J), tiny)),
+        _max_entry(np.abs(sample.omega - Jtg) / np.maximum(terms, tiny)),
+    ])
+    return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
+
+
 def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0,
                   curvature_points: int = 40) -> VerificationReport:
     """Run the full verification battery for the (p, q) metric.
@@ -741,17 +761,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0
                               detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
 
     # Algebraic invariants of each sample.
-    sample = metric_at(num, _head(points, 100))
-    gmat, J, om = sample.g, sample.J, sample.omega
-    Jt = _transpose(J)
-    scale = np.maximum(1.0, _max_entry(gmat))
-    worst = max(
-        float(np.max(np.abs(J @ J + np.eye(4)))),
-        float(np.max(_max_entry(Jt @ gmat @ J - gmat) / scale)),
-        float(np.max(_max_entry(om - Jt @ gmat) / scale)),
-    )
-    if np.linalg.eigvalsh(gmat).min() <= 0:
-        worst = max(worst, 1.0)
+    worst = float(np.max(invariant_residual(metric_at(num, _head(points, 100)))))
     checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
 
     # Kähler residuals.

@@ -1,5 +1,7 @@
 """Expansion, approximants, and the evaluation oracle."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -123,3 +125,35 @@ def test_hj_length_matches_expansion():
     assert hj_length(10**30 - 1, 10**30) == 10**30 - 1
     with pytest.raises(ValueError):
         hj_length(2, 4)
+
+
+# Under ``python -O`` (asserts stripped), hj_expand(2, 5) with its
+# approximants replaced by a broken chain must still raise.
+BROKEN_EXPANSION = """
+import sys
+from cscglue import cfrac
+if __debug__:
+    sys.exit("not running under -O")
+cfrac._approximants = lambda digits: {pairs!r}
+try:
+    cfrac.hj_expand(2, 5)
+except RuntimeError as exc:
+    print(exc)
+else:
+    sys.exit("broken expansion accepted")
+"""
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0, -1), (1, 0), (3, 1), (5, 3), (0, 1)),  # closes at (5, 3), not (5, 2)
+    ((0, -1), (1, 0), (3, 2), (5, 2), (0, 1)),  # determinant 2 at junction 1
+    ((0, -1), (1, 0), (1, 1), (5, 2), (0, 1)),  # reaches (5, 2) with m_2 = m_1
+])
+def test_invariant_checks_survive_optimize(pairs):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_EXPANSION.format(pairs=pairs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "expansion of 5/2" in proc.stdout

@@ -292,3 +292,15 @@ def test_exit_codes_total():
 def test_main_in_process():
     assert main(["hj", "1/2"]) == 0
     assert main(["pipeline", str(FIXTURES / "teardrop.json")]) == 4
+
+
+def test_main_dispatches_to_rebound_handler(monkeypatch):
+    # The parser is built once per process; a handler rebound after that
+    # (as tracing tools and tests do) must still be the one called.
+    from cscglue import cli
+
+    assert main(["hj", "1/2"]) == 0
+    monkeypatch.setattr(cli, "cmd_hj", lambda args: 7)
+    monkeypatch.setattr(cli, "cmd_metric_verify", lambda args: 8)
+    assert main(["hj", "1/2"]) == 7
+    assert main(["metric-verify", "1/2"]) == 8

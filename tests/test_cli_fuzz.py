@@ -1,0 +1,113 @@
+"""Fuzz the CLI input parsers: every input parses or raises InputError.
+
+``cli.main`` maps ``InputError`` to exit 2 with a one-line message, so an
+input that raises anything else would end in a traceback instead.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from cscglue.cli import (
+    InputError,
+    load_document,
+    main,
+    parse_coord,
+    parse_fraction,
+    parse_rational_list,
+    parse_surface,
+)
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+# Numeric-looking tokens reach deeper than uniform text: signs, slashes,
+# decimal points, exponents (with overflowing floats) and the infinities.
+numeric_token = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-50, 50), st.integers(-5, 50)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.tuples(st.integers(-9, 9), st.integers(-400, 400)).map(lambda t: f"{t[0]}.5e{t[1]}"),
+    st.sampled_from(["inf", "infinity", "-inf", "nan", "", " ", "1/", "/2", "1//2", "0x10",
+                     "1_000", "½", "1e", ".", "-"]),
+)
+token = st.one_of(numeric_token, st.text(max_size=12))
+text = st.one_of(token, st.lists(token, max_size=6).map(",".join), st.text(max_size=40))
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | token,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(token, children, max_size=4),
+    max_leaves=12,
+)
+
+surface_document = st.fixed_dictionaries(
+    {},
+    optional={
+        "genus": st.one_of(st.integers(-2, 3), json_value),
+        "model": st.one_of(st.sampled_from(["trivial-p1", "sections", "other"]), json_value),
+        "points": st.one_of(st.lists(st.sampled_from(["a", "b", "c", "[0:1]"]), max_size=4),
+                            json_value),
+        "weights": st.one_of(st.lists(numeric_token, max_size=4), json_value),
+        "incidence": st.one_of(
+            st.lists(st.sampled_from(["0:1", "1:0", "1:1", "S", "T", "1:0:1", "x"]), max_size=4),
+            json_value),
+        "sections": st.one_of(
+            st.lists(st.fixed_dictionaries({"id": st.sampled_from(["S", "T"])}, optional={
+                "self_intersection": json_value,
+                "contains": st.one_of(st.lists(st.sampled_from(["a", "b"])), json_value),
+                "disjoint_from": json_value,
+            }), max_size=3),
+            json_value),
+        "extra_points": st.one_of(st.lists(st.sampled_from(["0:1", "2:3", "a:b", "1"])),
+                                  json_value),
+    },
+)
+
+
+def parses_or_input_error(parse, value):
+    try:
+        parse(value)
+    except InputError:
+        pass
+
+
+@FUZZ
+@given(text, st.booleans())
+def test_parse_fraction_fuzz(value, allow_burns):
+    parses_or_input_error(lambda v: parse_fraction(v, allow_burns=allow_burns), value)
+
+
+@FUZZ
+@given(text)
+def test_parse_rational_list_fuzz(value):
+    parses_or_input_error(parse_rational_list, value)
+
+
+@FUZZ
+@given(st.one_of(text, st.tuples(token, token).map(":".join), json_value))
+def test_parse_coord_fuzz(value):
+    parses_or_input_error(parse_coord, value)
+
+
+@FUZZ
+@given(st.one_of(surface_document, json_value))
+def test_parse_surface_fuzz(doc):
+    parses_or_input_error(parse_surface, doc)
+
+
+@FUZZ
+@given(st.one_of(st.text(max_size=60), surface_document.map(json.dumps)))
+def test_load_document_fuzz(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(content)
+    parses_or_input_error(lambda p: parse_surface(load_document(p)), str(path))
+
+
+def test_fuzz_failures_exit_2(tmp_path, capsys):
+    # The InputError path through main: exit 2 and a one-line message.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"weights": ["1.5e999"], "points": ["a"], "incidence": ["0:1"]}')
+    assert main(["stability", str(bad)]) == 2
+    assert main(["mass", "1/3", "--levels", "1.5e999,0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith(("error:", "warning:")) for line in err.splitlines())

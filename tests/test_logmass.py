@@ -6,6 +6,11 @@ implementation: the coefficient of u_j telescopes as the sum of
     delta_i = -(m_{i+1} - m_i - 1) / (m_i m_{i+1})
 
 from i = j to k, which we compute directly from the approximants.
+
+The integer kernels of ``logmass`` are also checked for exact equality
+against the direct ``Fraction`` formulas (``oracle_*`` below): the
+four-term coefficient p/q - n_j/m_j + 1/q - 1/m_j, the per-term mu sum,
+and the telescoped level sums for q a and q b.
 """
 
 import random
@@ -17,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from cscglue.cfrac import hj_expand
 from cscglue.logmass import (
+    BURNS_CHAIN,
     INFINITY,
     blowup_insert,
     flat_monopole,
@@ -49,6 +55,112 @@ def coprime_pairs(max_q):
 
 def random_u(rng, k):
     return [Fraction(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(k)]
+
+
+def random_levels(rng, k, infinite_top):
+    levels = [Fraction(0)]
+    for _ in range(k + 1):
+        levels.append(levels[-1] + Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    levels.reverse()
+    if infinite_top:
+        levels[0] = INFINITY
+    return levels
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle for the integer kernels
+
+
+def oracle_coefficient(chain, j):
+    q, p = chain[-2]
+    m, n = chain[j]
+    return Fraction(p, q) - Fraction(n, m) + Fraction(1, q) - Fraction(1, m)
+
+
+def oracle_mu_from_chain(chain, u):
+    """(a, b, mu, per_term) from the per-term sum, c_0 = 0 normalisation."""
+    k = len(chain) - 3
+    u = [Fraction(x) for x in u]
+    per_term = tuple((oracle_coefficient(chain, j), u[j - 1]) for j in range(1, k + 1))
+    mu = sum((coeff * uj for coeff, uj in per_term), Fraction(0))
+    q, _ = chain[-2]
+    c_k = sum((u[j - 1] / chain[j][0] for j in range(1, k + 1)), Fraction(0))
+    a = (sum(u, Fraction(0)) - q * c_k) / q
+    return a, mu - a, mu, per_term
+
+
+def oracle_log_coeffs(chain, levels):
+    """(a, b, mu, per_term) from the telescoped level sums."""
+    k = len(chain) - 3
+    q, p = chain[-2]
+    c = [Fraction(0) if y == INFINITY else 1 / Fraction(y) for y in levels[: k + 1]]
+    c.append(Fraction(0))
+    c_prev = [Fraction(0)] + c[:-1]
+    qa = sum((c[j] - c_prev[j]) * chain[j][0] for j in range(k + 2))
+    qb = sum((c[j] - c_prev[j]) * (p * chain[j][0] - q * chain[j][1]) for j in range(k + 2))
+    a, b = Fraction(qa, q), Fraction(qb, q)
+    per_term = tuple(
+        (oracle_coefficient(chain, j), chain[j][0] * (c[j] - c[j - 1]))
+        for j in range(1, k + 1)
+    )
+    return a, b, a + b, per_term
+
+
+def as_tuple(coeffs):
+    return coeffs.a, coeffs.b, coeffs.mu, coeffs.per_term
+
+
+def assert_kernels_match_oracle(chain, u, levels):
+    via_u = mu_from_chain(chain, u)
+    assert as_tuple(via_u) == oracle_mu_from_chain(chain, u)
+    assert all(type(x) is Fraction for pair in via_u.per_term for x in pair)
+    via_levels = log_coeffs_from_levels(monopole_from_chain(chain, levels))
+    assert as_tuple(via_levels) == oracle_log_coeffs(chain, levels)
+    assert all(type(x) is Fraction for x in as_tuple(via_levels)[:3])
+    assert all(type(x) is Fraction for pair in via_levels.per_term for x in pair)
+    k = len(chain) - 3
+    for j in range(1, k + 1):
+        assert via_u.per_term[j - 1][0] == oracle_coefficient(chain, j)
+
+
+def test_kernels_match_oracle_sweep():
+    rng = random.Random(4242)
+    for p, q in coprime_pairs(60):
+        chain = hj_expand(p, q).approximants
+        k = len(chain) - 3
+        for infinite_top in (False, True):
+            assert_kernels_match_oracle(chain, random_u(rng, k), random_levels(rng, k, infinite_top))
+        assert as_tuple(mu_from_u(p, q, random_u(rng, k)))[2] <= 0
+
+
+def test_kernels_match_oracle_long_tails():
+    rng = random.Random(1009)
+    for q in (1009, 2003):
+        for p in (1, q - 1):
+            chain = hj_expand(p, q).approximants
+            k = len(chain) - 3
+            for infinite_top in (False, True):
+                assert_kernels_match_oracle(
+                    chain, random_u(rng, k), random_levels(rng, k, infinite_top))
+
+
+def test_kernels_match_oracle_burns():
+    for u in ([1], [Fraction(3, 2)], [Fraction(7, 11)]):
+        assert_kernels_match_oracle(BURNS_CHAIN, u, [Fraction(2), Fraction(1), Fraction(0)])
+        assert_kernels_match_oracle(BURNS_CHAIN, u, [INFINITY, Fraction(1, 3), Fraction(0)])
+
+
+def test_kernels_match_oracle_blowup_chains():
+    rng = random.Random(77)
+    for p, q in coprime_pairs(25):
+        k = len(hj_expand(p, q).digits)
+        for infinite_top in (False, True):
+            data = monopole_from_fraction(p, q, random_levels(rng, k, infinite_top))
+            # Position 0 would insert ahead of (1, 0) and is always rejected.
+            for position in range(1, k + 1):
+                inserted = blowup_insert(data, position)
+                assert_kernels_match_oracle(
+                    inserted.chain, random_u(rng, k + 1), list(inserted.levels))
 
 
 def test_pairs_from_fraction():

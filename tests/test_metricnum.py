@@ -1,6 +1,7 @@
 """Numerical verification layer: coordinates, frames, curvature, fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
 from cscglue.metricnum import (
+    TOL_INVARIANT,
     HalfSpacePoint,
     PolarPoint,
     as_batch,
@@ -17,10 +19,12 @@ from cscglue.metricnum import (
     flat_metric_matrix,
     form2_norm,
     from_polar,
+    invariant_residual,
     kahler_residual,
     metric_at,
     monopole_residual,
     potential_residual,
+    sample_batch,
     sample_points,
     scalar_curvature_at,
     scalar_curvature_generic,
@@ -93,6 +97,35 @@ def test_metric_invariants():
         assert np.linalg.eigvalsh(sample.g).min() > 0
         # Kähler form has metric norm sqrt(2) in real dimension 4.
         assert abs(form2_norm(sample.omega, sample.g) - math.sqrt(2)) < 1e-9
+
+
+# Long chains on which the old max|g| scale exceeded TOL_INVARIANT from
+# roundoff alone.
+ROUNDOFF_CHAINS = ((52, 53), (61, 62), (47, 49), (67, 69))
+
+
+def invariant_batch(p, q):
+    rng = np.random.default_rng(0)
+    return metric_at(data_for(p, q), sample_batch(rng, 100, 1.0, 5.0))
+
+
+@pytest.mark.parametrize("pq", ROUNDOFF_CHAINS)
+def test_metric_invariants_roundoff_scale(pq):
+    check = {c.name: c for c in verify_metric(*pq).checks}["metric-invariants"]
+    assert check.passed and check.value < TOL_INVARIANT
+
+
+@pytest.mark.parametrize("pq", ((2, 5),) + ROUNDOFF_CHAINS)
+def test_invariant_residual_catches_small_defects(pq):
+    # A 1e-8 relative error in omega or J must fail at every sample point.
+    sample = invariant_batch(*pq)
+    for bad in (
+        replace(sample, omega=sample.omega * (1 + 1e-8)),
+        replace(sample, J=sample.J * (1 + 1e-8)),
+        replace(sample, omega=sample.omega + 1e-8 * sample.omega * (np.arange(4) == 1)),
+        replace(sample, J=sample.J + 1e-8 * sample.J * (np.arange(4) == 3)),
+    ):
+        assert np.min(invariant_residual(bad)) > TOL_INVARIANT
 
 
 def test_monopole_system_per_basic_solution():
