@@ -28,11 +28,12 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from cscglue import __version__
-from cscglue.cfrac import hj_expand
+from cscglue.cfrac import hj_expand, hj_length
 from cscglue.gluing import GluingVerdict, existence_report
 from cscglue.logmass import (
     BURNS_CHAIN,
@@ -54,6 +55,16 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_APPLICABLE = 4
 EXIT_BROKEN_PIPE = 141
+
+# Input bounds.  Fraction('1e-4000000') builds 10**4000000 before anything
+# can look at it, so decimal exponents, and the numerators and denominators
+# that get printed back, stop at CPython's own limit on the digits of
+# int('...').  A weight p/q expands into HJ digits of q/p and of q/(q-p),
+# whose counts grow like q for 1/q.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+MAX_HJ_DIGITS = 100_000
+_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)\s*\Z")
 
 VERDICT_EXIT = {
     GluingVerdict.FEASIBLE: EXIT_OK,
@@ -111,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ins = sub.add_parser("blowup-insert", help="insert a blow-up interval into a chain")
     p_ins.add_argument("fraction", help='"p/q" base data')
-    p_ins.add_argument("--position", type=int, required=True, help="endpoint index y_j, 0 <= j <= k")
+    p_ins.add_argument("--position", type=int, required=True, help="endpoint index y_j, 1 <= j <= k")
     p_ins.add_argument("--u", help="u parameters for the inserted chain (k+1 entries)")
     p_ins.add_argument("--levels", help="levels for the base chain before insertion")
     p_ins.add_argument("--json", action="store_true")
@@ -147,9 +158,39 @@ _parser = functools.cache(build_parser)
 # parsing helpers
 
 
+def to_fraction(text) -> Fraction:
+    """``Fraction(str(text))`` with at most MAX_DIGITS digits in each part.
+
+    Raises
+    ------
+    ValueError
+        If the decimal exponent is above MAX_DIGITS in magnitude, the
+        numerator or denominator has more digits, or the text is not a
+        rational.
+    """
+    text = str(text)
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+            raise ValueError(f"decimal exponent beyond {MAX_DIGITS} in magnitude")
+    frac = Fraction(text)
+    if max(abs(frac.numerator), frac.denominator) >= _DIGIT_BOUND:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return frac
+
+
+def check_hj_size(p: int, q: int) -> None:
+    """Refuse a weight p/q whose HJ digits and dual digits exceed MAX_HJ_DIGITS."""
+    size = hj_length(p, q) + hj_length(q - p, q)
+    if size > MAX_HJ_DIGITS:
+        raise InputError(f"weight {p}/{q} expands to {size} HJ digits with its dual, "
+                         f"more than the {MAX_HJ_DIGITS} supported")
+
+
 def parse_fraction(text: str, allow_burns: bool = False) -> tuple[int, int]:
     try:
-        frac = Fraction(text)
+        frac = to_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse fraction {text!r}: {exc}") from None
     p, q = frac.numerator, frac.denominator
@@ -171,7 +212,7 @@ def parse_rational_list(text: str):
             continue
         try:
             if "/" in item or "." not in item:
-                out.append(Fraction(item))
+                out.append(to_fraction(item))
             else:
                 # Floats are accepted but converted with a warning: the
                 # conversion is exact binary, not decimal.
@@ -193,7 +234,7 @@ def parse_coord(text: str):
     if len(parts) != 2:
         raise InputError(f"fiber coordinate must look like 'a:b', got {text!r}")
     try:
-        return (Fraction(parts[0]), Fraction(parts[1]))
+        return (to_fraction(parts[0]), to_fraction(parts[1]))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse coordinate {text!r}: {exc}") from None
 
@@ -213,7 +254,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         genus = parse_json_int(doc.get("genus", 0), "genus")
         model = doc.get("model", "trivial-p1")
         points = tuple(str(p) for p in doc.get("points", ()))
-        weights = tuple(Fraction(str(w)) for w in doc.get("weights", ()))
+        weights = tuple(to_fraction(w) for w in doc.get("weights", ()))
         raw_inc = doc.get("incidence", ())
         if model == "trivial-p1":
             incidence = tuple(parse_coord(i) for i in raw_inc)
@@ -288,6 +329,18 @@ def load_document(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer beyond the int('...') digit limit
+        raise InputError(f"{path}: {exc}") from None
+
+
+def write_csv(path: str, header, rows) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +349,7 @@ def load_document(path: str) -> dict:
 
 def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
+    check_hj_size(p, q)
     exp = hj_expand(p, q)
     dual = hj_expand(q - p, q)
     chain = fiber_chain(Fraction(p, q))
@@ -340,6 +394,8 @@ def _coeffs_payload(coeffs) -> dict:
 
 def cmd_mass(args) -> int:
     p, q = parse_fraction(args.fraction, allow_burns=True)
+    if (p, q) != (1, 1):
+        check_hj_size(p, q)
     if bool(args.u) == bool(args.levels):
         raise InputError("pass exactly one of --u or --levels")
     if args.u:
@@ -383,7 +439,8 @@ def cmd_mass(args) -> int:
 
 def cmd_blowup_insert(args) -> int:
     p, q = parse_fraction(args.fraction)
-    k = len(hj_expand(p, q).digits)
+    check_hj_size(p, q)
+    k = hj_length(p, q)
     levels = parse_rational_list(args.levels) if args.levels else default_levels(k)
     try:
         data = monopole_from_fraction(p, q, levels)
@@ -457,6 +514,8 @@ def cmd_stability(args) -> int:
 
 def cmd_pipeline(args) -> int:
     surface, extra = parse_surface(load_document(args.document))
+    for w in surface.weights:
+        check_hj_size(w.numerator, w.denominator)
     try:
         report = existence_report(surface, extra)
     except ValueError as exc:
@@ -529,15 +588,9 @@ def cmd_metric_verify(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "residual"])
-            writer.writerows(report.decay_series)
+        write_csv(args.csv, ["r", "residual"], report.decay_series)
     if args.fit_csv:
-        with open(args.fit_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "coeff_a", "coeff_b"])
-            writer.writerows(report.fit_series)
+        write_csv(args.fit_csv, ["r", "coeff_a", "coeff_b"], report.fit_series)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",

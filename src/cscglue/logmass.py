@@ -292,17 +292,17 @@ def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData
     endpoint is placed at the midpoint of (y_{j+1}, y_j) unless ``level``
     is given.
 
-    Valid positions are 0 <= j <= k with y_j finite; the endpoint
-    y_{k+1} = 0 is the deleted asymptotic point and cannot be blown up.
+    Valid positions are 1 <= j <= k, where y_j is finite.  Position 0
+    would insert (1, -1) ahead of (1, 0), which is not a chain, and the
+    endpoint y_{k+1} = 0 is the deleted asymptotic point and cannot be
+    blown up.
     """
     if data.chain is None:
         raise ValueError("blow-up insertion needs the generating chain")
     k = data.k
-    if not (0 <= position <= k):
-        raise ValueError(f"position must be in 0..{k}, got {position}")
+    if not (1 <= position <= k):
+        raise ValueError(f"position must be in 1..{k}, got {position}")
     y_j = data.levels[position]
-    if y_j == INFINITY:
-        raise ValueError("cannot insert at an infinite endpoint")
     if level is None:
         level = (Fraction(y_j) + Fraction(data.levels[position + 1])) / 2
     level = Fraction(level)

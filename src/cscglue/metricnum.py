@@ -24,15 +24,14 @@ Here <v, w> is the 2x2 determinant pairing, so <v, dt> is the 1-form
 v_x dt_2 - v_y dt_1.  The monopole data of :mod:`cscglue.logmass`
 provides (v_1, v_2) as finite sums of basic solutions
 
-    ( x / sqrt(x^2 + (y - a)^2),  (y - a) / sqrt(x^2 + (y - a)^2) )
+    ( x / sqrt(x^2 + (y - a)^2),  (y - a) / sqrt(x^2 + (y - a)^2) ),
 
-with known closed-form first derivatives; everything built directly from
-them is evaluated without finite differences.  Finite differences (with
-Richardson extrapolation) enter only where the verification must be
-independent of the identities being verified: the monopole system itself,
-the closedness of omega and of the (1,0)-forms, the scalar curvature, and
-the comparison of omega against the exterior derivative of the asymptotic
-potential
+from which g, omega and J are evaluated in closed form.  Finite
+differences (with Richardson extrapolation) enter only where the
+verification must be independent of the identities being verified: the
+monopole system itself, the closedness of omega and of the (1,0)-forms,
+the scalar curvature, and the comparison of omega against the exterior
+derivative of the asymptotic potential
 
     f/q = r^2/4 + ((a+b)/2) log r + ((a-b)/4) cos^2 theta,
 
@@ -53,10 +52,10 @@ All sampling keeps theta in [0.1, pi/2 - 0.1]; the blown-down circles at
 the boundary are outside numerical scope.
 
 Batching.  Every evaluator works on arrays of points.  A ``PolarPoint``
-or ``HalfSpacePoint`` whose fields are arrays of one shape S is a batch,
-and results gain the leading axes S: ``FrameData.v1`` has shape
-S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point is
-the batch with S = (), through the same code.  :func:`as_numeric`
+whose fields are arrays of one shape S is a batch, as are arrays (x, y)
+of shape S, and results gain the leading axes S: ``FrameData.v1`` has
+shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
+is the batch with S = (), through the same code.  :func:`as_numeric`
 converts the exact monopole data to float arrays; each function accepts
 either form, and :func:`verify_metric` converts once and passes the
 arrays on.  A finite difference evaluates its function once per stencil
@@ -93,8 +92,8 @@ from cscglue.logmass import (
     MonopoleData,
     flat_monopole,
     log_coeffs_from_levels,
-    mass_verdict,
     monopole_from_fraction,
+    verdict_from_coeffs,
 )
 
 THETA_MARGIN = 0.1
@@ -116,19 +115,8 @@ H_CURVATURE = 1e-2
 MAX_SAMPLES = 10_000
 MAX_LEVELS = 64
 
-
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """A point of H x T^2, or a batch of them when the fields are arrays."""
-
-    x: float
-    y: float
-    t1: float = 0.0
-    t2: float = 0.0
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.x) <= 0):
-            raise ValueError(f"half-space requires x > 0, got x={self.x}")
+# Sample points of verify_metric's scalar-curvature check.
+CURVATURE_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -150,24 +138,17 @@ class PolarPoint:
 
 @dataclass(frozen=True)
 class FrameData:
-    """(v_1, v_2), their determinant, and closed-form first derivatives.
-
-    ``dv1[..., i, :]`` is the derivative of v_1 along (x, y)[i], likewise
-    dv2; leading axes are the batch axes of the point.
-    """
+    """(v_1, v_2) and their determinant; leading axes are the batch axes."""
 
     v1: np.ndarray  # shape S + (2,)
     v2: np.ndarray
     det: np.ndarray  # shape S
-    dv1: np.ndarray  # shape S + (2, 2)
-    dv2: np.ndarray
 
 
 @dataclass(frozen=True)
 class MetricSample:
     """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis."""
 
-    point: PolarPoint
     g: np.ndarray  # shape S + (4, 4)
     omega: np.ndarray
     J: np.ndarray
@@ -206,39 +187,14 @@ def as_numeric(data) -> NumericMonopole:
     )
 
 
-def to_polar(p: HalfSpacePoint) -> PolarPoint:
-    """Invert x = r^-2 sin 2theta, y = r^-2 cos 2theta."""
-    rho = np.hypot(p.x, p.y)
-    r = rho ** -0.5
-    theta = 0.5 * np.arctan2(p.x, p.y)
-    return PolarPoint(r=r, theta=theta, t1=p.t1, t2=p.t2)
-
-
-def from_polar(p: PolarPoint) -> HalfSpacePoint:
+def from_polar(p: PolarPoint):
+    """Half-space coordinates (x, y) = r^-2 (sin 2theta, cos 2theta)."""
     rho = np.asarray(p.r, dtype=float) ** -2.0
-    return HalfSpacePoint(
-        x=rho * np.sin(2 * p.theta),
-        y=rho * np.cos(2 * p.theta),
-        t1=p.t1,
-        t2=p.t2,
-    )
-
-
-def as_batch(points) -> PolarPoint:
-    """A batched ``PolarPoint`` from a sequence of single points.
-
-    A ``PolarPoint`` (batched or not) is returned unchanged.
-    """
-    if isinstance(points, PolarPoint):
-        return points
-    return PolarPoint(
-        r=np.array([p.r for p in points], dtype=float),
-        theta=np.array([p.theta for p in points], dtype=float),
-    )
+    return rho * np.sin(2 * p.theta), rho * np.cos(2 * p.theta)
 
 
 def v_eval(data, x, y) -> FrameData:
-    """Evaluate (v_1, v_2) and their (x, y)-derivatives at points (x, y).
+    """Evaluate (v_1, v_2) and their determinant at points (x, y).
 
     ``x`` and ``y`` broadcast to the batch shape S.  An infinite level
     contributes zero to v_1 and the constant -(a_0, b_0)/2 to v_2 (the
@@ -251,18 +207,14 @@ def v_eval(data, x, y) -> FrameData:
     xs = x[..., None]
     dy = y[..., None] - data.levels
     f = np.sqrt(xs * xs + dy * dy)
-    f3 = f ** 3
-    # Rows: the level weights of v_1 / (x/2), v_2, dv_1/dx, dv_1/dy = dv_2/dx
-    # and dv_2/dy, each summed against the charges.
-    sums = np.stack([1 / f, dy / (2 * f), dy * dy / (2 * f3), -xs * dy / (2 * f3),
-                     xs * xs / (2 * f3)], axis=-2) @ data.pairs
+    # Rows: the level weights of v_1 / (x/2) and of v_2, summed against
+    # the charges.
+    sums = np.stack([1 / f, dy / (2 * f)], axis=-2) @ data.pairs
 
     v1 = (x / 2)[..., None] * sums[..., 0, :]
     v2 = sums[..., 1, :] + data.v2_const
-    dv1 = sums[..., 2:4, :]
-    dv2 = sums[..., 3:5, :]
     det = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
-    return FrameData(v1=v1, v2=v2, det=det, dv1=dv1, dv2=dv2)
+    return FrameData(v1=v1, v2=v2, det=det)
 
 
 def metric_at(data, p: PolarPoint) -> MetricSample:
@@ -275,8 +227,7 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     """
     data = as_numeric(data)
     s, c = np.sin(p.theta), np.cos(p.theta)
-    hp = from_polar(p)
-    frame = v_eval(data, hp.x, hp.y)
+    frame = v_eval(data, *from_polar(p))
     D = frame.det
     if np.any(D <= 0):
         raise ValueError(f"determinant {np.min(D)} <= 0 at {p}; invalid monopole data")
@@ -312,7 +263,7 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     C[..., 1, 3] = v2y / (s * c)
     J = -_transpose(C)  # tangent action with omega(X, Y) = g(JX, Y)
 
-    return MetricSample(point=p, g=g, omega=omega, J=J)
+    return MetricSample(g=g, omega=omega, J=J)
 
 
 def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
@@ -406,8 +357,8 @@ def monopole_residual(data, x, y, h=1e-3, richardson: bool = True):
     """Finite-difference residual of the defining linear system at (x, y).
 
     Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1
-    using derivatives independent of the closed forms carried by
-    :func:`v_eval`.  Returns the largest component per point.
+    with central differences of :func:`v_eval`.  Returns the largest
+    component per point.
     """
     data = as_numeric(data)
     dx = central_diff(lambda xx: _v_rows(data, xx, y), x, h, richardson)
@@ -419,19 +370,7 @@ def monopole_residual(data, x, y, h=1e-3, richardson: bool = True):
     return np.maximum(np.abs(res1).max(axis=-1), np.abs(res2).max(axis=-1))
 
 
-def derivative_consistency(data, x, y, h=1e-3):
-    """Max difference between closed-form and finite-difference dv, per point."""
-    data = as_numeric(data)
-    frame = v_eval(data, x, y)
-    dx = central_diff(lambda xx: _v_rows(data, xx, y), x, h)
-    dy = central_diff(lambda yy: _v_rows(data, x, yy), y, h)
-    # Both indexed [field, direction, component].
-    closed = np.stack([frame.dv1, frame.dv2], axis=-3)
-    fd = np.stack([dx, dy], axis=-2)
-    return np.abs(closed - fd).max(axis=(-3, -2, -1))
-
-
-def kahler_residual(data, points, h: float = 1e-3,
+def kahler_residual(data, p: PolarPoint, h: float = 1e-3,
                     richardson: bool = True) -> dict:
     """Maximum relative FD residual of d(omega) = 0 and d(J dt) = 0.
 
@@ -439,8 +378,7 @@ def kahler_residual(data, points, h: float = 1e-3,
     (r, theta), so d(omega) reduces to dr(omega_{theta t_i}) -
     dtheta(omega_{r t_i}); similarly d(J dt_i) reduces to one dr^dtheta
     coefficient per i.  Residuals are normalised by the magnitudes of
-    the cancelling terms.  ``points`` is a sequence of points or a
-    batched ``PolarPoint``.
+    the cancelling terms, worst over the points of ``p``.
 
     Raises
     ------
@@ -448,8 +386,7 @@ def kahler_residual(data, points, h: float = 1e-3,
         If a step would leave the valid theta range for some point.
     """
     data = as_numeric(data)
-    batch = as_batch(points)
-    r, theta = batch.r, batch.theta
+    r, theta = np.asarray(p.r, dtype=float), np.asarray(p.theta, dtype=float)
     bad = (theta <= h) | (theta >= math.pi / 2 - h)
     if np.any(bad):
         raise ValueError(f"step {h} too large for theta={theta[bad][0]}")
@@ -556,8 +493,8 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
     q = data.source.pq()[1]
 
     r, theta = np.meshgrid(r_samples, theta_samples, indexing="ij")
-    hp = from_polar(PolarPoint(r, theta))
-    E = v_eval(data, hp.x, hp.y).det / (q * np.sin(theta) * np.cos(theta)) - 1.0
+    det = v_eval(data, *from_polar(PolarPoint(r, theta))).det
+    E = det / (q * np.sin(theta) * np.cos(theta)) - 1.0
 
     A = np.stack([r_samples ** -2.0, r_samples ** -4.0], axis=1)
     K = np.linalg.lstsq(A, E, rcond=None)[0][0]
@@ -577,10 +514,11 @@ def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
     """Pointwise metric norm of omega - d(J df), worst over theta, per radius.
 
     f is the analytic asymptotic potential built from the exact log
-    coefficients of the data; the exterior derivative of J df is taken
-    by finite differences.  The norm is the metric norm of the 2-form,
-    so the expected decay is r^-4.  ``r`` is a radius or an array of
-    them; all radii and thetas form one batch.
+    coefficients of the data, J df = f_r J dr + f_theta J dtheta is taken
+    from :func:`metric_at`, and its exterior derivative by finite
+    differences.  The norm is the metric norm of the 2-form, so the
+    expected decay is r^-4.  ``r`` is a radius or an array of them; all
+    radii and thetas form one batch.
     """
     data = as_numeric(data)
     if theta_samples is None:
@@ -591,17 +529,11 @@ def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
                                  np.asarray(theta_samples, dtype=float))
 
     def jdf(rad, theta):
-        """(dt1, dt2) components of J df."""
-        s, c = np.sin(theta), np.cos(theta)
-        hp = from_polar(PolarPoint(rad, theta))
-        frame = v_eval(data, hp.x, hp.y)
-        D = frame.det
+        """(dt1, dt2) components of J df; J dx^i has components -J[..., i, :]."""
+        J = metric_at(data, PolarPoint(rad, theta)).J
         f_r = q * (rad / 2 + (a + b) / (2 * rad))
-        f_th = -q * (a - b) * s * c / 2
-        v1, v2 = frame.v1, frame.v2
-        A = -f_r * rad * s * c * v2[..., 1] / D + f_th * s * c * v1[..., 1] / D
-        B = f_r * rad * s * c * v2[..., 0] / D - f_th * s * c * v1[..., 0] / D
-        return np.stack([A, B], axis=-1)
+        f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
+        return -(f_r[..., None] * J[..., 0, 2:] + f_th[..., None] * J[..., 1, 2:])
 
     sample = metric_at(data, PolarPoint(rr, th))
     dA_r = central_diff(lambda x: jdf(x, th), rr, h * np.maximum(rr, 1.0), richardson)
@@ -668,12 +600,6 @@ def sample_batch(rng, n: int, r_lo: float, r_hi: float) -> PolarPoint:
     return PolarPoint(rs, thetas)
 
 
-def sample_points(rng, n: int, r_lo: float, r_hi: float):
-    """The points of :func:`sample_batch` as a list of single points."""
-    batch = sample_batch(rng, n, r_lo, r_hi)
-    return [PolarPoint(float(r), float(t)) for r, t in zip(batch.r, batch.theta)]
-
-
 def _head(batch: PolarPoint, n: int) -> PolarPoint:
     return PolarPoint(batch.r[:n], batch.theta[:n])
 
@@ -703,8 +629,8 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
 
 
-def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0,
-                  curvature_points: int = 40) -> VerificationReport:
+def verify_metric(p: int, q: int, levels=None, samples: int = 200,
+                  seed: int = 0) -> VerificationReport:
     """Run the full verification battery for the (p, q) metric.
 
     Checks, in order: flat-model exactness of the evaluator, determinant
@@ -743,18 +669,18 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0
     points = sample_batch(rng, samples, 1.0, 5.0)
 
     # Determinant positivity on the sample grid.
-    hp = from_polar(points)
-    min_det = float(np.min(v_eval(num, hp.x, hp.y).det))
+    min_det = float(np.min(v_eval(num, *from_polar(points)).det))
     checks.append(CheckResult("determinant-positive", min_det, 0.0, min_det > 0.0,
                               detail="minimum of <v1,v2> over samples"))
 
     # Monopole system residual (finite differences, independent route).
     # Each point runs at step h and at h/2 in one batch; the change at the
     # worst point is the error estimate.
-    hp = from_polar(_head(points, 50))
-    x, y = np.tile(hp.x, 2), np.tile(hp.y, 2)
+    x, y = from_polar(_head(points, 50))
+    n = len(x)
+    x, y = np.tile(x, 2), np.tile(y, 2)
     residuals, halved = np.split(
-        monopole_residual(num, x, y, h=np.repeat([H_MONOPOLE, H_MONOPOLE / 2], len(hp.x)) * x), 2)
+        monopole_residual(num, x, y, h=np.repeat([H_MONOPOLE, H_MONOPOLE / 2], n) * x), 2)
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     checks.append(CheckResult("monopole-system", worst, 1e-8, worst < 1e-8,
@@ -772,7 +698,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0
                               TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
 
     # Scalar flatness.
-    curv_pts = _head(points, curvature_points)
+    curv_pts = _head(points, CURVATURE_POINTS)
     n = len(curv_pts.r)
     curvature, halved = np.split(scalar_curvature_at(
         num, PolarPoint(np.tile(curv_pts.r, 2), np.tile(curv_pts.theta, 2)),
@@ -808,13 +734,9 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200, seed: int = 0
     checks.append(CheckResult("potential-decay", ratio_err, 0.25, ratio_ok,
                               detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 
-    # Fitted mass sign against the exact sign verdict, through the
-    # u-parameters the levels induce.
+    # Fitted mass sign against the exact sign verdict.
     mu_fit = fit["a_fit"] + fit["b_fit"]
-    if exact.per_term:
-        sign_exact = mass_verdict(p, q, [u for _, u in exact.per_term]).sign
-    else:
-        sign_exact = 0
+    sign_exact = verdict_from_coeffs(p, q, exact).sign
     tol0 = 0.01 * scale
     sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
     checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),

@@ -16,12 +16,16 @@ Two data models are supported:
 * ``trivial-p1``: genus 0 with the trivial bundle P^1 x P^1.  Marked
   points are given by their fiber coordinate and sections are enumerated
   internally: one constant section per fiber coordinate shared by marked
-  points, a generic constant section, and for each degree d >= 1 a
-  virtual graph section through the d+1 heaviest marked points with
-  self-intersection 2d.  Degree-d graphs generically interpolate d+1
-  points over distinct base points, so the enumerated minimum is a lower
-  bound for the true minimum and a Stable verdict is sound; degenerate
-  configurations can only make the verdict more conservative.
+  points, a generic constant section, and for each degree
+  d = 1..ceil((n-1)/2) a virtual graph section through the min(n, 2d+1)
+  heaviest marked points with self-intersection 2d.  Degree-d graphs form
+  a (2d+1)-dimensional family, and the (1, d) linear system through any
+  2d+1 points over distinct base points always has a solution; a
+  reducible one splits off fibers and leaves a section of lower slope.
+  So each graph candidate bounds the true minimum from above, and a
+  negative minimum always proves instability.  The other verdicts assume
+  base points in general position, where no degree-d graph meets more
+  than 2d+1 marked points and the enumerated minimum is exact.
 * ``sections``: any genus, classification relative to an explicitly
   supplied list of sections.  The verdict is then only as strong as that
   list, and reports carry a flag saying so.
@@ -272,10 +276,11 @@ def _enumerate_trivial_p1(surface) -> list[CandidateSection]:
             )
         )
     # Virtual graph sections: a degree-d graph has [S]^2 = 2d and passes
-    # through d+1 generically placed points; take the heaviest ones.
+    # through any 2d+1 points; take the heaviest ones.  Once 2d+1 >= n a
+    # further degree adds 2 to [S]^2 and no point.
     by_weight = sorted(range(surface.n), key=lambda j: (-surface.weights[j], j))
-    for d in range(1, surface.n):
-        on = frozenset(by_weight[: d + 1])
+    for d in range(1, surface.n // 2 + 1):
+        on = frozenset(by_weight[: 2 * d + 1])
         out.append(
             CandidateSection(
                 id=f"graph-deg-{d}",

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,16 @@ def test_blowup_insert():
     assert payload["per_term"][1]["coefficient"] == "1/10"
 
 
+def test_blowup_insert_position_range():
+    # 1/4 has k = 1: position 0 would insert ahead of (1, 0), and k + 1 is
+    # the deleted asymptotic point.
+    for position in ("0", "2"):
+        code, out, err = run_cli("blowup-insert", "1/4", "--position", position)
+        assert code == 2
+        assert err.startswith("error: position must be in 1..1")
+        assert out == ""
+
+
 def test_stability_fixture():
     code, out, _ = run_cli("stability", str(FIXTURES / "sphere_four_points.json"), "--json")
     assert code == 0
@@ -120,6 +131,8 @@ def test_pipeline_exit_codes():
         "sporadic_genus1.json": 3,
         "teardrop.json": 4,
         "two_point_distinct.json": 4,
+        # The diagonal through all three points has slope 2 - 9/4 < 0.
+        "sphere_three_points_diagonal.json": 4,
     }
     for name, expected in cases.items():
         code, out, err = run_cli("pipeline", str(FIXTURES / name))
@@ -221,11 +234,48 @@ def test_float_levels_warn():
     assert json.loads(out)["mu"] == "0"
 
 
-def test_metric_verify_bad_args():
+def test_metric_verify_bad_args(tmp_path):
     code, _, _ = run_cli("metric-verify", "1/2", "--samples", "3")
     assert code == 2
     code, _, _ = run_cli("metric-verify", "0/2")
     assert code == 2
+    unwritable = str(tmp_path / "missing" / "x.csv")
+    for option in ("--csv", "--fit-csv"):
+        code, out, err = run_cli("metric-verify", "1/2", "--samples", "20", option, unwritable)
+        assert code == 2, option
+        assert err.startswith("error: cannot write"), option
+        assert "Traceback" not in err
+
+
+def test_input_size_bounds(tmp_path, capsys):
+    # Huge decimal exponents, numbers past the int('...') digit limit and
+    # weights with millions of HJ digits exit 2 at once; stability expands
+    # no weight and stays unbounded.
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"genus": 0, "points": ["a", "b"],
+                               "weights": [f"1/{10**20 + 1}", "1/2"],
+                               "incidence": ["0:1", "1:0"]}))
+    big_genus = tmp_path / "genus.json"
+    big_genus.write_text('{"genus": 1' + "0" * 5000 + "}")
+    for args in (
+        ["hj", "1/1000000007"],
+        ["hj", "1/100003"],
+        ["hj", "1e-4000000"],
+        ["hj", "1e-4300"],
+        ["hj", "0." + "3" * 4300],
+        ["mass", "1/1000000007", "--u", "1"],
+        ["mass", "1/3", "--levels", "1e-4000000,0"],
+        ["blowup-insert", "1/1000000007", "--position", "1"],
+        ["pipeline", str(doc)],
+        ["pipeline", str(big_genus)],
+    ):
+        start = time.perf_counter()
+        assert main(args) == 2, args
+        assert time.perf_counter() - start < 1.0, args
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, args
+    assert main(["hj", "1/99999"]) == 0
+    assert main(["stability", str(doc)]) == 0
 
 
 def test_metric_verify_input_bounds():

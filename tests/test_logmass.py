@@ -299,12 +299,14 @@ def test_blowup_insert_signs():
 
 def test_blowup_insert_validation():
     data = monopole_from_fraction(1, 3, [2, 1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"position must be in 1\.\.1, got 2"):
         blowup_insert(data, 2)  # endpoint y_{k+1} = 0 is deleted
-    with pytest.raises(ValueError):
-        blowup_insert(flat_monopole(), 0)  # infinite endpoint
-    with pytest.raises(ValueError):
-        blowup_insert(data, 0, level=Fraction(5))  # outside the interval
+    with pytest.raises(ValueError, match=r"position must be in 1\.\.1, got 0"):
+        blowup_insert(data, 0)  # would insert (1, -1) ahead of (1, 0)
+    with pytest.raises(ValueError, match=r"position must be in 1\.\.0"):
+        blowup_insert(flat_monopole(), 0)  # k = 0: nothing to blow up
+    with pytest.raises(ValueError, match="strictly between"):
+        blowup_insert(data, 1, level=Fraction(5))  # outside the interval
 
 
 def test_chain_validation():

@@ -10,11 +10,9 @@ from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
 from cscglue.metricnum import (
     TOL_INVARIANT,
-    HalfSpacePoint,
     PolarPoint,
-    as_batch,
+    central_diff,
     default_levels,
-    derivative_consistency,
     fit_log_coeffs,
     flat_metric_matrix,
     form2_norm,
@@ -25,10 +23,8 @@ from cscglue.metricnum import (
     monopole_residual,
     potential_residual,
     sample_batch,
-    sample_points,
     scalar_curvature_at,
     scalar_curvature_generic,
-    to_polar,
     v_eval,
     verify_metric,
 )
@@ -44,21 +40,22 @@ def data_for(p, q):
 
 
 def test_polar_round_trip():
-    for _ in range(1000):
-        r = float(RNG.uniform(0.2, 50.0))
-        theta = float(RNG.uniform(0.05, math.pi / 2 - 0.05))
-        p = PolarPoint(r, theta, 0.3, -0.7)
-        back = to_polar(from_polar(p))
-        assert abs(back.r - p.r) < 1e-14 * max(1.0, p.r)
-        assert abs(back.theta - p.theta) < 1e-14
+    r = RNG.uniform(0.2, 50.0, size=1000)
+    theta = RNG.uniform(0.05, math.pi / 2 - 0.05, size=1000)
+    x, y = from_polar(PolarPoint(r, theta, 0.3, -0.7))
+    # Inverse of x = r^-2 sin 2theta, y = r^-2 cos 2theta.
+    back_r = np.hypot(x, y) ** -0.5
+    back_theta = 0.5 * np.arctan2(x, y)
+    assert np.all(np.abs(back_r - r) < 1e-14 * np.maximum(1.0, r))
+    assert np.all(np.abs(back_theta - theta) < 1e-14)
 
 
 def test_polar_specials():
-    p = to_polar(HalfSpacePoint(x=1.0, y=0.0))
-    assert abs(p.theta - math.pi / 4) < 1e-15
-    assert abs(p.r - 1.0) < 1e-15
+    x, y = from_polar(PolarPoint(1.0, math.pi / 4))
+    assert abs(x - 1.0) < 1e-15
+    assert abs(y) < 1e-15
     with pytest.raises(ValueError):
-        HalfSpacePoint(x=0.0, y=1.0)
+        v_eval(flat_monopole(), 0.0, 1.0)
     with pytest.raises(ValueError):
         PolarPoint(r=1.0, theta=0.0)
 
@@ -68,8 +65,7 @@ def test_flat_frame_closed_form():
     for _ in range(50):
         theta = float(RNG.uniform(0.05, math.pi / 2 - 0.05))
         r = float(RNG.uniform(0.3, 20.0))
-        hp = from_polar(PolarPoint(r, theta))
-        frame = v_eval(flat, hp.x, hp.y)
+        frame = v_eval(flat, *from_polar(PolarPoint(r, theta)))
         s, c = math.sin(theta), math.cos(theta)
         assert np.allclose(frame.v1, [s * c, -s * c], atol=1e-14)
         assert np.allclose(frame.v2, [c * c, s * s], atol=1e-14)
@@ -135,7 +131,6 @@ def test_monopole_system_per_basic_solution():
             x = float(RNG.uniform(0.1, 3.0))
             y = float(RNG.uniform(-2.0, 5.0))
             assert monopole_residual(data, x, y, h=1e-4 * x) < 1e-8
-            assert derivative_consistency(data, x, y) < 1e-8
 
 
 def test_monopole_system_single_basic_solution():
@@ -164,27 +159,21 @@ def test_determinant_positive_on_grid():
 def test_chain_rule_identities():
     # r d/dr and d/dtheta of v map to -2(x dx + y dy) and -2(x dy - y dx).
     data = data_for(1, 3)
-    from cscglue.metricnum import central_diff
-
     for _ in range(10):
         pt = PolarPoint(float(RNG.uniform(0.8, 4.0)), float(RNG.uniform(0.2, math.pi / 2 - 0.2)))
-        hp = from_polar(pt)
-        frame = v_eval(data, hp.x, hp.y)
-        euler = -2 * (hp.x * frame.dv1[0] + hp.y * frame.dv1[1])
-        rot = -2 * (hp.x * frame.dv1[1] - hp.y * frame.dv1[0])
+        x, y = from_polar(pt)
+        v1_x = central_diff(lambda xx: v_eval(data, xx, y).v1, x, 1e-3 * x)
+        v1_y = central_diff(lambda yy: v_eval(data, x, yy).v1, y, 1e-3 * x)
+        euler = -2 * (x * v1_x + y * v1_y)
+        rot = -2 * (x * v1_y - y * v1_x)
         fd_r = central_diff(
-            lambda rr: v_eval(data, *_xy(rr, pt.theta)).v1, pt.r, 1e-3 * pt.r
+            lambda rr: v_eval(data, *from_polar(PolarPoint(rr, pt.theta))).v1, pt.r, 1e-3 * pt.r
         )
         fd_th = central_diff(
-            lambda th: v_eval(data, *_xy(pt.r, th)).v1, pt.theta, 1e-3
+            lambda th: v_eval(data, *from_polar(PolarPoint(pt.r, th))).v1, pt.theta, 1e-3
         )
         assert np.allclose(pt.r * fd_r, euler, atol=1e-7)
         assert np.allclose(fd_th, rot, atol=1e-7)
-
-
-def _xy(r, theta):
-    hp = from_polar(PolarPoint(r, theta))
-    return hp.x, hp.y
 
 
 def test_curvature_positive_control():
@@ -260,14 +249,14 @@ def test_scalar_flatness_sample():
 
 
 def test_kahler_residual_flat():
-    res = kahler_residual(flat_monopole(), [PolarPoint(2.0, 0.7), PolarPoint(0.9, 0.4)])
+    res = kahler_residual(flat_monopole(), PolarPoint(np.array([2.0, 0.9]), np.array([0.7, 0.4])))
     assert res["max_domega"] < 1e-9
     assert res["max_dintegrability"] < 1e-9
 
 
 def test_kahler_residual_and_order():
     data = data_for(1, 2)
-    pts = [PolarPoint(2.0, 0.7), PolarPoint(1.3, 0.5)]
+    pts = PolarPoint(np.array([2.0, 1.3]), np.array([0.7, 0.5]))
     res = kahler_residual(data, pts)
     assert res["max_domega"] < 1e-6
     assert res["max_dintegrability"] < 1e-6
@@ -278,7 +267,7 @@ def test_kahler_residual_and_order():
         ratio = coarse[key] / fine[key]
         assert 2.5 < ratio < 6.0
     with pytest.raises(ValueError):
-        kahler_residual(data, [PolarPoint(1.0, 0.05)], h=0.1)
+        kahler_residual(data, PolarPoint(1.0, 0.05), h=0.1)
 
 
 def test_fit_matches_exact():
@@ -320,7 +309,7 @@ def test_potential_residual_decay():
 
 
 def test_verify_metric_driver():
-    rep = verify_metric(1, 2, samples=60, seed=3, curvature_points=8)
+    rep = verify_metric(1, 2, samples=60, seed=3)
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert "flat-model-exactness" in names
@@ -330,10 +319,10 @@ def test_verify_metric_driver():
     assert rs == sorted(rs)
 
 
-def test_sample_points_seeded():
-    a = sample_points(np.random.default_rng(5), 10, 1.0, 5.0)
-    b = sample_points(np.random.default_rng(5), 10, 1.0, 5.0)
-    assert [(p.r, p.theta) for p in a] == [(p.r, p.theta) for p in b]
+def test_sample_batch_seeded():
+    a = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
+    b = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
+    assert np.array_equal(a.r, b.r) and np.array_equal(a.theta, b.theta)
 
 
 def _oracle_metric(a, b):
@@ -357,15 +346,13 @@ def _assert_close_relative(batch, single, tol=1e-12):
 
 def test_batch_matches_single_points():
     data = data_for(17, 21)
-    pts = sample_points(np.random.default_rng(8), 12, 1.0, 5.0)
-    batch = as_batch(pts)
-    hp = from_polar(batch)
-    frames = v_eval(data, hp.x, hp.y)
+    batch = sample_batch(np.random.default_rng(8), 12, 1.0, 5.0)
+    frames = v_eval(data, *from_polar(batch))
     samples = metric_at(data, batch)
-    for i, pt in enumerate(pts):
-        one = from_polar(pt)
-        frame = v_eval(data, one.x, one.y)
-        for name in ("v1", "v2", "det", "dv1", "dv2"):
+    for i in range(12):
+        pt = PolarPoint(float(batch.r[i]), float(batch.theta[i]))
+        frame = v_eval(data, *from_polar(pt))
+        for name in ("v1", "v2", "det"):
             _assert_close_relative(getattr(frames, name)[i], getattr(frame, name))
         sample = metric_at(data, pt)
         for name in ("g", "omega", "J"):

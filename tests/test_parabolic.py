@@ -1,6 +1,9 @@
 """Slopes, stability classification, and sporadic detection."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -239,3 +242,111 @@ def test_classify_invariant_under_permutations(perm):
     verdict = classify(surf)
     assert verdict.kind is StabilityKind.STRICTLY_POLYSTABLE
     assert verdict.min_slope == 0
+
+
+def test_diagonal_through_three_points_unstable():
+    # The diagonal is a degree-1 graph ([S]^2 = 2) through all three
+    # points: slope 2 - 9/4 < 0.
+    surf = trivial_surface(
+        [F(3, 4)] * 3, [(0, 1), (1, 0), (1, 1)], points=("[0:1]", "[1:0]", "[1:1]")
+    )
+    verdict = classify(surf)
+    assert verdict.kind is StabilityKind.UNSTABLE
+    assert verdict.min_slope == F(-1, 4)
+
+
+def test_graph_degrees_cover_every_point_once():
+    # Degrees 1..ceil((n-1)/2); the last one passes through all n points.
+    for n in range(8):
+        surf = trivial_surface([F(1, 3)] * n, [(j, 1) for j in range(n)])
+        graphs = [c for c in classify(surf).table if c.kind == "graph"]
+        assert [c.self_intersection for c in graphs] == [2 * d for d in range(1, n // 2 + 1)]
+        assert [len(c.contains) for c in graphs] == [min(n, 2 * d + 1) for d in range(1, n // 2 + 1)]
+
+
+# Brute-force oracle: sections of P^1 x P^1 -> P^1 are graphs of maps
+# [s:t] -> [A(s,t) : B(s,t)] with A, B binary forms of degree d and no
+# common zero; such a section has [S]^2 = 2d and meets the marked point
+# (base [s:t], fiber [u:v]) iff [A:B] = [u:v] there.
+ORACLE_BASE = ((-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1), (1, 0))
+ORACLE_COEFFS = {0: range(-2, 3), 1: range(-2, 3), 2: range(-1, 2)}
+ORACLE_FIBERS = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (1, -2))
+
+
+def _projective(u, v):
+    """Primitive integer representative of [u : v]."""
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    return (-u, -v) if v < 0 or (v == 0 and u < 0) else (u, v)
+
+
+def _form_at(form, s, t):
+    d = len(form) - 1
+    return sum(c * s ** (d - i) * t ** i for i, c in enumerate(form))
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _coprime_forms(A, B):
+    """Resultant test: the Sylvester determinant of two degree-d forms."""
+    d = len(A) - 1
+    if d == 0:
+        return A != (0,) or B != (0,)
+    rows = [[0] * i + list(f) + [0] * (d - 1 - i) for f in (A, B) for i in range(d)]
+    return _det(rows) != 0
+
+
+def _oracle_sections():
+    """(degree, fiber image at each ORACLE_BASE point), without repeats."""
+    out = set()
+    for d, coeffs in ORACLE_COEFFS.items():
+        forms = list(product(coeffs, repeat=d + 1))
+        for A in forms:
+            for B in forms:
+                if _coprime_forms(A, B):
+                    out.add((d, tuple(_projective(_form_at(A, s, t), _form_at(B, s, t))
+                                      for s, t in ORACLE_BASE)))
+    return sorted(out)
+
+
+def test_classifier_minimum_never_exceeds_brute_force_sections():
+    sections = _oracle_sections()
+    rng = random.Random(2024)
+    checked = special = old_count_wrong = 0
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        base = rng.sample(range(len(ORACLE_BASE)), n)
+        # Put some points on one enumerated section, the rest anywhere.
+        images = rng.choice(sections)[1]
+        fibers = [images[b] if rng.random() < 0.7 else rng.choice(ORACLE_FIBERS) for b in base]
+        weights = [F(rng.randint(1, q - 1), q) for q in (rng.randint(2, 12) for _ in base)]
+        total = sum(weights)
+        slopes, general = [], True
+        for d, images in sections:
+            on = [w for b, fiber, w in zip(base, fibers, weights) if images[b] == fiber]
+            if d >= 1 and len(on) > 2 * d + 1:
+                general = False  # special position: the classifier assumes general
+                break
+            slopes.append(2 * d + total - 2 * sum(on))
+        if not general:
+            special += 1
+            continue
+        surf = trivial_surface(weights, fibers,
+                               points=tuple(f"[{ORACLE_BASE[b][0]}:{ORACLE_BASE[b][1]}]"
+                                            for b in base))
+        found = min(slopes)
+        verdict = classify(surf)
+        assert verdict.min_slope <= found, (surf, found)
+        checked += 1
+        # The oracle has the power to see a wrong count: graphs through
+        # only the d+1 heaviest points exceed it on some surfaces.
+        heavy = sorted(weights, reverse=True)
+        old = min([c.slope for c in verdict.table if c.kind != "graph"]
+                  + [2 * d + total - 2 * sum(heavy[: d + 1]) for d in range(1, n)])
+        old_count_wrong += old > found
+    assert checked >= 150 and special > 0 and old_count_wrong > 0
