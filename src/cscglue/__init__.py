@@ -8,9 +8,10 @@ The package has three layers:
   (:mod:`cscglue.resolution`), ALE log-term coefficients and masses
   (:mod:`cscglue.logmass`);
 * exact classification: parabolic slopes and polystability
-  (:mod:`cscglue.parabolic`), orbifold bases, the one-row gluing matrix
-  and its feasibility by exact rank and a closed-form positive-kernel
-  test (:mod:`cscglue.gluing`, :mod:`cscglue.exactlp`);
+  (:mod:`cscglue.parabolic`), orbifold bases, the gluing matrix of at
+  most one row and its feasibility from that row's rank and a
+  closed-form positive-kernel test (:mod:`cscglue.gluing`,
+  :mod:`cscglue.exactlp`);
 * floating-point verification of the explicit torus-symmetric
   scalar-flat Kähler ansatz and its ALE asymptotics
   (:mod:`cscglue.metricnum`).
@@ -19,10 +20,9 @@ Everything upstream of :mod:`cscglue.metricnum` is exact: no verdict in
 the classification pipeline depends on floating point.
 """
 
-from cscglue.cfrac import HJExpansion, eval_negative_cfrac, hj_expand
+from cscglue.cfrac import HJExpansion, hj_expand
 from cscglue.resolution import (
     blow_down_fully,
-    blow_down_once,
     blowup_count,
     fiber_chain,
     format_chain,
@@ -38,7 +38,6 @@ from cscglue.logmass import (
     mass_verdict,
     monopole_from_chain,
     monopole_from_fraction,
-    mu_coefficient,
     mu_from_chain,
     mu_from_u,
 )
@@ -49,7 +48,6 @@ from cscglue.parabolic import (
     StabilityVerdict,
     classify,
     is_sporadic,
-    slope,
 )
 from cscglue.gluing import (
     FixType,
@@ -70,9 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HJExpansion",
     "hj_expand",
-    "eval_negative_cfrac",
     "fiber_chain",
-    "blow_down_once",
     "blow_down_fully",
     "blowup_count",
     "singular_strings",
@@ -86,14 +82,12 @@ __all__ = [
     "log_coeffs_from_levels",
     "mu_from_u",
     "mu_from_chain",
-    "mu_coefficient",
     "blowup_insert",
     "mass_verdict",
     "ParabolicSurface",
     "SectionData",
     "StabilityKind",
     "StabilityVerdict",
-    "slope",
     "classify",
     "is_sporadic",
     "OrbifoldSurface",

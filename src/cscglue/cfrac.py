@@ -28,7 +28,6 @@ All arithmetic in this module is exact; no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -51,9 +50,6 @@ class HJExpansion:
     q: int
     digits: tuple[int, ...]
     approximants: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.digits)
 
 
 def hj_expand(p: int, q: int) -> HJExpansion:
@@ -146,30 +142,4 @@ def _check_invariants(exp: HJExpansion) -> None:
     for j in range(1, k + 1):
         if not pairs[j][0] < pairs[j + 1][0]:
             raise RuntimeError(f"expansion of {exp.q}/{exp.p}: m_j not increasing at j={j}")
-
-
-def eval_negative_cfrac(digits) -> Fraction:
-    """Evaluate e_1 - 1/(e_2 - 1/(... - 1/e_k)) as an exact fraction.
-
-    Serves as the independent oracle for :func:`hj_expand`: for coprime
-    0 < p < q, evaluating the digits of (p, q) returns q/p exactly.
-
-    Parameters
-    ----------
-    digits : sequence of int
-        Non-empty, every entry >= 2.
-
-    Returns
-    -------
-    Fraction
-    """
-    digits = tuple(digits)
-    if not digits:
-        raise ValueError("digit sequence must be non-empty")
-    if any(e < 2 for e in digits):
-        raise ValueError(f"all digits must be >= 2, got {digits}")
-    value = Fraction(digits[-1])
-    for e in reversed(digits[:-1]):
-        value = e - 1 / value
-    return value
 

@@ -295,32 +295,6 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
     return surface, extra
 
 
-def serialize_surface(surface: ParabolicSurface, extra=()) -> dict:
-    doc = {
-        "genus": surface.genus,
-        "model": surface.model,
-        "points": list(surface.points),
-        "weights": [str(w) for w in surface.weights],
-    }
-    if surface.model == "trivial-p1":
-        doc["incidence"] = [f"{u}:{v}" for u, v in surface.incidence]
-    else:
-        doc["incidence"] = list(surface.incidence)
-    if surface.sections:
-        doc["sections"] = [
-            {
-                "id": s.id,
-                "self_intersection": s.self_intersection,
-                "contains": sorted(s.contains),
-                "disjoint_from": sorted(s.disjoint_from),
-            }
-            for s in surface.sections
-        ]
-    if extra:
-        doc["extra_points"] = [f"{u}:{v}" for u, v in extra]
-    return doc
-
-
 def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -351,18 +325,17 @@ def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
     check_hj_size(p, q)
     exp = hj_expand(p, q)
-    dual = hj_expand(q - p, q)
     chain = fiber_chain(Fraction(p, q))
-    dual_chain = fiber_chain(Fraction(q - p, q))
     left, right = singular_strings(Fraction(p, q))
+    dual_digits = [-e for e in right]
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
         "digits": list(exp.digits),
-        "dual_digits": list(dual.digits),
+        "dual_digits": dual_digits,
         "approximants": [list(mn) for mn in exp.approximants],
         "fiber_chain": format_chain(chain),
-        "dual_fiber_chain": format_chain(dual_chain),
+        "dual_fiber_chain": format_chain(chain[::-1]),
         "singular_strings": [format_chain(left), format_chain(right)],
         "blowup_count": blowup_count(Fraction(p, q)),
     }
@@ -371,7 +344,7 @@ def cmd_hj(args) -> int:
         return EXIT_OK
     print(f"weight {p}/{q}")
     print(f"  digits of {q}/{p}:        {' '.join(map(str, exp.digits))}")
-    print(f"  digits of {q}/{q - p}:        {' '.join(map(str, dual.digits))}")
+    print(f"  digits of {q}/{q - p}:        {' '.join(map(str, dual_digits))}")
     print(f"  approximants (m, n):  {' '.join(str(t) for t in exp.approximants)}")
     print(f"  fiber chain:          {payload['fiber_chain']}")
     print(f"  dual fiber chain:     {payload['dual_fiber_chain']}")

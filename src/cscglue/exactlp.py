@@ -1,18 +1,13 @@
-"""Exact rational rank and the one-row positive-kernel test.
+"""One-row rank and positive-kernel test for the gluing matrix.
 
-The gluing feasibility question reduces to two pieces of exact linear
-algebra on a matrix with rational entries:
-
-* its rank;
-* whether its kernel contains a strictly positive vector.
-
-The gluing matrix of a strictly polystable surface has one row, one entry
-per log term, because there is exactly one kernel function phi beyond the
-constants.  For a single row r with entry sum s, a strictly positive
-kernel vector exists iff s = 0 or some entry has the sign opposite to s,
-and then it has a closed form: w = 1 when s = 0, otherwise w is 1 except
-at the first such entry r_k, where w_k = 1 - s/r_k > 1 makes r . w = 0.
-Everything is ``fractions.Fraction`` arithmetic.
+The gluing matrix of a strictly polystable surface has at most one row,
+one entry per log term, because there is exactly one kernel function phi
+beyond the constants.  Its rank is 1 iff that row is nonzero.  For a
+single row r with entry sum s, a strictly positive kernel vector exists
+iff s = 0 or some entry has the sign opposite to s, and then it has a
+closed form: w = 1 when s = 0, otherwise w is 1 except at the first such
+entry r_k, where w_k = 1 - s/r_k > 1 makes r . w = 0.  Everything is
+``fractions.Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -21,28 +16,9 @@ from fractions import Fraction
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of equal-length rows."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col] / pv
-            if factor:
-                for c in range(col, ncols):
-                    work[r][c] -= factor * work[rank][c]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a matrix of at most one row: 1 iff the row is nonzero."""
+    row = _single_row(rows)
+    return int(row is not None and any(row))
 
 
 def positive_kernel_vector(rows, ncols: int):
@@ -67,13 +43,10 @@ def positive_kernel_vector(rows, ncols: int):
     """
     if ncols == 0:
         return None
-    rows = [tuple(map(Fraction, row)) for row in rows]
-    if len(rows) > 1:
-        raise ValueError(f"the kernel test takes at most one row, got {len(rows)}")
+    row = _single_row(rows)
     w = [Fraction(1)] * ncols
-    if not rows:
+    if row is None:
         return tuple(w)
-    row = rows[0]
     s = sum(row)
     if s != 0:
         k = next((k for k, x in enumerate(row) if x * s < 0), None)
@@ -81,3 +54,17 @@ def positive_kernel_vector(rows, ncols: int):
             return None
         w[k] = 1 - s / row[k]
     return tuple(w)
+
+
+def _single_row(rows):
+    """The only row of a matrix as a tuple of Fractions, or None if it has no rows.
+
+    Raises
+    ------
+    ValueError
+        If the matrix has more than one row.
+    """
+    rows = [tuple(map(Fraction, row)) for row in rows]
+    if len(rows) > 1:
+        raise ValueError(f"the gluing matrix has at most one row, got {len(rows)}")
+    return rows[0] if rows else None

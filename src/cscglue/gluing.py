@@ -228,34 +228,19 @@ def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    notes = []
-    if ncols == 0:
-        if dim_v0 > 0:
-            notes.append(
-                "empty matrix: every contributing singularity is crepant and "
-                "there are no extra points, so the kernel functions cannot be "
-                "balanced at this order"
-            )
-            verdict = GluingVerdict.OBSTRUCTED
-        else:
-            verdict = GluingVerdict.FEASIBLE
-        return GluingReport(
-            rows=rows,
-            ncols=0,
-            col_labels=tuple(col_labels),
-            c1=0,
-            c2=0,
-            positive_kernel=dim_v0 == 0,
-            kernel_witness=None,
-            dim_v0=dim_v0,
-            verdict=verdict,
-            notes=tuple(notes),
-        )
     c1 = rational_rank(rows)
     witness = positive_kernel_vector(rows, ncols)
-    positive = witness is not None
+    positive = witness is not None or ncols == dim_v0 == 0
     c2 = ncols - c1 if positive else 0
-    if c1 == dim_v0 and positive:
+    notes = []
+    if ncols == 0 and dim_v0 > 0:
+        verdict = GluingVerdict.OBSTRUCTED
+        notes.append(
+            "empty matrix: every contributing singularity is crepant and "
+            "there are no extra points, so the kernel functions cannot be "
+            "balanced at this order"
+        )
+    elif c1 == dim_v0 and positive:
         verdict = GluingVerdict.FEASIBLE
     else:
         verdict = GluingVerdict.INFEASIBLE

@@ -121,7 +121,6 @@ class MassVerdict:
     mu: Fraction
     sign: int  # -1, 0, or +1
     crepant: bool
-    coefficients: tuple[Fraction, ...]
 
 
 def monopole_from_fraction(p: int, q: int, levels) -> MonopoleData:
@@ -218,7 +217,7 @@ def mu_from_u(p: int, q: int, u) -> LogCoefficients:
     (0,-1), (1,0), (1,1), (0,1).  Its single coefficient is +1, the one
     case with positive log term.
     """
-    chain = _chain_for(p, q)
+    chain = BURNS_CHAIN if (p, q) == (1, 1) else hj_expand(p, q).approximants
     return mu_from_chain(chain, u)
 
 
@@ -267,19 +266,6 @@ def mu_from_chain(chain, u) -> LogCoefficients:
         mu=Fraction((p + 1) * s_num - q * (a_num + b_num), den),
         per_term=per_term,
     )
-
-
-def mu_coefficient(p: int, q: int, j: int) -> Fraction:
-    """The j-th coefficient p/q - n_j/m_j + 1/q - 1/m_j, 1 <= j <= k.
-
-    For Hirzebruch-Jung data it is <= 0, vanishing exactly when
-    e_1 = ... = e_j = 2.
-    """
-    chain = _chain_for(p, q)
-    k = len(chain) - 3
-    if not (1 <= j <= k):
-        raise ValueError(f"index j={j} out of range 1..{k}")
-    return _chain_coefficient(chain, j)
 
 
 def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData:
@@ -337,22 +323,7 @@ def verdict_from_coeffs(p: int, q: int, coeffs: LogCoefficients) -> MassVerdict:
     """The mass sign rule of :func:`mass_verdict`, on coefficients of (p, q)."""
     mu = coeffs.mu
     sign = 0 if mu == 0 else (1 if mu > 0 else -1)
-    return MassVerdict(
-        mu=mu,
-        sign=sign,
-        crepant=(p == q - 1),
-        coefficients=tuple(c for c, _ in coeffs.per_term),
-    )
-
-
-def _chain_for(p: int, q: int) -> tuple[Pair, ...]:
-    if (p, q) == (1, 1):
-        return BURNS_CHAIN
-    if not (0 < p < q):
-        raise ValueError(f"need 0 < p < q (or the Burns datum (1, 1)), got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p={p} and q={q} are not coprime")
-    return hj_expand(p, q).approximants
+    return MassVerdict(mu=mu, sign=sign, crepant=(p == q - 1))
 
 
 def _chain_coefficient(chain, j: int) -> Fraction:

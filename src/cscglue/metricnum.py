@@ -114,6 +114,8 @@ H_CURVATURE = 1e-2
 # per array, and every HJ digit of p/q adds a level.
 MAX_SAMPLES = 10_000
 MAX_LEVELS = 64
+# The charges (a_j, b_j) grow like q and are converted to floats.
+MAX_Q = 2**53
 
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
@@ -125,8 +127,6 @@ class PolarPoint:
 
     r: float
     theta: float
-    t1: float = 0.0
-    t2: float = 0.0
 
     def __post_init__(self):
         if np.any(np.asarray(self.r) <= 0):
@@ -643,11 +643,14 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     Raises
     ------
     ValueError
-        If ``samples`` exceeds ``MAX_SAMPLES``, if p/q needs more than
-        ``MAX_LEVELS`` levels, or if the levels do not fit the chain.
+        If ``samples`` exceeds ``MAX_SAMPLES``, if q exceeds ``MAX_Q``
+        or p/q needs more than ``MAX_LEVELS`` levels, or if the levels
+        do not fit the chain.
     """
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above 2**53, where floats cannot hold the charges exactly")
     k = hj_length(p, q)
     if k + 2 > MAX_LEVELS:
         raise ValueError(f"{p}/{q} needs {k + 2} levels, more than the {MAX_LEVELS} supported")

@@ -95,6 +95,7 @@ class ParabolicSurface:
                     raise ValueError(f"incidence names unknown section {inc!r}")
         else:
             raise ValueError(f"unknown model {self.model!r}")
+        _check_section_numbers(self.sections)
 
     @property
     def n(self) -> int:
@@ -136,15 +137,7 @@ def normalize_coord(u, v) -> FiberCoord:
     return (Fraction(1), Fraction(0))
 
 
-def slope(surface: ParabolicSurface, section: SectionData) -> Fraction:
-    """Slope of a declared section of the surface."""
-    on = frozenset(
-        j for j, label in enumerate(surface.points) if label in section.contains
-    )
-    return _slope_from_indices(surface, section.self_intersection, on)
-
-
-def classify(surface: ParabolicSurface, extra_sections=()) -> StabilityVerdict:
+def classify(surface: ParabolicSurface) -> StabilityVerdict:
     """Stability classification from the minimum slope over candidates.
 
     For the trivial-p1 model the candidate family is enumerated as
@@ -163,7 +156,7 @@ def classify(surface: ParabolicSurface, extra_sections=()) -> StabilityVerdict:
         relative = False
     else:
         relative = True
-    for sec in tuple(surface.sections) + tuple(extra_sections):
+    for sec in surface.sections:
         on = frozenset(
             j for j, label in enumerate(surface.points) if label in sec.contains
         )
@@ -236,6 +229,31 @@ def _pattern(surface, s_low, s_high) -> bool:
         if w.numerator != w.denominator - 1:
             return False
     return True
+
+
+def _check_section_numbers(sections) -> None:
+    """Reject declared sections that no ruled surface realizes.
+
+    Every section is numerically C_0 + b f (Hartshorne V.2), so any two
+    self-intersections differ by an even number, and two sections meet
+    in (S^2 + S'^2)/2 points: disjoint ones have S'^2 = -S^2.
+    """
+    for a, b in zip(sections, sections[1:]):
+        if (a.self_intersection - b.self_intersection) % 2:
+            raise ValueError(
+                f"sections {a.id} and {b.id} have self-intersections "
+                f"{a.self_intersection} and {b.self_intersection} of "
+                "different parity, but S^2 - S'^2 is even for any two sections"
+            )
+    by_id = {sec.id: sec for sec in sections}
+    for sec in sections:
+        for other in sorted(sec.disjoint_from & by_id.keys()):
+            s2 = by_id[other].self_intersection
+            if sec.self_intersection + s2 != 0:
+                raise ValueError(
+                    f"disjoint sections {sec.id} and {other} need "
+                    f"{other}^2 = -{sec.id}^2, got {sec.self_intersection} and {s2}"
+                )
 
 
 def _slope_from_indices(surface, self_intersection, on: frozenset) -> Fraction:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cscglue.cfrac import hj_expand
+from cscglue.cfrac import hj_expand, hj_length
 
 Chain = tuple[int, ...]
 
@@ -38,45 +38,16 @@ def fiber_chain(alpha: Fraction) -> Chain:
         ``(-e_1, ..., -e_l, -1, -e'_m, ..., -e'_1)`` with e the digits
         for alpha = p/q and e' the digits for 1 - alpha.
     """
-    p, q = _split_weight(alpha)
-    left = hj_expand(p, q).digits
-    right = hj_expand(q - p, q).digits
-    return tuple(-e for e in left) + (-1,) + tuple(-e for e in reversed(right))
-
-
-def blow_down_once(chain: Chain) -> Chain:
-    """Contract the leftmost -1 curve in the chain.
-
-    The -1 entry is removed and each of its one or two neighbours gains 1
-    (they acquire the intersection with the contracted curve).
-
-    Raises
-    ------
-    ValueError
-        If no -1 entry is present, or the chain is the singleton (-1,)
-        (contracting it would leave a point, not a curve).
-    """
-    chain = tuple(chain)
-    if -1 not in chain:
-        raise ValueError(f"no -1 curve to contract in {chain}")
-    if len(chain) < 2:
-        raise ValueError("cannot contract the singleton (-1,) chain")
-    i = chain.index(-1)
-    out = list(chain)
-    del out[i]
-    if i > 0:
-        out[i - 1] += 1
-    if i < len(out):
-        out[i] += 1
-    return tuple(out)
+    left, right = singular_strings(alpha)
+    return left + (-1,) + right[::-1]
 
 
 def blow_down_fully(chain: Chain) -> Chain:
     """Contract -1 curves until none remain.
 
     For any :func:`fiber_chain` output the result is exactly ``(0,)``, the
-    original fiber.  Chains that contract to the singleton (-1,) raise,
-    via :func:`blow_down_once`.
+    original fiber.  Chains that contract to the singleton (-1,) raise
+    ``ValueError``.
     """
     out = list(chain)
     while -1 in out:
@@ -95,11 +66,12 @@ def blow_down_fully(chain: Chain) -> Chain:
 
 
 def blowup_count(alpha: Fraction) -> int:
-    """Number of blow-ups over the fiber of a point with weight alpha."""
+    """Number of blow-ups over the fiber of a point with weight alpha.
+
+    The digit counts of q/p and q/(q-p), in O(log q) steps.
+    """
     p, q = _split_weight(alpha)
-    l = len(hj_expand(p, q).digits)
-    m = len(hj_expand(q - p, q).digits)
-    return l + m
+    return hj_length(p, q) + hj_length(q - p, q)
 
 
 def singular_strings(alpha: Fraction) -> tuple[Chain, Chain]:

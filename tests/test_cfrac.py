@@ -8,7 +8,24 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from cscglue.cfrac import eval_negative_cfrac, hj_expand, hj_length
+from cscglue.cfrac import hj_expand, hj_length
+
+
+def eval_negative_cfrac(digits) -> Fraction:
+    """Evaluate e_1 - 1/(e_2 - 1/(... - 1/e_k)) as an exact fraction.
+
+    The independent oracle for :func:`hj_expand`: for coprime 0 < p < q,
+    evaluating the digits of (p, q) returns q/p exactly.
+    """
+    digits = tuple(digits)
+    if not digits:
+        raise ValueError("digit sequence must be non-empty")
+    if any(e < 2 for e in digits):
+        raise ValueError(f"all digits must be >= 2, got {digits}")
+    value = Fraction(digits[-1])
+    for e in reversed(digits[:-1]):
+        value = e - 1 / value
+    return value
 
 
 def coprime_pairs(max_q):

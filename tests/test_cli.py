@@ -8,9 +8,36 @@ from pathlib import Path
 
 import pytest
 
-from cscglue.cli import main, parse_surface, serialize_surface
+from cscglue.cli import main, parse_surface
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def serialize_surface(surface, extra=()):
+    """The surface document that parse_surface reads back as (surface, extra)."""
+    doc = {
+        "genus": surface.genus,
+        "model": surface.model,
+        "points": list(surface.points),
+        "weights": [str(w) for w in surface.weights],
+    }
+    if surface.model == "trivial-p1":
+        doc["incidence"] = [f"{u}:{v}" for u, v in surface.incidence]
+    else:
+        doc["incidence"] = list(surface.incidence)
+    if surface.sections:
+        doc["sections"] = [
+            {
+                "id": s.id,
+                "self_intersection": s.self_intersection,
+                "contains": sorted(s.contains),
+                "disjoint_from": sorted(s.disjoint_from),
+            }
+            for s in surface.sections
+        ]
+    if extra:
+        doc["extra_points"] = [f"{u}:{v}" for u, v in extra]
+    return doc
 
 
 def run_cli(*args):
@@ -40,6 +67,9 @@ def test_hj_five_sevenths_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["digits"] == [2, 2, 3]
+    # 7/2 = 4 - 1/2, and the dual chain is the fiber chain of 2/7.
+    assert payload["dual_digits"] == [4, 2]
+    assert payload["dual_fiber_chain"] == "-4 -2 -1 -3 -2 -2"
 
 
 def test_hj_bad_fraction():
@@ -165,11 +195,24 @@ def test_pipeline_bad_document(tmp_path):
     assert code == 2
     assert "line" in err
     # Well-formed JSON that is not a surface document: a non-object
-    # document, a negative genus, and a genus or self-intersection that is
-    # not a JSON integer (1.9 must not truncate to 1).
+    # document, a negative genus, a genus or self-intersection that is
+    # not a JSON integer (1.9 must not truncate to 1), and disjoint
+    # sections with S1^2 = S2^2 = -1, which no ruled surface has.
     torus = json.loads((FIXTURES / "torus_two_points.json").read_text())
     sections = json.loads((FIXTURES / "sporadic_genus1.json").read_text())
     sections["sections"][0]["self_intersection"] = 0.5
+    unrealizable = {
+        "genus": 1,
+        "model": "sections",
+        "points": ["P1", "P2"],
+        "weights": ["1/2", "1/2"],
+        "incidence": ["S3", "S3"],
+        "sections": [
+            {"id": "S1", "self_intersection": -1, "disjoint_from": ["S2"]},
+            {"id": "S2", "self_intersection": -1, "disjoint_from": ["S1"]},
+            {"id": "S3", "self_intersection": 3},
+        ],
+    }
     for text in (
         "[1, 2]",
         '{"genus": -1, "model": "sections"}',
@@ -177,6 +220,7 @@ def test_pipeline_bad_document(tmp_path):
         json.dumps({**torus, "genus": True}),
         json.dumps({**torus, "genus": "1"}),
         json.dumps(sections),
+        json.dumps(unrealizable),
     ):
         doc.write_text(text)
         for command in ("stability", "pipeline"):
@@ -184,6 +228,7 @@ def test_pipeline_bad_document(tmp_path):
             assert code == 2, (text, command)
             assert err.startswith("error:"), (text, command)
             assert "Traceback" not in err
+    assert "need S2^2 = -S1^2, got -1 and -1" in err
 
 
 def test_metric_verify(tmp_path):
@@ -288,6 +333,9 @@ def test_metric_verify_input_bounds():
         (f"{MAX_LEVELS - 1}/{MAX_LEVELS}",),
         ("999999/1000000",),
         (f"{10**30 - 1}/{10**30}",),
+        # Above q = 2**53 floats cannot hold the charges exactly.
+        (f"1/{10**17}",),
+        (f"1/{10**400}",),
     ):
         code, out, err = run_cli("metric-verify", *args)
         assert code == 2, args

@@ -42,7 +42,7 @@ def data_for(p, q):
 def test_polar_round_trip():
     r = RNG.uniform(0.2, 50.0, size=1000)
     theta = RNG.uniform(0.05, math.pi / 2 - 0.05, size=1000)
-    x, y = from_polar(PolarPoint(r, theta, 0.3, -0.7))
+    x, y = from_polar(PolarPoint(r, theta))
     # Inverse of x = r^-2 sin 2theta, y = r^-2 cos 2theta.
     back_r = np.hypot(x, y) ** -0.5
     back_theta = 0.5 * np.arctan2(x, y)

@@ -15,10 +15,16 @@ from cscglue.parabolic import (
     classify,
     is_sporadic,
     normalize_coord,
-    slope,
 )
 
 F = Fraction
+
+
+def slope(surface, section):
+    """[S]^2 + sum of weights off S - sum of weights on S, from the definition."""
+    on = sum(w for p, w in zip(surface.points, surface.weights) if p in section.contains)
+    off = sum(w for p, w in zip(surface.points, surface.weights) if p not in section.contains)
+    return section.self_intersection + off - on
 
 
 def trivial_surface(weights, coords, points=None):
@@ -76,9 +82,11 @@ def test_slope_examples():
 
 
 def test_slope_no_marked_points():
-    surf = ParabolicSurface(genus=0, points=(), weights=(), incidence=())
     sec = SectionData(id="S", self_intersection=3)
-    assert slope(surf, sec) == 3
+    surf = ParabolicSurface(genus=0, points=(), weights=(), incidence=(),
+                            model="sections", sections=(sec,))
+    (row,) = classify(surf).table
+    assert row.slope == slope(surf, sec) == 3
 
 
 def test_toric_strictly_polystable():
@@ -228,6 +236,16 @@ def test_validation():
         )
     with pytest.raises(ValueError):
         normalize_coord(0, 0)
+    # Sections differ numerically by fibers: S^2 - S'^2 is even, and
+    # disjoint sections have S'^2 = -S^2.
+    for sections, match in (
+        ((SectionData("S", 0), SectionData("T", 1)), "different parity"),
+        ((SectionData("S", -1, disjoint_from=frozenset({"T"})), SectionData("T", -1)),
+         r"T\^2 = -S\^2"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ParabolicSurface(genus=1, points=(), weights=(), incidence=(),
+                             model="sections", sections=sections)
 
 
 @given(st.permutations(range(4)))

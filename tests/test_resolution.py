@@ -8,12 +8,28 @@ from hypothesis import given, strategies as st
 
 from cscglue.resolution import (
     blow_down_fully,
-    blow_down_once,
     blowup_count,
     fiber_chain,
     format_chain,
     singular_strings,
 )
+
+
+def blow_down_once(chain):
+    """Contract the leftmost -1 curve; its one or two neighbours gain 1."""
+    chain = tuple(chain)
+    if -1 not in chain:
+        raise ValueError(f"no -1 curve to contract in {chain}")
+    if len(chain) < 2:
+        raise ValueError("cannot contract the singleton (-1,) chain")
+    i = chain.index(-1)
+    out = list(chain)
+    del out[i]
+    if i > 0:
+        out[i - 1] += 1
+    if i < len(out):
+        out[i] += 1
+    return tuple(out)
 
 
 def test_half_chain():
@@ -59,6 +75,12 @@ def test_blowup_counts():
     # The four-point configuration with weights 1/2, 1/2, 1/3, 1/3.
     total = 2 * blowup_count(Fraction(1, 2)) + 2 * blowup_count(Fraction(1, 3))
     assert total == 10
+    for q in range(2, 401):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                assert blowup_count(Fraction(p, q)) == len(fiber_chain(Fraction(p, q))) - 1
+    # Digit counts, not expansions: one digit plus 10**20 twos, at once.
+    assert blowup_count(Fraction(1, 10**20 + 1)) == 10**20 + 1
 
 
 def test_singular_strings():
