@@ -58,8 +58,12 @@ shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
 is the batch with S = (), through the same code.  :func:`as_numeric`
 converts the exact monopole data to float arrays; each function accepts
 either form, and :func:`verify_metric` converts once and passes the
-arrays on.  A finite difference evaluates its function once per stencil
-offset, at all displaced points together, with one step per point.
+arrays on.  A finite-difference check evaluates its function once for
+the whole stencil (:func:`stencil`): the centre and every displaced
+point of every Richardson level are stacked along a new leading axis,
+with one step per point.  So a function handed to a check, such as the
+``metric_fn`` of :func:`scalar_curvature_generic`, must accept arrays
+with extra leading axes and return values with those axes in front.
 
 Steps.  A central difference with one Richardson level has truncation
 error of order h^4 and roundoff error of order eps/h for a first and
@@ -114,8 +118,10 @@ H_CURVATURE = 1e-2
 # per array, and every HJ digit of p/q adds a level.
 MAX_SAMPLES = 10_000
 MAX_LEVELS = 64
-# The charges (a_j, b_j) grow like q and are converted to floats.
+# The charges (a_j, b_j) grow like q and are converted to floats, as are
+# the finite levels and the exact (a, b, mu).
 MAX_Q = 2**53
+FLOAT_MAX = np.finfo(float).max
 
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
@@ -281,25 +287,19 @@ def _transpose(m):
 # ---------------------------------------------------------------------------
 # finite differences
 #
-# ``x`` and the steps are scalars or arrays of the batch shape S; ``fn``
-# maps points of shape S to values of shape S + T.  Each stencil offset is
-# one call of ``fn`` at all displaced points.
+# ``u0``, ``u1`` and the steps are scalars or arrays broadcasting to the
+# batch shape S.  A stencil is one call of ``fn`` at all its points,
+# stacked along a new leading axis of length K, so ``fn`` maps arrays of
+# shape (K,) + S to values of shape (K,) + S + T.
 
 
-def _per_point(step, value):
-    """Reshape a per-point step to broadcast over the trailing axes of value."""
-    step = np.asarray(step, dtype=float)
-    return step.reshape(step.shape + (1,) * (np.ndim(value) - step.ndim))
-
-
-def _extrapolate(d, depth: int):
+def _extrapolate(vals):
     """Richardson ladder for a stencil with an even error series.
 
-    ``d(i)`` must return the stencil value at step h / 2^i; depth 0 is
-    the raw stencil, each further level removes one power of h^2.
+    ``vals[i]`` is the stencil value at step h / 2^i; each level removes
+    one power of h^2.
     """
-    vals = [d(i) for i in range(depth + 1)]
-    for level in range(1, depth + 1):
+    for level in range(1, len(vals)):
         factor = 4.0 ** level
         vals = [
             (factor * vals[i + 1] - vals[i]) / (factor - 1)
@@ -308,39 +308,43 @@ def _extrapolate(d, depth: int):
     return vals[0]
 
 
-def central_diff(fn, x, h, richardson=True):
-    """First derivative by central differences.
+# Displacements of a stencil's points from the centre, in units of each
+# Richardson level's steps; the last four, the corners, serve the mixed
+# derivative only.
+_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    ``richardson`` gives the extrapolation depth (False none, True one
-    level, integers for more).
+
+def stencil(fn, u0, u1, h0, h1, richardson=True, second: bool = False) -> dict:
+    """Central differences of ``fn`` in both coordinates from one call.
+
+    The points are the centre and, for each Richardson level i, u0 +- h0/2^i
+    and u1 +- h1/2^i; ``second`` adds the four corners (u0 +- h0/2^i,
+    u1 +- h1/2^i).  ``richardson`` gives the extrapolation depth (False
+    none, True one level, integers for more).  Returns the centre value
+    "f" and the derivatives "d0" and "d1", and with ``second`` also "d00",
+    "d11" and "d01", each of shape S + T.
     """
-    def d(i):
-        hh = np.asarray(h, dtype=float) / 2**i
-        diff = fn(x + hh) - fn(x - hh)
-        return diff / _per_point(2 * hh, diff)
+    u0, u1, h0, h1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u0, u1, h0, h1)))
+    steps = [(h0 / 2**i, h1 / 2**i) for i in range(int(richardson) + 1)]
+    signs = _OFFSETS[: 8 if second else 4]
+    values = fn(np.stack([u0] + [u0 + s0 * a0 for a0, _ in steps for s0, _ in signs]),
+                np.stack([u1] + [u1 + s1 * a1 for _, a1 in steps for _, s1 in signs]))
+    f0 = values[0]
+    levels = values[1:].reshape((len(steps), len(signs)) + f0.shape)
+    per_point = u0.shape + (1,) * (f0.ndim - u0.ndim)  # a step over the trailing axes
 
-    return _extrapolate(d, int(richardson))
+    def ladder(diff, step):
+        """Extrapolate diff(level values) / step(level steps) over the levels."""
+        return _extrapolate([diff(f) / step(*a).reshape(per_point) for f, a in zip(levels, steps)])
 
-
-def second_diff(fn, x, h, richardson=True):
-    f0 = fn(x)
-
-    def d(i):
-        hh = np.asarray(h, dtype=float) / 2**i
-        diff = fn(x + hh) - 2 * f0 + fn(x - hh)
-        return diff / _per_point(hh * hh, diff)
-
-    return _extrapolate(d, int(richardson))
-
-
-def mixed_diff(fn, x, y, hx, hy, richardson=True):
-    def d(i):
-        ax = np.asarray(hx, dtype=float) / 2**i
-        ay = np.asarray(hy, dtype=float) / 2**i
-        diff = fn(x + ax, y + ay) - fn(x + ax, y - ay) - fn(x - ax, y + ay) + fn(x - ax, y - ay)
-        return diff / _per_point(4 * ax * ay, diff)
-
-    return _extrapolate(d, int(richardson))
+    out = {"f": f0,
+           "d0": ladder(lambda f: f[0] - f[1], lambda a0, a1: 2 * a0),
+           "d1": ladder(lambda f: f[2] - f[3], lambda a0, a1: 2 * a1)}
+    if second:
+        out["d00"] = ladder(lambda f: f[0] - 2 * f0 + f[1], lambda a0, a1: a0 * a0)
+        out["d11"] = ladder(lambda f: f[2] - 2 * f0 + f[3], lambda a0, a1: a1 * a1)
+        out["d01"] = ladder(lambda f: f[4] - f[5] - f[6] + f[7], lambda a0, a1: 4 * a0 * a1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +365,8 @@ def monopole_residual(data, x, y, h=1e-3, richardson: bool = True):
     component per point.
     """
     data = as_numeric(data)
-    dx = central_diff(lambda xx: _v_rows(data, xx, y), x, h, richardson)
-    dy = central_diff(lambda yy: _v_rows(data, x, yy), y, h, richardson)
-    v1 = v_eval(data, x, y).v1
+    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h, richardson)
+    dx, dy, v1 = st["d0"], st["d1"], st["f"][..., 0, :]
     xs = np.asarray(x, dtype=float)[..., None]
     res1 = dy[..., 0, :] - dx[..., 1, :]
     res2 = xs * dx[..., 0, :] + xs * dy[..., 1, :] - v1
@@ -398,9 +401,8 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3,
         return np.stack([sample.omega[..., 0, 2:], sample.omega[..., 1, 2:],
                          -J[..., 2:, 0], -J[..., 2:, 1]], axis=-2)
 
-    d_r = central_diff(lambda rr: fields(rr, theta), r, h * np.maximum(r, 1.0), richardson)
-    d_th = central_diff(lambda th: fields(r, th), theta, h, richardson)
-    f0 = fields(r, theta)
+    st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h, richardson)
+    d_r, d_th, f0 = st["d0"], st["d1"], st["f"]
 
     def worst(dr_of, dth_of):
         # Normalise by the cancelling terms, falling back to the field
@@ -432,11 +434,13 @@ def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE,
 def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, richardson: bool = True):
     """Scalar curvature of a metric depending on its first two coordinates.
 
-    ``metric_fn(u0, u1)`` returns the full n x n metric, with the batch
-    axes of (u0, u1) in front; derivatives along the remaining
+    ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
+    (u0, u1) in front; it is called once, on arrays with an extra leading
+    stencil axis (module docstring).  Derivatives along the remaining
     coordinates are taken to vanish.
     """
-    g = metric_fn(u0, u1)
+    st = stencil(metric_fn, u0, u1, h0, h1, richardson, second=True)
+    g = st["f"]
     n = g.shape[-1]
     batch = g.shape[:-2]
     ginv = np.linalg.inv(g)
@@ -444,14 +448,13 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, richardson: bool = True)
     # dg[..., e, i, j] = d_e g_ij and d2g[..., e, f, i, j] = d_e d_f g_ij,
     # zero unless e, f < 2.
     dg = np.zeros(batch + (n, n, n))
-    dg[..., 0, :, :] = central_diff(lambda r: metric_fn(r, u1), u0, h0, richardson)
-    dg[..., 1, :, :] = central_diff(lambda t: metric_fn(u0, t), u1, h1, richardson)
+    dg[..., 0, :, :] = st["d0"]
+    dg[..., 1, :, :] = st["d1"]
 
     d2g = np.zeros(batch + (n, n, n, n))
-    d2g[..., 0, 0, :, :] = second_diff(lambda r: metric_fn(r, u1), u0, h0, richardson)
-    d2g[..., 1, 1, :, :] = second_diff(lambda t: metric_fn(u0, t), u1, h1, richardson)
-    d2g[..., 0, 1, :, :] = mixed_diff(metric_fn, u0, u1, h0, h1, richardson)
-    d2g[..., 1, 0, :, :] = d2g[..., 0, 1, :, :]
+    d2g[..., 0, 0, :, :] = st["d00"]
+    d2g[..., 1, 1, :, :] = st["d11"]
+    d2g[..., 0, 1, :, :] = d2g[..., 1, 0, :, :] = st["d01"]
 
     # Gamma[a, b, c] = 0.5 g^{ad} term[d, b, c] with
     # term[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc.
@@ -528,21 +531,22 @@ def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
     rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
                                  np.asarray(theta_samples, dtype=float))
 
-    def jdf(rad, theta):
-        """(dt1, dt2) components of J df; J dx^i has components -J[..., i, :]."""
-        J = metric_at(data, PolarPoint(rad, theta)).J
+    def fields(rad, theta):
+        """Rows of g, of omega and of J df; J dx^i has components -J[..., i, :]."""
+        sample = metric_at(data, PolarPoint(rad, theta))
+        J = sample.J
         f_r = q * (rad / 2 + (a + b) / (2 * rad))
         f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
-        return -(f_r[..., None] * J[..., 0, 2:] + f_th[..., None] * J[..., 1, 2:])
+        jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
+        return np.concatenate([sample.g, sample.omega, jdf[..., None, :]], axis=-2)
 
-    sample = metric_at(data, PolarPoint(rr, th))
-    dA_r = central_diff(lambda x: jdf(x, th), rr, h * np.maximum(rr, 1.0), richardson)
-    dA_th = central_diff(lambda x: jdf(rr, x), th, h, richardson)
+    st = stencil(fields, rr, th, h * np.maximum(rr, 1.0), h, richardson)
+    g, omega = st["f"][..., :4, :], st["f"][..., 4:8, :]
     R = np.zeros(rr.shape + (4, 4))
-    R[..., 0, 2:] = sample.omega[..., 0, 2:] - dA_r
-    R[..., 1, 2:] = sample.omega[..., 1, 2:] - dA_th
+    R[..., 0, 2:] = omega[..., 0, 2:] - st["d0"][..., 8, 2:]
+    R[..., 1, 2:] = omega[..., 1, 2:] - st["d1"][..., 8, 2:]
     R -= _transpose(R)
-    return form2_norm(R, sample.g).max(axis=-1)
+    return form2_norm(R, g).max(axis=-1)
 
 
 def form2_norm(R: np.ndarray, g: np.ndarray):
@@ -644,8 +648,9 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     ------
     ValueError
         If ``samples`` exceeds ``MAX_SAMPLES``, if q exceeds ``MAX_Q``
-        or p/q needs more than ``MAX_LEVELS`` levels, or if the levels
-        do not fit the chain.
+        or p/q needs more than ``MAX_LEVELS`` levels, if the levels do
+        not fit the chain, or if a finite level or the exact a, b or mu
+        has no finite float.
     """
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
@@ -658,8 +663,12 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     if levels is None:
         levels = default_levels(k)
     data = monopole_from_fraction(p, q, levels)
+    if any(abs(y) > FLOAT_MAX for y in data.levels if y != INFINITY):
+        raise ValueError("every finite level must lie within the float range")
     num = as_numeric(data)
     exact = num.exact
+    if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX:
+        raise ValueError("these levels give log coefficients a, b, mu outside the float range")
     checks = []
 
     # Flat-model exactness: evaluator versus the closed-form flat metric.

@@ -235,8 +235,9 @@ def _check_section_numbers(sections) -> None:
     """Reject declared sections that no ruled surface realizes.
 
     Every section is numerically C_0 + b f (Hartshorne V.2), so any two
-    self-intersections differ by an even number, and two sections meet
-    in (S^2 + S'^2)/2 points: disjoint ones have S'^2 = -S^2.
+    self-intersections differ by an even number, and two distinct
+    sections meet in (S^2 + S'^2)/2 >= 0 points: disjoint ones have
+    S'^2 = -S^2.
     """
     for a, b in zip(sections, sections[1:]):
         if (a.self_intersection - b.self_intersection) % 2:
@@ -254,6 +255,14 @@ def _check_section_numbers(sections) -> None:
                     f"disjoint sections {sec.id} and {other} need "
                     f"{other}^2 = -{sec.id}^2, got {sec.self_intersection} and {s2}"
                 )
+    # The two lowest self-intersections give the lowest intersection number.
+    low = sorted(sections, key=lambda sec: sec.self_intersection)[:2]
+    if len(low) == 2 and low[0].self_intersection + low[1].self_intersection < 0:
+        a, b = low
+        raise ValueError(
+            f"distinct sections {a.id} and {b.id} meet in ({a.id}^2 + {b.id}^2)/2 >= 0 "
+            f"points, got {a.self_intersection} and {b.self_intersection}"
+        )
 
 
 def _slope_from_indices(surface, self_intersection, on: frozenset) -> Fraction:

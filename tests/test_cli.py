@@ -196,8 +196,9 @@ def test_pipeline_bad_document(tmp_path):
     assert "line" in err
     # Well-formed JSON that is not a surface document: a non-object
     # document, a negative genus, a genus or self-intersection that is
-    # not a JSON integer (1.9 must not truncate to 1), and disjoint
-    # sections with S1^2 = S2^2 = -1, which no ruled surface has.
+    # not a JSON integer (1.9 must not truncate to 1), disjoint sections
+    # with S1^2 = S2^2 = -1, and sections with S1^2 = -1, S2^2 = -3, which
+    # would meet in -2 points: no ruled surface has either pair.
     torus = json.loads((FIXTURES / "torus_two_points.json").read_text())
     sections = json.loads((FIXTURES / "sporadic_genus1.json").read_text())
     sections["sections"][0]["self_intersection"] = 0.5
@@ -213,6 +214,17 @@ def test_pipeline_bad_document(tmp_path):
             {"id": "S3", "self_intersection": 3},
         ],
     }
+    negative_meeting = {
+        "genus": 0,
+        "model": "sections",
+        "points": ["P1", "P2", "P3"],
+        "weights": ["1/2", "1/2", "1/2"],
+        "incidence": ["S1", "S1", "S2"],
+        "sections": [
+            {"id": "S1", "self_intersection": -1, "contains": ["P1", "P2"]},
+            {"id": "S2", "self_intersection": -3, "contains": ["P3"]},
+        ],
+    }
     for text in (
         "[1, 2]",
         '{"genus": -1, "model": "sections"}',
@@ -221,6 +233,7 @@ def test_pipeline_bad_document(tmp_path):
         json.dumps({**torus, "genus": "1"}),
         json.dumps(sections),
         json.dumps(unrealizable),
+        json.dumps(negative_meeting),
     ):
         doc.write_text(text)
         for command in ("stability", "pipeline"):
@@ -228,7 +241,9 @@ def test_pipeline_bad_document(tmp_path):
             assert code == 2, (text, command)
             assert err.startswith("error:"), (text, command)
             assert "Traceback" not in err
-    assert "need S2^2 = -S1^2, got -1 and -1" in err
+        if text == json.dumps(unrealizable):
+            assert "need S2^2 = -S1^2, got -1 and -1" in err
+    assert "S2 and S1 meet in (S2^2 + S1^2)/2 >= 0 points, got -3 and -1" in err
 
 
 def test_metric_verify(tmp_path):
@@ -336,6 +351,9 @@ def test_metric_verify_input_bounds():
         # Above q = 2**53 floats cannot hold the charges exactly.
         (f"1/{10**17}",),
         (f"1/{10**400}",),
+        # A level, or the coefficient a ~ 1/y of a tiny level, without a float.
+        ("1/2", "--levels", "1e400,1,0"),
+        ("1/2", "--levels", "1,1e-400,0"),
     ):
         code, out, err = run_cli("metric-verify", *args)
         assert code == 2, args

@@ -4,7 +4,11 @@
 input that raises anything else would end in a traceback instead.
 """
 
+import contextlib
+import io
 import json
+import math
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +67,30 @@ surface_document = st.fixed_dictionaries(
 )
 
 
+# metric-verify levels: exponents near both ends of the float range
+# (about 1e-324 to 1e308) reach the conversions to float, small ones the
+# checks themselves.
+level_token = st.one_of(
+    st.tuples(st.integers(1, 9),
+              st.one_of(st.integers(-420, -290), st.integers(290, 420), st.integers(-20, 20)))
+    .map(lambda t: f"{t[0]}e{t[1]}"),
+    st.integers(1, 3).map(str),
+    st.just("inf"),
+)
+
+
+def _descending(tokens):
+    return sorted(tokens, key=lambda t: math.inf if t == "inf" else Fraction(t), reverse=True)
+
+
+# Half the lists are decreasing and end in 0, so that they get past the
+# level validation into verify_metric unless an inner level is infinite.
+level_list = st.one_of(
+    st.lists(level_token, min_size=2, max_size=2, unique=True).map(lambda ts: _descending(ts) + ["0"]),
+    st.lists(level_token, min_size=3, max_size=3),
+).map(",".join)
+
+
 def parses_or_input_error(parse, value):
     try:
         parse(value)
@@ -100,6 +128,15 @@ def test_load_document_fuzz(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("doc") / "doc.json"
     path.write_text(content)
     parses_or_input_error(lambda p: parse_surface(load_document(p)), str(path))
+
+
+@settings(max_examples=50, deadline=None)
+@given(level_list)
+def test_metric_verify_levels_fuzz(levels):
+    # "--levels=" keeps a list that starts with "-" an option value.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["metric-verify", "1/2", f"--levels={levels}", "--samples", "10"])
+    assert code in (0, 1, 2)
 
 
 def test_fuzz_failures_exit_2(tmp_path, capsys):

@@ -11,7 +11,6 @@ from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from
 from cscglue.metricnum import (
     TOL_INVARIANT,
     PolarPoint,
-    central_diff,
     default_levels,
     fit_log_coeffs,
     flat_metric_matrix,
@@ -25,11 +24,78 @@ from cscglue.metricnum import (
     sample_batch,
     scalar_curvature_at,
     scalar_curvature_generic,
+    stencil,
     v_eval,
     verify_metric,
 )
 
 RNG = np.random.default_rng(20240811)
+
+
+# Per-offset finite differences: one call of ``fn`` per stencil offset and
+# Richardson level.  They are the oracle for the joint ``stencil``.
+
+
+def _per_point(step, value):
+    step = np.asarray(step, dtype=float)
+    return step.reshape(step.shape + (1,) * (np.ndim(value) - step.ndim))
+
+
+def _extrapolate(d, depth):
+    vals = [d(i) for i in range(depth + 1)]
+    for level in range(1, depth + 1):
+        factor = 4.0 ** level
+        vals = [(factor * vals[i + 1] - vals[i]) / (factor - 1) for i in range(len(vals) - 1)]
+    return vals[0]
+
+
+def central_diff(fn, x, h, richardson=True):
+    def d(i):
+        hh = np.asarray(h, dtype=float) / 2**i
+        diff = fn(x + hh) - fn(x - hh)
+        return diff / _per_point(2 * hh, diff)
+
+    return _extrapolate(d, int(richardson))
+
+
+def second_diff(fn, x, h, richardson=True):
+    f0 = fn(x)
+
+    def d(i):
+        hh = np.asarray(h, dtype=float) / 2**i
+        diff = fn(x + hh) - 2 * f0 + fn(x - hh)
+        return diff / _per_point(hh * hh, diff)
+
+    return _extrapolate(d, int(richardson))
+
+
+def mixed_diff(fn, x, y, hx, hy, richardson=True):
+    def d(i):
+        ax = np.asarray(hx, dtype=float) / 2**i
+        ay = np.asarray(hy, dtype=float) / 2**i
+        diff = fn(x + ax, y + ay) - fn(x + ax, y - ay) - fn(x - ax, y + ay) + fn(x - ax, y - ay)
+        return diff / _per_point(4 * ax * ay, diff)
+
+    return _extrapolate(d, int(richardson))
+
+
+def _oracle_metric(a, b):
+    """The metric of the symbolic curvature oracle below, for arrays of (a, b)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    g = np.zeros(a.shape + (4, 4))
+    g[..., 0, 0] = 1 + np.exp(b) / 10
+    g[..., 0, 1] = g[..., 1, 0] = a * b / 20
+    g[..., 1, 1] = 1 + a * a / 5
+    g[..., 2, 2] = 1 + a * a / 3 + b * b / 7
+    g[..., 2, 3] = g[..., 3, 2] = a * b / 9
+    g[..., 3, 3] = 2 + np.sin(a + b) / 5
+    return g
+
+
+def _assert_close_relative(batch, single, tol=1e-12):
+    batch, single = np.asarray(batch), np.asarray(single)
+    assert batch.shape == single.shape
+    assert np.max(np.abs(batch - single)) <= tol * max(np.max(np.abs(single)), 1e-300)
 
 
 def data_for(p, q):
@@ -176,9 +242,59 @@ def test_chain_rule_identities():
         assert np.allclose(fd_th, rot, atol=1e-7)
 
 
+def _stencil_cases():
+    """(evaluator, u0, u1, h0, h1) batches for the stencil-versus-oracle test."""
+    data = data_for(17, 21)
+    pts = sample_batch(np.random.default_rng(4), 6, 1.0, 5.0)
+    x, y = from_polar(pts)
+
+    def rows(xx, yy):
+        frame = v_eval(data, xx, yy)
+        return np.stack([frame.v1, frame.v2], axis=-2)
+
+    def sample(r, theta):
+        s = metric_at(data, PolarPoint(r, theta))
+        return np.stack([s.g, s.omega, s.J], axis=-3)
+
+    a = np.array([0.7, 1.1, 0.2, 0.45])
+    b = np.array([0.4, -0.3, 0.9, 0.1])
+    return {
+        "v_eval": (rows, x, y, 1e-3 * x, 1e-3 * x),
+        "metric_at": (sample, pts.r, pts.theta, 1e-2 * np.maximum(pts.r, 1.0), 1e-2),
+        "oracle_metric": (_oracle_metric, a, b, 1e-3, 1e-3),
+    }
+
+
+@pytest.mark.parametrize("depth", (0, 1, 2))
+@pytest.mark.parametrize("case", ("v_eval", "metric_at", "oracle_metric"))
+def test_stencil_matches_per_offset_oracle(case, depth):
+    fn, u0, u1, h0, h1 = _stencil_cases()[case]
+    joint = stencil(fn, u0, u1, h0, h1, richardson=depth, second=True)
+    first_only = stencil(fn, u0, u1, h0, h1, richardson=depth)
+    expected = {
+        "f": fn(u0, u1),
+        "d0": central_diff(lambda t: fn(t, u1), u0, h0, depth),
+        "d1": central_diff(lambda t: fn(u0, t), u1, h1, depth),
+        "d00": second_diff(lambda t: fn(t, u1), u0, h0, depth),
+        "d11": second_diff(lambda t: fn(u0, t), u1, h1, depth),
+        "d01": mixed_diff(fn, u0, u1, h0, h1, depth),
+    }
+    assert joint.keys() == expected.keys()
+    for name, value in expected.items():
+        _assert_close_relative(joint[name], value)
+    assert first_only.keys() == {"f", "d0", "d1"}
+    for name in first_only:
+        _assert_close_relative(first_only[name], expected[name])
+
+
 def test_curvature_positive_control():
     # Round 2-sphere times flat 2-torus: scalar curvature 2.
-    fn = lambda a, b: np.diag([1.0, math.sin(a) ** 2, 1.0, 1.0])
+    def fn(a, b):
+        g = np.zeros(np.shape(a) + (4, 4))
+        g[..., 0, 0] = g[..., 2, 2] = g[..., 3, 3] = 1.0
+        g[..., 1, 1] = np.sin(a) ** 2
+        return g
+
     s = scalar_curvature_generic(fn, 0.8, 0.3, 1e-4, 1e-4)
     assert abs(s - 2.0) < 1e-6
 
@@ -212,23 +328,13 @@ def test_curvature_generic_against_symbolic_oracle():
     in one go; the scale-free points make 1e-7 a loose bound for the
     Richardson pipeline.
     """
-    def metric_fn(a, b):
-        return np.array(
-            [
-                [1 + math.exp(b) / 10, a * b / 20, 0, 0],
-                [a * b / 20, 1 + a * a / 5, 0, 0],
-                [0, 0, 1 + a * a / 3 + b * b / 7, a * b / 9],
-                [0, 0, a * b / 9, 2 + math.sin(a + b) / 5],
-            ]
-        )
-
     expected = {
         (0.7, 0.4): -0.86043286947471933346,
         (1.1, -0.3): -0.65382006381981941260,
         (0.2, 0.9): -0.98218496343148765680,
     }
     for (a, b), val in expected.items():
-        got = scalar_curvature_generic(metric_fn, a, b, 1e-3, 1e-3)
+        got = scalar_curvature_generic(_oracle_metric, a, b, 1e-3, 1e-3)
         assert abs(got - val) < 1e-7
 
 
@@ -323,25 +429,6 @@ def test_sample_batch_seeded():
     a = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     b = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     assert np.array_equal(a.r, b.r) and np.array_equal(a.theta, b.theta)
-
-
-def _oracle_metric(a, b):
-    """The symbolic-oracle metric above, for arrays of (a, b)."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    g = np.zeros(a.shape + (4, 4))
-    g[..., 0, 0] = 1 + np.exp(b) / 10
-    g[..., 0, 1] = g[..., 1, 0] = a * b / 20
-    g[..., 1, 1] = 1 + a * a / 5
-    g[..., 2, 2] = 1 + a * a / 3 + b * b / 7
-    g[..., 2, 3] = g[..., 3, 2] = a * b / 9
-    g[..., 3, 3] = 2 + np.sin(a + b) / 5
-    return g
-
-
-def _assert_close_relative(batch, single, tol=1e-12):
-    batch, single = np.asarray(batch), np.asarray(single)
-    assert batch.shape == single.shape
-    assert np.max(np.abs(batch - single)) <= tol * max(np.max(np.abs(single)), 1e-300)
 
 
 def test_batch_matches_single_points():

@@ -236,12 +236,15 @@ def test_validation():
         )
     with pytest.raises(ValueError):
         normalize_coord(0, 0)
-    # Sections differ numerically by fibers: S^2 - S'^2 is even, and
-    # disjoint sections have S'^2 = -S^2.
+    # Sections differ numerically by fibers: S^2 - S'^2 is even,
+    # disjoint sections have S'^2 = -S^2, and distinct sections meet in
+    # (S^2 + S'^2)/2 >= 0 points.
     for sections, match in (
         ((SectionData("S", 0), SectionData("T", 1)), "different parity"),
         ((SectionData("S", -1, disjoint_from=frozenset({"T"})), SectionData("T", -1)),
          r"T\^2 = -S\^2"),
+        ((SectionData("S", 1), SectionData("T", -1), SectionData("U", -3)),
+         r"U and T meet in \(U\^2 \+ T\^2\)/2 >= 0 points, got -3 and -1"),
     ):
         with pytest.raises(ValueError, match=match):
             ParabolicSurface(genus=1, points=(), weights=(), incidence=(),
