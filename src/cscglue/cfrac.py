@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ def hj_expand(p: int, q: int) -> HJExpansion:
         If (p, q) is out of range or not coprime.
     """
     _check_pair(p, q)
+    # Python ints throughout, so that logmass can sum the pairs unconverted.
+    p, q = index(p), index(q)
 
     # Iterated ceiling division: e = ceil(a/b), then (a, b) <- (b, e*b - a).
     # The remainder e*b - a lies in [0, b), so digits stay >= 2 and the
@@ -129,10 +132,12 @@ def _approximants(digits) -> tuple[tuple[int, int], ...]:
 
 def _check_invariants(exp: HJExpansion) -> None:
     # Explicit raises, not asserts: the checks must survive ``python -O``.
+    # logmass uses the pairs unchecked, so this covers logmass._validate_chain:
+    # the end pairs, det = 1 at junctions 0..k, and m_1 = 1 < ... < m_{k+1}.
     k = len(exp.digits)
     pairs = exp.approximants
-    if pairs[k + 1] != (exp.q, exp.p):
-        raise RuntimeError(f"expansion of {exp.q}/{exp.p} closes at {pairs[k + 1]}")
+    if pairs[:2] != ((0, -1), (1, 0)) or pairs[k + 1 :] != ((exp.q, exp.p), (0, 1)):
+        raise RuntimeError(f"expansion of {exp.q}/{exp.p} has ends {pairs[:2]}, {pairs[k + 1 :]}")
     for j in range(k + 1):
         mj, nj = pairs[j]
         mj1, nj1 = pairs[j + 1]

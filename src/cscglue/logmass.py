@@ -48,7 +48,10 @@ so these sums decide its sign exactly.
 Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
 numerators with a running common denominator, so each returned value is
-normalised once, as a single ``Fraction``.
+normalised once, as a single ``Fraction``.  Each chain is checked once:
+approximants from :func:`cfrac.hj_expand` there, by ``_check_invariants``,
+and used here as they are; a chain a caller supplies, and the Burns
+chain, by ``_validate_chain``.
 """
 
 from __future__ import annotations
@@ -135,8 +138,7 @@ def monopole_from_fraction(p: int, q: int, levels) -> MonopoleData:
         the digit count of the expansion of q/p.  The first entry may be
         ``math.inf``.
     """
-    chain = hj_expand(p, q).approximants
-    return monopole_from_chain(chain, levels)
+    return _monopole(hj_expand(p, q).approximants, levels)
 
 
 def monopole_from_chain(chain, levels) -> MonopoleData:
@@ -148,8 +150,10 @@ def monopole_from_chain(chain, levels) -> MonopoleData:
     produced by :func:`blowup_insert` and the plane blow-up chain
     ``((0,-1), (1,0), (1,1), (0,1))`` are accepted.
     """
-    chain = tuple((int(m), int(n)) for m, n in chain)
-    _validate_chain(chain)
+    return _monopole(_validate_chain(chain), levels)
+
+
+def _monopole(chain, levels) -> MonopoleData:
     levels = _validate_levels(levels, expected=len(chain) - 1)
     pairs = tuple(
         (chain[j][0] - chain[j + 1][0], chain[j][1] - chain[j + 1][1])
@@ -217,8 +221,7 @@ def mu_from_u(p: int, q: int, u) -> LogCoefficients:
     (0,-1), (1,0), (1,1), (0,1).  Its single coefficient is +1, the one
     case with positive log term.
     """
-    chain = BURNS_CHAIN if (p, q) == (1, 1) else hj_expand(p, q).approximants
-    return mu_from_chain(chain, u)
+    return _coeffs_from_u(_chain_for(p, q), u)
 
 
 def mu_from_chain(chain, u) -> LogCoefficients:
@@ -231,8 +234,17 @@ def mu_from_chain(chain, u) -> LogCoefficients:
     u : sequence
         k positive rationals, one per interior chain pair.
     """
-    chain = tuple((int(m), int(n)) for m, n in chain)
-    _validate_chain(chain)
+    return _coeffs_from_u(_validate_chain(chain), u)
+
+
+def _coeffs_from_u(chain, u) -> LogCoefficients:
+    qa, qb, den, u = _u_sums(chain, u)
+    per_term = tuple((_chain_coefficient(chain, j), x) for j, x in enumerate(u, start=1))
+    return LogCoefficients(Fraction(qa, den), Fraction(qb, den), Fraction(qa + qb, den), per_term)
+
+
+def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
+    """a and b as numerators over one common denominator, and u as Fractions."""
     k = len(chain) - 3
     u = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in u)
     if len(u) != k:
@@ -257,15 +269,7 @@ def mu_from_chain(chain, u) -> LogCoefficients:
         a_num = a_num * scale + step
         b_num = b_num * scale + step * n
         den *= scale
-    den *= q
-
-    per_term = tuple((_chain_coefficient(chain, j), u[j - 1]) for j in range(1, k + 1))
-    return LogCoefficients(
-        a=Fraction(s_num - q * a_num, den),
-        b=Fraction(p * s_num - q * b_num, den),
-        mu=Fraction((p + 1) * s_num - q * (a_num + b_num), den),
-        per_term=per_term,
-    )
+    return s_num - q * a_num, p * s_num - q * b_num, den * q, u
 
 
 def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData:
@@ -315,15 +319,24 @@ def mass_verdict(p: int, q: int, u) -> MassVerdict:
     The mass equals the log coefficient mu; for Hirzebruch-Jung data the
     sign is never positive and is zero exactly in the crepant case
     p = q - 1.  The Burns datum (1, 1) is the positive-mass exception.
+    Only mu is built, with the sums and the u checks of :func:`mu_from_u`.
     """
-    return verdict_from_coeffs(p, q, mu_from_u(p, q, u))
+    qa, qb, den, _ = _u_sums(_chain_for(p, q), u)
+    return _verdict(p, q, Fraction(qa + qb, den))
 
 
 def verdict_from_coeffs(p: int, q: int, coeffs: LogCoefficients) -> MassVerdict:
     """The mass sign rule of :func:`mass_verdict`, on coefficients of (p, q)."""
-    mu = coeffs.mu
+    return _verdict(p, q, coeffs.mu)
+
+
+def _verdict(p: int, q: int, mu: Fraction) -> MassVerdict:
     sign = 0 if mu == 0 else (1 if mu > 0 else -1)
     return MassVerdict(mu=mu, sign=sign, crepant=(p == q - 1))
+
+
+def _chain_for(p: int, q: int) -> tuple[Pair, ...]:
+    return _validate_chain(BURNS_CHAIN) if (p, q) == (1, 1) else hj_expand(p, q).approximants
 
 
 def _chain_coefficient(chain, j: int) -> Fraction:
@@ -333,7 +346,8 @@ def _chain_coefficient(chain, j: int) -> Fraction:
     return Fraction((p + 1) * m - q * (n + 1), q * m)
 
 
-def _validate_chain(chain) -> None:
+def _validate_chain(chain) -> tuple[Pair, ...]:
+    chain = tuple((int(m), int(n)) for m, n in chain)
     if len(chain) < 3:
         raise ValueError("chain needs at least the three boundary pairs")
     if chain[0] != (0, -1) or chain[1] != (1, 0) or chain[-1] != (0, 1):
@@ -350,6 +364,7 @@ def _validate_chain(chain) -> None:
         (m0, n0), (m1, n1) = chain[j], chain[j + 1]
         if m0 * n1 - m1 * n0 != 1:
             raise ValueError(f"junction {j} has determinant {m0 * n1 - m1 * n0}, not 1")
+    return chain
 
 
 def _validate_levels(levels, expected: int) -> tuple:

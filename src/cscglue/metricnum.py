@@ -236,7 +236,10 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     frame = v_eval(data, *from_polar(p))
     D = frame.det
     if np.any(D <= 0):
-        raise ValueError(f"determinant {np.min(D)} <= 0 at {p}; invalid monopole data")
+        i = np.unravel_index(np.argmax(D <= 0), D.shape)
+        r0, t0 = (float(np.broadcast_to(v, D.shape)[i]) for v in (p.r, p.theta))
+        raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
+                         f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
     r = np.asarray(p.r, dtype=float)
     v1x, v1y = frame.v1[..., 0], frame.v1[..., 1]
     v2x, v2y = frame.v2[..., 0], frame.v2[..., 1]

@@ -43,26 +43,32 @@ def fiber_chain(alpha: Fraction) -> Chain:
 
 
 def blow_down_fully(chain: Chain) -> Chain:
-    """Contract -1 curves until none remain.
+    """Contract -1 curves, leftmost first, until none remain.
 
     For any :func:`fiber_chain` output the result is exactly ``(0,)``, the
     original fiber.  Chains that contract to the singleton (-1,) raise
     ``ValueError``.
+
+    A contraction at i can only make i - 1 or i the new leftmost -1, so the
+    search resumes there: O(len(chain)) comparisons and at most len(chain)
+    list deletions in all, in the same order as rescanning from the start.
     """
-    out = list(chain)
-    while -1 in out:
-        if len(out) < 2:
+    out = [*chain, -1]  # the -1 past the end stops every search
+    i = 0
+    while True:
+        if i > 0 and out[i - 1] == -1:
+            i -= 1
+        elif out[i] != -1:
+            i = out.index(-1, i)
+        if i == len(out) - 1:
+            return tuple(out[:-1])
+        if len(out) < 3:
             raise ValueError("chain contracts to a point, not a curve")
-        # Leftmost -1; entries to its left are not -1, and contraction
-        # can only create a new -1 at the removed position or one slot
-        # to the left, so scanning from the start stays correct.
-        i = out.index(-1)
         del out[i]
         if i > 0:
             out[i - 1] += 1
-        if i < len(out):
+        if i < len(out) - 1:
             out[i] += 1
-    return tuple(out)
 
 
 def blowup_count(alpha: Fraction) -> int:

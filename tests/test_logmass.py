@@ -17,9 +17,11 @@ import random
 from fractions import Fraction
 from math import gcd, inf
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cscglue import cfrac, logmass
 from cscglue.cfrac import hj_expand
 from cscglue.logmass import (
     BURNS_CHAIN,
@@ -32,6 +34,7 @@ from cscglue.logmass import (
     monopole_from_fraction,
     mu_from_chain,
     mu_from_u,
+    verdict_from_coeffs,
 )
 
 
@@ -322,6 +325,94 @@ def test_mass_verdict_reports():
     assert v.sign == 0 and v.crepant
     v = mass_verdict(1, 3, [1])
     assert v.sign == -1 and not v.crepant
+
+
+def test_mass_verdict_matches_full_path():
+    rng = random.Random(60)
+    cases = [(1, 1, random_u(rng, 1))]
+    cases += [(p, q, random_u(rng, len(hj_expand(p, q).digits))) for p, q in coprime_pairs(60)]
+    for p, q, u in cases:
+        assert mass_verdict(p, q, u) == verdict_from_coeffs(p, q, mu_from_u(p, q, u))
+
+
+def test_mass_verdict_u_errors():
+    for route in (mu_from_u, mass_verdict):
+        with pytest.raises(ValueError, match=r"^expected 2 u-parameters, got 1$"):
+            route(3, 5, [1])
+        with pytest.raises(ValueError, match=r"^expected 1 u-parameters, got 2$"):
+            route(1, 1, [1, 2])
+        for bad in (0, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=r"^all u_j must be positive$"):
+                route(3, 5, [1, bad])
+
+
+def corrupt_one_pair(index, delta):
+    real = cfrac._approximants
+
+    def corrupted(digits):
+        pairs = list(real(digits))
+        m, n = pairs[index]
+        pairs[index] = (m + delta[0], n + delta[1])
+        return tuple(pairs)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, -2, -1])
+@pytest.mark.parametrize("delta", [(1, 0), (0, 1), (-1, -1)])
+def test_hj_chains_still_checked(monkeypatch, index, delta):
+    # 3/7 has digits 3, 2, 2: six pairs, so every index names one of them.
+    monkeypatch.setattr(cfrac, "_approximants", corrupt_one_pair(index, delta))
+    with pytest.raises(RuntimeError, match="expansion of 7/3"):
+        mu_from_u(3, 7, [1, 1, 1])
+    with pytest.raises(RuntimeError, match="expansion of 7/3"):
+        mass_verdict(3, 7, [1, 1, 1])
+    with pytest.raises(RuntimeError, match="expansion of 7/3"):
+        monopole_from_fraction(3, 7, [4, 3, 2, 1, 0])
+
+
+def test_numpy_integers_sum_exactly():
+    # Products of 2**40-sized pairs overflow int64; the kernels see Python ints.
+    p, q = 3, 2**40 + 1
+    u = [Fraction(7, 10**6)] * len(hj_expand(p, q).digits)
+    levels = [INFINITY, Fraction(5), Fraction(3), Fraction(0)]
+    for route in (
+        lambda p, q: mu_from_u(p, q, u),
+        lambda p, q: mass_verdict(p, q, u),
+        lambda p, q: log_coeffs_from_levels(monopole_from_fraction(p, q, levels)),
+    ):
+        assert route(np.int64(p), np.int64(q)) == route(p, q)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_chain_checked_once(monkeypatch):
+    expansions = count_calls(monkeypatch, logmass, "hj_expand")
+    validations = count_calls(monkeypatch, logmass, "_validate_chain")
+    chain = hj_expand(3, 7).approximants
+    for call, expanded, validated in (
+        (lambda: mu_from_u(3, 7, [1, 2, 3]), 1, 0),
+        (lambda: mass_verdict(3, 7, [1, 2, 3]), 1, 0),
+        (lambda: monopole_from_fraction(3, 7, [4, 3, 2, 1, 0]), 1, 0),
+        (lambda: mu_from_u(1, 1, [2]), 0, 1),
+        (lambda: mass_verdict(1, 1, [2]), 0, 1),
+        (lambda: mu_from_chain(chain, [1, 2, 3]), 0, 1),
+        (lambda: monopole_from_chain(chain, [4, 3, 2, 1, 0]), 0, 1),
+    ):
+        expansions.clear()
+        validations.clear()
+        call()
+        assert (len(expansions), len(validations)) == (expanded, validated)
 
 
 @given(

@@ -1,5 +1,6 @@
-"""Fiber chains and the blow-down oracle."""
+"""Fiber chains and the blow-down oracles."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +31,29 @@ def blow_down_once(chain):
     if i < len(out):
         out[i] += 1
     return tuple(out)
+
+
+def oracle_blow_down_fully(chain):
+    """Quadratic reference: rescan from the start for the leftmost -1."""
+    out = list(chain)
+    while -1 in out:
+        if len(out) < 2:
+            raise ValueError("chain contracts to a point, not a curve")
+        i = out.index(-1)
+        del out[i]
+        if i > 0:
+            out[i - 1] += 1
+        if i < len(out):
+            out[i] += 1
+    return tuple(out)
+
+
+def blow_down_outcome(fn, chain):
+    """The result of fn(chain), or the text of the ValueError it raises."""
+    try:
+        return fn(chain)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def test_half_chain():
@@ -114,6 +138,33 @@ def test_blow_down_oracle_small():
             assert chain.count(-1) == 1
             assert all(c <= -2 for c in chain if c != -1)
             assert blow_down_fully(chain) == (0,)
+
+
+def test_blow_down_matches_oracle_random_chains():
+    rng = random.Random(8)
+    errors = 0
+    for _ in range(200_000):
+        chain = tuple(rng.randint(-4, 1) for _ in range(rng.randint(0, 9)))
+        expected = blow_down_outcome(oracle_blow_down_fully, chain)
+        assert blow_down_outcome(blow_down_fully, chain) == expected, chain
+        errors += isinstance(expected, str)
+    assert errors > 1000  # the (-1,) error path is exercised too
+
+
+def test_blow_down_matches_oracle_fiber_chains():
+    for q in range(2, 201):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                chain = fiber_chain(Fraction(p, q))
+                assert blow_down_fully(chain) == oracle_blow_down_fully(chain) == (0,)
+    for q in (1009, 2003):
+        for p in (1, q - 1):
+            chain = fiber_chain(Fraction(p, q))
+            assert blow_down_fully(chain) == oracle_blow_down_fully(chain) == (0,)
+    # The oracle needs seconds on (q-1)/q at q = 20011; the linear
+    # blow-down is checked against the known result (0,) there.
+    for p in (1, 20010):
+        assert blow_down_fully(fiber_chain(Fraction(p, 20011))) == (0,)
 
 
 def test_intermediate_chains_stay_nonpositive():
