@@ -364,11 +364,13 @@ def test_metric_verify_input_bounds():
 def test_metric_verify_degenerate_levels_one_line():
     # The determinant underflows to 0 at every sample; the error names the
     # count, the minimum and the first point, not the whole sample batch.
-    code, out, err = run_cli("metric-verify", "1/2", "--levels", "4e-290,1e-290,0", "--samples", "10")
+    code, out, err = run_cli(
+        "metric-verify", "1/2", "--levels", "4e-290,1e-290,0", "--samples", "10")
     assert code == 2
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: invalid monopole data: determinant <= 0 at "), err
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: invalid monopole data: determinant <= 0 at "), err
 
 
 def test_broken_pipe_exit_code():
