@@ -47,7 +47,7 @@ from cscglue.logmass import (
     verdict_from_coeffs,
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
-from cscglue.resolution import blowup_count, fiber_chain, format_chain, singular_strings
+from cscglue.resolution import format_chain
 from cscglue.metricnum import default_levels, verify_metric
 
 EXIT_OK = 0
@@ -324,10 +324,12 @@ def write_csv(path: str, header, rows) -> None:
 def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
     check_hj_size(p, q)
-    exp = hj_expand(p, q)
-    chain = fiber_chain(Fraction(p, q))
-    left, right = singular_strings(Fraction(p, q))
-    dual_digits = [-e for e in right]
+    # One expansion each for q/p and q/(q-p); the strings, the chain and the
+    # blow-up count follow as in resolution.singular_strings and fiber_chain.
+    exp, dual = hj_expand(p, q), hj_expand(q - p, q)
+    left, right = tuple(-e for e in exp.digits), tuple(-e for e in dual.digits)
+    chain = left + (-1,) + right[::-1]
+    dual_digits = list(dual.digits)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
@@ -337,7 +339,7 @@ def cmd_hj(args) -> int:
         "fiber_chain": format_chain(chain),
         "dual_fiber_chain": format_chain(chain[::-1]),
         "singular_strings": [format_chain(left), format_chain(right)],
-        "blowup_count": blowup_count(Fraction(p, q)),
+        "blowup_count": len(left) + len(right),
     }
     if args.json:
         print(json.dumps(payload, indent=2))

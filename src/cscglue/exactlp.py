@@ -56,6 +56,11 @@ def positive_kernel_vector(rows, ncols: int):
     return tuple(w)
 
 
+def fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows as tuples of Fractions, converting only entries that are not."""
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
+
+
 def _single_row(rows):
     """The only row of a matrix as a tuple of Fractions, or None if it has no rows.
 
@@ -64,7 +69,7 @@ def _single_row(rows):
     ValueError
         If the matrix has more than one row.
     """
-    rows = [tuple(map(Fraction, row)) for row in rows]
+    rows = fraction_rows(rows)
     if len(rows) > 1:
         raise ValueError(f"the gluing matrix has at most one row, got {len(rows)}")
     return rows[0] if rows else None

@@ -44,8 +44,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from cscglue.exactlp import positive_kernel_vector, rational_rank
+from cscglue.exactlp import fraction_rows, positive_kernel_vector, rational_rank
 from cscglue.parabolic import (
     ParabolicSurface,
     StabilityKind,
@@ -54,7 +55,7 @@ from cscglue.parabolic import (
     is_sporadic,
     normalize_coord,
 )
-from cscglue.resolution import blowup_count, singular_strings
+from cscglue.resolution import singular_strings
 
 
 class FixType(enum.Enum):
@@ -145,11 +146,13 @@ def orbifold_from_parabolic(surface: ParabolicSurface) -> OrbifoldSurface:
 
 
 def chi_orb(orb: OrbifoldSurface) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/q_j), exact."""
-    chi = Fraction(2 - 2 * orb.genus)
-    for q in orb.orders:
-        chi -= 1 - Fraction(1, q)
-    return chi
+    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/q_j), exact.
+
+    One Fraction over L = lcm(q_j): ((2 - 2g - n) L + sum L/q_j) / L.
+    """
+    denominator = lcm(*orb.orders)
+    chi_top = 2 - 2 * orb.genus - len(orb.orders)
+    return Fraction(chi_top * denominator + sum(denominator // q for q in orb.orders), denominator)
 
 
 def is_good(orb: OrbifoldSurface) -> bool:
@@ -164,9 +167,17 @@ def is_good(orb: OrbifoldSurface) -> bool:
 
 
 def phi_value(coord) -> Fraction:
-    """The kernel function (|u|^2 - |v|^2)/(|u|^2 + |v|^2) at [u : v]."""
+    """The kernel function (|u|^2 - |v|^2)/(|u|^2 + |v|^2) at [u : v].
+
+    In integers: phi([a/b : 1]) = (a^2 - b^2)/(a^2 + b^2) with a/b in
+    lowest terms, and phi([1 : 0]) = 1.  ``coord`` may be any pair that
+    :func:`normalize_coord` accepts, such as ``(2, 1)``.
+    """
     u, v = normalize_coord(*coord)
-    return Fraction(u * u - v * v, u * u + v * v)
+    if v == 0:
+        return Fraction(1)
+    a, b = u.numerator, u.denominator
+    return Fraction(a * a - b * b, a * a + b * b)
 
 
 def gluing_matrix(
@@ -224,7 +235,7 @@ def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     exists and 0 otherwise: a linear subspace meeting an open cone meets
     it in full dimension, and only c_2 != 0 is ever consumed.
     """
-    rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    rows = fraction_rows(rows)
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
@@ -285,10 +296,10 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     chi = chi_orb(orb)
     sfk = chi < 0
     sporadic = is_sporadic(surface, verdict)
-    blow_total = sum(blowup_count(w) for w in surface.weights)
     strings = tuple(
         (surface.points[j], singular_strings(w)) for j, w in enumerate(surface.weights)
     )
+    blow_total = sum(len(left) + len(right) for _, (left, right) in strings)
     description = _describe(surface, blow_total)
     notes: list[str] = []
     special = False
@@ -376,10 +387,9 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
 
 
 def _z2_invariant(coords) -> bool:
-    """Is the multiset of fiber positions invariant under [u:v] -> [v:u]?"""
-    normalized = [normalize_coord(*c) for c in coords]
-    swapped = [normalize_coord(c[1], c[0]) for c in coords]
-    return sorted(normalized) == sorted(swapped)
+    """Is the multiset of normalised fiber positions invariant under [u:v] -> [v:u]?"""
+    swapped = [normalize_coord(v, u) for u, v in coords]
+    return sorted(coords) == sorted(swapped)
 
 
 def _describe(surface: ParabolicSurface, blow_total: int) -> str:

@@ -729,7 +729,8 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     fit = fit_log_coeffs(num, radii, thetas)
     scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
     err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
-    checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, err < TOL_FIT_RELATIVE,
+    fit_ok = err < TOL_FIT_RELATIVE
+    checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, fit_ok,
                               detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
 
     # Potential residual decay: ratio across doubled radii near 2^-4.  The
@@ -749,14 +750,17 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     checks.append(CheckResult("potential-decay", ratio_err, 0.25, ratio_ok,
                               detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 
-    # Fitted mass sign against the exact sign verdict.
+    # Fitted mass sign against the exact sign verdict.  The zero band
+    # scales with the fit's own scale, so the sign means something only
+    # where the asymptotic fit passed.
     mu_fit = fit["a_fit"] + fit["b_fit"]
     sign_exact = verdict_from_coeffs(p, q, exact).sign
     tol0 = 0.01 * scale
     sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
     checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),
-                              sign_fit == sign_exact,
-                              detail=f"mu_fit={mu_fit:.6g} mu_exact={float(exact.mu):.6g}"))
+                              fit_ok and sign_fit == sign_exact,
+                              detail=f"mu_fit={mu_fit:.6g} mu_exact={float(exact.mu):.6g}"
+                              + ("" if fit_ok else "; asymptotic fit failed")))
 
     return VerificationReport(
         p=p,

@@ -7,6 +7,10 @@ is
 
     mu(S) = [S]^2 + sum_{Q_j not in S} alpha_j - sum_{Q_j in S} alpha_j.
 
+Every slope is computed in integers over L, the lcm of the weight
+denominators: with N_j = alpha_j L, the slope is the single Fraction
+([S]^2 L + sum_j N_j - 2 sum_{Q_j in S} N_j) / L.
+
 The surface is stable when every section has positive slope, and strictly
 polystable when the minimum slope is zero and it is attained by two
 disjoint sections.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 FiberCoord = tuple[Fraction, Fraction]  # normalised projective point [u : v]
 
@@ -128,7 +133,13 @@ class StabilityVerdict:
 
 
 def normalize_coord(u, v) -> FiberCoord:
-    """Canonical representative of the projective point [u : v]."""
+    """Canonical representative of the projective point [u : v].
+
+    That is [u/v : 1], or [1 : 0] when v = 0.  A pair of Fractions already
+    in this form is returned as it is.
+    """
+    if type(u) is Fraction is type(v) and (v == 1 or (v == 0 and u == 1)):
+        return (u, v)
     u, v = Fraction(u), Fraction(v)
     if u == 0 and v == 0:
         raise ValueError("fiber coordinate [0 : 0] is not a projective point")
@@ -149,31 +160,18 @@ def classify(surface: ParabolicSurface) -> StabilityVerdict:
     sections: constant sections of the trivial bundle at distinct fiber
     coordinates are automatically disjoint, otherwise disjointness must
     be declared via ``disjoint_from``.
+
+    Each slope is one Fraction over the lcm of the weight denominators
+    (see the module docstring).
     """
-    candidates = []
-    if surface.model == "trivial-p1":
-        candidates.extend(_enumerate_trivial_p1(surface))
-        relative = False
-    else:
-        relative = True
+    candidate, numerators = _candidate_builder(surface.weights)
+    relative = surface.model != "trivial-p1"
+    candidates = [] if relative else _enumerate_trivial_p1(surface, candidate, numerators)
     for sec in surface.sections:
-        on = frozenset(
-            j for j, label in enumerate(surface.points) if label in sec.contains
-        )
-        declared_on = frozenset(
-            j for j, inc in enumerate(surface.incidence) if inc == sec.id
-        )
-        on = on | declared_on
-        candidates.append(
-            CandidateSection(
-                id=sec.id,
-                self_intersection=sec.self_intersection,
-                contains=on,
-                slope=_slope_from_indices(surface, sec.self_intersection, on),
-                kind="declared",
-                disjoint_from=sec.disjoint_from,
-            )
-        )
+        on = {j for j, label in enumerate(surface.points) if label in sec.contains}
+        on |= {j for j, inc in enumerate(surface.incidence) if inc == sec.id}
+        candidates.append(candidate(sec.id, sec.self_intersection, on, "declared",
+                                    disjoint_from=sec.disjoint_from))
     if not candidates:
         raise ValueError("no candidate sections available for classification")
 
@@ -265,58 +263,42 @@ def _check_section_numbers(sections) -> None:
         )
 
 
-def _slope_from_indices(surface, self_intersection, on: frozenset) -> Fraction:
-    total = sum(surface.weights, Fraction(0))
-    on_sum = sum((surface.weights[j] for j in on), Fraction(0))
-    return self_intersection + total - 2 * on_sum
+def _candidate_builder(weights):
+    """A CandidateSection factory that computes each slope over one denominator.
 
+    With L the lcm of the weight denominators and N_j = alpha_j L, a section
+    S gets the slope ([S]^2 L + sum_j N_j - 2 sum_{j on S} N_j) / L.  The N_j
+    are returned too: they order the weights as the weights themselves do.
+    """
+    denominator = lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+    total = sum(numerators)
 
-def _enumerate_trivial_p1(surface) -> list[CandidateSection]:
-    coords = [normalize_coord(*inc) for inc in surface.incidence]
-    out = []
-    seen = {}
-    for j, coord in enumerate(coords):
-        seen.setdefault(coord, set()).add(j)
-    for coord, on in sorted(seen.items()):
+    def candidate(id, self_intersection, on, kind, **fields) -> CandidateSection:
         on = frozenset(on)
-        out.append(
-            CandidateSection(
-                id=f"const@{_coord_str(coord)}",
-                self_intersection=0,
-                contains=on,
-                slope=_slope_from_indices(surface, 0, on),
-                kind="constant",
-                coord=coord,
-            )
-        )
+        numerator = self_intersection * denominator + total - 2 * sum(numerators[j] for j in on)
+        return CandidateSection(id, self_intersection, on, Fraction(numerator, denominator),
+                                kind, **fields)
+
+    return candidate, numerators
+
+
+def _enumerate_trivial_p1(surface, candidate, numerators) -> list[CandidateSection]:
+    seen = {}
+    for j, inc in enumerate(surface.incidence):
+        seen.setdefault(normalize_coord(*inc), set()).add(j)
+    out = [candidate(f"const@{_coord_str(coord)}", 0, on, "constant", coord=coord)
+           for coord, on in sorted(seen.items())]
     # Generic constant sections through no marked point.  Two of them
     # witness polystability of the empty structure.
-    n_generic = 2 if surface.n == 0 else 1
-    for i in range(n_generic):
-        out.append(
-            CandidateSection(
-                id=f"const@generic{i or ''}",
-                self_intersection=0,
-                contains=frozenset(),
-                slope=_slope_from_indices(surface, 0, frozenset()),
-                kind="generic",
-            )
-        )
+    out += [candidate(f"const@generic{i or ''}", 0, (), "generic")
+            for i in range(2 if surface.n == 0 else 1)]
     # Virtual graph sections: a degree-d graph has [S]^2 = 2d and passes
     # through any 2d+1 points; take the heaviest ones.  Once 2d+1 >= n a
     # further degree adds 2 to [S]^2 and no point.
-    by_weight = sorted(range(surface.n), key=lambda j: (-surface.weights[j], j))
-    for d in range(1, surface.n // 2 + 1):
-        on = frozenset(by_weight[: 2 * d + 1])
-        out.append(
-            CandidateSection(
-                id=f"graph-deg-{d}",
-                self_intersection=2 * d,
-                contains=on,
-                slope=_slope_from_indices(surface, 2 * d, on),
-                kind="graph",
-            )
-        )
+    by_weight = sorted(range(surface.n), key=lambda j: (-numerators[j], j))
+    out += [candidate(f"graph-deg-{d}", 2 * d, by_weight[: 2 * d + 1], "graph")
+            for d in range(1, surface.n // 2 + 1)]
     return out
 
 

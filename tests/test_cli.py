@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,48 @@ def test_hj_five_sevenths_json():
     # 7/2 = 4 - 1/2, and the dual chain is the fiber chain of 2/7.
     assert payload["dual_digits"] == [4, 2]
     assert payload["dual_fiber_chain"] == "-4 -2 -1 -3 -2 -2"
+
+
+def test_hj_expands_weight_at_most_twice(monkeypatch, capsys):
+    from cscglue import cfrac, cli, resolution
+
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return cfrac.hj_expand(p, q)
+
+    monkeypatch.setattr(cli, "hj_expand", counting)
+    monkeypatch.setattr(resolution, "hj_expand", counting)
+    for fmt in ((), ("--json",)):
+        calls.clear()
+        assert main(["hj", "1/100000", *fmt]) == 0
+        assert sorted(calls) == [(1, 100000), (99999, 100000)]
+    capsys.readouterr()
+
+
+def test_hj_json_matches_resolution(capsys):
+    # The resolution functions expand the weight on their own: they are
+    # the oracle for the chain, the strings and the blow-up count.
+    from math import gcd
+
+    from cscglue.resolution import blowup_count, fiber_chain, format_chain, singular_strings
+
+    for q in range(2, 16):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            assert main(["hj", f"{p}/{q}", "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            alpha = Fraction(p, q)
+            chain = fiber_chain(alpha)
+            left, right = singular_strings(alpha)
+            assert payload["fiber_chain"] == format_chain(chain)
+            assert payload["dual_fiber_chain"] == format_chain(chain[::-1])
+            assert payload["singular_strings"] == [format_chain(left), format_chain(right)]
+            assert payload["digits"] == [-e for e in left]
+            assert payload["dual_digits"] == [-e for e in right]
+            assert payload["blowup_count"] == blowup_count(alpha)
 
 
 def test_hj_bad_fraction():
@@ -371,6 +414,15 @@ def test_metric_verify_degenerate_levels_one_line():
     lines = err.splitlines()
     assert len(lines) == 1, err
     assert lines[0].startswith("error: invalid monopole data: determinant <= 0 at "), err
+
+
+def test_mass_sign_fails_with_failed_fit():
+    # a ~ -1e300 widens the mass-sign zero band to ~1e298; a sign read off
+    # a fit that missed by a relative error of 1 must not pass.
+    code, out, _ = run_cli("metric-verify", "1/2", "--levels", "1,1e-300,0", "--samples", "10")
+    assert code == 1
+    assert "FAIL  asymptotic-fit" in out
+    assert "FAIL  mass-sign" in out
 
 
 def test_broken_pipe_exit_code():
