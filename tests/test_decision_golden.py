@@ -142,6 +142,8 @@ def test_decision_cli_outputs_frozen(tmp_path):
     assert sorted(got) == sorted(golden)
     mismatched = [key for key in golden if got[key] != golden[key]]
     assert not mismatched, f"outputs changed: {mismatched}"
+    for key in golden:
+        assert got[key] == golden[key]
 
 
 def test_golden_covers_every_fixture_and_verdict():
