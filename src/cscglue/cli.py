@@ -375,8 +375,6 @@ def cmd_mass(args) -> int:
         raise InputError("pass exactly one of --u or --levels")
     if args.u:
         u = parse_rational_list(args.u)
-        if any(x == INFINITY for x in u):
-            raise InputError("u parameters must be finite")
         try:
             coeffs = mu_from_u(p, q, u)
         except ValueError as exc:

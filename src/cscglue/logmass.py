@@ -49,9 +49,10 @@ Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
 numerators with a running common denominator, so each returned value is
 normalised once, as a single ``Fraction``.  Each chain is checked once:
-approximants from :func:`cfrac.hj_expand` there, by ``_check_invariants``,
-and used here as they are; a chain a caller supplies, and the Burns
-chain, by ``_validate_chain``.
+approximants from :func:`cfrac.hj_expand` there, by ``_check_invariants``
+walking every pair, and used here as they are; a chain a caller supplies,
+and the Burns chain, by ``_validate_chain``.  The strings of
+:mod:`resolution` need no pairs and come from :func:`cfrac.hj_runs`.
 """
 
 from __future__ import annotations
@@ -198,10 +199,11 @@ def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
         den *= scale
     den *= q
 
-    per_term = tuple(
-        (_chain_coefficient(chain, j), Fraction(chain[j][0] * (cn * pd - pn * cd), cd * pd))
-        for j, ((pn, pd), (cn, cd)) in enumerate(zip(c, c[1:]), start=1)
+    u = (
+        Fraction(m * (cn * pd - pn * cd), cd * pd)
+        for (m, _), (pn, pd), (cn, cd) in zip(chain[1:], c, c[1:])
     )
+    per_term = tuple(zip(_coefficients(chain), u))
     return LogCoefficients(
         a=Fraction(qa, den),
         b=Fraction(qb, den),
@@ -239,37 +241,38 @@ def mu_from_chain(chain, u) -> LogCoefficients:
 
 def _coeffs_from_u(chain, u) -> LogCoefficients:
     qa, qb, den, u = _u_sums(chain, u)
-    per_term = tuple((_chain_coefficient(chain, j), x) for j, x in enumerate(u, start=1))
+    per_term = tuple(zip(_coefficients(chain), u))
     return LogCoefficients(Fraction(qa, den), Fraction(qb, den), Fraction(qa + qb, den), per_term)
 
 
 def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
     """a and b as numerators over one common denominator, and u as Fractions."""
     k = len(chain) - 3
-    u = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in u)
+    try:
+        u = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in u)
+    except OverflowError:  # Fraction(x) of an infinite float or Decimal
+        raise ValueError("u parameters must be finite") from None
     if len(u) != k:
         raise ValueError(f"expected {k} u-parameters, got {len(u)}")
     if any(x.numerator <= 0 for x in u):
         raise ValueError("all u_j must be positive")
 
-    # S = sum u_j, A = sum u_j / m_j and B = sum n_j u_j / m_j as
-    # numerators over the common denominator den.  Then
+    # With S = sum u_j, A = sum u_j / m_j and B = sum n_j u_j / m_j,
     # mu = (p + 1) S / q - (A + B), and in the c_0 = 0 normalisation c_k = A
-    # and q a = S - q A, so b = mu - a = (p S - q B) / q.
+    # and q a = S - q A, so q b = q mu - q a = p S - q B.  Term j adds
+    # u_j (m_j - q) / m_j to q a and u_j (p m_j - q n_j) / m_j to q b, as
+    # numerators over the common denominator den.
     q, p = chain[-2]
-    s_num = a_num = b_num = 0
+    qa = qb = 0
     den = 1
-    for j in range(1, k + 1):
-        m, n = chain[j]
-        x = u[j - 1]
+    for (m, n), x in zip(chain[1:], u):
         d = x.denominator * m
         g = gcd(den, d)
         scale, step = d // g, x.numerator * (den // g)
-        s_num = s_num * scale + step * m
-        a_num = a_num * scale + step
-        b_num = b_num * scale + step * n
+        qa = qa * scale + step * (m - q)
+        qb = qb * scale + step * (p * m - q * n)
         den *= scale
-    return s_num - q * a_num, p * s_num - q * b_num, den * q, u
+    return qa, qb, den * q, u
 
 
 def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData:
@@ -339,11 +342,10 @@ def _chain_for(p: int, q: int) -> tuple[Pair, ...]:
     return _validate_chain(BURNS_CHAIN) if (p, q) == (1, 1) else hj_expand(p, q).approximants
 
 
-def _chain_coefficient(chain, j: int) -> Fraction:
-    # p/q - n_j/m_j + 1/q - 1/m_j over the denominator q m_j.
+def _coefficients(chain) -> list[Fraction]:
+    # p/q - n_j/m_j + 1/q - 1/m_j over the denominator q m_j, for j = 1..k.
     q, p = chain[-2]
-    m, n = chain[j]
-    return Fraction((p + 1) * m - q * (n + 1), q * m)
+    return [Fraction((p + 1) * m - q * (n + 1), q * m) for m, n in chain[1:-2]]
 
 
 def _validate_chain(chain) -> tuple[Pair, ...]:
@@ -380,8 +382,11 @@ def _validate_levels(levels, expected: int) -> tuple:
             out.append(Fraction(y))
     if len(out) != expected:
         raise ValueError(f"expected {expected} levels, got {len(out)}")
-    for a, b in zip(out, out[1:]):
-        if not b < a:
+    # Every level after y_0 is a Fraction, so the order is decided by integer
+    # cross-multiplication (denominators are positive); y_0 = inf is above all.
+    finite = out[1:] if out[0] == INFINITY else out
+    for a, b in zip(finite, finite[1:]):
+        if not b.numerator * a.denominator < a.numerator * b.denominator:
             raise ValueError(f"levels must be strictly decreasing, got {levels}")
     if out[-1] != 0:
         raise ValueError(f"last level must be exactly 0, got {out[-1]}")

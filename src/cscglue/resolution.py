@@ -12,14 +12,17 @@ such chain to the original fiber, a single curve of self-intersection 0.
 The blow-down is implemented independently of the chain construction and
 acts as the combinatorial oracle for it.
 
-Chains are plain tuples of integers, left to right.
+Chains are plain tuples of integers, left to right.  The strings are
+built from the checked (digit, multiplicity) runs of :func:`cfrac.hj_runs`,
+in O(log q) steps plus the length of the output: a run of t twos is one
+repeat of -2, and no approximant pairs are built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cscglue.cfrac import hj_expand, hj_length
+from cscglue.cfrac import expand_runs, hj_length, hj_runs
 
 Chain = tuple[int, ...]
 
@@ -88,9 +91,7 @@ def singular_strings(alpha: Fraction) -> tuple[Chain, Chain]:
     for Gamma_{p,q} and Gamma_{q-p,q} respectively.
     """
     p, q = _split_weight(alpha)
-    left = tuple(-e for e in hj_expand(p, q).digits)
-    right = tuple(-e for e in hj_expand(q - p, q).digits)
-    return left, right
+    return _string(p, q), _string(q - p, q)
 
 
 def format_chain(chain: Chain) -> str:
@@ -98,8 +99,14 @@ def format_chain(chain: Chain) -> str:
     return " ".join(str(c) for c in chain)
 
 
+def _string(p: int, q: int) -> Chain:
+    return expand_runs((-e, t) for e, t in hj_runs(p, q))
+
+
 def _split_weight(alpha: Fraction) -> tuple[int, int]:
-    alpha = Fraction(alpha)
-    if not (0 < alpha < 1):
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < p < q:
         raise ValueError(f"weight must lie in (0, 1), got {alpha}")
-    return alpha.numerator, alpha.denominator
+    return p, q

@@ -174,3 +174,44 @@ def test_invariant_checks_survive_optimize(pairs):
     )
     assert proc.returncode == 0, proc.stderr
     assert "expansion of 5/2" in proc.stdout
+
+
+# Under ``python -O``, the strings of 2/5 built from broken runs must
+# still raise: the run form of each junction invariant.  The true runs of
+# 5/2 = [2; 2] are (3, 1), (2, 1).  No case breaks the determinant: a step
+# e*x_j - x_{j-1} keeps det(x_{j-1}, x_j) for every e, and so does the
+# jump over a run of twos, so no run list can reach a determinant other
+# than the 1 of the start pairs; that check guards the walk itself.
+BROKEN_RUNS = """
+import sys
+from fractions import Fraction
+from cscglue import cfrac, resolution
+if __debug__:
+    sys.exit("not running under -O")
+cfrac._runs = lambda p, q: {runs!r}
+try:
+    resolution.singular_strings(Fraction(2, 5))
+except RuntimeError as exc:
+    print(exc)
+else:
+    sys.exit("broken runs accepted")
+"""
+
+
+@pytest.mark.parametrize("runs, message", [
+    # Six digits 1 return the pairs to where they were: only the digit shows.
+    (((3, 1), (1, 6), (2, 1)), "run (1, 6) has a digit below 2"),
+    # One two too many: closes at (7, 3).
+    (((3, 1), (2, 2)), "closes at (7, 3)"),
+    # A negative multiplicity walks back to (5, 2), but m_j goes down.
+    (((3, 1), (2, 2), (2, -1)), "m_j not increasing across run (2, -1)"),
+])
+def test_run_checks_survive_optimize(runs, message):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_RUNS.format(runs=runs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "expansion of 5/2" in proc.stdout
+    assert message in proc.stdout

@@ -74,16 +74,17 @@ def test_hj_five_sevenths_json():
 
 
 def test_hj_expands_weight_at_most_twice(monkeypatch, capsys):
-    from cscglue import cfrac, cli, resolution
+    from cscglue import cfrac
 
     calls = []
+    check = cfrac._check_invariants
 
-    def counting(p, q):
-        calls.append((p, q))
-        return cfrac.hj_expand(p, q)
+    def counting(exp):
+        calls.append((exp.p, exp.q))
+        check(exp)
 
-    monkeypatch.setattr(cli, "hj_expand", counting)
-    monkeypatch.setattr(resolution, "hj_expand", counting)
+    # hj_expand checks each expansion once, whichever module called it.
+    monkeypatch.setattr(cfrac, "_check_invariants", counting)
     for fmt in ((), ("--json",)):
         calls.clear()
         assert main(["hj", "1/100000", *fmt]) == 0
@@ -174,6 +175,13 @@ def test_blowup_insert():
     assert payload["chain"] == [[0, -1], [1, 0], [5, 1], [4, 1], [0, 1]]
     assert payload["per_term"][0]["coefficient"] == "-1/2"
     assert payload["per_term"][1]["coefficient"] == "1/10"
+
+
+def test_infinite_u_is_an_input_error(capsys):
+    for args in (("mass", "2/5", "--u", "inf,1"), ("blowup-insert", "2/5", "--position", "1", "--u", "inf,1,1")):
+        for fmt in ((), ("--json",)):
+            assert main([*args, *fmt]) == 2
+            assert capsys.readouterr() == ("", "error: u parameters must be finite\n")
 
 
 def test_blowup_insert_position_range():

@@ -14,6 +14,7 @@ and the telescoped level sums for q a and q b.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, inf
 
@@ -344,6 +345,16 @@ def test_mass_verdict_u_errors():
         for bad in (0, Fraction(-1, 2)):
             with pytest.raises(ValueError, match=r"^all u_j must be positive$"):
                 route(3, 5, [1, bad])
+    chain = hj_expand(3, 5).approximants
+    for route in (
+        lambda u: mu_from_u(3, 5, u),
+        lambda u: mass_verdict(3, 5, u),
+        lambda u: mu_from_chain(chain, u),
+    ):
+        # Checked before the count, as the CLI reports it.
+        for u in ([1, INFINITY], [-INFINITY, 1, 1], [Decimal("Infinity")]):
+            with pytest.raises(ValueError, match=r"^u parameters must be finite$"):
+                route(u)
 
 
 def corrupt_one_pair(index, delta):

@@ -3,10 +3,15 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cscglue import cfrac
+from cscglue.cfrac import hj_expand, hj_length
+from cscglue.cli import load_document, parse_surface
+from cscglue.gluing import existence_report
 from cscglue.resolution import (
     blow_down_fully,
     blowup_count,
@@ -14,6 +19,8 @@ from cscglue.resolution import (
     format_chain,
     singular_strings,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def blow_down_once(chain):
@@ -193,3 +200,48 @@ def test_blow_down_property(alpha):
 @given(weights())
 def test_count_matches_chain_length(alpha):
     assert blowup_count(alpha) == len(fiber_chain(alpha)) - 1
+
+
+def division_digits(p, q):
+    """HJ digits of q/p by iterated ceiling division, one step per digit."""
+    digits, a, b = [], q, p
+    while b > 0:
+        e = -(-a // b)
+        digits.append(e)
+        a, b = b, e * b - a
+    return tuple(digits)
+
+
+def negated(digits):
+    return tuple(-e for e in digits)
+
+
+def test_strings_match_materialised_digits():
+    # The strings come from runs; hj_expand still walks every approximant.
+    cases = [(q, {p: hj_expand(p, q).digits for p in range(1, q) if gcd(p, q) == 1})
+             for q in range(2, 401)]
+    # Long tails against the one-step-per-digit oracle.
+    cases += [(q, {p: division_digits(p, q) for p in (1, 2, q - 2, q - 1)})
+              for q in (1009, 2003, 10**6 + 3)]
+    for q, digits in cases:
+        for p, left in digits.items():
+            strings = negated(left), negated(digits[q - p])
+            assert singular_strings(Fraction(p, q)) == strings
+            assert fiber_chain(Fraction(p, q)) == strings[0] + (-1,) + strings[1][::-1]
+            assert hj_length(p, q) == len(left)
+    # Counted from O(log q) runs, not from 10**20 digits.
+    assert hj_length(1, 10**20 + 1) == 1
+    assert hj_length(10**20, 10**20 + 1) == 10**20
+
+
+def test_strings_expand_no_approximants(monkeypatch):
+    # Every hj_expand call ends in one _check_invariants call.
+    checked = []
+    check = cfrac._check_invariants
+    monkeypatch.setattr(cfrac, "_check_invariants", lambda exp: checked.append(exp) or check(exp))
+    for alpha in (Fraction(1, 2), Fraction(5, 7), Fraction(1, 2003), Fraction(2002, 2003)):
+        singular_strings(alpha)
+        fiber_chain(alpha)
+    for path in sorted(FIXTURES.glob("*.json")):
+        existence_report(*parse_surface(load_document(str(path))))
+    assert checked == []
