@@ -140,6 +140,7 @@ def test_hj_length_matches_expansion():
         assert hj_length(p, q) == len(hj_expand(p, q).digits)
     # (q-1)/q has q - 1 digits, counted without building them.
     assert hj_length(10**30 - 1, 10**30) == 10**30 - 1
+    assert hj_length(1, 10**20 + 1) == 1
     with pytest.raises(ValueError):
         hj_length(2, 4)
 
