@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from cscglue import __version__
-from cscglue.cfrac import hj_expand, hj_length
+from cscglue.cfrac import expand_runs, hj_expand, hj_length, hj_runs
 from cscglue.gluing import GluingVerdict, existence_report
 from cscglue.logmass import (
     BURNS_CHAIN,
@@ -324,17 +324,17 @@ def write_csv(path: str, header, rows) -> None:
 def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
     check_hj_size(p, q)
-    # One expansion each for q/p and q/(q-p); the strings, the chain and the
-    # blow-up count follow as in resolution.singular_strings and fiber_chain.
-    exp, dual = hj_expand(p, q), hj_expand(q - p, q)
-    left, right = tuple(-e for e in exp.digits), tuple(-e for e in dual.digits)
+    # One expansion of q/p, for its approximants, and the digits of q/(q-p)
+    # from runs; the strings, the chain and the blow-up count follow as in
+    # resolution.singular_strings and fiber_chain.
+    exp, dual_digits = hj_expand(p, q), expand_runs(hj_runs(q - p, q))
+    left, right = tuple(-e for e in exp.digits), tuple(-e for e in dual_digits)
     chain = left + (-1,) + right[::-1]
-    dual_digits = list(dual.digits)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
         "digits": list(exp.digits),
-        "dual_digits": dual_digits,
+        "dual_digits": list(dual_digits),
         "approximants": [list(mn) for mn in exp.approximants],
         "fiber_chain": format_chain(chain),
         "dual_fiber_chain": format_chain(chain[::-1]),

@@ -39,11 +39,15 @@ log coefficient mu = a + b into
 
 a formula that stays valid for non-monotone chains such as the ones
 produced by extra blow-ups.  Over the denominator q m_j the coefficient
-of u_j has the integer numerator (p + 1) m_j - q (n_j + 1).  It is <= 0
-for Hirzebruch-Jung data, vanishing exactly when e_1 = ... = e_j = 2, so
-mu is never positive and vanishes precisely in the crepant case
-p = q - 1.  The coefficient mu equals the ADM-type mass of the metric,
-so these sums decide its sign exactly.
+of u_j has the integer numerator N_j = (p + 1) m_j - q (n_j + 1).  For
+Hirzebruch-Jung data N_j = s_j - q, where s_j = m_j + (p m_j - q n_j)
+obeys the digit recurrence s_{j+1} = e_j s_j - s_{j-1} with s_j > 0, so
+s is convex in j with s_0 = s_{k+1} = q.  Hence every N_j <= 0, and an
+N_j vanishes only when every digit is 2, that is in the crepant case
+p = q - 1, where all of them do (the tests check this against a walk over
+the digit runs).  So mu is never positive and vanishes precisely in the
+crepant case.  The coefficient mu equals the ADM-type mass of the
+metric, so these sums decide its sign exactly.
 
 Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
@@ -58,8 +62,10 @@ and the Burns chain, by ``_validate_chain``.  The strings of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property, partial
 from math import gcd
 
 from cscglue.cfrac import hj_expand
@@ -104,18 +110,36 @@ class MonopoleData:
         return p, q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogCoefficients:
     """The pair (a, b) of the potential expansion and mu = a + b.
 
     ``per_term`` lists (coefficient_j, u_j) for j = 1, ..., k, where
-    u_j = m_j (c_j - c_{j-1}); mu equals the sum of their products.
+    u_j = m_j (c_j - c_{j-1}); mu equals the sum of their products.  It
+    is computed on first access, from the chain and the u values or
+    reciprocal levels that the sums already read, and then kept.
+    ``==`` and ``hash`` cover (a, b, mu, per_term), so they compute it.
     """
 
     a: Fraction
     b: Fraction
     mu: Fraction
-    per_term: tuple[tuple[Fraction, Fraction], ...]
+    _terms: partial = field(repr=False)
+
+    @cached_property
+    def per_term(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return self._terms()
+
+    def _key(self) -> tuple:
+        return self.a, self.b, self.mu, self.per_term
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -199,16 +223,9 @@ def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
         den *= scale
     den *= q
 
-    u = (
-        Fraction(m * (cn * pd - pn * cd), cd * pd)
-        for (m, _), (pn, pd), (cn, cd) in zip(chain[1:], c, c[1:])
-    )
-    per_term = tuple(zip(_coefficients(chain), u))
     return LogCoefficients(
-        a=Fraction(qa, den),
-        b=Fraction(qb, den),
-        mu=Fraction(qa + qb, den),
-        per_term=per_term,
+        Fraction(qa, den), Fraction(qb, den), Fraction(qa + qb, den),
+        partial(_terms_from_levels, chain, c),
     )
 
 
@@ -241,17 +258,29 @@ def mu_from_chain(chain, u) -> LogCoefficients:
 
 def _coeffs_from_u(chain, u) -> LogCoefficients:
     qa, qb, den, u = _u_sums(chain, u)
-    per_term = tuple(zip(_coefficients(chain), u))
-    return LogCoefficients(Fraction(qa, den), Fraction(qb, den), Fraction(qa + qb, den), per_term)
+    return LogCoefficients(
+        Fraction(qa, den), Fraction(qb, den), Fraction(qa + qb, den),
+        partial(_terms_from_u, chain, u),
+    )
+
+
+def _terms_from_u(chain, u) -> tuple[tuple[Fraction, Fraction], ...]:
+    return tuple(zip(_coefficients(chain), u))
+
+
+def _terms_from_levels(chain, c) -> tuple[tuple[Fraction, Fraction], ...]:
+    # u_j = m_j (c_j - c_{j-1}) from the integer pairs c_j = cn / cd.
+    return _terms_from_u(chain, (
+        Fraction(m * (cn * pd - pn * cd), cd * pd)
+        for (m, _), (pn, pd), (cn, cd) in zip(chain[1:], c, c[1:])
+    ))
 
 
 def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
     """a and b as numerators over one common denominator, and u as Fractions."""
     k = len(chain) - 3
-    try:
-        u = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in u)
-    except OverflowError:  # Fraction(x) of an infinite float or Decimal
-        raise ValueError("u parameters must be finite") from None
+    finite = "u parameters must be finite"
+    u = tuple(x if isinstance(x, Fraction) else _finite(x, finite) for x in u)
     if len(u) != k:
         raise ValueError(f"expected {k} u-parameters, got {len(u)}")
     if any(x.numerator <= 0 for x in u):
@@ -379,7 +408,7 @@ def _validate_levels(levels, expected: int) -> tuple:
                 raise ValueError("only y_0 may be infinite")
             out.append(INFINITY)
         else:
-            out.append(Fraction(y))
+            out.append(_finite(y, "levels must be finite, apart from y_0 = inf"))
     if len(out) != expected:
         raise ValueError(f"expected {expected} levels, got {len(out)}")
     # Every level after y_0 is a Fraction, so the order is decided by integer
@@ -391,6 +420,18 @@ def _validate_levels(levels, expected: int) -> tuple:
     if out[-1] != 0:
         raise ValueError(f"last level must be exactly 0, got {out[-1]}")
     return tuple(out)
+
+
+def _finite(x, message: str) -> Fraction:
+    """``Fraction(x)``, with ``ValueError(message)`` for an infinite or NaN x."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        # A float or Decimal fails only when infinite (OverflowError) or NaN;
+        # anything else, such as a malformed string, keeps its own error.
+        if isinstance(x, (float, Decimal)):
+            raise ValueError(message) from None
+        raise
 
 
 def _reciprocal(y) -> Pair:

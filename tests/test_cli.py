@@ -83,12 +83,13 @@ def test_hj_expands_weight_at_most_twice(monkeypatch, capsys):
         calls.append((exp.p, exp.q))
         check(exp)
 
-    # hj_expand checks each expansion once, whichever module called it.
+    # hj_expand checks each expansion once, whichever module called it.  Only
+    # p/q is expanded: the dual digits come from runs, with no approximants.
     monkeypatch.setattr(cfrac, "_check_invariants", counting)
     for fmt in ((), ("--json",)):
         calls.clear()
         assert main(["hj", "1/100000", *fmt]) == 0
-        assert sorted(calls) == [(1, 100000), (99999, 100000)]
+        assert calls == [(1, 100000)]
     capsys.readouterr()
 
 

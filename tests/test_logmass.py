@@ -16,14 +16,14 @@ and the telescoped level sums for q a and q b.
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, nan
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cscglue import cfrac, logmass
-from cscglue.cfrac import hj_expand
+from cscglue.cfrac import hj_expand, hj_length
 from cscglue.logmass import (
     BURNS_CHAIN,
     INFINITY,
@@ -200,6 +200,19 @@ def test_level_validation():
         monopole_from_fraction(1, 3, [3, 2, 1])  # last not zero
     with pytest.raises(ValueError):
         monopole_from_fraction(1, 3, [3, inf, 0])  # inf not first
+    chain = hj_expand(2, 5).approximants
+    for levels in (
+        [-inf, 2, 1, 0],
+        [nan, 2, 1, 0],
+        [inf, nan, 1, 0],
+        [3, 2, -inf, 0],
+        [np.float64(nan), 2, 1, 0],
+        [Decimal("NaN"), 2, 1, 0],
+        [Decimal("-Infinity"), 2, 1, 0],
+    ):
+        for route in (monopole_from_fraction, lambda p, q, y: monopole_from_chain(chain, y)):
+            with pytest.raises(ValueError, match=r"^levels must be finite, apart from y_0 = inf$"):
+                route(2, 5, levels)
 
 
 def test_single_term_coefficient():
@@ -216,6 +229,82 @@ def test_coefficient_oracle():
     for p, q in coprime_pairs(30):
         k = len(hj_expand(p, q).digits)
         assert coefficients(p, q) == [delta_oracle(p, q, j) for j in range(1, k + 1)]
+
+
+def numerator_certificate(p, q):
+    """(max N_j, min N_j, whether some N_j is 0) for j = 1..k, in O(number of runs).
+
+    N_j = (p + 1) m_j - q (n_j + 1) is the numerator of the coefficient of
+    u_j over q m_j > 0.  The pairs (m_j, n_j) are walked run by run over
+    ``cfrac._runs``, as ``cfrac._check_runs`` does: inside a run of twos
+    they form an arithmetic progression, so N_j is affine along the run,
+    its extremes lie at the run's ends and a zero is one divisibility test.
+    The pair that closes the last run is (q, p), which is not a term.
+    """
+
+    def numerator(m, n):
+        return (p + 1) * m - q * (n + 1)
+
+    m0, n0, m1, n1 = 0, -1, 1, 0
+    hi = lo = numerator(m1, n1)
+    zero = hi == 0
+    runs = cfrac._runs(p, q)
+    for i, (e, t) in enumerate(runs):
+        terms = t - (i == len(runs) - 1)
+        if e == 2:
+            dm, dn = m1 - m0, n1 - n0
+            start, step = numerator(m1, n1), (p + 1) * dm - q * dn
+            if terms:
+                ends = (start + step, start + terms * step)
+                hi, lo = max(hi, *ends), min(lo, *ends)
+                if step:
+                    zero |= -start % step == 0 and 1 <= -start // step <= terms
+                else:
+                    zero |= start == 0
+            m0, n0, m1, n1 = m1 + (t - 1) * dm, n1 + (t - 1) * dn, m1 + t * dm, n1 + t * dn
+        else:
+            for s in range(t):
+                m0, n0, m1, n1 = m1, n1, e * m1 - m0, e * n1 - n0
+                if s < terms:
+                    value = numerator(m1, n1)
+                    hi, lo, zero = max(hi, value), min(lo, value), zero or value == 0
+    return hi, lo, zero
+
+
+def test_numerator_certificate_matches_materialised_numerators():
+    for p, q in coprime_pairs(150):
+        numerators = [(p + 1) * m - q * (n + 1) for m, n in hj_expand(p, q).approximants[1:-2]]
+        assert numerator_certificate(p, q) == (max(numerators), min(numerators), 0 in numerators)
+
+
+SIGN_CERTIFICATE_MAX_Q = 300
+
+
+def test_mass_sign_matches_certificate():
+    # The certificate proves the sign for every positive u: mu < 0 when every
+    # N_j < 0, and mu = 0 when every N_j = 0.  It also checks the module
+    # docstring's rule that an N_j vanishes only in the crepant case.
+    rng = random.Random(300)
+    for p, q in coprime_pairs(SIGN_CERTIFICATE_MAX_Q):
+        hi, lo, zero = numerator_certificate(p, q)
+        crepant = p == q - 1
+        assert zero == crepant
+        assert (hi, lo) == (0, 0) if crepant else hi < 0
+        u = random_u(rng, hj_length(p, q))
+        assert mass_verdict(p, q, u).sign == (0 if crepant else -1)
+
+
+def test_sign_certificate_on_huge_tails():
+    # q/1 = [q], q/2 = [(q+1)/2, 2], and q/(q-2) is (q-3)/2 twos and a 3, with
+    # N_j = -j; (q-1)/q is all twos, with every N_j = 0.
+    for q in (10**20 + 1, 10**30 + 7):
+        assert numerator_certificate(1, q) == (2 - q, 2 - q, False)
+        assert numerator_certificate(2, q) == ((3 - q) // 2, 3 - q, False)
+        assert numerator_certificate(q - 2, q) == (-1, -(q - 1) // 2, False)
+        assert numerator_certificate(q - 1, q) == (0, 0, True)
+        for p in (1, 2):
+            u = [Fraction(j, 7) for j in range(1, hj_length(p, q) + 1)]
+            assert mass_verdict(p, q, u).sign == -1
 
 
 def test_mu_examples():
@@ -352,9 +441,13 @@ def test_mass_verdict_u_errors():
         lambda u: mu_from_chain(chain, u),
     ):
         # Checked before the count, as the CLI reports it.
-        for u in ([1, INFINITY], [-INFINITY, 1, 1], [Decimal("Infinity")]):
+        for u in ([1, INFINITY], [-INFINITY, 1, 1], [Decimal("Infinity")],
+                  [1, nan], [np.float64(nan), 1], [Decimal("NaN")]):
             with pytest.raises(ValueError, match=r"^u parameters must be finite$"):
                 route(u)
+        # A malformed string keeps the error Fraction gives it.
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: 'x'$"):
+            route(["x", 1])
 
 
 def corrupt_one_pair(index, delta):
@@ -437,3 +530,58 @@ def test_scaling_linearity(q, p, lam):
     k = len(hj_expand(p, q).digits)
     u = [Fraction(i + 1, 3) for i in range(k)]
     assert mu_from_u(p, q, [lam * x for x in u]).mu == lam * mu_from_u(p, q, u).mu
+
+
+def test_per_term_built_on_first_read(monkeypatch):
+    built = count_calls(monkeypatch, logmass, "_coefficients")
+    chain = hj_expand(3, 7).approximants
+    results = (
+        mu_from_u(3, 7, [1, 2, 3]),
+        mu_from_u(1, 1, [2]),
+        mu_from_chain(chain, [1, 2, 3]),
+        log_coeffs_from_levels(monopole_from_fraction(3, 7, [4, 3, 2, 1, 0])),
+        log_coeffs_from_levels(monopole_from_chain(BURNS_CHAIN, [INFINITY, 1, 0])),
+    )
+    mass_verdict(3, 7, [1, 2, 3])
+    for coeffs in results:
+        repr(coeffs)
+        verdict_from_coeffs(3, 7, coeffs)
+        assert coeffs.a + coeffs.b == coeffs.mu
+    assert built == []
+    for coeffs in results:
+        built.clear()
+        terms = coeffs.per_term
+        assert coeffs.per_term is terms
+        assert len(built) == 1
+
+
+def test_lazy_per_term_matches_oracles_on_random_chains():
+    # Chains from fractions and from the Burns chain, each blown up 0-3 times;
+    # the oracle check reads a, b and mu before per_term.
+    rng = random.Random(1111)
+    pairs = list(coprime_pairs(40))
+    for _ in range(200):
+        infinite_top = rng.random() < 0.5
+        if rng.random() < 0.2:
+            data = monopole_from_chain(BURNS_CHAIN, random_levels(rng, 1, infinite_top))
+        else:
+            p, q = rng.choice(pairs)
+            data = monopole_from_fraction(p, q, random_levels(rng, hj_length(p, q), infinite_top))
+        for _ in range(rng.randint(0, 3)):
+            data = blowup_insert(data, rng.randint(1, data.k))
+        assert_kernels_match_oracle(data.chain, random_u(rng, data.k), list(data.levels))
+
+
+def test_equality_covers_per_term():
+    # For 3/4, m_j = 1, 2, 3 and n_j = m_j - 1, so a, b and mu depend on u only
+    # through sum u_j and sum u_j / m_j, which these two u share.
+    x, y = mu_from_u(3, 4, [2, 5, 1]), mu_from_u(3, 4, [3, 1, 4])
+    assert (x.a, x.b, x.mu) == (y.a, y.b, y.mu)
+    assert x.per_term != y.per_term
+    assert x != y and len({x, y}) == 2
+    # With c_0 = 0 the two routes agree term by term: equal, with equal hashes.
+    via_levels = log_coeffs_from_levels(monopole_from_fraction(3, 7, [INFINITY, 3, 2, 1, 0]))
+    via_u = mu_from_u(3, 7, [u for _, u in via_levels.per_term])
+    assert via_levels == via_u and hash(via_levels) == hash(via_u)
+    assert via_levels != (via_u.a, via_u.b, via_u.mu, via_u.per_term)
+    assert repr(via_u) == f"LogCoefficients(a={via_u.a!r}, b={via_u.b!r}, mu={via_u.mu!r})"
