@@ -229,14 +229,34 @@ def parse_rational_list(text: str):
     return out
 
 
-def parse_coord(text: str):
+def _coord_part(text: str):
+    """An integer literal through ``int()``, any other rational through
+    :func:`to_fraction`; both refuse more than MAX_DIGITS digits."""
+    try:
+        n = int(text)
+    except ValueError:
+        return to_fraction(text)
+    # Checked here too, since int() has no digit limit when
+    # sys.set_int_max_str_digits(0) is in force.
+    if abs(n) >= _DIGIT_BOUND:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return n
+
+
+def parse_coord(text: str) -> tuple[int, int]:
+    """The integer pair [un vd : vn ud] of a fiber coordinate "un/ud:vn/vd".
+
+    The pair is not reduced: parabolic.normalize_coord does that, and
+    refuses [0 : 0], where the point is used.
+    """
     parts = str(text).split(":")
     if len(parts) != 2:
         raise InputError(f"fiber coordinate must look like 'a:b', got {text!r}")
     try:
-        return (to_fraction(parts[0]), to_fraction(parts[1]))
+        u, v = _coord_part(parts[0]), _coord_part(parts[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse coordinate {text!r}: {exc}") from None
+    return (u.numerator * v.denominator, v.numerator * u.denominator)
 
 
 def parse_json_int(value, name: str) -> int:

@@ -52,6 +52,7 @@ from cscglue.parabolic import (
     StabilityKind,
     StabilityVerdict,
     classify,
+    coord_str,
     is_sporadic,
     normalize_coord,
 )
@@ -169,14 +170,13 @@ def is_good(orb: OrbifoldSurface) -> bool:
 def phi_value(coord) -> Fraction:
     """The kernel function (|u|^2 - |v|^2)/(|u|^2 + |v|^2) at [u : v].
 
-    In integers: phi([a/b : 1]) = (a^2 - b^2)/(a^2 + b^2) with a/b in
-    lowest terms, and phi([1 : 0]) = 1.  ``coord`` may be any pair that
+    In integers: phi([a : b]) = (a^2 - b^2)/(a^2 + b^2) on the primitive
+    pair (a, b), and phi([1 : 0]) = 1.  ``coord`` may be any pair that
     :func:`normalize_coord` accepts, such as ``(2, 1)``.
     """
-    u, v = normalize_coord(*coord)
-    if v == 0:
+    a, b = normalize_coord(*coord)
+    if b == 0:
         return Fraction(1)
-    a, b = u.numerator, u.denominator
     return Fraction(a * a - b * b, a * a + b * b)
 
 
@@ -216,9 +216,10 @@ def gluing_matrix(
         if q - p != q - 1:
             entries.append(Fraction(-off_side))
             labels.append(f"{surface.points[j]}:off-section G({q - p},{q})")
-    for i, coord in enumerate(extra_points):
+    for coord in extra_points:
+        coord = normalize_coord(*coord)
         entries.append(phi_value(coord))
-        labels.append(f"extra:{_coord_label(coord)}")
+        labels.append(f"extra:[{coord_str(coord)}]")
     return tuple(entries), tuple(labels)
 
 
@@ -401,8 +402,3 @@ def _describe(surface: ParabolicSurface, blow_total: int) -> str:
     if blow_total == 0:
         return base
     return f"{base} blown up {blow_total} times"
-
-
-def _coord_label(coord) -> str:
-    u, v = coord
-    return f"[{u}:{v}]"

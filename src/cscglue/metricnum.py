@@ -636,6 +636,9 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
 
 
+# An overflow in a batch leaves an inf or NaN, which fails a check or makes
+# the monopole data invalid (a ValueError); numpy's warning adds nothing.
+@np.errstate(all="ignore")
 def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Run the full verification battery for the (p, q) metric.
@@ -650,11 +653,13 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     Raises
     ------
     ValueError
-        If ``samples`` exceeds ``MAX_SAMPLES``, if q exceeds ``MAX_Q``
-        or p/q needs more than ``MAX_LEVELS`` levels, if the levels do
-        not fit the chain, or if a finite level or the exact a, b or mu
-        has no finite float.
+        If ``samples`` is below 1 or above ``MAX_SAMPLES``, if q exceeds
+        ``MAX_Q`` or p/q needs more than ``MAX_LEVELS`` levels, if the
+        levels do not fit the chain, or if a finite level or the exact a,
+        b or mu has no finite float.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if q > MAX_Q:

@@ -45,9 +45,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from numbers import Rational
 
-FiberCoord = tuple[Fraction, Fraction]  # normalised projective point [u : v]
+FiberCoord = tuple[int, int]  # primitive (a, b) with b > 0, or (1, 0): the point [a : b]
 
 
 class StabilityKind(enum.Enum):
@@ -86,7 +87,9 @@ class ParabolicSurface:
         if not (len(self.points) == len(self.weights) == len(self.incidence)):
             raise ValueError("points, weights and incidence must have equal length")
         for w in self.weights:
-            if not (0 < w < 1):
+            if not isinstance(w, Rational):
+                raise TypeError(f"weight {w!r} is not a rational number")
+            if not (0 < w.numerator < w.denominator):
                 raise ValueError(f"weight {w} outside (0, 1)")
         if self.model == "trivial-p1":
             if self.genus != 0:
@@ -135,17 +138,28 @@ class StabilityVerdict:
 def normalize_coord(u, v) -> FiberCoord:
     """Canonical representative of the projective point [u : v].
 
-    That is [u/v : 1], or [1 : 0] when v = 0.  A pair of Fractions already
-    in this form is returned as it is.
+    That is the primitive integer pair (a, b) with b > 0 and a/b = u/v, or
+    (1, 0) when v = 0.  Rationals u = un/ud and v = vn/vd are first
+    cross-multiplied to [un vd : vn ud].  A pair of ints already in this
+    form is returned as it is.
     """
-    if type(u) is Fraction is type(v) and (v == 1 or (v == 0 and u == 1)):
-        return (u, v)
-    u, v = Fraction(u), Fraction(v)
-    if u == 0 and v == 0:
-        raise ValueError("fiber coordinate [0 : 0] is not a projective point")
-    if v != 0:
-        return (u / v, Fraction(1))
-    return (Fraction(1), Fraction(0))
+    if type(u) is not int or type(v) is not int:
+        u, v = Fraction(u), Fraction(v)
+        u, v = u.numerator * v.denominator, v.numerator * u.denominator
+    if v == 0:
+        if u == 0:
+            raise ValueError("fiber coordinate [0 : 0] is not a projective point")
+        return (u, v) if u == 1 else (1, 0)
+    g = gcd(u, v) if v > 0 else -gcd(u, v)
+    return (u, v) if g == 1 else (u // g, v // g)
+
+
+def coord_str(coord: FiberCoord) -> str:
+    """A normalised point [a : b] as "a/b:1" ("a:1" when b = 1), or "1:0"."""
+    a, b = coord
+    if b == 0:
+        return "1:0"
+    return f"{a}:1" if b == 1 else f"{a}/{b}:1"
 
 
 def classify(surface: ParabolicSurface) -> StabilityVerdict:
@@ -203,14 +217,15 @@ def classify(surface: ParabolicSurface) -> StabilityVerdict:
 def is_sporadic(surface: ParabolicSurface, verdict: StabilityVerdict) -> bool:
     """Detect the degenerate strictly polystable weight pattern.
 
-    True iff the verdict is strictly polystable, the base is not the
-    sphere with exactly two marked points, and (up to exchanging the two
-    witness sections) every marked point on the first has weight 1/q_j
-    while every marked point on the second has weight (q_j - 1)/q_j.
+    True iff the verdict is strictly polystable, there is a marked point,
+    the base is not the sphere with exactly two marked points, and (up to
+    exchanging the two witness sections) every marked point on the first
+    has weight 1/q_j while every marked point on the second has weight
+    (q_j - 1)/q_j.  Without marked points there is no weight pattern.
     """
     if verdict.kind is not StabilityKind.STRICTLY_POLYSTABLE or verdict.pair is None:
         return False
-    if surface.genus == 0 and surface.n == 2:
+    if surface.n == 0 or (surface.genus == 0 and surface.n == 2):
         return False
     s1, s2 = verdict.pair
     if s1.contains | s2.contains != frozenset(range(surface.n)):
@@ -287,8 +302,9 @@ def _enumerate_trivial_p1(surface, candidate, numerators) -> list[CandidateSecti
     seen = {}
     for j, inc in enumerate(surface.incidence):
         seen.setdefault(normalize_coord(*inc), set()).add(j)
-    out = [candidate(f"const@{_coord_str(coord)}", 0, on, "constant", coord=coord)
-           for coord, on in sorted(seen.items())]
+    # In the order of the value a/b, with [1 : 0] just before [1 : 1].
+    order = sorted(seen, key=lambda c: (Fraction(c[0], c[1] or 1), c[1]))
+    out = [candidate(f"const@{coord_str(c)}", 0, seen[c], "constant", coord=c) for c in order]
     # Generic constant sections through no marked point.  Two of them
     # witness polystability of the empty structure.
     out += [candidate(f"const@generic{i or ''}", 0, (), "generic")
@@ -320,8 +336,3 @@ def _disjoint(a: CandidateSection, b: CandidateSection) -> bool:
             return True
         return a.coord != b.coord
     return b.id in a.disjoint_from or a.id in b.disjoint_from
-
-
-def _coord_str(coord: FiberCoord) -> str:
-    u, v = coord
-    return f"{u}:{v}"

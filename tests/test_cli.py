@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cscglue.cli import main, parse_surface
+from cscglue import cli
+from cscglue.cli import InputError, main, parse_coord, parse_surface, to_fraction
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -425,6 +426,18 @@ def test_metric_verify_degenerate_levels_one_line():
     assert lines[0].startswith("error: invalid monopole data: determinant <= 0 at "), err
 
 
+def test_metric_verify_overflow_prints_no_warning():
+    # Both level lists overflow inside numpy batches.  The run ends in its
+    # one error line or in a failing check, with no numpy warning on stderr.
+    code, out, err = run_cli(
+        "metric-verify", "1/2", "--levels", "1e300,1e-300,0", "--samples", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid monopole data:") and len(err.splitlines()) == 1, err
+    code, out, err = run_cli("metric-verify", "1/2", "--levels", "1e300,1,0", "--samples", "10")
+    assert code == 1 and err == ""
+    assert "SOME CHECKS FAILED" in out
+
+
 def test_mass_sign_fails_with_failed_fit():
     # a ~ -1e300 widens the mass-sign zero band to ~1e298; a sign read off
     # a fit that missed by a relative error of 1 must not pass.
@@ -447,6 +460,55 @@ def test_broken_pipe_exit_code():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _via_to_fraction(text):
+    """The reference route for parse_coord: every part through to_fraction."""
+    try:
+        u, v = (to_fraction(part) for part in text.split(":"))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"cannot parse coordinate {text!r}: {exc}"
+    return (u.numerator * v.denominator, v.numerator * u.denominator)
+
+
+def _parse_coord_or_message(text):
+    try:
+        return parse_coord(text)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_parse_coord_integer_path_matches_to_fraction(monkeypatch):
+    integers = (" 12 ", "+5", "-0", "007", "1_000", "\u0661\u0662", "3")
+    rationals = ("1/2", "-7/3", "1e3")
+    calls = []
+    monkeypatch.setattr(cli, "to_fraction", lambda text: calls.append(text) or to_fraction(text))
+    for a in integers + rationals:
+        for b in integers + rationals:
+            text = f"{a}:{b}"
+            got = parse_coord(text)
+            assert got == _via_to_fraction(text), text
+            assert all(type(x) is int for x in got), text
+    # Only the parts that are not integer literals went through to_fraction.
+    assert set(calls) == set(rationals)
+    for bad in ("1__0", "_1", "0x10"):
+        for text in (f"{bad}:1", f"1:{bad}"):
+            assert _parse_coord_or_message(text) == _via_to_fraction(text), text
+
+
+def test_parse_coord_digit_bound():
+    ok, over = "9" * 4300, "9" * 4301
+    assert parse_coord(f"{ok}:-{ok}") == (int(ok), -int(ok))
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 0):
+            sys.set_int_max_str_digits(digits)
+            for text in (f"{over}:1", f"1:-{over}"):
+                message = _parse_coord_or_message(text)
+                assert message == _via_to_fraction(text), (digits, text)
+                assert message.startswith(f"cannot parse coordinate {text!r}: "), digits
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_document_round_trip():

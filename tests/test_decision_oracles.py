@@ -45,10 +45,12 @@ COORDS = (
 
 
 def oracle_normalize(u, v):
+    # The primitive integer pair: u/v in lowest terms, or (1, 0) at v = 0.
     u, v = F(u), F(v)
     if v != 0:
-        return (u / v, F(1))
-    return (F(1), F(0))
+        r = u / v
+        return (r.numerator, r.denominator)
+    return (1, 0)
 
 
 def oracle_slope(surface, self_intersection, on):

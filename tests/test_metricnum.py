@@ -425,6 +425,12 @@ def test_verify_metric_driver():
     assert rs == sorted(rs)
 
 
+def test_verify_metric_refuses_samples_below_one():
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            verify_metric(1, 3, samples=samples)
+
+
 def test_sample_batch_seeded():
     a = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     b = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)

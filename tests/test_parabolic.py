@@ -1,6 +1,8 @@
 """Slopes, stability classification, and sporadic detection."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -130,6 +132,24 @@ def test_empty_structure_polystable():
     surf = ParabolicSurface(genus=0, points=(), weights=(), incidence=())
     verdict = classify(surf)
     assert verdict.kind is StabilityKind.STRICTLY_POLYSTABLE
+
+
+def test_empty_structure_not_sporadic():
+    # No marked point, so no weight pattern, although the two generic
+    # witnesses vacuously cover every marked point.
+    surf = ParabolicSurface(genus=0, points=(), weights=(), incidence=())
+    assert not is_sporadic(surf, classify(surf))
+
+
+def test_weights_must_be_rational():
+    # A float weight would reach the integer slope arithmetic as a float.
+    for bad in (0.5, Decimal("0.5"), "1/2", None):
+        with pytest.raises(TypeError, match=re.escape(f"weight {bad!r} is not a rational")):
+            ParabolicSurface(genus=0, points=("A", "B", "C"), weights=(F(1, 2), bad, F(1, 2)),
+                             incidence=((0, 1), (1, 0), (1, 1)))
+    for bad in (0, 1, True, F(3, 2), F(-1, 2)):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            ParabolicSurface(genus=0, points=("A",), weights=(bad,), incidence=((0, 1),))
 
 
 def test_torus_model():
