@@ -48,6 +48,8 @@ from cscglue.logmass import (
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
 from cscglue.resolution import format_chain
+# Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
+# import's line in `-X importtime`, so it stays at module level.
 from cscglue.metricnum import default_levels, verify_metric
 
 EXIT_OK = 0

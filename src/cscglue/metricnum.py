@@ -82,12 +82,13 @@ worst point moves when the step is halved.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from cscglue.cfrac import hj_length
 from cscglue.logmass import (
@@ -99,6 +100,30 @@ from cscglue.logmass import (
     monopole_from_fraction,
     verdict_from_coeffs,
 )
+
+
+def _lazy_numpy():
+    """numpy as it is if already imported, else a module that loads on first use.
+
+    The lazy-import recipe of the importlib documentation: numpy runs when
+    code first reads an attribute of the module, which then becomes an
+    ordinary module, so ``import cscglue.cli`` and the exact commands never
+    pay for it.  ``LazyLoader`` is not thread-safe before Python 3.12; the
+    CLI and the checks are single-threaded.
+    """
+    if sys.modules.get("numpy") is not None:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:  # not installed, or sys.modules["numpy"] is None
+        return importlib.import_module("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 THETA_MARGIN = 0.1
 
@@ -121,7 +146,7 @@ MAX_LEVELS = 64
 # The charges (a_j, b_j) grow like q and are converted to floats, as are
 # the finite levels and the exact (a, b, mu).
 MAX_Q = 2**53
-FLOAT_MAX = np.finfo(float).max
+FLOAT_MAX = sys.float_info.max
 
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
@@ -636,9 +661,6 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
 
 
-# An overflow in a batch leaves an inf or NaN, which fails a check or makes
-# the monopole data invalid (a ValueError); numpy's warning adds nothing.
-@np.errstate(all="ignore")
 def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Run the full verification battery for the (p, q) metric.
@@ -652,12 +674,20 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
 
     Raises
     ------
+    TypeError
+        If ``samples`` is not an integer (a bool is refused).
     ValueError
         If ``samples`` is below 1 or above ``MAX_SAMPLES``, if q exceeds
         ``MAX_Q`` or p/q needs more than ``MAX_LEVELS`` levels, if the
         levels do not fit the chain, or if a finite level or the exact a,
         b or mu has no finite float.
     """
+    try:
+        if isinstance(samples, bool):
+            raise TypeError
+        samples = operator.index(samples)
+    except TypeError:
+        raise TypeError(f"samples must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
@@ -667,116 +697,120 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     k = hj_length(p, q)
     if k + 2 > MAX_LEVELS:
         raise ValueError(f"{p}/{q} needs {k + 2} levels, more than the {MAX_LEVELS} supported")
-    rng = np.random.default_rng(seed)
-    if levels is None:
-        levels = default_levels(k)
-    data = monopole_from_fraction(p, q, levels)
-    if any(abs(y) > FLOAT_MAX for y in data.levels if y != INFINITY):
-        raise ValueError("every finite level must lie within the float range")
-    num = as_numeric(data)
-    exact = num.exact
-    if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX:
-        raise ValueError("these levels give log coefficients a, b, mu outside the float range")
-    checks = []
+    # An overflow in a batch leaves an inf or NaN, which fails a check or
+    # makes the monopole data invalid (a ValueError); numpy's warning adds
+    # nothing.
+    with np.errstate(all="ignore"):
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            levels = default_levels(k)
+        data = monopole_from_fraction(p, q, levels)
+        if any(abs(y) > FLOAT_MAX for y in data.levels if y != INFINITY):
+            raise ValueError("every finite level must lie within the float range")
+        num = as_numeric(data)
+        exact = num.exact
+        if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX:
+            raise ValueError("these levels give log coefficients a, b, mu outside the float range")
+        checks = []
 
-    # Flat-model exactness: evaluator versus the closed-form flat metric.
-    flat_pts = sample_batch(rng, samples, 0.2, 30.0)
-    expected = flat_metric_matrix(flat_pts)
-    deviation = _max_entry(metric_at(flat_monopole(), flat_pts).g - expected)
-    worst = float(np.max(deviation / np.maximum(1.0, _max_entry(expected))))
-    checks.append(CheckResult("flat-model-exactness", worst, TOL_CLOSED_FORM, worst < TOL_CLOSED_FORM))
+        # Flat-model exactness: evaluator versus the closed-form flat metric.
+        flat_pts = sample_batch(rng, samples, 0.2, 30.0)
+        expected = flat_metric_matrix(flat_pts)
+        deviation = _max_entry(metric_at(flat_monopole(), flat_pts).g - expected)
+        worst = float(np.max(deviation / np.maximum(1.0, _max_entry(expected))))
+        checks.append(CheckResult("flat-model-exactness", worst, TOL_CLOSED_FORM,
+                                  worst < TOL_CLOSED_FORM))
 
-    points = sample_batch(rng, samples, 1.0, 5.0)
+        points = sample_batch(rng, samples, 1.0, 5.0)
 
-    # Determinant positivity on the sample grid.
-    min_det = float(np.min(v_eval(num, *from_polar(points)).det))
-    checks.append(CheckResult("determinant-positive", min_det, 0.0, min_det > 0.0,
-                              detail="minimum of <v1,v2> over samples"))
+        # Determinant positivity on the sample grid.
+        min_det = float(np.min(v_eval(num, *from_polar(points)).det))
+        checks.append(CheckResult("determinant-positive", min_det, 0.0, min_det > 0.0,
+                                  detail="minimum of <v1,v2> over samples"))
 
-    # Monopole system residual (finite differences, independent route).
-    # Each point runs at step h and at h/2 in one batch; the change at the
-    # worst point is the error estimate.
-    x, y = from_polar(_head(points, 50))
-    n = len(x)
-    x, y = np.tile(x, 2), np.tile(y, 2)
-    residuals, halved = np.split(
-        monopole_residual(num, x, y, h=np.repeat([H_MONOPOLE, H_MONOPOLE / 2], n) * x), 2)
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    checks.append(CheckResult("monopole-system", worst, 1e-8, worst < 1e-8,
-                              detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
+        # Monopole system residual (finite differences, independent route).
+        # Each point runs at step h and at h/2 in one batch; the change at the
+        # worst point is the error estimate.
+        x, y = from_polar(_head(points, 50))
+        n = len(x)
+        x, y = np.tile(x, 2), np.tile(y, 2)
+        residuals, halved = np.split(
+            monopole_residual(num, x, y, h=np.repeat([H_MONOPOLE, H_MONOPOLE / 2], n) * x), 2)
+        i = int(np.argmax(residuals))
+        worst = float(residuals[i])
+        checks.append(CheckResult("monopole-system", worst, 1e-8, worst < 1e-8,
+                                  detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
 
-    # Algebraic invariants of each sample.
-    worst = float(np.max(invariant_residual(metric_at(num, _head(points, 100)))))
-    checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
+        # Algebraic invariants of each sample.
+        worst = float(np.max(invariant_residual(metric_at(num, _head(points, 100)))))
+        checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
 
-    # Kähler residuals.
-    res = kahler_residual(num, _head(points, 100))
-    checks.append(CheckResult("domega-residual", res["max_domega"], TOL_FIRST_DERIV,
-                              res["max_domega"] < TOL_FIRST_DERIV))
-    checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
-                              TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
+        # Kähler residuals.
+        res = kahler_residual(num, _head(points, 100))
+        checks.append(CheckResult("domega-residual", res["max_domega"], TOL_FIRST_DERIV,
+                                  res["max_domega"] < TOL_FIRST_DERIV))
+        checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
+                                  TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
 
-    # Scalar flatness.
-    curv_pts = _head(points, CURVATURE_POINTS)
-    n = len(curv_pts.r)
-    curvature, halved = np.split(scalar_curvature_at(
-        num, PolarPoint(np.tile(curv_pts.r, 2), np.tile(curv_pts.theta, 2)),
-        h_scale=np.repeat([H_CURVATURE, H_CURVATURE / 2], n)), 2)
-    i = int(np.argmax(np.abs(curvature)))
-    worst = float(abs(curvature[i]))
-    checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
-                              detail=f"step-halving change {abs(halved[i] - curvature[i]):.2e}"))
+        # Scalar flatness.
+        curv_pts = _head(points, CURVATURE_POINTS)
+        n = len(curv_pts.r)
+        curvature, halved = np.split(scalar_curvature_at(
+            num, PolarPoint(np.tile(curv_pts.r, 2), np.tile(curv_pts.theta, 2)),
+            h_scale=np.repeat([H_CURVATURE, H_CURVATURE / 2], n)), 2)
+        i = int(np.argmax(np.abs(curvature)))
+        worst = float(abs(curvature[i]))
+        checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
+                                  detail=f"step-halving change {abs(halved[i] - curvature[i]):.2e}"))
 
-    # Asymptotic fit against the exact coefficients.
-    radii = np.geomspace(10.0, 1000.0, 25)
-    thetas = np.linspace(0.3, math.pi / 2 - 0.3, 5)
-    fit = fit_log_coeffs(num, radii, thetas)
-    scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
-    err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
-    fit_ok = err < TOL_FIT_RELATIVE
-    checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, fit_ok,
-                              detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
+        # Asymptotic fit against the exact coefficients.
+        radii = np.geomspace(10.0, 1000.0, 25)
+        thetas = np.linspace(0.3, math.pi / 2 - 0.3, 5)
+        fit = fit_log_coeffs(num, radii, thetas)
+        scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
+        err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
+        fit_ok = err < TOL_FIT_RELATIVE
+        checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, fit_ok,
+                                  detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
 
-    # Potential residual decay: ratio across doubled radii near 2^-4.  The
-    # same batch gives the series for CSV output.
-    decay_radii = np.array([10.0, 20.0, 40.0])
-    series_radii = np.geomspace(5.0, 160.0, 12)
-    all_residuals = potential_residual(num, np.concatenate([decay_radii, series_radii]))
-    residuals = [float(x) for x in all_residuals[: len(decay_radii)]]
-    ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
-    if float(exact.mu) == 0.0 and float(exact.a) == 0.0 and float(exact.b) == 0.0:
-        # Flat data: nothing to decay, residual is FD noise.
-        ratio_err = 0.0
-        ratio_ok = all(res < 1e-9 for res in residuals)
-    else:
-        ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
-        ratio_ok = ratio_err < 0.25
-    checks.append(CheckResult("potential-decay", ratio_err, 0.25, ratio_ok,
-                              detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
+        # Potential residual decay: ratio across doubled radii near 2^-4.  The
+        # same batch gives the series for CSV output.
+        decay_radii = np.array([10.0, 20.0, 40.0])
+        series_radii = np.geomspace(5.0, 160.0, 12)
+        all_residuals = potential_residual(num, np.concatenate([decay_radii, series_radii]))
+        residuals = [float(x) for x in all_residuals[: len(decay_radii)]]
+        ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
+        if float(exact.mu) == 0.0 and float(exact.a) == 0.0 and float(exact.b) == 0.0:
+            # Flat data: nothing to decay, residual is FD noise.
+            ratio_err = 0.0
+            ratio_ok = all(res < 1e-9 for res in residuals)
+        else:
+            ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
+            ratio_ok = ratio_err < 0.25
+        checks.append(CheckResult("potential-decay", ratio_err, 0.25, ratio_ok,
+                                  detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 
-    # Fitted mass sign against the exact sign verdict.  The zero band
-    # grows with |a| and |b|, so a sign read off a fit that missed them
-    # says nothing: the check also needs the asymptotic fit to pass.
-    mu_fit = fit["a_fit"] + fit["b_fit"]
-    sign_exact = verdict_from_coeffs(p, q, exact).sign
-    tol0 = 0.01 * scale
-    sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
-    checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),
-                              fit_ok and sign_fit == sign_exact,
-                              detail=f"mu_fit={mu_fit:.6g} mu_exact={float(exact.mu):.6g}"
-                              + ("" if fit_ok else "; asymptotic fit failed")))
+        # Fitted mass sign against the exact sign verdict.  The zero band
+        # grows with |a| and |b|, so a sign read off a fit that missed them
+        # says nothing: the check also needs the asymptotic fit to pass.
+        mu_fit = fit["a_fit"] + fit["b_fit"]
+        sign_exact = verdict_from_coeffs(p, q, exact).sign
+        tol0 = 0.01 * scale
+        sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
+        checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),
+                                  fit_ok and sign_fit == sign_exact,
+                                  detail=f"mu_fit={mu_fit:.6g} mu_exact={float(exact.mu):.6g}"
+                                  + ("" if fit_ok else "; asymptotic fit failed")))
 
-    return VerificationReport(
-        p=p,
-        q=q,
-        levels=tuple(data.levels),
-        seed=seed,
-        samples=samples,
-        checks=tuple(checks),
-        decay_series=tuple(
-            (float(r), float(res)) for r, res in zip(series_radii, all_residuals[len(decay_radii):])
-        ),
-        fit_series=fit["series"],
-        exact=exact,
-    )
+        return VerificationReport(
+            p=p,
+            q=q,
+            levels=tuple(data.levels),
+            seed=seed,
+            samples=samples,
+            checks=tuple(checks),
+            decay_series=tuple((float(r), float(res)) for r, res
+                               in zip(series_radii, all_residuals[len(decay_radii):])),
+            fit_series=fit["series"],
+            exact=exact,
+        )

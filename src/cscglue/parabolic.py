@@ -141,10 +141,14 @@ def normalize_coord(u, v) -> FiberCoord:
     That is the primitive integer pair (a, b) with b > 0 and a/b = u/v, or
     (1, 0) when v = 0.  Rationals u = un/ud and v = vn/vd are first
     cross-multiplied to [un vd : vn ud].  A pair of ints already in this
-    form is returned as it is.
+    form is returned as it is.  An infinite or NaN entry raises a
+    ``ValueError`` that names the coordinate.
     """
     if type(u) is not int or type(v) is not int:
-        u, v = Fraction(u), Fraction(v)
+        try:
+            u, v = Fraction(u), Fraction(v)
+        except (OverflowError, ValueError):
+            raise ValueError(f"fiber coordinate [{u} : {v}] is not a finite rational") from None
         u, v = u.numerator * v.denominator, v.numerator * u.denominator
     if v == 0:
         if u == 0:

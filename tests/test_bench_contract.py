@@ -4,11 +4,14 @@
 ``bench/run.py --trace 1``; the traced run fails at the first name that
 no longer exists.  This test reads that list (without importing the
 benchmark package or writing anything under ``bench/``) and checks every
-name against the library.
+name against the library.  The traced run also reads ``-X importtime``.
 """
 
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -29,3 +32,16 @@ def test_gluing_calls_kernel_test_by_imported_name():
     from cscglue import exactlp, gluing
 
     assert gluing.positive_kernel_vector is exactlp.positive_kernel_vector
+
+
+def test_importtime_shows_cli_and_metricnum_without_numpy():
+    # bench/run.py --trace 1 reads the cumulative -X importtime lines of
+    # cscglue.cli and cscglue.metricnum from `import cscglue.cli`, so cli
+    # must keep importing metricnum; numpy loads only when a check runs.
+    env = dict(os.environ, PYTHONPATH=str(SPANS.parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import cscglue.cli"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    modules = [line.split("|")[-1].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "cscglue.cli" in modules and "cscglue.metricnum" in modules
+    assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]

@@ -1,0 +1,105 @@
+"""numpy loads only when a metric check runs.
+
+Each test runs in a fresh interpreter, since the test process itself has
+numpy imported.  ``numpy._core`` (``numpy.core`` before numpy 2) appears
+in ``sys.modules`` only once numpy's own code has run; a lazily bound
+``numpy`` alone does not add it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FOUR_POINTS = str(ROOT / "fixtures" / "sphere_four_points.json")
+NUMPY_RAN = 'any(m in sys.modules for m in ("numpy._core", "numpy.core"))'
+
+# Recorded while metricnum still imported numpy at module level.
+METRIC_VERIFY_1_2 = """\
+metric verification for 1/2   (version 0.1.0, seed 0, samples 10)
+levels: 2 > 1 > 0
+exact a = -3/4, b = 3/4, mu = 0
+  PASS  flat-model-exactness     value 3.090e-16  tolerance 1.000e-12
+  PASS  determinant-positive     value 3.541e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
+  PASS  monopole-system          value 8.045e-12  tolerance 1.000e-08   [step-halving change 1.82e-12]
+  PASS  metric-invariants        value 6.694e-16  tolerance 1.000e-10
+  PASS  domega-residual          value 2.852e-13  tolerance 1.000e-06
+  PASS  integrability-residual   value 9.209e-13  tolerance 1.000e-06
+  PASS  scalar-curvature         value 3.688e-09  tolerance 1.000e-04   [step-halving change 3.52e-09]
+  PASS  asymptotic-fit           value 1.653e-06  tolerance 1.000e-02   [a_fit=-0.750002 b_fit=0.750002]
+  PASS  potential-decay          value 1.480e-03  tolerance 2.500e-01   [residuals=['0.000124', '7.75e-06', '4.84e-07']]
+  PASS  mass-sign                value 0.000e+00  tolerance 0.000e+00   [mu_fit=4.55078e-08 mu_exact=0]
+all checks passed
+"""
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    proc = run_python("-c", f"import sys, cscglue.cli; print({NUMPY_RAN})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hj", "5/7"],
+    ["mass", "2/3", "--u", "1,1"],
+    ["blowup-insert", "1/3", "--position", "1", "--u", "1,2"],
+    ["stability", FOUR_POINTS],
+    ["pipeline", FOUR_POINTS],
+])
+def test_exact_commands_leave_numpy_unloaded(argv):
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from cscglue.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print({NUMPY_RAN}, code, file=sys.stderr)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False 0\n"
+
+
+def test_metric_verify_output_unchanged():
+    proc = run_python("-m", "cscglue.cli", "metric-verify", "1/2", "--samples", "10")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, METRIC_VERIFY_1_2, "")
+
+
+def test_numpy_imported_first_is_used_as_is():
+    proc = run_python(
+        "-c",
+        "import sys, numpy, cscglue.metricnum as m\n"
+        'print(m.np is numpy is sys.modules["numpy"], type(numpy).__name__)\n'
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True module\n"
+
+
+def test_missing_numpy_fails_the_import_by_name():
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        'sys.modules["numpy"] = None\n'
+        "try:\n"
+        "    import cscglue.metricnum\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy\n"
+
+
+def test_float_max_is_numpy_float_max():
+    import numpy as np
+
+    from cscglue.metricnum import FLOAT_MAX
+
+    assert FLOAT_MAX == np.finfo(float).max

@@ -1,6 +1,8 @@
 """Orbifold bases, the gluing matrix, feasibility, and the pipeline."""
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,21 @@ def test_phi_values():
     assert phi_value((1, 1)) == 0
     assert phi_value((2, 1)) == F(3, 5)
     assert phi_value((1, 2)) == F(-3, 5)
+
+
+@pytest.mark.parametrize("coord", [(math.inf, 1), (Decimal("Infinity"), 1), (1, math.nan)])
+def test_non_finite_coordinate_is_named(coord):
+    match = r"fiber coordinate \[.* : .*\] is not a finite rational"
+    with pytest.raises(ValueError, match=match):
+        phi_value(coord)
+    surface = ParabolicSurface(genus=0, points=("P1", "P2"), weights=(F(1, 2), F(1, 2)),
+                               incidence=((1, 0), coord))
+    with pytest.raises(ValueError, match=match):
+        classify(surface)
+    with pytest.raises(ValueError, match=match):
+        existence_report(surface)
+    with pytest.raises(ValueError, match=match):
+        existence_report(TORIC, extra_points=[coord])
 
 
 def test_gluing_matrix_four_point():

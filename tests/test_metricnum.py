@@ -431,6 +431,17 @@ def test_verify_metric_refuses_samples_below_one():
             verify_metric(1, 3, samples=samples)
 
 
+@pytest.mark.parametrize("samples", [2.5, True, "10", None])
+def test_verify_metric_refuses_non_integer_samples(samples):
+    with pytest.raises(TypeError, match=f"samples must be an integer, got {samples!r}"):
+        verify_metric(1, 3, samples=samples)
+
+
+def test_verify_metric_takes_numpy_integer_samples():
+    rep = verify_metric(1, 2, samples=np.int64(10))
+    assert type(rep.samples) is int and rep == verify_metric(1, 2, samples=10)
+
+
 def test_sample_batch_seeded():
     a = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     b = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
