@@ -16,9 +16,12 @@ machine-readable mirror of the human report.
 
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
-any tolerance fails.  A command whose standard output is closed early
-(``cscglue pipeline doc.json --json | head``) exits 141, the status a
-shell reports for a process ended by SIGPIPE.
+any tolerance fails.  Every refusal exits 2 through one handler in
+:func:`main`, which prints one ``error:`` line for an ``InputError`` of
+the parsers and for a ``ValueError`` of the library.  A command whose
+standard output is closed early (``cscglue pipeline doc.json --json |
+head``) exits 141, the status a shell reports for a process ended by
+SIGPIPE.
 """
 
 from __future__ import annotations
@@ -33,21 +36,19 @@ import sys
 from fractions import Fraction
 
 from cscglue import __version__
-from cscglue.cfrac import expand_runs, hj_expand, hj_length, hj_runs
+from cscglue.cfrac import hj_expand, hj_length
 from cscglue.gluing import GluingVerdict, existence_report
 from cscglue.logmass import (
-    BURNS_CHAIN,
     INFINITY,
     blowup_insert,
     log_coeffs_from_levels,
-    monopole_from_chain,
     monopole_from_fraction,
     mu_from_chain,
     mu_from_u,
     verdict_from_coeffs,
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
-from cscglue.resolution import format_chain
+from cscglue.resolution import blowup_count, fiber_chain, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
 from cscglue.metricnum import default_levels, verify_metric
@@ -78,7 +79,10 @@ VERDICT_EXIT = {
 
 
 class InputError(Exception):
-    """Malformed user input; maps to exit code 2."""
+    """Malformed user input; maps to exit code 2.
+
+    Not a ValueError, so parse_surface's ``except ValueError`` does not
+    prefix the messages of the parsers it calls."""
 
 
 def main(argv=None) -> int:
@@ -89,7 +93,7 @@ def main(argv=None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -182,11 +186,11 @@ def to_fraction(text) -> Fraction:
     return frac
 
 
-def check_hj_size(p: int, q: int) -> None:
-    """Refuse a weight p/q whose HJ digits and dual digits exceed MAX_HJ_DIGITS."""
-    size = hj_length(p, q) + hj_length(q - p, q)
+def check_hj_size(weight: Fraction) -> None:
+    """Refuse a weight whose HJ digits and dual digits exceed MAX_HJ_DIGITS."""
+    size = blowup_count(weight)
     if size > MAX_HJ_DIGITS:
-        raise InputError(f"weight {p}/{q} expands to {size} HJ digits with its dual, "
+        raise InputError(f"weight {weight} expands to {size} HJ digits with its dual, "
                          f"more than the {MAX_HJ_DIGITS} supported")
 
 
@@ -345,30 +349,29 @@ def write_csv(path: str, header, rows) -> None:
 
 def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
-    check_hj_size(p, q)
-    # One expansion of q/p, for its approximants, and the digits of q/(q-p)
-    # from runs; the strings, the chain and the blow-up count follow as in
-    # resolution.singular_strings and fiber_chain.
-    exp, dual_digits = hj_expand(p, q), expand_runs(hj_runs(q - p, q))
-    left, right = tuple(-e for e in exp.digits), tuple(-e for e in dual_digits)
-    chain = left + (-1,) + right[::-1]
+    weight = Fraction(p, q)
+    check_hj_size(weight)
+    # One expansion of q/p, for its digits and approximants; the strings,
+    # the chain and the count are resolution's.
+    exp, chain = hj_expand(p, q), fiber_chain(weight)
+    left, right = singular_strings(weight)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
         "digits": list(exp.digits),
-        "dual_digits": list(dual_digits),
+        "dual_digits": [-e for e in right],
         "approximants": [list(mn) for mn in exp.approximants],
         "fiber_chain": format_chain(chain),
         "dual_fiber_chain": format_chain(chain[::-1]),
         "singular_strings": [format_chain(left), format_chain(right)],
-        "blowup_count": len(left) + len(right),
+        "blowup_count": blowup_count(weight),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(f"weight {p}/{q}")
     print(f"  digits of {q}/{p}:        {' '.join(map(str, exp.digits))}")
-    print(f"  digits of {q}/{q - p}:        {' '.join(map(str, dual_digits))}")
+    print(f"  digits of {q}/{q - p}:        {' '.join(map(str, payload['dual_digits']))}")
     print(f"  approximants (m, n):  {' '.join(str(t) for t in exp.approximants)}")
     print(f"  fiber chain:          {payload['fiber_chain']}")
     print(f"  dual fiber chain:     {payload['dual_fiber_chain']}")
@@ -392,25 +395,14 @@ def _coeffs_payload(coeffs) -> dict:
 def cmd_mass(args) -> int:
     p, q = parse_fraction(args.fraction, allow_burns=True)
     if (p, q) != (1, 1):
-        check_hj_size(p, q)
+        check_hj_size(Fraction(p, q))
     if bool(args.u) == bool(args.levels):
         raise InputError("pass exactly one of --u or --levels")
     if args.u:
-        u = parse_rational_list(args.u)
-        try:
-            coeffs = mu_from_u(p, q, u)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        coeffs = mu_from_u(p, q, parse_rational_list(args.u))
     else:
         levels = parse_rational_list(args.levels)
-        try:
-            if (p, q) == (1, 1):
-                data = monopole_from_chain(BURNS_CHAIN, levels)
-            else:
-                data = monopole_from_fraction(p, q, levels)
-            coeffs = log_coeffs_from_levels(data)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        coeffs = log_coeffs_from_levels(monopole_from_fraction(p, q, levels))
     verdict = verdict_from_coeffs(p, q, coeffs)
     payload = {
         "version": __version__,
@@ -434,14 +426,10 @@ def cmd_mass(args) -> int:
 
 def cmd_blowup_insert(args) -> int:
     p, q = parse_fraction(args.fraction)
-    check_hj_size(p, q)
+    check_hj_size(Fraction(p, q))
     k = hj_length(p, q)
     levels = parse_rational_list(args.levels) if args.levels else default_levels(k)
-    try:
-        data = monopole_from_fraction(p, q, levels)
-        inserted = blowup_insert(data, args.position)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    inserted = blowup_insert(monopole_from_fraction(p, q, levels), args.position)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",
@@ -451,11 +439,7 @@ def cmd_blowup_insert(args) -> int:
         "pairs": [list(ab) for ab in inserted.pairs],
     }
     if args.u:
-        u = parse_rational_list(args.u)
-        try:
-            coeffs = mu_from_chain(inserted.chain, u)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        coeffs = mu_from_chain(inserted.chain, parse_rational_list(args.u))
     else:
         coeffs = log_coeffs_from_levels(inserted)
     payload.update(_coeffs_payload(coeffs))
@@ -473,10 +457,7 @@ def cmd_blowup_insert(args) -> int:
 
 def cmd_stability(args) -> int:
     surface, _ = parse_surface(load_document(args.document))
-    try:
-        verdict = classify(surface)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    verdict = classify(surface)
     sporadic = is_sporadic(surface, verdict)
     payload = {
         "version": __version__,
@@ -510,11 +491,8 @@ def cmd_stability(args) -> int:
 def cmd_pipeline(args) -> int:
     surface, extra = parse_surface(load_document(args.document))
     for w in surface.weights:
-        check_hj_size(w.numerator, w.denominator)
-    try:
-        report = existence_report(surface, extra)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        check_hj_size(w)
+    report = existence_report(surface, extra)
     payload = {
         "version": __version__,
         "verdict": report.verdict.value,
@@ -578,10 +556,7 @@ def cmd_metric_verify(args) -> int:
     levels = parse_rational_list(args.levels) if args.levels else None
     if args.samples < 10:
         raise InputError("--samples must be at least 10")
-    try:
-        report = verify_metric(p, q, levels=levels, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = verify_metric(p, q, levels=levels, samples=args.samples, seed=args.seed)
     if args.csv:
         write_csv(args.csv, ["r", "residual"], report.decay_series)
     if args.fit_csv:

@@ -157,13 +157,14 @@ def monopole_from_fraction(p: int, q: int, levels) -> MonopoleData:
     Parameters
     ----------
     p, q : int
-        Coprime with 0 < p < q.
+        Coprime with 0 < p < q, or (1, 1) for the Burns datum on
+        ``BURNS_CHAIN``, where k = 1.
     levels : sequence
         k + 2 strictly decreasing values ending at exactly 0, where k is
         the digit count of the expansion of q/p.  The first entry may be
         ``math.inf``.
     """
-    return _monopole(hj_expand(p, q).approximants, levels)
+    return _monopole(_chain_for(p, q), levels)
 
 
 def monopole_from_chain(chain, levels) -> MonopoleData:
@@ -304,15 +305,14 @@ def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
     return qa, qb, den * q, u
 
 
-def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData:
+def blowup_insert(data: MonopoleData, position: int) -> MonopoleData:
     """Insert the extra interval created by blowing up at an endpoint.
 
     ``position`` names the endpoint y_j shared by the chain pairs j and
     j+1; the inserted interval receives the label
     (m_j + m_{j+1}, n_j + n_{j+1}).  Both new junctions have unit
     determinant, so the result is again smooth monopole data.  The new
-    endpoint is placed at the midpoint of (y_{j+1}, y_j) unless ``level``
-    is given.
+    endpoint is placed at the midpoint of (y_{j+1}, y_j).
 
     Valid positions are 1 <= j <= k, where y_j is finite.  Position 0
     would insert (1, -1) ahead of (1, 0), which is not a chain, and the
@@ -324,15 +324,7 @@ def blowup_insert(data: MonopoleData, position: int, level=None) -> MonopoleData
     k = data.k
     if not (1 <= position <= k):
         raise ValueError(f"position must be in 1..{k}, got {position}")
-    y_j = data.levels[position]
-    if level is None:
-        level = (Fraction(y_j) + Fraction(data.levels[position + 1])) / 2
-    level = Fraction(level)
-    if not (data.levels[position + 1] < level < y_j):
-        raise ValueError(
-            f"inserted level {level} must lie strictly between "
-            f"{data.levels[position + 1]} and {y_j}"
-        )
+    level = (Fraction(data.levels[position]) + Fraction(data.levels[position + 1])) / 2
 
     m, n = data.chain[position]
     m2, n2 = data.chain[position + 1]

@@ -21,6 +21,7 @@ repeat of -2, and no approximant pairs are built.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from cscglue.cfrac import expand_runs, hj_length, hj_runs
 
@@ -105,6 +106,8 @@ def _string(p: int, q: int) -> Chain:
 
 def _split_weight(alpha: Fraction) -> tuple[int, int]:
     if not isinstance(alpha, Fraction):
+        if not isinstance(alpha, Rational):
+            raise TypeError(f"weight {alpha!r} is not a rational number")
         alpha = Fraction(alpha)
     p, q = alpha.numerator, alpha.denominator
     if not 0 < p < q:

@@ -159,6 +159,13 @@ def test_kernels_match_oracle_burns():
         assert_kernels_match_oracle(BURNS_CHAIN, u, [INFINITY, Fraction(1, 3), Fraction(0)])
 
 
+def test_burns_datum_from_fraction():
+    for levels in ([2, 1, 0], [INFINITY, Fraction(1, 3), 0], [Fraction(7, 2), Fraction(1, 3), 0]):
+        assert monopole_from_fraction(1, 1, levels) == monopole_from_chain(BURNS_CHAIN, levels)
+    with pytest.raises(ValueError, match=r"^expected 3 levels, got 4$"):
+        monopole_from_fraction(1, 1, [3, 2, 1, 0])
+
+
 def test_kernels_match_oracle_blowup_chains():
     rng = random.Random(77)
     for p, q in coprime_pairs(25):
@@ -398,8 +405,6 @@ def test_blowup_insert_validation():
         blowup_insert(data, 0)  # would insert (1, -1) ahead of (1, 0)
     with pytest.raises(ValueError, match=r"position must be in 1\.\.0"):
         blowup_insert(flat_monopole(), 0)  # k = 0: nothing to blow up
-    with pytest.raises(ValueError, match="strictly between"):
-        blowup_insert(data, 1, level=Fraction(5))  # outside the interval
 
 
 def test_chain_validation():

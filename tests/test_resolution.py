@@ -1,6 +1,7 @@
 """Fiber chains and the blow-down oracles."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -77,6 +78,17 @@ def test_rejects_out_of_range():
         fiber_chain(Fraction(3, 2))
     with pytest.raises(ValueError):
         fiber_chain(Fraction(0))
+
+
+def test_rejects_non_rational_weight():
+    # 0.1 is 3602879701896397/2**55, whose dual string is about 1.8e15
+    # digits long; it is refused by type, before any size is looked at.
+    for fn in (blowup_count, singular_strings, fiber_chain):
+        with pytest.raises(TypeError, match=r"^weight 0\.1 is not a rational number$"):
+            fn(0.1)
+        for weight in (Decimal("0.5"), "1/2", None):
+            with pytest.raises(TypeError, match="is not a rational number"):
+                fn(weight)
 
 
 def test_blow_down_once_examples():
