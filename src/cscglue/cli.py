@@ -9,10 +9,11 @@ One binary with subcommands::
     cscglue pipeline fixtures/sphere_four_points.json
     cscglue metric-verify 1/3 --samples 200 --seed 7 --csv decay.csv
 
-Surfaces are described by JSON documents (see :func:`parse_surface`);
-fractions are always written as "p/q" strings so weights never pass
-through floating point.  Every subcommand accepts ``--json`` for a
-machine-readable mirror of the human report.
+Surfaces are described by JSON documents (see :func:`parse_surface`).
+Every typed number, on the command line or in a document, is read from
+its text by :func:`to_fraction`, so "3/2", "1.5" and "15e-1" are all 3/2
+exactly and no number passes through floating point.  Every subcommand
+accepts ``--json`` for a machine-readable mirror of the human report.
 
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
@@ -68,6 +69,10 @@ MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 MAX_HJ_DIGITS = 100_000
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)\s*\Z")
+# "p/q" as Fraction reads it, Unicode digits included; it raises ZeroDivisionError at q = 0.
+_QUOTIENT = re.compile(r"\s*[-+]?\d+(?:_\d+)*/(\d+(?:_\d+)*)\s*\Z")
+# JSON numbers stay text for to_fraction; json.load(fh, parse_float=str) rebuilds this per call.
+_DECODER = json.JSONDecoder(parse_float=str)
 
 VERDICT_EXIT = {
     GluingVerdict.FEASIBLE: EXIT_OK,
@@ -171,8 +176,8 @@ def to_fraction(text) -> Fraction:
     ------
     ValueError
         If the decimal exponent is above MAX_DIGITS in magnitude, the
-        numerator or denominator has more digits, or the text is not a
-        rational.
+        numerator or denominator has more digits, the denominator is zero,
+        or the text is not a rational.
     """
     text = str(text)
     exponent = _EXPONENT.search(text)
@@ -180,6 +185,9 @@ def to_fraction(text) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
             raise ValueError(f"decimal exponent beyond {MAX_DIGITS} in magnitude")
+    quotient = _QUOTIENT.match(text)
+    if quotient and int(quotient.group(1)) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
     frac = Fraction(text)
     if max(abs(frac.numerator), frac.denominator) >= _DIGIT_BOUND:
         raise ValueError(f"more than {MAX_DIGITS} digits")
@@ -197,7 +205,7 @@ def check_hj_size(weight: Fraction) -> None:
 def parse_fraction(text: str, allow_burns: bool = False) -> tuple[int, int]:
     try:
         frac = to_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot parse fraction {text!r}: {exc}") from None
     p, q = frac.numerator, frac.denominator
     if allow_burns and (p, q) == (1, 1):
@@ -217,18 +225,8 @@ def parse_rational_list(text: str):
             out.append(INFINITY)
             continue
         try:
-            if "/" in item or "." not in item:
-                out.append(to_fraction(item))
-            else:
-                # Floats are accepted but converted with a warning: the
-                # conversion is exact binary, not decimal.
-                print(
-                    f"warning: converting floating-point level {item!r} to an "
-                    "exact fraction; pass p/q strings to avoid surprises",
-                    file=sys.stderr,
-                )
-                out.append(Fraction(float(item)).limit_denominator(10**12))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            out.append(to_fraction(item))
+        except ValueError as exc:
             raise InputError(f"cannot parse rational {item!r}: {exc}") from None
     if not out:
         raise InputError("empty rational list")
@@ -260,7 +258,7 @@ def parse_coord(text: str) -> tuple[int, int]:
         raise InputError(f"fiber coordinate must look like 'a:b', got {text!r}")
     try:
         u, v = _coord_part(parts[0]), _coord_part(parts[1])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot parse coordinate {text!r}: {exc}") from None
     return (u.numerator * v.denominator, v.numerator * u.denominator)
 
@@ -305,7 +303,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             model=model,
             sections=sections,
         )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad surface document: {exc}") from None
     # A marked point listed in the contains of one section must not have
     # its incidence pointing at a different one: the two declarations
@@ -324,7 +322,10 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
 def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # refused as json.load refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

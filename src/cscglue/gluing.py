@@ -334,7 +334,7 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     elif verdict.kind is StabilityKind.STABLE:
         case = FixType.NO_FIXED_POINT
         gluing = feasibility((), ncols=len(extra_points), dim_v0=0)
-        final = GluingVerdict.FEASIBLE
+        final = gluing.verdict
         notes.append("stable: no holomorphic vector fields, gluing is unobstructed")
     elif orb.genus == 0 and len(orb.orders) == 2 and orb.orders[0] == orb.orders[1]:
         case = FixType.QUOTIENT_SPHERE_BASE

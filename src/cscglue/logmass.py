@@ -408,7 +408,7 @@ def _validate_levels(levels, expected: int) -> tuple:
     finite = out[1:] if out[0] == INFINITY else out
     for a, b in zip(finite, finite[1:]):
         if not b.numerator * a.denominator < a.numerator * b.denominator:
-            raise ValueError(f"levels must be strictly decreasing, got {levels}")
+            raise ValueError(f"levels must be strictly decreasing, got {', '.join(map(str, out))}")
     if out[-1] != 0:
         raise ValueError(f"last level must be exactly 0, got {out[-1]}")
     return tuple(out)

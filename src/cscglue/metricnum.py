@@ -385,7 +385,7 @@ def _v_rows(data, x, y):
     return np.stack([frame.v1, frame.v2], axis=-2)
 
 
-def monopole_residual(data, x, y, h=1e-3, richardson: bool = True):
+def monopole_residual(data, x, y, h=1e-3):
     """Finite-difference residual of the defining linear system at (x, y).
 
     Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1
@@ -393,7 +393,7 @@ def monopole_residual(data, x, y, h=1e-3, richardson: bool = True):
     component per point.
     """
     data = as_numeric(data)
-    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h, richardson)
+    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h)
     dx, dy, v1 = st["d0"], st["d1"], st["f"][..., 0, :]
     xs = np.asarray(x, dtype=float)[..., None]
     res1 = dy[..., 0, :] - dx[..., 1, :]
@@ -540,8 +540,7 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
     }
 
 
-def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
-                       richardson: bool = True):
+def potential_residual(data, r):
     """Pointwise metric norm of omega - d(J df), worst over theta, per radius.
 
     f is the analytic asymptotic potential built from the exact log
@@ -549,15 +548,13 @@ def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
     from :func:`metric_at`, and its exterior derivative by finite
     differences.  The norm is the metric norm of the 2-form, so the
     expected decay is r^-4.  ``r`` is a radius or an array of them; all
-    radii and thetas form one batch.
+    radii and seven thetas across the interior form one batch.
     """
     data = as_numeric(data)
-    if theta_samples is None:
-        theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
+    theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
     a, b = float(data.exact.a), float(data.exact.b)
     q = data.source.pq()[1]
-    rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
-                                 np.asarray(theta_samples, dtype=float))
+    rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], theta_samples)
 
     def fields(rad, theta):
         """Rows of g, of omega and of J df; J dx^i has components -J[..., i, :]."""
@@ -568,7 +565,7 @@ def potential_residual(data, r, theta_samples=None, h: float = 1e-3,
         jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
         return np.concatenate([sample.g, sample.omega, jdf[..., None, :]], axis=-2)
 
-    st = stencil(fields, rr, th, h * np.maximum(rr, 1.0), h, richardson)
+    st = stencil(fields, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
     g, omega = st["f"][..., :4, :], st["f"][..., 4:8, :]
     R = np.zeros(rr.shape + (4, 4))
     R[..., 0, 2:] = omega[..., 0, 2:] - st["d0"][..., 8, 2:]

@@ -323,9 +323,9 @@ def _enumerate_trivial_p1(surface, candidate, numerators) -> list[CandidateSecti
 
 
 def _disjoint_zero_pair(witnesses):
-    zeros = [c for c in witnesses if c.slope == 0]
-    for i, a in enumerate(zeros):
-        for b in zeros[i + 1 :]:
+    """Two disjoint witnesses, all of which have slope 0, or None."""
+    for i, a in enumerate(witnesses):
+        for b in witnesses[i + 1 :]:
             if _disjoint(a, b):
                 return (a, b)
     return None

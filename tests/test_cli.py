@@ -340,11 +340,62 @@ def test_metric_verify_reproducible():
     assert a == b
 
 
-def test_float_levels_warn():
-    code, out, err = run_cli("mass", "1/2", "--levels", "1.5,1,0", "--json")
-    assert code == 0
-    assert "warning" in err
-    assert json.loads(out)["mu"] == "0"
+def _main(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_decimal_levels_are_exact(capsys):
+    # A decimal, its exponent form and the fraction are one number: the
+    # same output, and nothing on stderr.
+    for fmt in ((), ("--json",)):
+        runs = [_main(capsys, "mass", "1/2", "--levels", f"{top},1,0", *fmt)
+                for top in ("1.5", "15e-1", "3/2")]
+        assert runs[0] == runs[1] == runs[2], fmt
+        assert runs[0][0] == 0 and runs[0][2] == "", fmt
+    assert json.loads(_main(capsys, "mass", "1/2", "--levels", "1.5,1,0", "--json")[1])["mu"] == "0"
+
+
+def test_decimal_inputs_read_from_their_text(capsys, tmp_path):
+    # A positive level below float's 1e-12 denominator limit stays positive.
+    tiny = _main(capsys, "mass", "1/3", "--levels", "2,0.0000000000001,0", "--json")
+    assert tiny == _main(capsys, "mass", "1/3", "--levels", "2,1/10000000000000,0", "--json")
+    assert tiny[0] == 0 and tiny[2] == ""
+    # Sixteen threes are 3333333333333333/10^16, not 1/3.
+    threes = _main(capsys, "mass", "1/3", "--levels", "2,0.3333333333333333,0", "--json")
+    assert threes == _main(capsys, "mass", "1/3", "--levels",
+                           "2,3333333333333333/10000000000000000,0", "--json")
+    assert threes != _main(capsys, "mass", "1/3", "--levels", "2,1/3,0", "--json")
+    # --u takes decimals the same way, without a warning.
+    assert _main(capsys, "mass", "1/3", "--u", "0.1") == _main(capsys, "mass", "1/3", "--u", "1/10")
+    assert _main(capsys, "mass", "1/3", "--u", "0.1")[2] == ""
+    # A JSON number weight is read from its text, like the same text as a string.
+    for number, frac in (("0.33333333333333333333", Fraction(33333333333333333333, 10**20)),
+                         ("1e-400", Fraction(1, 10**400))):
+        runs = []
+        for weight in (number, json.dumps(number)):
+            doc = tmp_path / "doc.json"
+            doc.write_text(f'{{"points": ["P"], "weights": [{weight}], "incidence": ["1:0"]}}')
+            runs.append(_main(capsys, "stability", str(doc), "--json"))
+        assert runs[0] == runs[1], number
+        assert runs[0][0] == 0 and runs[0][2] == "", number
+        assert json.loads(runs[0][1])["min_slope"] == str(-frac), number
+
+
+def test_zero_denominator_names_the_text(capsys, tmp_path):
+    # Every text that Fraction reads as p/0, Unicode zeros included.
+    for text in ("1/0", "-3/00", " 1_0/0_0 ", "+0/0", "7/\u0660", "\u0661/\u0966\u0966"):
+        with pytest.raises(ValueError, match="zero denominator in ") as info:
+            to_fraction(text)
+        assert type(info.value) is ValueError and repr(text) in str(info.value), text
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"points": ["P"], "weights": ["0/0"], "incidence": ["1:0"]}')
+    for argv in (("hj", "1/0"), ("mass", "1/3", "--u", "1/0"), ("stability", str(doc))):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "zero denominator in '" in err, argv
+        assert "Fraction(" not in err, argv
 
 
 def test_metric_verify_bad_args(tmp_path):
@@ -466,7 +517,7 @@ def _via_to_fraction(text):
     """The reference route for parse_coord: every part through to_fraction."""
     try:
         u, v = (to_fraction(part) for part in text.split(":"))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return f"cannot parse coordinate {text!r}: {exc}"
     return (u.numerator * v.denominator, v.numerator * u.denominator)
 

@@ -147,4 +147,26 @@ def test_fuzz_failures_exit_2(tmp_path, capsys):
     assert main(["mass", "1/3", "--levels", "1.5e999,0"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert all(line.startswith(("error:", "warning:")) for line in err.splitlines())
+    assert all(line.startswith("error:") for line in err.splitlines())
+
+
+def _decimal_text(frac: Fraction, exponent_form: bool) -> str:
+    """The exact decimal of a Fraction whose denominator is 2^a 5^b."""
+    places = 0
+    while (frac * 10**places).denominator != 1:
+        places += 1
+    digits = str(abs(frac.numerator * 10**places // frac.denominator))
+    sign = "-" if frac < 0 else ""
+    if exponent_form:
+        return f"{sign}{digits}e-{places}"
+    digits = digits.rjust(places + 1, "0")
+    return f"{sign}{digits[:len(digits) - places]}.{digits[len(digits) - places:]}"
+
+
+@FUZZ
+@given(st.integers(-10**30, 10**30), st.integers(0, 60), st.integers(0, 60), st.booleans())
+def test_decimal_text_reads_back_exactly(numerator, twos, fives, exponent_form):
+    frac = Fraction(numerator, 2**twos * 5**fives)
+    text = _decimal_text(frac, exponent_form)
+    assert parse_rational_list(text) == [frac], text
+    assert parse_rational_list(f"{text},{text}") == [frac, frac], text

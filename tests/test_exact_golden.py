@@ -163,6 +163,11 @@ def test_golden_covers_refusals_of_every_subcommand():
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_golden_stderr_shows_no_python_reprs():
+    golden = json.loads(GOLDEN.read_text())
+    assert not [key for key, v in golden.items() if "Fraction(" in v["stderr"]]
+
+
 if __name__ == "__main__":
     import tempfile
 
