@@ -69,8 +69,6 @@ MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 MAX_HJ_DIGITS = 100_000
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)\s*\Z")
-# "p/q" as Fraction reads it, Unicode digits included; it raises ZeroDivisionError at q = 0.
-_QUOTIENT = re.compile(r"\s*[-+]?\d+(?:_\d+)*/(\d+(?:_\d+)*)\s*\Z")
 # JSON numbers stay text for to_fraction; json.load(fh, parse_float=str) rebuilds this per call.
 _DECODER = json.JSONDecoder(parse_float=str)
 
@@ -185,10 +183,10 @@ def to_fraction(text) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
             raise ValueError(f"decimal exponent beyond {MAX_DIGITS} in magnitude")
-    quotient = _QUOTIENT.match(text)
-    if quotient and int(quotient.group(1)) == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if max(abs(frac.numerator), frac.denominator) >= _DIGIT_BOUND:
         raise ValueError(f"more than {MAX_DIGITS} digits")
     return frac

@@ -247,6 +247,12 @@ def test_pipeline_bad_document(tmp_path):
     code, _, err = run_cli("pipeline", str(doc))
     assert code == 2
     assert "line" in err
+    # A UTF-8 byte order mark is refused as json.load refuses it.
+    doc.write_text("\ufeff" + (FIXTURES / "torus_two_points.json").read_text(), encoding="utf-8")
+    for command in ("stability", "pipeline"):
+        code, out, err = run_cli(command, str(doc))
+        assert (code, out) == (2, ""), command
+        assert err == f"error: {doc}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
     # Well-formed JSON that is not a surface document: a non-object
     # document, a negative genus, a genus or self-intersection that is
     # not a JSON integer (1.9 must not truncate to 1), disjoint sections
@@ -389,6 +395,11 @@ def test_zero_denominator_names_the_text(capsys, tmp_path):
         with pytest.raises(ValueError, match="zero denominator in ") as info:
             to_fraction(text)
         assert type(info.value) is ValueError and repr(text) in str(info.value), text
+    # Spaces around the slash: Python 3.12 reads p / 0 and divides by zero,
+    # earlier versions refuse the literal.  Either way one ValueError.
+    with pytest.raises(ValueError, match="zero denominator in |Invalid literal") as info:
+        to_fraction("1 / 0")
+    assert type(info.value) is ValueError
     doc = tmp_path / "doc.json"
     doc.write_text('{"points": ["P"], "weights": ["0/0"], "incidence": ["1:0"]}')
     for argv in (("hj", "1/0"), ("mass", "1/3", "--u", "1/0"), ("stability", str(doc))):
@@ -396,6 +407,11 @@ def test_zero_denominator_names_the_text(capsys, tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "zero denominator in '" in err, argv
         assert "Fraction(" not in err, argv
+    doc.write_text('{"points": ["P"], "weights": ["1 / 0"], "incidence": ["1:0"]}')
+    for argv in (("hj", "1 / 0"), ("mass", "1/3", "--levels", "1 / 0,0"), ("stability", str(doc))):
+        code, out, err = _main(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_metric_verify_bad_args(tmp_path):
