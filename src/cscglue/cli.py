@@ -19,10 +19,10 @@ Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
 any tolerance fails.  Every refusal exits 2 through one handler in
 :func:`main`, which prints one ``error:`` line for an ``InputError`` of
-the parsers and for a ``ValueError`` of the library.  A command whose
-standard output is closed early (``cscglue pipeline doc.json --json |
-head``) exits 141, the status a shell reports for a process ended by
-SIGPIPE.
+the parsers, a ``ValueError`` of the library or the ``ModuleNotFoundError``
+of a metric check without numpy.  A command whose standard output is
+closed early (``cscglue pipeline doc.json --json | head``) exits 141,
+the status a shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from cscglue.logmass import (
     verdict_from_coeffs,
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
-from cscglue.resolution import blowup_count, fiber_chain, format_chain, singular_strings
+from cscglue.resolution import blowup_count, chain_from_strings, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
 from cscglue.metricnum import default_levels, verify_metric
@@ -68,6 +68,7 @@ EXIT_BROKEN_PIPE = 141
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 MAX_HJ_DIGITS = 100_000
+MAX_QUOTED = 40  # longest weight a refusal quotes; longer ones are named by size
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)\s*\Z")
 # JSON numbers stay text for to_fraction; json.load(fh, parse_float=str) rebuilds this per call.
 _DECODER = json.JSONDecoder(parse_float=str)
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -196,7 +197,11 @@ def check_hj_size(weight: Fraction) -> None:
     """Refuse a weight whose HJ digits and dual digits exceed MAX_HJ_DIGITS."""
     size = blowup_count(weight)
     if size > MAX_HJ_DIGITS:
-        raise InputError(f"weight {weight} expands to {size} HJ digits with its dual, "
+        text, count = str(weight), str(size)
+        if len(text) > MAX_QUOTED:
+            text = f"with a {len(str(weight.denominator))}-digit denominator"
+            count = f"a {len(count)}-digit number of"
+        raise InputError(f"weight {text} expands to {count} HJ digits with its dual, "
                          f"more than the {MAX_HJ_DIGITS} supported")
 
 
@@ -350,10 +355,9 @@ def cmd_hj(args) -> int:
     p, q = parse_fraction(args.fraction)
     weight = Fraction(p, q)
     check_hj_size(weight)
-    # One expansion of q/p, for its digits and approximants; the strings,
-    # the chain and the count are resolution's.
-    exp, chain = hj_expand(p, q), fiber_chain(weight)
-    left, right = singular_strings(weight)
+    # One expansion of q/p and one build of the strings; the rest is resolution's.
+    exp, (left, right) = hj_expand(p, q), singular_strings(weight)
+    chain = chain_from_strings(left, right)
     payload = {
         "version": __version__,
         "fraction": f"{p}/{q}",

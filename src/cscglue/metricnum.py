@@ -86,6 +86,7 @@ import importlib.util
 import math
 import operator
 import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -114,13 +115,19 @@ def _lazy_numpy():
     if sys.modules.get("numpy") is not None:
         return sys.modules["numpy"]
     spec = importlib.util.find_spec("numpy")
-    if spec is None:  # not installed, or sys.modules["numpy"] is None
-        return importlib.import_module("numpy")
+    if spec is None:  # not installed, or sys.modules["numpy"] is None: fail on first use
+        return _MissingNumpy("numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module
     spec.loader.exec_module(module)
     return module
+
+
+class _MissingNumpy(types.ModuleType):
+    def __getattr__(self, name):
+        raise ModuleNotFoundError("the metric checks need numpy, which is not installed",
+                                  name="numpy")
 
 
 np = _lazy_numpy()
@@ -465,43 +472,39 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, richardson: bool = True)
     ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
     (u0, u1) in front; it is called once, on arrays with an extra leading
     stencil axis (module docstring).  Derivatives along the remaining
-    coordinates are taken to vanish.
+    coordinates are taken to vanish, so each derivative axis has length 2:
+    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.
     """
     st = stencil(metric_fn, u0, u1, h0, h1, richardson, second=True)
     g = st["f"]
     n = g.shape[-1]
-    batch = g.shape[:-2]
     ginv = np.linalg.inv(g)
+    # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2.
+    derivs = np.stack([np.stack([st[a], st[b]], axis=-3)
+                       for a, b in (("d0", "d1"), ("d00", "d01"), ("d01", "d11"))], axis=-4)
+    dg = derivs[..., 0, :, :, :]
 
-    # dg[..., e, i, j] = d_e g_ij and d2g[..., e, f, i, j] = d_e d_f g_ij,
-    # zero unless e, f < 2.
-    dg = np.zeros(batch + (n, n, n))
-    dg[..., 0, :, :] = st["d0"]
-    dg[..., 1, :, :] = st["d1"]
+    # term[..., k, d, bc] = (d_b g_dc + d_c g_db - d_d g_bc) / 2 and its derivatives,
+    # with (b, c) as one axis.  Gamma^a_{bc} = g^{ad} term[d, bc] and, as
+    # d_e g^-1 = -g^-1 (d_e g) g^-1, d_e Gamma = g^-1 (d_e term - (d_e g) Gamma).
+    half = np.zeros(derivs.shape[:-3] + (n, n, n))
+    half[..., :2, :] = np.swapaxes(derivs, -3, -2)
+    term = half + np.swapaxes(half, -1, -2)
+    term[..., :2, :, :] -= derivs
+    term = 0.5 * term.reshape(term.shape[:-2] + (n * n,))
+    gamma = ginv @ term[..., 0, :, :]
+    dgamma = ginv[..., None, :, :] @ (term[..., 1:, :, :] - dg @ gamma[..., None, :, :])
+    dgamma = dgamma.reshape(dg.shape + (n,))
 
-    d2g = np.zeros(batch + (n, n, n, n))
-    d2g[..., 0, 0, :, :] = st["d00"]
-    d2g[..., 1, 1, :, :] = st["d11"]
-    d2g[..., 0, 1, :, :] = d2g[..., 1, 0, :, :] = st["d01"]
-
-    # Gamma[a, b, c] = 0.5 g^{ad} term[d, b, c] with
-    # term[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc.
-    term = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, term)
-
-    # dgamma[e, a, b, c] = d_e Gamma^a_{bc}, with d_e g^-1 = -g^-1 (d_e g) g^-1.
-    dterm = (np.einsum("...ebdc->...edbc", d2g) + np.einsum("...ecdb->...edbc", d2g)
-             - d2g)
-    dginv = -np.einsum("...ai,...eij,...jd->...ead", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("...ead,...dbc->...eabc", dginv, term)
-                    + np.einsum("...ad,...edbc->...eabc", ginv, dterm))
-
-    # R_{s nu} = d_m Gamma^m_{nu s} - d_nu Gamma^m_{m s}
-    #            + Gamma^m_{m l} Gamma^l_{nu s} - Gamma^m_{nu l} Gamma^l_{m s}
-    ric = (np.einsum("...mmns->...sn", dgamma) - np.einsum("...nmms->...sn", dgamma)
-           + np.einsum("...mml,...lns->...sn", gamma, gamma)
-           - np.einsum("...mnl,...lms->...sn", gamma, gamma))
-    return np.einsum("...ab,...ab->...", ginv, ric)
+    # ric[n, s] = R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms}
+    #                      + Gamma^m_{ml} Gamma^l_{ns} - Gamma^m_{nl} Gamma^l_{ms},
+    # and swap[x, y, z] = Gamma^y_{xz} makes the last term one matrix product.
+    swap = np.swapaxes(gamma.reshape(g.shape + (n,)), -3, -2)
+    ric = (np.trace(swap, axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(g.shape)
+    ric -= swap.reshape(g.shape[:-1] + (n * n,)) @ swap.reshape(g.shape[:-2] + (n * n, n))
+    ric += dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
+    ric[..., :2, :] -= np.trace(dgamma, axis1=-3, axis2=-2)
+    return np.einsum("...ab,...ba->...", ginv, ric)
 
 
 def fit_log_coeffs(data, r_samples, theta_samples) -> dict:

@@ -42,7 +42,11 @@ def fiber_chain(alpha: Fraction) -> Chain:
         ``(-e_1, ..., -e_l, -1, -e'_m, ..., -e'_1)`` with e the digits
         for alpha = p/q and e' the digits for 1 - alpha.
     """
-    left, right = singular_strings(alpha)
+    return chain_from_strings(*singular_strings(alpha))
+
+
+def chain_from_strings(left: Chain, right: Chain) -> Chain:
+    """The fiber chain joined from its two :func:`singular_strings`."""
     return left + (-1,) + right[::-1]
 
 

@@ -94,6 +94,25 @@ def test_hj_expands_weight_at_most_twice(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_hj_builds_each_string_once(monkeypatch, capsys):
+    from cscglue import resolution
+
+    calls = []
+    build = resolution._string
+
+    def counting(p, q):
+        calls.append((p, q))
+        return build(p, q)
+
+    # The chain is joined from the strings, not built from them again.
+    monkeypatch.setattr(resolution, "_string", counting)
+    for fmt in ((), ("--json",)):
+        calls.clear()
+        assert main(["hj", "5/7", *fmt]) == 0
+        assert calls == [(5, 7), (2, 7)]
+    capsys.readouterr()
+
+
 def test_hj_json_matches_resolution(capsys):
     # The resolution functions expand the weight on their own: they are
     # the oracle for the chain, the strings and the blow-up count.
@@ -350,6 +369,27 @@ def _main(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_size_refusal_names_long_weights_by_size(tmp_path, capsys):
+    # A weight up to MAX_QUOTED characters is quoted whole; a longer one is
+    # named by the digits of its denominator, and its count by its length.
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"genus": 0, "points": ["a", "b"], "weights": ["1e-400", "1/2"],
+                               "incidence": ["0:1", "1:0"]}))
+    code, out, err = _main(capsys, "pipeline", str(doc))
+    assert (code, out) == (2, "")
+    assert err == ("error: weight with a 401-digit denominator expands to a 401-digit number of"
+                   " HJ digits with its dual, more than the 100000 supported\n")
+    assert len(err.encode()) < 200
+    q = 10 ** 37 + 1
+    assert len(f"1/{q}") == cli.MAX_QUOTED
+    assert _main(capsys, "hj", f"1/{q}")[2] == (
+        f"error: weight 1/{q} expands to {q} HJ digits with its dual, more than the 100000 "
+        "supported\n")
+    assert _main(capsys, "mass", f"1/{10 * q}", "--u", "1")[2] == (
+        "error: weight with a 39-digit denominator expands to a 39-digit number of HJ digits "
+        "with its dual, more than the 100000 supported\n")
 
 
 def test_decimal_levels_are_exact(capsys):

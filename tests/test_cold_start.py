@@ -3,9 +3,11 @@
 Each test runs in a fresh interpreter, since the test process itself has
 numpy imported.  ``numpy._core`` (``numpy.core`` before numpy 2) appears
 in ``sys.modules`` only once numpy's own code has run; a lazily bound
-``numpy`` alone does not add it.
+``numpy`` alone does not add it.  ``sys.modules["numpy"] = None`` makes
+the interpreter behave as if numpy were not installed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -84,17 +86,41 @@ def test_numpy_imported_first_is_used_as_is():
 
 
 def test_missing_numpy_fails_the_import_by_name():
+    # The module imports; its first use of numpy fails, naming numpy.
     proc = run_python(
         "-c",
         "import sys\n"
         'sys.modules["numpy"] = None\n'
+        "import cscglue.metricnum as m\n"
         "try:\n"
-        "    import cscglue.metricnum\n"
+        "    m.verify_metric(1, 2)\n"
         "except ModuleNotFoundError as exc:\n"
         "    print(exc.name)\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "numpy\n"
+
+
+WITHOUT_NUMPY = ('import sys\nsys.modules["numpy"] = None\n'
+                 "from cscglue.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv, golden, key", [
+    (["hj", "5/7"], "exact_golden.json", "hj 5/7"),
+    (["mass", "2/3", "--u", "1,1", "--json"], "exact_golden.json", "mass 2/3 --u 1,1 --json"),
+    (["pipeline", FOUR_POINTS], "decision_golden.json", "pipeline sphere_four_points"),
+])
+def test_exact_commands_run_without_numpy(argv, golden, key):
+    want = json.loads((ROOT / "tests" / golden).read_text())[key]
+    proc = run_python("-c", WITHOUT_NUMPY, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want["exit"], want["stdout"],
+                                                           want.get("stderr", ""))
+
+
+def test_metric_verify_without_numpy_is_refused():
+    proc = run_python("-c", WITHOUT_NUMPY, "metric-verify", "1/2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the metric checks need numpy, which is not installed\n"
 
 
 def test_float_max_is_numpy_float_max():

@@ -92,6 +92,57 @@ def _oracle_metric(a, b):
     return g
 
 
+def _polynomial_metric(seed):
+    """A metric whose 16 entries are cubic polynomials in (u0, u1), every block coupled.
+
+    Positive definite for |u0|, |u1| <= 1/2: the polynomial part of each
+    entry is at most 0.65 there, against 3 on the diagonal.
+    """
+    powers = [(i, j) for i in range(4) for j in range(4 - i)]
+    coeffs = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(len(powers), 4, 4))
+    coeffs = coeffs + np.swapaxes(coeffs, -1, -2)
+
+    def metric(u0, u1):
+        u0, u1 = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))
+        return 3.0 * np.eye(4) + sum(c * (u0 ** i * u1 ** j)[..., None, None]
+                                     for c, (i, j) in zip(coeffs, powers))
+
+    return metric
+
+
+def _einsum_curvature(metric_fn, u0, u1, h0, h1, richardson=True):
+    """The einsum contraction over zero-padded derivative axes (the oracle).
+
+    Every derivative axis has length n, with d_e g = 0 for e >= 2, and
+    numpy sums each index without a path.
+    """
+    st = stencil(metric_fn, u0, u1, h0, h1, richardson, second=True)
+    g = st["f"]
+    n = g.shape[-1]
+    batch = g.shape[:-2]
+    ginv = np.linalg.inv(g)
+
+    dg = np.zeros(batch + (n, n, n))
+    dg[..., 0, :, :] = st["d0"]
+    dg[..., 1, :, :] = st["d1"]
+    d2g = np.zeros(batch + (n, n, n, n))
+    d2g[..., 0, 0, :, :] = st["d00"]
+    d2g[..., 1, 1, :, :] = st["d11"]
+    d2g[..., 0, 1, :, :] = d2g[..., 1, 0, :, :] = st["d01"]
+
+    term = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, term)
+    dterm = (np.einsum("...ebdc->...edbc", d2g) + np.einsum("...ecdb->...edbc", d2g)
+             - d2g)
+    dginv = -np.einsum("...ai,...eij,...jd->...ead", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...ead,...dbc->...eabc", dginv, term)
+                    + np.einsum("...ad,...edbc->...eabc", ginv, dterm))
+    ric = (np.einsum("...mmns->...sn", dgamma) - np.einsum("...nmms->...sn", dgamma)
+           + np.einsum("...mml,...lns->...sn", gamma, gamma)
+           - np.einsum("...mnl,...lms->...sn", gamma, gamma))
+    return np.einsum("...ab,...ab->...", ginv, ric)
+
+
 def _assert_close_relative(batch, single, tol=1e-12):
     batch, single = np.asarray(batch), np.asarray(single)
     assert batch.shape == single.shape
@@ -336,6 +387,20 @@ def test_curvature_generic_against_symbolic_oracle():
     for (a, b), val in expected.items():
         got = scalar_curvature_generic(_oracle_metric, a, b, 1e-3, 1e-3)
         assert abs(got - val) < 1e-7
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_curvature_matches_einsum_contraction(seed):
+    # The oracle sums the same stencil values in another order, so the two
+    # differ by roundoff alone.
+    metric = _oracle_metric if seed is None else _polynomial_metric(seed)
+    rng = np.random.default_rng(seed)
+    u0, u1 = rng.uniform(-0.5, 0.5, size=(2, 6))
+    assert np.linalg.eigvalsh(metric(u0, u1)).min() > 0
+    for h, richardson in ((1e-3, True), (1e-2, 2), (1e-4, False)):
+        got = scalar_curvature_generic(metric, u0, u1, h, h, richardson)
+        _assert_close_relative(got, _einsum_curvature(metric, u0, u1, h, h, richardson), 1e-10)
+    assert np.ndim(scalar_curvature_generic(metric, 0.1, -0.2, 1e-3, 1e-3)) == 0
 
 
 def test_curvature_richardson_improves():
