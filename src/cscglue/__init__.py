@@ -18,6 +18,12 @@ The package has three layers:
 
 Everything upstream of :mod:`cscglue.metricnum` is exact: no verdict in
 the classification pipeline depends on floating point.
+
+Every record type (:class:`HJExpansion`, :class:`MonopoleData`, the
+verdicts and reports) subclasses ``collections.namedtuple``.  So a
+record is immutable and also a tuple: it unpacks, indexes, and compares
+equal to a plain tuple of its fields.  ``_replace`` makes a changed
+copy, checked as a new record is.
 """
 
 from cscglue.cfrac import HJExpansion, hj_expand

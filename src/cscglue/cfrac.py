@@ -46,13 +46,12 @@ All arithmetic in this module is exact; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import index
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(namedtuple("HJExpansion", "p q digits approximants")):
     """Negative-regular expansion of q/p with its approximant pairs.
 
     Attributes
@@ -66,10 +65,7 @@ class HJExpansion:
         module docstring.
     """
 
-    p: int
-    q: int
-    digits: tuple[int, ...]
-    approximants: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def hj_expand(p: int, q: int) -> HJExpansion:

@@ -42,7 +42,7 @@ model and the +1 side is the first section of the witness pair.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -89,53 +89,34 @@ class GluingVerdict(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class OrbifoldSurface:
-    """A closed orientable orbifold Riemann surface."""
+class OrbifoldSurface(namedtuple("OrbifoldSurface", "genus orders")):
+    """A closed orientable orbifold Riemann surface; every order is at least 2."""
 
-    genus: int
-    orders: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for q in self.orders:
+    def __new__(cls, genus, orders):
+        for q in orders:
             if q < 2:
                 raise ValueError(f"orbifold orders must be >= 2, got {q}")
+        return super().__new__(cls, genus, orders)
 
 
-@dataclass(frozen=True)
-class GluingReport:
+class GluingReport(namedtuple("GluingReport", "rows ncols col_labels c1 c2 positive_kernel "
+                                              "kernel_witness dim_v0 verdict notes",
+                              defaults=((),))):
     """Exact feasibility data for the gluing matrix."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    ncols: int
-    col_labels: tuple[str, ...]
-    c1: int
-    c2: int
-    positive_kernel: bool
-    kernel_witness: tuple[Fraction, ...] | None
-    dim_v0: int
-    verdict: GluingVerdict
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(namedtuple("PipelineReport", "stability orbifold good chi_orb sfk_possible "
+                                                  "sporadic case gluing verdict blowup_total "
+                                                  "description resolution_strings "
+                                                  "special_configuration_required notes")):
     """End-to-end existence report for a parabolic ruled surface."""
 
-    stability: StabilityVerdict
-    orbifold: OrbifoldSurface
-    good: bool
-    chi_orb: Fraction
-    sfk_possible: bool
-    sporadic: bool
-    case: FixType | None
-    gluing: GluingReport | None
-    verdict: GluingVerdict
-    blowup_total: int
-    description: str
-    resolution_strings: tuple
-    special_configuration_required: bool
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def orbifold_from_parabolic(surface: ParabolicSurface) -> OrbifoldSurface:

@@ -62,7 +62,7 @@ and the Burns chain, by ``_validate_chain``.  The strings of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, partial
@@ -78,8 +78,7 @@ Pair = tuple[int, int]
 BURNS_CHAIN: tuple[Pair, ...] = ((0, -1), (1, 0), (1, 1), (0, 1))
 
 
-@dataclass(frozen=True)
-class MonopoleData:
+class MonopoleData(namedtuple("MonopoleData", "levels pairs chain", defaults=(None,))):
     """Levels and charge pairs defining a torus-symmetric ALE metric.
 
     Attributes
@@ -94,9 +93,7 @@ class MonopoleData:
         derives from a fraction or a blow-up insertion; None otherwise.
     """
 
-    levels: tuple
-    pairs: tuple[Pair, ...]
-    chain: tuple[Pair, ...] | None = None
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -110,25 +107,21 @@ class MonopoleData:
         return p, q
 
 
-@dataclass(frozen=True, eq=False)
-class LogCoefficients:
+class LogCoefficients(namedtuple("LogCoefficients", "a b mu terms")):
     """The pair (a, b) of the potential expansion and mu = a + b.
 
     ``per_term`` lists (coefficient_j, u_j) for j = 1, ..., k, where
     u_j = m_j (c_j - c_{j-1}); mu equals the sum of their products.  It
-    is computed on first access, from the chain and the u values or
-    reciprocal levels that the sums already read, and then kept.
-    ``==`` and ``hash`` cover (a, b, mu, per_term), so they compute it.
+    is computed on first access by calling ``terms``, a ``partial`` over
+    the chain and the u values or reciprocal levels that the sums
+    already read, and then kept.  ``==``, ``!=`` and ``hash`` cover
+    (a, b, mu, per_term), so they compute it; ``repr`` shows (a, b, mu).
+    The cache needs an instance ``__dict__``, so ``__setattr__`` refuses.
     """
-
-    a: Fraction
-    b: Fraction
-    mu: Fraction
-    _terms: partial = field(repr=False)
 
     @cached_property
     def per_term(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._terms()
+        return self.terms()
 
     def _key(self) -> tuple:
         return self.a, self.b, self.mu, self.per_term
@@ -138,17 +131,28 @@ class LogCoefficients:
             return NotImplemented
         return self._key() == other._key()
 
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     def __hash__(self):
         return hash(self._key())
 
+    def __repr__(self):
+        return f"LogCoefficients(a={self.a!r}, b={self.b!r}, mu={self.mu!r})"
 
-@dataclass(frozen=True)
-class MassVerdict:
-    """Sign report for the mass of the metric attached to (p, q, u)."""
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: LogCoefficients is immutable")
 
-    mu: Fraction
-    sign: int  # -1, 0, or +1
-    crepant: bool
+
+class MassVerdict(namedtuple("MassVerdict", "mu sign crepant")):
+    """Sign report for the mass of the metric attached to (p, q, u).
+
+    ``sign`` is -1, 0 or +1, the sign of ``mu``; ``crepant`` says whether
+    p = q - 1.
+    """
+
+    __slots__ = ()
 
 
 def monopole_from_fraction(p: int, q: int, levels) -> MonopoleData:

@@ -87,7 +87,7 @@ import math
 import operator
 import sys
 import types
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -95,7 +95,6 @@ from cscglue.cfrac import hj_length
 from cscglue.logmass import (
     INFINITY,
     LogCoefficients,
-    MonopoleData,
     flat_monopole,
     log_coeffs_from_levels,
     monopole_from_fraction,
@@ -154,61 +153,66 @@ MAX_LEVELS = 64
 # the finite levels and the exact (a, b, mu).
 MAX_Q = 2**53
 FLOAT_MAX = sys.float_info.max
+# The same bound as an int: a Fraction compares with it exactly, where a
+# comparison with the float first converts it to a 309-digit Fraction.
+FLOAT_MAX_INT = int(FLOAT_MAX)
 
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point in polar coordinates, or a batch of them when the fields are arrays."""
+class PolarPoint(namedtuple("PolarPoint", "r theta")):
+    """A point in polar coordinates, or a batch of them when the fields are arrays.
 
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.r) <= 0):
-            raise ValueError(f"need r > 0, got r={self.r}")
-        theta = np.asarray(self.theta)
-        if np.any((theta <= 0) | (theta >= math.pi / 2)):
-            raise ValueError(f"theta must lie in (0, pi/2), got {self.theta}")
-
-
-@dataclass(frozen=True)
-class FrameData:
-    """(v_1, v_2) and their determinant; leading axes are the batch axes."""
-
-    v1: np.ndarray  # shape S + (2,)
-    v2: np.ndarray
-    det: np.ndarray  # shape S
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis."""
-
-    g: np.ndarray  # shape S + (4, 4)
-    omega: np.ndarray
-    J: np.ndarray
-
-
-@dataclass(frozen=True)
-class NumericMonopole:
-    """Float arrays of :class:`MonopoleData`, converted once.
-
-    ``levels`` and ``pairs`` hold the finite levels and their charges;
-    ``v2_const`` is the constant an infinite level adds to v_2.
+    r > 0 and 0 < theta < pi/2 are checked when it is built.
     """
 
-    source: MonopoleData
-    levels: np.ndarray  # shape (m,)
-    pairs: np.ndarray  # shape (m, 2)
-    v2_const: np.ndarray  # shape (2,)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, r, theta):
+        if np.any(np.asarray(r) <= 0):
+            raise ValueError(f"need r > 0, got r={r}")
+        angles = np.asarray(theta)
+        if np.any((angles <= 0) | (angles >= math.pi / 2)):
+            raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
+        return super().__new__(cls, r, theta)
+
+
+class FrameData(namedtuple("FrameData", "v1 v2 det")):
+    """(v_1, v_2) and their determinant; leading axes are the batch axes.
+
+    ``v1`` and ``v2`` have shape S + (2,), ``det`` shape S.
+    """
+
+    __slots__ = ()
+
+
+class MetricSample(namedtuple("MetricSample", "g omega J")):
+    """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis.
+
+    Each field has shape S + (4, 4).
+    """
+
+    __slots__ = ()
+
+
+class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_const")):
+    """Float arrays of :class:`MonopoleData`, converted once.
+
+    ``levels`` (shape (m,)) and ``pairs`` (shape (m, 2)) hold the finite
+    levels and their charges; ``v2_const`` (shape (2,)) is the constant
+    an infinite level adds to v_2.  ``exact`` is cached in an instance
+    ``__dict__``, so ``__setattr__`` refuses.
+    """
 
     @cached_property
     def exact(self) -> LogCoefficients:
         """Exact (a, b, mu) of the source data."""
         return log_coeffs_from_levels(self.source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: NumericMonopole is immutable")
 
 
 def as_numeric(data) -> NumericMonopole:
@@ -588,32 +592,29 @@ def form2_norm(R: np.ndarray, g: np.ndarray):
 # report driver
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name value tolerance passed detail")):
+    """One check of :func:`verify_metric`.
 
-    def __post_init__(self):
-        # numpy scalars leak in from reductions; keep reports plain.
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "passed", bool(self.passed))
+    ``value`` and ``tolerance`` are stored as floats and ``passed`` as a
+    bool, so numpy scalars from reductions stay out of reports.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, name, value, tolerance, passed, detail=""):
+        return super().__new__(cls, name, float(value), float(tolerance), bool(passed), detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    p: int
-    q: int
-    levels: tuple
-    seed: int
-    samples: int
-    checks: tuple[CheckResult, ...]
-    decay_series: tuple  # (r, residual) pairs
-    fit_series: tuple  # (r, a_est, b_est) pairs
-    exact: LogCoefficients
+class VerificationReport(namedtuple("VerificationReport", "p q levels seed samples checks "
+                                                          "decay_series fit_series exact")):
+    """The checks of :func:`verify_metric` with the series they read.
+
+    ``decay_series`` holds (r, residual) pairs and ``fit_series``
+    (r, a_est, b_est) triples; ``exact`` is the exact (a, b, mu).
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -705,11 +706,11 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         if levels is None:
             levels = default_levels(k)
         data = monopole_from_fraction(p, q, levels)
-        if any(abs(y) > FLOAT_MAX for y in data.levels if y != INFINITY):
+        if any(abs(y) > FLOAT_MAX_INT for y in data.levels if y != INFINITY):
             raise ValueError("every finite level must lie within the float range")
         num = as_numeric(data)
         exact = num.exact
-        if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX:
+        if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX_INT:
             raise ValueError("these levels give log coefficients a, b, mu outside the float range")
         checks = []
 

@@ -43,7 +43,7 @@ has weight (q_j - 1)/q_j.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -58,81 +58,79 @@ class StabilityKind(enum.Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class SectionData:
-    """A declared holomorphic section: id, [S]^2, and incidence data."""
+class SectionData(namedtuple("SectionData", "id self_intersection contains disjoint_from",
+                             defaults=(frozenset(), frozenset()))):
+    """A declared holomorphic section: id, [S]^2, and incidence data.
 
-    id: str
-    self_intersection: int
-    contains: frozenset = frozenset()  # base-point labels
-    disjoint_from: frozenset = frozenset()  # section ids
+    ``contains`` holds base-point labels, ``disjoint_from`` section ids.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParabolicSurface:
-    """A parabolic ruled surface in one of the two data models."""
+class ParabolicSurface(namedtuple("ParabolicSurface",
+                                  "genus points weights incidence model sections")):
+    """A parabolic ruled surface in one of the two data models.
 
-    genus: int
-    points: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-    incidence: tuple  # fiber coords (trivial-p1) or section ids (sections)
-    model: str = "trivial-p1"
-    sections: tuple[SectionData, ...] = ()
+    ``incidence`` holds one fiber coordinate (``trivial-p1``) or one
+    section id (``sections``) per marked point.  The data is checked when
+    the surface is built.
+    """
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        if len(set(self.points)) != len(self.points):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, genus, points, weights, incidence, model="trivial-p1", sections=()):
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        if len(set(points)) != len(points):
             raise ValueError("base points must be pairwise distinct")
-        if not (len(self.points) == len(self.weights) == len(self.incidence)):
+        if not (len(points) == len(weights) == len(incidence)):
             raise ValueError("points, weights and incidence must have equal length")
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, Rational):
                 raise TypeError(f"weight {w!r} is not a rational number")
             if not (0 < w.numerator < w.denominator):
                 raise ValueError(f"weight {w} outside (0, 1)")
-        if self.model == "trivial-p1":
-            if self.genus != 0:
+        if model == "trivial-p1":
+            if genus != 0:
                 raise ValueError("the trivial-p1 model requires genus 0")
-        elif self.model == "sections":
-            ids = {s.id for s in self.sections}
-            if len(ids) != len(self.sections):
+        elif model == "sections":
+            ids = {s.id for s in sections}
+            if len(ids) != len(sections):
                 raise ValueError("section ids must be distinct")
-            for inc in self.incidence:
+            for inc in incidence:
                 if inc not in ids:
                     raise ValueError(f"incidence names unknown section {inc!r}")
         else:
-            raise ValueError(f"unknown model {self.model!r}")
-        _check_section_numbers(self.sections)
+            raise ValueError(f"unknown model {model!r}")
+        _check_section_numbers(sections)
+        return super().__new__(cls, genus, points, weights, incidence, model, sections)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class CandidateSection:
-    """A section considered by the classifier, with resolved incidence."""
+class CandidateSection(namedtuple("CandidateSection",
+                                  "id self_intersection contains slope kind coord disjoint_from",
+                                  defaults=(None, frozenset()))):
+    """A section considered by the classifier, with resolved incidence.
 
-    id: str
-    self_intersection: int
-    contains: frozenset  # marked-point indices
-    slope: Fraction
-    kind: str  # "constant", "generic", "graph" or "declared"
-    coord: FiberCoord | None = None
-    disjoint_from: frozenset = frozenset()
+    ``contains`` holds marked-point indices; ``kind`` is "constant",
+    "generic", "graph" or "declared", and ``coord`` the fiber coordinate
+    of a constant section.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(namedtuple("StabilityVerdict",
+                                  "kind min_slope table witnesses pair relative_to_supplied",
+                                  defaults=(None, False))):
     """Classification outcome with the minimising sections as witnesses."""
 
-    kind: StabilityKind
-    min_slope: Fraction
-    table: tuple[CandidateSection, ...]
-    witnesses: tuple[CandidateSection, ...]
-    pair: tuple[CandidateSection, CandidateSection] | None = None
-    relative_to_supplied: bool = False
+    __slots__ = ()
 
 
 def normalize_coord(u, v) -> FiberCoord:

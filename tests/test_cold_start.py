@@ -4,7 +4,11 @@ Each test runs in a fresh interpreter, since the test process itself has
 numpy imported.  ``numpy._core`` (``numpy.core`` before numpy 2) appears
 in ``sys.modules`` only once numpy's own code has run; a lazily bound
 ``numpy`` alone does not add it.  ``sys.modules["numpy"] = None`` makes
-the interpreter behave as if numpy were not installed.
+the interpreter behave as if numpy were not installed.  The import of
+``cscglue.cli`` loads no ``dataclasses``, ``inspect`` or ``typing``
+either, and both golden files replay without numpy on the running
+interpreter and on the CPython 3.10, 3.12 and 3.13 that pyenv installed;
+a version it lacks is skipped, with the reason.
 """
 
 import json
@@ -38,10 +42,10 @@ all checks passed
 """
 
 
-def run_python(*args):
+def run_python(*args, python=sys.executable):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([python, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -49,6 +53,14 @@ def test_import_cli_leaves_numpy_unloaded():
     proc = run_python("-c", f"import sys, cscglue.cli; print({NUMPY_RAN})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_cli_leaves_dataclasses_inspect_and_typing_unloaded():
+    # -S skips site, so no .pth file can import typing before cscglue does.
+    proc = run_python("-S", "-c", "import sys, cscglue.cli\n"
+                      "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,6 +127,58 @@ def test_exact_commands_run_without_numpy(argv, golden, key):
     proc = run_python("-c", WITHOUT_NUMPY, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (want["exit"], want["stdout"],
                                                            want.get("stderr", ""))
+
+
+# Both golden harnesses use only the standard library and cscglue, so
+# they replay on an interpreter without numpy, pytest or hypothesis.
+# Prints, for each golden file, how many cases ran and which of them
+# printed something else: the numpy refusal, or any other change.
+REPLAY_GOLDENS = """\
+import json, sys, tempfile
+from pathlib import Path
+sys.modules["numpy"] = None
+sys.path.insert(0, "tests")
+import test_decision_golden, test_exact_golden
+NEEDS_NUMPY = {"stdout": "", "stderr": "error: the metric checks need numpy, which is not installed\\n",
+               "exit": 2}
+report = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for harness in (test_exact_golden, test_decision_golden):
+        golden = json.loads(harness.GOLDEN.read_text())
+        cases, differ = 0, {}
+        for cases, (key, argv) in enumerate(harness._cases(Path(tmp)), 1):
+            got = harness._run(argv)
+            if got != golden.get(key):
+                differ[key] = "numpy" if got == NEEDS_NUMPY else "changed"
+        report[harness.GOLDEN.name] = {"cases": cases, "differ": differ}
+print(json.dumps(report))
+"""
+
+# The level refusals of verify_metric come after its first use of numpy.
+REFUSED_AFTER_NUMPY = [
+    f"metric-verify 1/3 --levels {levels} --samples 10{fmt}"
+    for levels in ("1,2,0", "1e400,1,0", "4,3,2,1,0") for fmt in ("", " --json")
+]
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+
+
+def _pyenv_python(version):
+    """The first pyenv-installed CPython of that minor version, or None."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    return next(iter(sorted(root.glob(f"versions/{version}.*/bin/python"))), None)
+
+
+@pytest.mark.parametrize("version", ["running", *OTHER_PYTHONS])
+def test_goldens_replay_without_numpy(version):
+    python = sys.executable if version == "running" else _pyenv_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} under $PYENV_ROOT/versions (default ~/.pyenv)")
+    proc = run_python("-c", REPLAY_GOLDENS, python=python)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "exact_golden.json": {"cases": 230, "differ": dict.fromkeys(REFUSED_AFTER_NUMPY, "numpy")},
+        "decision_golden.json": {"cases": 84, "differ": {}},
+    }
 
 
 def test_metric_verify_without_numpy_is_refused():

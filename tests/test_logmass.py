@@ -588,5 +588,8 @@ def test_equality_covers_per_term():
     via_levels = log_coeffs_from_levels(monopole_from_fraction(3, 7, [INFINITY, 3, 2, 1, 0]))
     via_u = mu_from_u(3, 7, [u for _, u in via_levels.per_term])
     assert via_levels == via_u and hash(via_levels) == hash(via_u)
+    assert not (via_levels != via_u)
+    with pytest.raises(AttributeError):
+        via_u.per_term = ()
     assert via_levels != (via_u.a, via_u.b, via_u.mu, via_u.per_term)
     assert repr(via_u) == f"LogCoefficients(a={via_u.a!r}, b={via_u.b!r}, mu={via_u.mu!r})"

@@ -1,7 +1,7 @@
 """Numerical verification layer: coordinates, frames, curvature, fits."""
 
 import math
-from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
 from cscglue.metricnum import (
+    FLOAT_MAX,
     TOL_INVARIANT,
     PolarPoint,
     default_levels,
@@ -233,10 +234,10 @@ def test_invariant_residual_catches_small_defects(pq):
     # A 1e-8 relative error in omega or J must fail at every sample point.
     sample = invariant_batch(*pq)
     for bad in (
-        replace(sample, omega=sample.omega * (1 + 1e-8)),
-        replace(sample, J=sample.J * (1 + 1e-8)),
-        replace(sample, omega=sample.omega + 1e-8 * sample.omega * (np.arange(4) == 1)),
-        replace(sample, J=sample.J + 1e-8 * sample.J * (np.arange(4) == 3)),
+        sample._replace(omega=sample.omega * (1 + 1e-8)),
+        sample._replace(J=sample.J * (1 + 1e-8)),
+        sample._replace(omega=sample.omega + 1e-8 * sample.omega * (np.arange(4) == 1)),
+        sample._replace(J=sample.J + 1e-8 * sample.J * (np.arange(4) == 3)),
     ):
         assert np.min(invariant_residual(bad)) > TOL_INVARIANT
 
@@ -505,6 +506,16 @@ def test_verify_metric_refuses_non_integer_samples(samples):
 def test_verify_metric_takes_numpy_integer_samples():
     rep = verify_metric(1, 2, samples=np.int64(10))
     assert type(rep.samples) is int and rep == verify_metric(1, 2, samples=10)
+
+
+def test_verify_metric_float_range_edge():
+    # The largest float is a level the checks can run on (and fail);
+    # anything above it is refused before they start.
+    edge = Fraction(FLOAT_MAX)
+    rep = verify_metric(1, 2, levels=[math.inf, edge, 0], samples=10)
+    assert not rep.passed
+    with pytest.raises(ValueError, match="every finite level must lie within the float range"):
+        verify_metric(1, 2, levels=[math.inf, edge + 1, 0], samples=10)
 
 
 def test_sample_batch_seeded():

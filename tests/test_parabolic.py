@@ -256,6 +256,12 @@ def test_validation():
         )
     with pytest.raises(ValueError):
         normalize_coord(0, 0)
+    # A copy with changes is checked as a new surface is; a field cannot be set.
+    surface = trivial_surface([F(1, 2)], [(1, 0)])
+    with pytest.raises(ValueError, match="genus must be >= 0, got -1"):
+        surface._replace(genus=-1)
+    with pytest.raises(AttributeError):
+        surface.genus = 0
     # Sections differ numerically by fibers: S^2 - S'^2 is even,
     # disjoint sections have S'^2 = -S^2, and distinct sections meet in
     # (S^2 + S'^2)/2 >= 0 points.
