@@ -29,17 +29,24 @@ a_n gives a_n + 1 when n is odd (a lone a_1 gives a_1), and runs of
 multiplicity 0 are left out.  There are O(log q) runs even where
 there are q - 1 digits, as in the runs (2, 1), (2, q - 2) of (q-1)/q.
 
-Each kind of consumer is checked once, with explicit raises:
+Every expansion is checked once, in run form.  :func:`hj_runs` returns
+runs that ``_check_runs`` has walked through the recurrence, t twos
+moving (m, n) by t times its last difference, raising on a digit below
+2, on m not growing across a run, on det != 1 after a run and on a close
+other than (q, p).  :func:`hj_expand` builds its digits and pairs from
+those runs, and the run checks imply every per-pair invariant:
 
-* :func:`hj_expand` materialises the digits and the approximant pairs
-  that ``logmass`` sums unchecked; ``_check_invariants`` walks every
-  pair: the end pairs, det = 1 at every junction, m_j increasing.
-* :func:`hj_runs` builds no pairs; ``_check_runs`` walks the recurrence
-  run by run, t twos moving (m, n) by t times its last difference.  It
-  checks the run form of each invariant: the start pairs, digits >= 2,
-  m growing across every run and det = 1 after it, and the close at
-  (q, p).  The strings of ``resolution``, and through them
-  ``fiber_chain`` and ``gluing.existence_report``, come from these runs.
+* the step x_{j+1} = e_j x_j - x_{j-1} keeps det(x_{j-1}, x_j) for any
+  e_j, so the start pairs give det = 1 at junctions 0, ..., k;
+* m_{j+1} - m_j = (e_j - 2) m_j + (m_j - m_{j-1}), so from m_0 = 0 <
+  m_1 = 1 digits >= 2 keep m_j > 0 and every difference >= 1, that is
+  m_1 < ... < m_{k+1};
+* the close (m_{k+1}, n_{k+1}) = (q, p) is checked after the last run.
+
+``_approximants`` runs the same recurrence over the same digits, which
+the tests pin with the per-pair check as an oracle.  So ``logmass`` sums
+the pairs as they come, and the strings of ``resolution``, and through
+them ``fiber_chain`` and ``gluing.existence_report``, need only the runs.
 
 All arithmetic in this module is exact; no floating point.
 """
@@ -87,13 +94,10 @@ def hj_expand(p: int, q: int) -> HJExpansion:
     ValueError
         If (p, q) is out of range or not coprime.
     """
-    _check_pair(p, q)
+    runs = hj_runs(p, q)
+    digits = expand_runs(runs)
     # Python ints throughout, so that logmass can sum the pairs unconverted.
-    p, q = index(p), index(q)
-    digits = expand_runs(_runs(p, q))
-    exp = HJExpansion(p=p, q=q, digits=digits, approximants=_approximants(digits))
-    _check_invariants(exp)
-    return exp
+    return HJExpansion(index(p), index(q), digits, _approximants(digits))
 
 
 def hj_runs(p: int, q: int) -> tuple[tuple[int, int], ...]:
@@ -176,7 +180,8 @@ def _approximants(digits) -> tuple[tuple[int, int], ...]:
 
 
 def _check_runs(p: int, q: int, runs) -> None:
-    # The run form of _check_invariants, with explicit raises for ``python -O``.
+    # The one check of an expansion, with explicit raises for ``python -O``;
+    # the module docstring shows that it implies every per-pair invariant.
     # The recurrence keeps the determinant, so a run list cannot change it;
     # that check guards the jump over a run of twos.
     m0, n0, m1, n1 = 0, -1, 1, 0
@@ -197,23 +202,4 @@ def _check_runs(p: int, q: int, runs) -> None:
             raise RuntimeError(f"expansion of {q}/{p}: determinant {det} after run {(e, t)}")
     if (m1, n1) != (q, p):
         raise RuntimeError(f"expansion of {q}/{p} closes at {(m1, n1)}")
-
-
-def _check_invariants(exp: HJExpansion) -> None:
-    # Explicit raises, not asserts: the checks must survive ``python -O``.
-    # logmass uses the pairs unchecked, so this covers logmass._validate_chain:
-    # the end pairs, det = 1 at junctions 0..k, and m_1 = 1 < ... < m_{k+1}.
-    k = len(exp.digits)
-    pairs = exp.approximants
-    if pairs[:2] != ((0, -1), (1, 0)) or pairs[k + 1 :] != ((exp.q, exp.p), (0, 1)):
-        raise RuntimeError(f"expansion of {exp.q}/{exp.p} has ends {pairs[:2]}, {pairs[k + 1 :]}")
-    for j in range(k + 1):
-        mj, nj = pairs[j]
-        mj1, nj1 = pairs[j + 1]
-        det = mj * nj1 - mj1 * nj
-        if det != 1:
-            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: junction {j} has determinant {det}")
-    for j in range(1, k + 1):
-        if not pairs[j][0] < pairs[j + 1][0]:
-            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: m_j not increasing at j={j}")
 

@@ -52,11 +52,12 @@ metric, so these sums decide its sign exactly.
 Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
 numerators with a running common denominator, so each returned value is
-normalised once, as a single ``Fraction``.  Each chain is checked once:
-approximants from :func:`cfrac.hj_expand` there, by ``_check_invariants``
-walking every pair, and used here as they are; a chain a caller supplies,
-and the Burns chain, by ``_validate_chain``.  The strings of
-:mod:`resolution` need no pairs and come from :func:`cfrac.hj_runs`.
+normalised once, as a single ``Fraction``.  Each chain is checked once.
+Approximants from :func:`cfrac.hj_expand` are used as they are: their
+digit runs were checked there, and the :mod:`cfrac` docstring shows that
+this gives the end pairs, det = 1 at junctions 0..k and increasing m_j.
+A chain a caller supplies, and the Burns chain, go through
+``_validate_chain``.
 """
 
 from __future__ import annotations
@@ -288,21 +289,23 @@ def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
     u = tuple(x if isinstance(x, Fraction) else _finite(x, finite) for x in u)
     if len(u) != k:
         raise ValueError(f"expected {k} u-parameters, got {len(u)}")
-    if any(x.numerator <= 0 for x in u):
-        raise ValueError("all u_j must be positive")
 
     # With S = sum u_j, A = sum u_j / m_j and B = sum n_j u_j / m_j,
     # mu = (p + 1) S / q - (A + B), and in the c_0 = 0 normalisation c_k = A
     # and q a = S - q A, so q b = q mu - q a = p S - q B.  Term j adds
     # u_j (m_j - q) / m_j to q a and u_j (p m_j - q n_j) / m_j to q b, as
-    # numerators over the common denominator den.
+    # numerators over the common denominator den.  The count is checked, so
+    # the loop reads every u_j and refuses a non-positive one.
     q, p = chain[-2]
     qa = qb = 0
     den = 1
     for (m, n), x in zip(chain[1:], u):
+        num = x.numerator
+        if num <= 0:
+            raise ValueError("all u_j must be positive")
         d = x.denominator * m
         g = gcd(den, d)
-        scale, step = d // g, x.numerator * (den // g)
+        scale, step = d // g, num * (den // g)
         qa = qa * scale + step * (m - q)
         qb = qb * scale + step * (p * m - q * n)
         den *= scale

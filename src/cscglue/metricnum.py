@@ -698,16 +698,15 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     k = hj_length(p, q)
     if k + 2 > MAX_LEVELS:
         raise ValueError(f"{p}/{q} needs {k + 2} levels, more than the {MAX_LEVELS} supported")
+    # The level refusals are exact, so they come before numpy is loaded.
+    data = monopole_from_fraction(p, q, default_levels(k) if levels is None else levels)
+    if any(abs(y) > FLOAT_MAX_INT for y in data.levels if y != INFINITY):
+        raise ValueError("every finite level must lie within the float range")
     # An overflow in a batch leaves an inf or NaN, which fails a check or
     # makes the monopole data invalid (a ValueError); numpy's warning adds
     # nothing.
     with np.errstate(all="ignore"):
         rng = np.random.default_rng(seed)
-        if levels is None:
-            levels = default_levels(k)
-        data = monopole_from_fraction(p, q, levels)
-        if any(abs(y) > FLOAT_MAX_INT for y in data.levels if y != INFINITY):
-            raise ValueError("every finite level must lie within the float range")
         num = as_numeric(data)
         exact = num.exact
         if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX_INT:

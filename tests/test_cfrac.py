@@ -1,14 +1,23 @@
-"""Expansion, approximants, and the evaluation oracle."""
+"""Expansion, approximants, and two oracles: evaluation and the per-pair check.
+
+``hj_expand`` checks its digit runs only; the ``cfrac`` docstring shows
+that they imply every per-pair invariant.  ``_check_invariants`` below
+walks every approximant pair instead.  It passes the real output on every
+coprime q <= 400 and on long tails, and must refuse broken chains.
+"""
 
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cscglue.cfrac import hj_expand, hj_length
+from cscglue.cfrac import HJExpansion, hj_expand, hj_length
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def eval_negative_cfrac(digits) -> Fraction:
@@ -26,6 +35,29 @@ def eval_negative_cfrac(digits) -> Fraction:
     for e in reversed(digits[:-1]):
         value = e - 1 / value
     return value
+
+
+def _check_invariants(exp: HJExpansion) -> None:
+    # Explicit raises, not asserts: the checks must survive ``python -O``.
+    # logmass uses the pairs unchecked, so this covers logmass._validate_chain:
+    # the end pairs, det = 1 at junctions 0..k, and m_1 = 1 < ... < m_{k+1}.
+    k = len(exp.digits)
+    pairs = exp.approximants
+    if pairs[:2] != ((0, -1), (1, 0)) or pairs[k + 1 :] != ((exp.q, exp.p), (0, 1)):
+        raise RuntimeError(f"expansion of {exp.q}/{exp.p} has ends {pairs[:2]}, {pairs[k + 1 :]}")
+    for j in range(k + 1):
+        mj, nj = pairs[j]
+        mj1, nj1 = pairs[j + 1]
+        det = mj * nj1 - mj1 * nj
+        if det != 1:
+            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: junction {j} has determinant {det}")
+    for j in range(1, k + 1):
+        if not pairs[j][0] < pairs[j + 1][0]:
+            raise RuntimeError(f"expansion of {exp.q}/{exp.p}: m_j not increasing at j={j}")
+
+
+# 1/q and 2/q have one and two digits, (q-2)/q and (q-1)/q about q/2 and q - 1.
+LONG_TAILS = [(p, q) for q in (1009, 2003, 10**6 + 3) for p in (1, 2, q - 2, q - 1)]
 
 
 def coprime_pairs(max_q):
@@ -145,16 +177,22 @@ def test_hj_length_matches_expansion():
         hj_length(2, 4)
 
 
-# Under ``python -O`` (asserts stripped), hj_expand(2, 5) with its
-# approximants replaced by a broken chain must still raise.
+def test_oracle_passes_every_expansion():
+    for p, q in [*coprime_pairs(400), *LONG_TAILS]:
+        _check_invariants(hj_expand(p, q))
+
+
+# Under ``python -O`` (asserts stripped), the per-pair oracle must still
+# refuse an expansion of 5/2 whose approximants are a broken chain.
 BROKEN_EXPANSION = """
 import sys
-from cscglue import cfrac
+sys.path.insert(0, "tests")
+from cscglue.cfrac import HJExpansion
+from test_cfrac import _check_invariants
 if __debug__:
     sys.exit("not running under -O")
-cfrac._approximants = lambda digits: {pairs!r}
 try:
-    cfrac.hj_expand(2, 5)
+    _check_invariants(HJExpansion(2, 5, (3, 2), {pairs!r}))
 except RuntimeError as exc:
     print(exc)
 else:
@@ -170,6 +208,7 @@ else:
 def test_invariant_checks_survive_optimize(pairs):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", BROKEN_EXPANSION.format(pairs=pairs)],
+        cwd=ROOT,
         capture_output=True,
         text=True,
     )
@@ -183,19 +222,27 @@ def test_invariant_checks_survive_optimize(pairs):
 # e*x_j - x_{j-1} keeps det(x_{j-1}, x_j) for every e, and so does the
 # jump over a run of twos, so no run list can reach a determinant other
 # than the 1 of the start pairs; that check guards the walk itself.
+# Every route to the approximant pairs of 2/5 goes through the same check.
 BROKEN_RUNS = """
 import sys
 from fractions import Fraction
-from cscglue import cfrac, resolution
+from cscglue import cfrac, logmass, resolution
 if __debug__:
     sys.exit("not running under -O")
 cfrac._runs = lambda p, q: {runs!r}
-try:
-    resolution.singular_strings(Fraction(2, 5))
-except RuntimeError as exc:
-    print(exc)
-else:
-    sys.exit("broken runs accepted")
+for route in (
+    lambda: resolution.singular_strings(Fraction(2, 5)),
+    lambda: cfrac.hj_expand(2, 5),
+    lambda: logmass.mu_from_u(2, 5, [1, 1]),
+    lambda: logmass.mass_verdict(2, 5, [1, 1]),
+    lambda: logmass.monopole_from_fraction(2, 5, [3, 2, 1, 0]),
+):
+    try:
+        route()
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit("broken runs accepted")
 """
 
 
@@ -214,5 +261,6 @@ def test_run_checks_survive_optimize(runs, message):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "expansion of 5/2" in proc.stdout
-    assert message in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5
+    assert all("expansion of 5/2" in line and message in line for line in lines)

@@ -78,19 +78,20 @@ def test_hj_expands_weight_at_most_twice(monkeypatch, capsys):
     from cscglue import cfrac
 
     calls = []
-    check = cfrac._check_invariants
+    build = cfrac._approximants
 
-    def counting(exp):
-        calls.append((exp.p, exp.q))
-        check(exp)
+    def counting(digits):
+        calls.append(digits)
+        return build(digits)
 
-    # hj_expand checks each expansion once, whichever module called it.  Only
-    # p/q is expanded: the dual digits come from runs, with no approximants.
-    monkeypatch.setattr(cfrac, "_check_invariants", counting)
+    # hj_expand builds the pairs once per expansion, whichever module called
+    # it.  Only p/q is expanded (100000/1 has the one digit 100000): the dual
+    # digits come from runs, with no approximants.
+    monkeypatch.setattr(cfrac, "_approximants", counting)
     for fmt in ((), ("--json",)):
         calls.clear()
         assert main(["hj", "1/100000", *fmt]) == 0
-        assert calls == [(1, 100000)]
+        assert calls == [(100000,)]
     capsys.readouterr()
 
 

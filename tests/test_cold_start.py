@@ -154,11 +154,6 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps(report))
 """
 
-# The level refusals of verify_metric come after its first use of numpy.
-REFUSED_AFTER_NUMPY = [
-    f"metric-verify 1/3 --levels {levels} --samples 10{fmt}"
-    for levels in ("1,2,0", "1e400,1,0", "4,3,2,1,0") for fmt in ("", " --json")
-]
 OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
 
@@ -176,9 +171,23 @@ def test_goldens_replay_without_numpy(version):
     proc = run_python("-c", REPLAY_GOLDENS, python=python)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "exact_golden.json": {"cases": 230, "differ": dict.fromkeys(REFUSED_AFTER_NUMPY, "numpy")},
+        "exact_golden.json": {"cases": 230, "differ": {}},
         "decision_golden.json": {"cases": 84, "differ": {}},
     }
+
+
+def test_level_refusal_leaves_numpy_unloaded():
+    # verify_metric refuses levels exactly, before its first use of numpy.
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from cscglue.cli import main\n"
+        'code = main(["metric-verify", "1/3", "--levels", "1,2,0", "--samples", "10"])\n'
+        f"print({NUMPY_RAN}, code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 2\n"
+    assert proc.stderr == "error: levels must be strictly decreasing, got 1, 2, 0\n"
 
 
 def test_metric_verify_without_numpy_is_refused():

@@ -244,13 +244,13 @@ def test_strings_match_materialised_digits():
 
 
 def test_strings_expand_no_approximants(monkeypatch):
-    # Every hj_expand call ends in one _check_invariants call.
-    checked = []
-    check = cfrac._check_invariants
-    monkeypatch.setattr(cfrac, "_check_invariants", lambda exp: checked.append(exp) or check(exp))
+    # Every hj_expand call builds its pairs with one _approximants call.
+    built = []
+    build = cfrac._approximants
+    monkeypatch.setattr(cfrac, "_approximants", lambda digits: built.append(digits) or build(digits))
     for alpha in (Fraction(1, 2), Fraction(5, 7), Fraction(1, 2003), Fraction(2002, 2003)):
         singular_strings(alpha)
         fiber_chain(alpha)
     for path in sorted(FIXTURES.glob("*.json")):
         existence_report(*parse_surface(load_document(str(path))))
-    assert checked == []
+    assert built == []
