@@ -308,17 +308,6 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad surface document: {exc}") from None
-    # A marked point listed in the contains of one section must not have
-    # its incidence pointing at a different one: the two declarations
-    # would place Q_j on two sections at once.
-    if model == "sections":
-        for sec in sections:
-            for j, inc in enumerate(incidence):
-                if points[j] in sec.contains and inc != sec.id:
-                    raise InputError(
-                        f"point {points[j]} has incidence {inc} but is listed "
-                        f"in contains of section {sec.id}"
-                    )
     return surface, extra
 
 

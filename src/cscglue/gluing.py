@@ -53,6 +53,7 @@ from cscglue.parabolic import (
     StabilityVerdict,
     classify,
     coord_str,
+    integer_field,
     is_sporadic,
     normalize_coord,
 )
@@ -96,6 +97,7 @@ class OrbifoldSurface(namedtuple("OrbifoldSurface", "genus orders")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, genus, orders):
+        genus = integer_field(genus, "genus")
         for q in orders:
             if q < 2:
                 raise ValueError(f"orbifold orders must be >= 2, got {q}")
@@ -314,7 +316,7 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
             notes.append("no blow-ups: the minimal ruled surface keeps its product metric")
     elif verdict.kind is StabilityKind.STABLE:
         case = FixType.NO_FIXED_POINT
-        gluing = feasibility((), ncols=len(extra_points), dim_v0=0)
+        gluing = feasibility((), ncols=len(extra_points), dim_v0=case.dim_v0)
         final = gluing.verdict
         notes.append("stable: no holomorphic vector fields, gluing is unobstructed")
     elif orb.genus == 0 and len(orb.orders) == 2 and orb.orders[0] == orb.orders[1]:
@@ -341,7 +343,8 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     else:
         case = FixType.TWO_FIXED_POINTS
         row, labels = gluing_matrix(surface, verdict, extra_points)
-        gluing = feasibility((row,) if row else (), ncols=len(row), dim_v0=1, col_labels=labels)
+        gluing = feasibility((row,) if row else (), ncols=len(row), dim_v0=case.dim_v0,
+                             col_labels=labels)
         final = gluing.verdict
         if sporadic and final in (GluingVerdict.INFEASIBLE, GluingVerdict.OBSTRUCTED):
             notes.append(

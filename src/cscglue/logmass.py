@@ -58,6 +58,13 @@ digit runs were checked there, and the :mod:`cfrac` docstring shows that
 this gives the end pairs, det = 1 at junctions 0..k and increasing m_j.
 A chain a caller supplies, and the Burns chain, go through
 ``_validate_chain``.
+
+The level sums (:func:`log_coeffs_from_levels`) and the u sums
+(``_u_sums``) stay two loops.  Routing the levels through ``_u_sums``, with
+u_j = m_j (c_j - c_{j-1}) and a = a_u - c_0, b = b_u + c_0, gives the same
+(a, b, mu), but builds one more fraction per level: on the HJ sweep of the
+benchmark it took 1.3 to 1.8 times as long, with u as integer pairs or as
+Fractions.
 """
 
 from __future__ import annotations

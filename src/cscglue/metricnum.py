@@ -27,7 +27,7 @@ provides (v_1, v_2) as finite sums of basic solutions
     ( x / sqrt(x^2 + (y - a)^2),  (y - a) / sqrt(x^2 + (y - a)^2) ),
 
 from which g, omega and J are evaluated in closed form.  Finite
-differences (with Richardson extrapolation) enter only where the
+differences (one scheme, :func:`stencil`) enter only where the
 verification must be independent of the identities being verified: the
 monopole system itself, the closedness of omega and of the (1,0)-forms,
 the scalar curvature, and the comparison of omega against the exterior
@@ -60,12 +60,13 @@ converts the exact monopole data to float arrays; each function accepts
 either form, and :func:`verify_metric` converts once and passes the
 arrays on.  A finite-difference check evaluates its function once for
 the whole stencil (:func:`stencil`): the centre and every displaced
-point of every Richardson level are stacked along a new leading axis,
+point at both steps, h and h/2, are stacked along a new leading axis,
 with one step per point.  So a function handed to a check, such as the
 ``metric_fn`` of :func:`scalar_curvature_generic`, must accept arrays
 with extra leading axes and return values with those axes in front.
 
-Steps.  A central difference with one Richardson level has truncation
+Steps.  Every check differences with one scheme: central differences
+at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
 error of order h^4 and roundoff error of order eps/h for a first and
 eps/h^2 for a second derivative (eps = 2.2e-16, h measured against the
 length on which the function varies).  The total is least where the two
@@ -84,7 +85,6 @@ from __future__ import annotations
 
 import importlib.util
 import math
-import operator
 import sys
 import types
 from collections import namedtuple
@@ -100,6 +100,7 @@ from cscglue.logmass import (
     monopole_from_fraction,
     verdict_from_coeffs,
 )
+from cscglue.parabolic import integer_field
 
 
 def _lazy_numpy():
@@ -332,57 +333,42 @@ def _transpose(m):
 # shape (K,) + S to values of shape (K,) + S + T.
 
 
-def _extrapolate(vals):
-    """Richardson ladder for a stencil with an even error series.
-
-    ``vals[i]`` is the stencil value at step h / 2^i; each level removes
-    one power of h^2.
-    """
-    for level in range(1, len(vals)):
-        factor = 4.0 ** level
-        vals = [
-            (factor * vals[i + 1] - vals[i]) / (factor - 1)
-            for i in range(len(vals) - 1)
-        ]
-    return vals[0]
-
-
-# Displacements of a stencil's points from the centre, in units of each
-# Richardson level's steps; the last four, the corners, serve the mixed
-# derivative only.
+# Displacements of a stencil's points from the centre, in units of the
+# step; the last four, the corners, serve the mixed derivative only.
 _OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def stencil(fn, u0, u1, h0, h1, richardson=True, second: bool = False) -> dict:
+def stencil(fn, u0, u1, h0, h1, second: bool = False) -> dict:
     """Central differences of ``fn`` in both coordinates from one call.
 
-    The points are the centre and, for each Richardson level i, u0 +- h0/2^i
-    and u1 +- h1/2^i; ``second`` adds the four corners (u0 +- h0/2^i,
-    u1 +- h1/2^i).  ``richardson`` gives the extrapolation depth (False
-    none, True one level, integers for more).  Returns the centre value
-    "f" and the derivatives "d0" and "d1", and with ``second`` also "d00",
-    "d11" and "d01", each of shape S + T.
+    Every difference is taken at the steps (h0, h1) and (h0/2, h1/2) and
+    extrapolated once, (4 fine - coarse)/3, which cancels the h^2 term
+    of its error.  The points are the centre and, at each step, u0 +- h0
+    and u1 +- h1; ``second`` adds the four corners (u0 +- h0, u1 +- h1).
+    Returns the centre value "f" and the derivatives "d0" and "d1", and
+    with ``second`` also "d00", "d11" and "d01", each of shape S + T.
     """
     u0, u1, h0, h1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u0, u1, h0, h1)))
-    steps = [(h0 / 2**i, h1 / 2**i) for i in range(int(richardson) + 1)]
+    steps = ((h0, h1), (h0 / 2, h1 / 2))
     signs = _OFFSETS[: 8 if second else 4]
     values = fn(np.stack([u0] + [u0 + s0 * a0 for a0, _ in steps for s0, _ in signs]),
                 np.stack([u1] + [u1 + s1 * a1 for _, a1 in steps for _, s1 in signs]))
     f0 = values[0]
-    levels = values[1:].reshape((len(steps), len(signs)) + f0.shape)
+    at_step = values[1:].reshape((2, len(signs)) + f0.shape)
     per_point = u0.shape + (1,) * (f0.ndim - u0.ndim)  # a step over the trailing axes
 
-    def ladder(diff, step):
-        """Extrapolate diff(level values) / step(level steps) over the levels."""
-        return _extrapolate([diff(f) / step(*a).reshape(per_point) for f, a in zip(levels, steps)])
+    def extrapolate(diff, step):
+        """diff(values) / step(steps) at both steps, extrapolated to h = 0."""
+        coarse, fine = (diff(f) / step(*a).reshape(per_point) for f, a in zip(at_step, steps))
+        return (4.0 * fine - coarse) / 3.0
 
     out = {"f": f0,
-           "d0": ladder(lambda f: f[0] - f[1], lambda a0, a1: 2 * a0),
-           "d1": ladder(lambda f: f[2] - f[3], lambda a0, a1: 2 * a1)}
+           "d0": extrapolate(lambda f: f[0] - f[1], lambda a0, a1: 2 * a0),
+           "d1": extrapolate(lambda f: f[2] - f[3], lambda a0, a1: 2 * a1)}
     if second:
-        out["d00"] = ladder(lambda f: f[0] - 2 * f0 + f[1], lambda a0, a1: a0 * a0)
-        out["d11"] = ladder(lambda f: f[2] - 2 * f0 + f[3], lambda a0, a1: a1 * a1)
-        out["d01"] = ladder(lambda f: f[4] - f[5] - f[6] + f[7], lambda a0, a1: 4 * a0 * a1)
+        out["d00"] = extrapolate(lambda f: f[0] - 2 * f0 + f[1], lambda a0, a1: a0 * a0)
+        out["d11"] = extrapolate(lambda f: f[2] - 2 * f0 + f[3], lambda a0, a1: a1 * a1)
+        out["d01"] = extrapolate(lambda f: f[4] - f[5] - f[6] + f[7], lambda a0, a1: 4 * a0 * a1)
     return out
 
 
@@ -412,8 +398,7 @@ def monopole_residual(data, x, y, h=1e-3):
     return np.maximum(np.abs(res1).max(axis=-1), np.abs(res2).max(axis=-1))
 
 
-def kahler_residual(data, p: PolarPoint, h: float = 1e-3,
-                    richardson: bool = True) -> dict:
+def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
     """Maximum relative FD residual of d(omega) = 0 and d(J dt) = 0.
 
     omega has components only in dr^dt_i and dtheta^dt_i depending on
@@ -440,7 +425,7 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3,
         return np.stack([sample.omega[..., 0, 2:], sample.omega[..., 1, 2:],
                          -J[..., 2:, 0], -J[..., 2:, 1]], axis=-2)
 
-    st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h, richardson)
+    st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h)
     d_r, d_th, f0 = st["d0"], st["d1"], st["f"]
 
     def worst(dr_of, dth_of):
@@ -455,8 +440,7 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3,
     return {"max_domega": worst(1, 0), "max_dintegrability": worst(3, 2)}
 
 
-def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE,
-                        richardson: bool = True):
+def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE):
     """Scalar curvature from second differences of the metric.
 
     The metric depends only on (r, theta); the torus directions are
@@ -466,11 +450,10 @@ def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE,
     data = as_numeric(data)
     fn = lambda r, theta: metric_at(data, PolarPoint(r, theta)).g
     r = np.asarray(p.r, dtype=float)
-    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale,
-                                    richardson=richardson)
+    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale)
 
 
-def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, richardson: bool = True):
+def scalar_curvature_generic(metric_fn, u0, u1, h0, h1):
     """Scalar curvature of a metric depending on its first two coordinates.
 
     ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
@@ -479,7 +462,7 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, richardson: bool = True)
     coordinates are taken to vanish, so each derivative axis has length 2:
     d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.
     """
-    st = stencil(metric_fn, u0, u1, h0, h1, richardson, second=True)
+    st = stencil(metric_fn, u0, u1, h0, h1, second=True)
     g = st["f"]
     n = g.shape[-1]
     ginv = np.linalg.inv(g)
@@ -683,12 +666,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         levels do not fit the chain, or if a finite level or the exact a,
         b or mu has no finite float.
     """
-    try:
-        if isinstance(samples, bool):
-            raise TypeError
-        samples = operator.index(samples)
-    except TypeError:
-        raise TypeError(f"samples must be an integer, got {samples!r}") from None
+    samples = integer_field(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:

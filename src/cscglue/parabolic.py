@@ -43,6 +43,7 @@ has weight (q_j - 1)/q_j.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -81,6 +82,7 @@ class ParabolicSurface(namedtuple("ParabolicSurface",
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, genus, points, weights, incidence, model="trivial-p1", sections=()):
+        genus = integer_field(genus, "genus")
         if genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
         if len(set(points)) != len(points):
@@ -102,8 +104,15 @@ class ParabolicSurface(namedtuple("ParabolicSurface",
             for inc in incidence:
                 if inc not in ids:
                     raise ValueError(f"incidence names unknown section {inc!r}")
+            for sec in sections:
+                for label, inc in zip(points, incidence):
+                    if label in sec.contains and inc != sec.id:  # on two sections at once
+                        raise ValueError(f"point {label} has incidence {inc} but is listed "
+                                         f"in contains of section {sec.id}")
         else:
             raise ValueError(f"unknown model {model!r}")
+        for sec in sections:
+            integer_field(sec.self_intersection, f"self_intersection of section {sec.id}")
         _check_section_numbers(sections)
         return super().__new__(cls, genus, points, weights, incidence, model, sections)
 
@@ -131,6 +140,16 @@ class StabilityVerdict(namedtuple("StabilityVerdict",
     """Classification outcome with the minimising sections as witnesses."""
 
     __slots__ = ()
+
+
+def integer_field(value, name: str) -> int:
+    """``operator.index(value)``; a bool or a non-integer is a TypeError naming the field."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def normalize_coord(u, v) -> FiberCoord:

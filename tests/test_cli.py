@@ -325,6 +325,25 @@ def test_pipeline_bad_document(tmp_path):
     assert "S2 and S1 meet in (S2^2 + S1^2)/2 >= 0 points, got -3 and -1" in err
 
 
+def test_point_on_two_sections_is_a_bad_document():
+    # The incidence rule is the library's: the CLI reports it as any other
+    # refusal of the surface.
+    doc = {
+        "genus": 1,
+        "model": "sections",
+        "points": ["P1", "P2"],
+        "weights": ["1/2", "1/2"],
+        "incidence": ["S1", "S2"],
+        "sections": [
+            {"id": "S1", "disjoint_from": ["S2"]},
+            {"id": "S2", "contains": ["P1"], "disjoint_from": ["S1"]},
+        ],
+    }
+    with pytest.raises(InputError, match="^bad surface document: point P1 has incidence S1 "
+                                         "but is listed in contains of section S2$"):
+        parse_surface(doc)
+
+
 def test_metric_verify(tmp_path):
     csv_path = tmp_path / "decay.csv"
     fit_path = tmp_path / "fit.csv"

@@ -106,19 +106,24 @@ def random_trivial(rng, n, qmax):
 def random_sections(rng, genus, n, qmax):
     ids = [f"S{i}" for i in range(rng.randrange(1, 4))]
     points = tuple(f"P{j}" for j in range(n))
+    drawn = [(2 * rng.randrange(0, 3), rng.sample(points, rng.randrange(0, n + 1))) for _ in ids]
+    weights = tuple(random_weight(rng, qmax) for _ in range(n))
+    incidence = tuple(rng.choice(ids) for _ in range(n))
+    # A section may list only the points whose incidence it is: a point
+    # listed on another section would lie on two.
     sections = tuple(
         SectionData(
             id=i,
-            self_intersection=2 * rng.randrange(0, 3),
-            contains=frozenset(rng.sample(points, rng.randrange(0, n + 1))),
+            self_intersection=square,
+            contains=frozenset(p for p in listed if incidence[points.index(p)] == i),
         )
-        for i in ids
+        for i, (square, listed) in zip(ids, drawn)
     )
     return ParabolicSurface(
         genus=genus,
         points=points,
-        weights=tuple(random_weight(rng, qmax) for _ in range(n)),
-        incidence=tuple(rng.choice(ids) for _ in range(n)),
+        weights=weights,
+        incidence=incidence,
         model="sections",
         sections=sections,
     )

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -74,6 +75,13 @@ def test_orbifold_from_parabolic():
     assert orb.orders == (2, 2, 3, 3)
     empty = ParabolicSurface(genus=0, points=(), weights=(), incidence=())
     assert orbifold_from_parabolic(empty).orders == ()
+
+
+def test_orbifold_genus_must_be_integer():
+    for bad in (1.5, True, F(1)):
+        with pytest.raises(TypeError, match=re.escape(f"genus must be an integer, got {bad!r}")):
+            OrbifoldSurface(genus=bad, orders=(2,))
+    assert chi_orb(OrbifoldSurface(genus=1, orders=(2,))) == F(-1, 2)
 
 
 def test_chi_orb():

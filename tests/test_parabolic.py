@@ -277,6 +277,42 @@ def test_validation():
                              model="sections", sections=sections)
 
 
+def test_integer_fields_are_read_when_built():
+    # A genus or a self-intersection that is not an integer is refused by
+    # name when the surface is built, not later inside the slope arithmetic.
+    for bad in (1.5, True, F(1), "1"):
+        with pytest.raises(TypeError, match=re.escape(f"genus must be an integer, got {bad!r}")):
+            ParabolicSurface(genus=bad, points=("P1",), weights=(F(1, 2),), incidence=("S",),
+                             model="sections", sections=(SectionData("S", 0),))
+    # 0.5 and 2.5 differ by an even number, so the parity check alone passes them.
+    for sections, name, bad in (
+        ((SectionData("S", 0.5), SectionData("T", 2.5)), "S", 0.5),
+        ((SectionData("S", 1), SectionData("T", True)), "T", True),
+        ((SectionData("S", F(2)),), "S", F(2)),
+    ):
+        with pytest.raises(TypeError, match=re.escape(
+                f"self_intersection of section {name} must be an integer, got {bad!r}")):
+            ParabolicSurface(genus=1, points=(), weights=(), incidence=(), model="sections",
+                             sections=sections)
+
+
+def test_point_listed_on_a_second_section_is_refused():
+    # P1 has incidence S1 and is also listed in the contains of S2, so it
+    # would lie on both of the disjoint sections.
+    sections = (SectionData("S1", 0, disjoint_from=frozenset({"S2"})),
+                SectionData("S2", 0, contains=frozenset({"P1"})))
+    with pytest.raises(ValueError, match="point P1 has incidence S1 but is listed in contains "
+                                         "of section S2"):
+        ParabolicSurface(genus=1, points=("P1", "P2"), weights=(F(1, 2), F(1, 2)),
+                         incidence=("S1", "S2"), model="sections", sections=sections)
+    # Listing a point on its own incidence section is the same declaration twice.
+    sections = (SectionData("S1", 0, contains=frozenset({"P1"}), disjoint_from=frozenset({"S2"})),
+                SectionData("S2", 0))
+    surface = ParabolicSurface(genus=1, points=("P1", "P2"), weights=(F(1, 2), F(1, 2)),
+                               incidence=("S1", "S2"), model="sections", sections=sections)
+    assert classify(surface).kind is StabilityKind.STRICTLY_POLYSTABLE
+
+
 @given(st.permutations(range(4)))
 def test_classify_invariant_under_permutations(perm):
     weights = [F(1, 2), F(1, 2), F(1, 3), F(1, 3)]
