@@ -356,7 +356,7 @@ def cmd_hj(args) -> int:
         "fiber_chain": format_chain(chain),
         "dual_fiber_chain": format_chain(chain[::-1]),
         "singular_strings": [format_chain(left), format_chain(right)],
-        "blowup_count": blowup_count(weight),
+        "blowup_count": len(left) + len(right),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -560,16 +560,7 @@ def cmd_metric_verify(args) -> int:
         "seed": report.seed,
         "samples": report.samples,
         "exact": {"a": str(report.exact.a), "b": str(report.exact.b), "mu": str(report.exact.mu)},
-        "checks": [
-            {
-                "name": c.name,
-                "value": c.value,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
+        "checks": [c._asdict() for c in report.checks],
         "passed": report.passed,
     }
     if args.json:

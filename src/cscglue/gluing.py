@@ -98,6 +98,9 @@ class OrbifoldSurface(namedtuple("OrbifoldSurface", "genus orders")):
 
     def __new__(cls, genus, orders):
         genus = integer_field(genus, "genus")
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        orders = tuple(integer_field(q, "orbifold order") for q in orders)
         for q in orders:
             if q < 2:
                 raise ValueError(f"orbifold orders must be >= 2, got {q}")
@@ -105,8 +108,7 @@ class OrbifoldSurface(namedtuple("OrbifoldSurface", "genus orders")):
 
 
 class GluingReport(namedtuple("GluingReport", "rows ncols col_labels c1 c2 positive_kernel "
-                                              "kernel_witness dim_v0 verdict notes",
-                              defaults=((),))):
+                                              "kernel_witness verdict")):
     """Exact feasibility data for the gluing matrix."""
 
     __slots__ = ()
@@ -209,11 +211,12 @@ def gluing_matrix(
 def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     """Exact rank / positive-kernel verdict for a gluing matrix.
 
-    * empty matrix (no columns) with dim V_0 > 0: obstructed (no log
-      terms are available to balance the kernel functions);
-    * no rows (dim V_0 = 0): nothing to balance, feasible;
-    * otherwise feasible iff rank equals dim V_0 and the kernel meets
-      the open positive cone.
+    * OBSTRUCTED: no columns while dim V_0 > 0 (no log terms are
+      available to balance the kernel functions);
+    * FEASIBLE: rank c_1 equals dim V_0 and the kernel meets the open
+      positive cone, which an empty matrix with dim V_0 = 0 does
+      vacuously;
+    * INFEASIBLE: otherwise.
 
     c_2 is reported as dim ker M when a strictly positive kernel vector
     exists and 0 otherwise: a linear subspace meeting an open cone meets
@@ -226,34 +229,21 @@ def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     c1 = rational_rank(rows)
     witness = positive_kernel_vector(rows, ncols)
     positive = witness is not None or ncols == dim_v0 == 0
-    c2 = ncols - c1 if positive else 0
-    notes = []
     if ncols == 0 and dim_v0 > 0:
         verdict = GluingVerdict.OBSTRUCTED
-        notes.append(
-            "empty matrix: every contributing singularity is crepant and "
-            "there are no extra points, so the kernel functions cannot be "
-            "balanced at this order"
-        )
     elif c1 == dim_v0 and positive:
         verdict = GluingVerdict.FEASIBLE
     else:
         verdict = GluingVerdict.INFEASIBLE
-        if c1 != dim_v0:
-            notes.append(f"rank {c1} does not match dim V_0 = {dim_v0}")
-        if not positive:
-            notes.append("kernel contains no strictly positive vector")
     return GluingReport(
         rows=rows,
         ncols=ncols,
         col_labels=tuple(col_labels),
         c1=c1,
-        c2=c2,
+        c2=ncols - c1 if positive else 0,
         positive_kernel=positive,
         kernel_witness=witness,
-        dim_v0=dim_v0,
         verdict=verdict,
-        notes=tuple(notes),
     )
 
 

@@ -135,9 +135,9 @@ class CandidateSection(namedtuple("CandidateSection",
 
 
 class StabilityVerdict(namedtuple("StabilityVerdict",
-                                  "kind min_slope table witnesses pair relative_to_supplied",
+                                  "kind min_slope table pair relative_to_supplied",
                                   defaults=(None, False))):
-    """Classification outcome with the minimising sections as witnesses."""
+    """Classification outcome; ``pair`` is a disjoint slope-zero pair, if any."""
 
     __slots__ = ()
 
@@ -211,15 +211,12 @@ def classify(surface: ParabolicSurface) -> StabilityVerdict:
         raise ValueError("no candidate sections available for classification")
 
     min_slope = min(c.slope for c in candidates)
-    witnesses = tuple(c for c in candidates if c.slope == min_slope)
-    table = tuple(candidates)
-
     if min_slope < 0:
         kind, pair = StabilityKind.UNSTABLE, None
     elif min_slope > 0:
         kind, pair = StabilityKind.STABLE, None
     else:
-        pair = _disjoint_zero_pair(witnesses)
+        pair = _disjoint_zero_pair([c for c in candidates if c.slope == 0])
         kind = (
             StabilityKind.STRICTLY_POLYSTABLE
             if pair is not None
@@ -228,8 +225,7 @@ def classify(surface: ParabolicSurface) -> StabilityVerdict:
     return StabilityVerdict(
         kind=kind,
         min_slope=min_slope,
-        table=table,
-        witnesses=witnesses,
+        table=tuple(candidates),
         pair=pair,
         relative_to_supplied=relative,
     )
@@ -339,21 +335,19 @@ def _enumerate_trivial_p1(surface, candidate, numerators) -> list[CandidateSecti
     return out
 
 
-def _disjoint_zero_pair(witnesses):
-    """Two disjoint witnesses, all of which have slope 0, or None."""
-    for i, a in enumerate(witnesses):
-        for b in witnesses[i + 1 :]:
+def _disjoint_zero_pair(zeros):
+    """The first two disjoint sections among the slope-zero ``zeros``, or None."""
+    for i, a in enumerate(zeros):
+        for b in zeros[i + 1 :]:
             if _disjoint(a, b):
                 return (a, b)
     return None
 
 
 def _disjoint(a: CandidateSection, b: CandidateSection) -> bool:
-    const_kinds = {"constant", "generic"}
-    if a.kind in const_kinds and b.kind in const_kinds:
-        # Distinct constant sections of P^1 x P^1 never meet; generic
-        # ones sit at fresh coordinates distinct from everything else.
-        if a.kind == "generic" or b.kind == "generic":
-            return True
-        return a.coord != b.coord
+    """Two constant or generic candidates lie over distinct fiber points (one
+    constant candidate per normalised coordinate, generic ones at fresh
+    coordinates), so they never meet; other pairs are disjoint as declared."""
+    if a.kind in ("constant", "generic") and b.kind in ("constant", "generic"):
+        return True
     return b.id in a.disjoint_from or a.id in b.disjoint_from

@@ -4,7 +4,9 @@
 ``bench/run.py --trace 1``; the traced run fails at the first name that
 no longer exists.  This test reads that list (without importing the
 benchmark package or writing anything under ``bench/``) and checks every
-name against the library.  The traced run also reads ``-X importtime``.
+name against the library.  The counters the traced run takes from return
+values are applied to real ones, so a change to a record's fields shows
+here.  The traced run also reads ``-X importtime``.
 """
 
 import importlib
@@ -12,6 +14,8 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -24,6 +28,33 @@ def test_traced_layers_exist():
         module = importlib.import_module(f"cscglue.{layer}")
         missing += [f"{layer}.{fn}" for fn in functions if not callable(getattr(module, fn, None))]
     assert not missing, f"bench/spans.py wraps functions that are gone: {missing}"
+
+
+def test_counters_read_real_return_values():
+    from cscglue.exactlp import positive_kernel_vector
+    from cscglue.gluing import feasibility, gluing_matrix
+    from cscglue.parabolic import ParabolicSurface, classify
+
+    third = Fraction(1, 3)
+    surface = ParabolicSurface(genus=0, points=("N", "S"), weights=(third, third),
+                               incidence=((1, 0), (0, 1)))
+    verdict = classify(surface)
+    row, labels = gluing_matrix(surface, verdict, extra_points=((1, 1),))
+    returns = {
+        "parabolic.classify": [verdict],
+        "gluing.feasibility": [feasibility((row,), len(row), 1, labels)],
+        "exactlp.positive_kernel_vector": [positive_kernel_vector((row,), len(row)),
+                                           positive_kernel_vector(((1, 1),), 2)],
+    }
+    counters = Counter()
+    for name, count in runpy.run_path(str(SPANS))["COUNTERS"].items():
+        for out in returns[name]:
+            count(counters, out)
+    assert counters == {
+        "parabolic.candidates": 4,  # two constants, a generic and one graph
+        "gluing.matrix_cols": 3,
+        "exactlp.positive_kernel_vector.found": 1,
+    }
 
 
 def test_gluing_calls_kernel_test_by_imported_name():

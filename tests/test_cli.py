@@ -114,6 +114,24 @@ def test_hj_builds_each_string_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_hj_counts_blowups_once(monkeypatch, capsys):
+    # check_hj_size counts before anything is built; the printed count is
+    # read off the strings cmd_hj has built.
+    calls = []
+    count = cli.blowup_count
+
+    def counting(weight):
+        calls.append(weight)
+        return count(weight)
+
+    monkeypatch.setattr(cli, "blowup_count", counting)
+    for fmt in ((), ("--json",)):
+        calls.clear()
+        assert main(["hj", "5/7", *fmt]) == 0
+        assert calls == [Fraction(5, 7)]
+    capsys.readouterr()
+
+
 def test_hj_json_matches_resolution(capsys):
     # The resolution functions expand the weight on their own: they are
     # the oracle for the chain, the strings and the blow-up count.

@@ -84,6 +84,23 @@ def test_orbifold_genus_must_be_integer():
     assert chi_orb(OrbifoldSurface(genus=1, orders=(2,))) == F(-1, 2)
 
 
+def test_orbifold_genus_must_be_non_negative():
+    with pytest.raises(ValueError, match=re.escape("genus must be >= 0, got -3")):
+        OrbifoldSurface(genus=-3, orders=(2,))
+
+
+def test_orbifold_orders_are_integers_kept_as_a_tuple():
+    for bad in (2.5, True, F(3), "3"):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"orbifold order must be an integer, got {bad!r}")):
+            OrbifoldSurface(genus=0, orders=(bad, 3))
+    orb = OrbifoldSurface(genus=0, orders=[2, 2])
+    assert orb.orders == (2, 2) and type(orb.orders) is tuple
+    assert orb._replace(orders=[3, 3]).orders == (3, 3)
+    with pytest.raises(ValueError, match=re.escape("orbifold orders must be >= 2, got 1")):
+        orb._replace(orders=[1])
+
+
 def test_chi_orb():
     assert chi_orb(OrbifoldSurface(0, (2, 2))) == 1
     assert chi_orb(OrbifoldSurface(0, (2, 2, 3, 3))) == F(-1, 3)

@@ -15,8 +15,11 @@ it fell at 161/183 from 5.5e-6 to 3.0e-7 (the true value is 0), and no
 value rose by more than 1e-7 over the coprime p/q with q <= 70.
 """
 
+import json
+
 import pytest
 
+from cscglue.cli import main
 from cscglue.metricnum import verify_metric
 
 # The five metric-verify bench fractions plus the two worst-margin
@@ -298,3 +301,106 @@ def test_verify_metric_golden(pq):
     got = tuple((c.name, c.value, c.tolerance, c.passed, c.detail) for c in report.checks)
     assert got == GOLDEN[pq]["checks"]
     assert report.decay_series == GOLDEN[pq]["decay_series"]
+
+
+# Frozen stdout and exit code of `cscglue metric-verify`, human and --json.
+# The --json text is json.dumps(payload, indent=2); each check is an object
+# with the keys name, value, tolerance, passed and detail, in that order.
+CHECK_KEYS = ("name", "value", "tolerance", "passed", "detail")
+
+HALF_10_CHECKS = (
+    ('flat-model-exactness', 3.0899179214043763e-16, 1e-12, True,
+     ''),
+    ('determinant-positive', 0.3541017866737089, 0.0, True,
+     'minimum of <v1,v2> over samples'),
+    ('monopole-system', 8.045120125643734e-12, 1e-08, True,
+     'step-halving change 1.82e-12'),
+    ('metric-invariants', 6.693557713246412e-16, 1e-10, True,
+     ''),
+    ('domega-residual', 2.8516492469820573e-13, 1e-06, True,
+     ''),
+    ('integrability-residual', 9.20928788634505e-13, 1e-06, True,
+     ''),
+    ('scalar-curvature', 3.688068697619122e-09, 0.0001, True,
+     'step-halving change 3.52e-09'),
+    ('asymptotic-fit', 1.6527547725964098e-06, 0.01, True,
+     'a_fit=-0.750002 b_fit=0.750002'),
+    ('potential-decay', 0.00148021849143265, 0.25, True,
+     "residuals=['0.000124', '7.75e-06', '4.84e-07']"),
+    ('mass-sign', 0.0, 0.0, True,
+     'mu_fit=4.55078e-08 mu_exact=0'),
+)
+
+CLI_GOLDEN = {
+    ("1/2", "--samples", "10"): {
+        "human": """\
+metric verification for 1/2   (version 0.1.0, seed 0, samples 10)
+levels: 2 > 1 > 0
+exact a = -3/4, b = 3/4, mu = 0
+  PASS  flat-model-exactness     value 3.090e-16  tolerance 1.000e-12
+  PASS  determinant-positive     value 3.541e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
+  PASS  monopole-system          value 8.045e-12  tolerance 1.000e-08   [step-halving change 1.82e-12]
+  PASS  metric-invariants        value 6.694e-16  tolerance 1.000e-10
+  PASS  domega-residual          value 2.852e-13  tolerance 1.000e-06
+  PASS  integrability-residual   value 9.209e-13  tolerance 1.000e-06
+  PASS  scalar-curvature         value 3.688e-09  tolerance 1.000e-04   [step-halving change 3.52e-09]
+  PASS  asymptotic-fit           value 1.653e-06  tolerance 1.000e-02   [a_fit=-0.750002 b_fit=0.750002]
+  PASS  potential-decay          value 1.480e-03  tolerance 2.500e-01   [residuals=['0.000124', '7.75e-06', '4.84e-07']]
+  PASS  mass-sign                value 0.000e+00  tolerance 0.000e+00   [mu_fit=4.55078e-08 mu_exact=0]
+all checks passed
+""",
+        "payload": {
+            "version": "0.1.0",
+            "fraction": "1/2",
+            "levels": ["2", "1", "0"],
+            "seed": 0,
+            "samples": 10,
+            "exact": {"a": "-3/4", "b": "3/4", "mu": "0"},
+            "checks": HALF_10_CHECKS,
+            "passed": True,
+        },
+    },
+    ("4/9",): {
+        "human": """\
+metric verification for 4/9   (version 0.1.0, seed 0, samples 200)
+levels: 5 > 4 > 3 > 2 > 1 > 0
+exact a = -131/270, b = 37/108, mu = -77/540
+  PASS  flat-model-exactness     value 5.930e-16  tolerance 1.000e-12
+  PASS  determinant-positive     value 8.567e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
+  PASS  monopole-system          value 8.085e-11  tolerance 1.000e-08   [step-halving change 3.83e-11]
+  PASS  metric-invariants        value 1.432e-14  tolerance 1.000e-10
+  PASS  domega-residual          value 1.634e-12  tolerance 1.000e-06
+  PASS  integrability-residual   value 4.483e-12  tolerance 1.000e-06
+  PASS  scalar-curvature         value 1.861e-09  tolerance 1.000e-04   [step-halving change 6.30e-09]
+  PASS  asymptotic-fit           value 8.114e-07  tolerance 1.000e-02   [a_fit=-0.485186 b_fit=0.342593]
+  PASS  potential-decay          value 3.442e-03  tolerance 2.500e-01   [residuals=['7.73e-05', '4.85e-06', '3.03e-07']]
+  PASS  mass-sign                value -1.000e+00  tolerance -1.000e+00   [mu_fit=-0.142592 mu_exact=-0.142593]
+all checks passed
+""",
+        "payload": {
+            "version": "0.1.0",
+            "fraction": "4/9",
+            "levels": ["5", "4", "3", "2", "1", "0"],
+            "seed": 0,
+            "samples": 200,
+            "exact": {"a": "-131/270", "b": "37/108", "mu": "-77/540"},
+            "checks": GOLDEN[(4, 9)]["checks"],
+            "passed": True,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+@pytest.mark.parametrize("as_json", [False, True])
+def test_metric_verify_cli_golden(argv, as_json, capsys):
+    golden = CLI_GOLDEN[argv]
+    code = main(["metric-verify", *argv, *(["--json"] if as_json else [])])
+    out = capsys.readouterr().out
+    assert code == 0
+    if as_json:
+        payload = dict(golden["payload"])
+        payload["checks"] = [dict(zip(CHECK_KEYS, c)) for c in payload["checks"]]
+        assert out == json.dumps(payload, indent=2) + "\n"
+    else:
+        assert out == golden["human"]

@@ -187,7 +187,6 @@ def test_sporadic_trusts_given_verdict():
         kind=StabilityKind.STRICTLY_POLYSTABLE,
         min_slope=F(0),
         table=(s1, s2),
-        witnesses=(s1, s2),
         pair=(s1, s2),
         relative_to_supplied=True,
     )
