@@ -17,12 +17,15 @@ accepts ``--json`` for a machine-readable mirror of the human report.
 
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
-any tolerance fails.  Every refusal exits 2 through one handler in
-:func:`main`, which prints one ``error:`` line for an ``InputError`` of
-the parsers, a ``ValueError`` of the library or the ``ModuleNotFoundError``
-of a metric check without numpy.  A command whose standard output is
-closed early (``cscglue pipeline doc.json --json | head``) exits 141,
-the status a shell reports for a process ended by SIGPIPE.
+any tolerance fails.  The parsers here only turn text into values; the
+library decides which values are valid (only :func:`check_hj_size`, a
+bound on output size, is the CLI's own).  Every refusal exits 2 through
+one handler in :func:`main`, which prints one ``error:`` line for a
+``ValueError`` of a parser or of the library, or for the
+``ModuleNotFoundError`` of a metric check without numpy.  A command whose
+standard output is closed early (``cscglue pipeline doc.json --json |
+head``) exits 141, the status a shell reports for a process ended by
+SIGPIPE.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporad
 from cscglue.resolution import blowup_count, chain_from_strings, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
-from cscglue.metricnum import default_levels, verify_metric
+from cscglue.metricnum import FLOAT_MAX_INT, default_levels, verify_metric
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,13 +85,6 @@ VERDICT_EXIT = {
 }
 
 
-class InputError(Exception):
-    """Malformed user input; maps to exit code 2.
-
-    Not a ValueError, so parse_surface's ``except ValueError`` does not
-    prefix the messages of the parsers it calls."""
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # Look the handler up at call time, so a rebound cmd_* takes effect.
@@ -97,7 +93,7 @@ def main(argv=None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
-    except (InputError, ValueError, ModuleNotFoundError) as exc:
+    except (ValueError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -201,21 +197,17 @@ def check_hj_size(weight: Fraction) -> None:
         if len(text) > MAX_QUOTED:
             text = f"with a {len(str(weight.denominator))}-digit denominator"
             count = f"a {len(count)}-digit number of"
-        raise InputError(f"weight {text} expands to {count} HJ digits with its dual, "
+        raise ValueError(f"weight {text} expands to {count} HJ digits with its dual, "
                          f"more than the {MAX_HJ_DIGITS} supported")
 
 
-def parse_fraction(text: str, allow_burns: bool = False) -> tuple[int, int]:
+def parse_fraction(text: str) -> tuple[int, int]:
+    """The lowest terms (p, q), q > 0, of a rational; the library checks its range."""
     try:
         frac = to_fraction(text)
     except ValueError as exc:
-        raise InputError(f"cannot parse fraction {text!r}: {exc}") from None
-    p, q = frac.numerator, frac.denominator
-    if allow_burns and (p, q) == (1, 1):
-        return p, q
-    if not (0 < p < q):
-        raise InputError(f"fraction must satisfy 0 < p < q, got {text!r}")
-    return p, q
+        raise ValueError(f"cannot parse fraction {text!r}: {exc}") from None
+    return frac.numerator, frac.denominator
 
 
 def parse_rational_list(text: str):
@@ -230,9 +222,9 @@ def parse_rational_list(text: str):
         try:
             out.append(to_fraction(item))
         except ValueError as exc:
-            raise InputError(f"cannot parse rational {item!r}: {exc}") from None
+            raise ValueError(f"cannot parse rational {item!r}: {exc}") from None
     if not out:
-        raise InputError("empty rational list")
+        raise ValueError("empty rational list")
     return out
 
 
@@ -258,27 +250,23 @@ def parse_coord(text: str) -> tuple[int, int]:
     """
     parts = str(text).split(":")
     if len(parts) != 2:
-        raise InputError(f"fiber coordinate must look like 'a:b', got {text!r}")
+        raise ValueError(f"fiber coordinate must look like 'a:b', got {text!r}")
     try:
         u, v = _coord_part(parts[0]), _coord_part(parts[1])
     except ValueError as exc:
-        raise InputError(f"cannot parse coordinate {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse coordinate {text!r}: {exc}") from None
     return (u.numerator * v.denominator, v.numerator * u.denominator)
 
 
-def parse_json_int(value, name: str) -> int:
-    """A JSON integer; floats, strings and booleans are malformed input."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
-    """Build a surface and its extra points from a JSON document."""
+    """Build a surface and its extra points from a JSON document.
+
+    Only text is read here; ParabolicSurface checks the values.  A refusal
+    from inside the document is prefixed ``bad surface document: ``.
+    """
     if not isinstance(doc, dict):
-        raise InputError(f"surface document must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"surface document must be a JSON object, got {type(doc).__name__}")
     try:
-        genus = parse_json_int(doc.get("genus", 0), "genus")
         model = doc.get("model", "trivial-p1")
         points = tuple(str(p) for p in doc.get("points", ()))
         weights = tuple(to_fraction(w) for w in doc.get("weights", ()))
@@ -290,8 +278,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         sections = tuple(
             SectionData(
                 id=str(s["id"]),
-                self_intersection=parse_json_int(s.get("self_intersection", 0),
-                                                 "self_intersection"),
+                self_intersection=s.get("self_intersection", 0),
                 contains=frozenset(str(x) for x in s.get("contains", ())),
                 disjoint_from=frozenset(str(x) for x in s.get("disjoint_from", ())),
             )
@@ -299,7 +286,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         )
         extra = tuple(parse_coord(c) for c in doc.get("extra_points", ()))
         surface = ParabolicSurface(
-            genus=genus,
+            genus=doc.get("genus", 0),
             points=points,
             weights=weights,
             incidence=incidence,
@@ -307,7 +294,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             sections=sections,
         )
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad surface document: {exc}") from None
+        raise ValueError(f"bad surface document: {exc}") from None
     return surface, extra
 
 
@@ -319,11 +306,11 @@ def load_document(path: str) -> dict:
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         return _DECODER.decode(text)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer beyond the int('...') digit limit
-        raise InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -333,7 +320,7 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +360,9 @@ def cmd_hj(args) -> int:
 
 
 def _coeffs_payload(coeffs) -> dict:
+    """The exact coefficients and mu's float; both output forms print from it."""
+    if max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.mu)) > FLOAT_MAX_INT:
+        raise ValueError("log coefficients a, b, mu outside the float range")
     return {
         "a": str(coeffs.a),
         "b": str(coeffs.b),
@@ -385,11 +375,11 @@ def _coeffs_payload(coeffs) -> dict:
 
 
 def cmd_mass(args) -> int:
-    p, q = parse_fraction(args.fraction, allow_burns=True)
+    p, q = parse_fraction(args.fraction)
     if (p, q) != (1, 1):
         check_hj_size(Fraction(p, q))
     if bool(args.u) == bool(args.levels):
-        raise InputError("pass exactly one of --u or --levels")
+        raise ValueError("pass exactly one of --u or --levels")
     if args.u:
         coeffs = mu_from_u(p, q, parse_rational_list(args.u))
     else:
@@ -546,8 +536,6 @@ def cmd_pipeline(args) -> int:
 def cmd_metric_verify(args) -> int:
     p, q = parse_fraction(args.fraction)
     levels = parse_rational_list(args.levels) if args.levels else None
-    if args.samples < 10:
-        raise InputError("--samples must be at least 10")
     report = verify_metric(p, q, levels=levels, samples=args.samples, seed=args.seed)
     if args.csv:
         write_csv(args.csv, ["r", "residual"], report.decay_series)

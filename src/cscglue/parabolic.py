@@ -90,10 +90,7 @@ class ParabolicSurface(namedtuple("ParabolicSurface",
         if not (len(points) == len(weights) == len(incidence)):
             raise ValueError("points, weights and incidence must have equal length")
         for w in weights:
-            if not isinstance(w, Rational):
-                raise TypeError(f"weight {w!r} is not a rational number")
-            if not (0 < w.numerator < w.denominator):
-                raise ValueError(f"weight {w} outside (0, 1)")
+            split_weight(w)
         if model == "trivial-p1":
             if genus != 0:
                 raise ValueError("the trivial-p1 model requires genus 0")
@@ -150,6 +147,22 @@ def integer_field(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def split_weight(alpha) -> tuple[int, int]:
+    """The ints (p, q) of a weight alpha = p/q in (0, 1), in lowest terms.
+
+    A non-rational alpha is a TypeError and one outside (0, 1) a
+    ValueError, each naming the weight.
+    """
+    if not isinstance(alpha, Fraction):
+        if not isinstance(alpha, Rational):
+            raise TypeError(f"weight {alpha!r} is not a rational number")
+        alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < p < q:
+        raise ValueError(f"weight {alpha} outside (0, 1)")
+    return p, q
 
 
 def normalize_coord(u, v) -> FiberCoord:

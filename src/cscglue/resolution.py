@@ -21,9 +21,9 @@ repeat of -2, and no approximant pairs are built.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
 from cscglue.cfrac import expand_runs, hj_length, hj_runs
+from cscglue.parabolic import split_weight
 
 Chain = tuple[int, ...]
 
@@ -84,7 +84,7 @@ def blowup_count(alpha: Fraction) -> int:
 
     The digit counts of q/p and q/(q-p), in O(log q) steps.
     """
-    p, q = _split_weight(alpha)
+    p, q = split_weight(alpha)
     return hj_length(p, q) + hj_length(q - p, q)
 
 
@@ -95,7 +95,7 @@ def singular_strings(alpha: Fraction) -> tuple[Chain, Chain]:
     singularities; the returned strings are their minimal resolutions,
     for Gamma_{p,q} and Gamma_{q-p,q} respectively.
     """
-    p, q = _split_weight(alpha)
+    p, q = split_weight(alpha)
     return _string(p, q), _string(q - p, q)
 
 
@@ -107,13 +107,3 @@ def format_chain(chain: Chain) -> str:
 def _string(p: int, q: int) -> Chain:
     return expand_runs((-e, t) for e, t in hj_runs(p, q))
 
-
-def _split_weight(alpha: Fraction) -> tuple[int, int]:
-    if not isinstance(alpha, Fraction):
-        if not isinstance(alpha, Rational):
-            raise TypeError(f"weight {alpha!r} is not a rational number")
-        alpha = Fraction(alpha)
-    p, q = alpha.numerator, alpha.denominator
-    if not 0 < p < q:
-        raise ValueError(f"weight must lie in (0, 1), got {alpha}")
-    return p, q

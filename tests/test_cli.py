@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cscglue import cli
-from cscglue.cli import InputError, main, parse_coord, parse_surface, to_fraction
+from cscglue.cli import main, parse_coord, parse_surface, to_fraction
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -357,7 +357,7 @@ def test_point_on_two_sections_is_a_bad_document():
             {"id": "S2", "contains": ["P1"], "disjoint_from": ["S1"]},
         ],
     }
-    with pytest.raises(InputError, match="^bad surface document: point P1 has incidence S1 "
+    with pytest.raises(ValueError, match="^bad surface document: point P1 has incidence S1 "
                                          "but is listed in contains of section S2$"):
         parse_surface(doc)
 
@@ -493,7 +493,7 @@ def test_zero_denominator_names_the_text(capsys, tmp_path):
 
 
 def test_metric_verify_bad_args(tmp_path):
-    code, _, _ = run_cli("metric-verify", "1/2", "--samples", "3")
+    code, _, _ = run_cli("metric-verify", "1/2", "--samples", "0")
     assert code == 2
     code, _, _ = run_cli("metric-verify", "0/2")
     assert code == 2
@@ -534,6 +534,46 @@ def test_input_size_bounds(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, args
     assert main(["hj", "1/99999"]) == 0
     assert main(["stability", str(doc)]) == 0
+
+
+def test_each_value_rule_is_refused_once_by_the_library(tmp_path, capsys):
+    # The CLI only parses text: each refusal is the library's own message,
+    # which main prints as one error: line.
+    from cscglue.metricnum import verify_metric
+    from cscglue.parabolic import ParabolicSurface, split_weight
+
+    doc = tmp_path / "genus.json"
+    doc.write_text('{"genus": "1", "points": [], "weights": [], "incidence": []}')
+    for kind, call, argv, prefix in (
+        (ValueError, lambda: split_weight(Fraction(7, 5)), ["hj", "7/5"], ""),
+        (TypeError, lambda: ParabolicSurface(genus="1", points=(), weights=(), incidence=()),
+         ["stability", str(doc)], "bad surface document: "),
+        (ValueError, lambda: verify_metric(1, 2, samples=0),
+         ["metric-verify", "1/2", "--samples", "0"], ""),
+    ):
+        with pytest.raises(kind) as info:
+            call()
+        assert _main(capsys, *argv) == (2, "", f"error: {prefix}{info.value}\n"), argv
+
+
+def test_metric_verify_takes_the_library_sample_floor(capsys):
+    # Five samples are below the old CLI floor of 10; 4/9 passes every check.
+    code, out, err = _main(capsys, "metric-verify", "4/9", "--samples", "5")
+    assert (code, err) == (0, "") and out.endswith("all checks passed\n")
+
+
+def test_log_coefficients_beyond_float_range_exit_2(capsys):
+    # float(mu) would raise OverflowError; the payload that both output
+    # forms print from refuses first.
+    for argv in (["mass", "1/3", "--u", "1e400"],
+                 ["mass", "1/1", "--u", "1e400"],
+                 ["mass", "1/3", "--levels", "2,1e-400,0"],
+                 ["blowup-insert", "1/3", "--position", "1", "--u", "1e400,1"]):
+        for fmt in ((), ("--json",)):
+            assert _main(capsys, *argv, *fmt) == (
+                2, "", "error: log coefficients a, b, mu outside the float range\n"), argv
+    code, out, _ = _main(capsys, "mass", "1/3", "--u", "1e308")
+    assert code == 0 and "(-3.33333e+307)" in out
 
 
 def test_metric_verify_input_bounds():
@@ -619,7 +659,7 @@ def _via_to_fraction(text):
 def _parse_coord_or_message(text):
     try:
         return parse_coord(text)
-    except InputError as exc:
+    except ValueError as exc:
         return str(exc)
 
 

@@ -172,7 +172,7 @@ def test_goldens_replay_without_numpy(version):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "exact_golden.json": {"cases": 230, "differ": {}},
-        "decision_golden.json": {"cases": 84, "differ": {}},
+        "decision_golden.json": {"cases": 92, "differ": {}},
     }
 
 

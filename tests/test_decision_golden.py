@@ -112,6 +112,12 @@ DOCUMENTS = {
         "weights": ["1/4", "1/4", "1/2"],
         "incidence": ["1:0", "1:0", "0:1"],
     },
+    "crepant-two-fixed-points": {
+        "points": ["P1", "P2", "P3", "P4"],
+        "weights": ["1/2", "1/2", "1/2", "1/2"],
+        "incidence": ["1:0", "0:1", "1:0", "0:1"],
+    },
+    "empty-structure": {"points": [], "weights": [], "incidence": []},
 }
 
 

@@ -13,6 +13,7 @@ from cscglue import cfrac
 from cscglue.cfrac import hj_expand, hj_length
 from cscglue.cli import load_document, parse_surface
 from cscglue.gluing import existence_report
+from cscglue.parabolic import split_weight
 from cscglue.resolution import (
     blow_down_fully,
     blowup_count,
@@ -74,10 +75,14 @@ def test_third_chains():
 
 
 def test_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        fiber_chain(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        fiber_chain(Fraction(0))
+    # One weight rule, parabolic.split_weight, with one wording everywhere.
+    for weight, shown in ((Fraction(3, 2), "3/2"), (Fraction(0), "0"), (Fraction(7, 5), "7/5"),
+                          (1, "1")):
+        for fn in (blowup_count, singular_strings, fiber_chain, split_weight):
+            with pytest.raises(ValueError, match=rf"^weight {shown} outside \(0, 1\)$"):
+                fn(weight)
+    p, q = split_weight(Fraction(2, 6))
+    assert (p, q) == (1, 3) and type(p) is type(q) is int
 
 
 def test_rejects_non_rational_weight():
