@@ -60,10 +60,13 @@ converts the exact monopole data to float arrays; each function accepts
 either form, and :func:`verify_metric` converts once and passes the
 arrays on.  A finite-difference check evaluates its function once for
 the whole stencil (:func:`stencil`): the centre and every displaced
-point at both steps, h and h/2, are stacked along a new leading axis,
-with one step per point.  So a function handed to a check, such as the
-``metric_fn`` of :func:`scalar_curvature_generic`, must accept arrays
-with extra leading axes and return values with those axes in front.
+point at each step are stacked along a new leading axis, with one step
+per point, so each point is evaluated once.  A function handed to a
+check, such as the ``metric_fn`` of :func:`scalar_curvature_generic`,
+must accept arrays with extra leading axes and return values with those
+axes in front.  :func:`metric_at` evaluates the frame once and builds
+each of g, omega and J on first read: the scalar curvature reads only
+g, the Kähler residual only omega and J.
 
 Steps.  Every check differences with one scheme: central differences
 at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
@@ -77,7 +80,11 @@ bound for the distance to the nearest pole) and of the scalar curvature
 (``H_CURVATURE``, relative in r and absolute in theta) sit at the
 measured minimum of their worst value over every coprime p < q <= 25.
 Both checks report, as an error estimate, how much their value at the
-worst point moves when the step is halved.
+worst point moves when the step is halved.  For that their one stencil
+runs at h, h/2 and h/4 and gives both extrapolations, at h and at h/2
+(``halving``): the centre and the h/2 points serve both, and since
+halving a float is exact, they are the points a separate call at step
+h/2 would take.
 """
 
 
@@ -135,10 +142,12 @@ np = _lazy_numpy()
 THETA_MARGIN = 0.1
 
 TOL_CLOSED_FORM = 1e-12
+TOL_MONOPOLE = 1e-8
 TOL_INVARIANT = 1e-10
 TOL_FIRST_DERIV = 1e-6
 TOL_CURVATURE = 1e-4
 TOL_FIT_RELATIVE = 0.01
+TOL_DECAY = 0.25
 
 # Finite-difference steps at the roundoff/truncation balance (module
 # docstring): relative to x for the monopole system, relative in r and
@@ -189,13 +198,62 @@ class FrameData(namedtuple("FrameData", "v1 v2 det")):
     __slots__ = ()
 
 
-class MetricSample(namedtuple("MetricSample", "g omega J")):
+class MetricSample:
     """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis.
 
-    Each field has shape S + (4, 4).
+    Each field has shape S + (4, 4) and is built from the frame when it is
+    first read, so a check pays only for the fields it reads.  ``_replace``
+    returns a copy with the given fields swapped in, as for a namedtuple.
     """
 
-    __slots__ = ()
+    def __init__(self, frame: FrameData, r, s, c):
+        v1, v2 = frame.v1, frame.v2
+        self._parts = (r, s, c, frame.det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
+
+    def _replace(self, **fields):
+        if not fields.keys() <= {"g", "omega", "J"}:
+            raise ValueError(f"got unexpected field names: {sorted(fields)!r}")
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), **fields)
+        return new
+
+    @cached_property
+    def g(self):
+        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
+        g = np.zeros(D.shape + (4, 4))
+        g[..., 0, 0] = D / (s * c)
+        g[..., 1, 1] = r * r * D / (s * c)
+        factor = r * r * s * c / D
+        g[..., 2, 2] = factor * (v1y ** 2 + v2y ** 2)
+        g[..., 3, 3] = factor * (v1x ** 2 + v2x ** 2)
+        g[..., 2, 3] = g[..., 3, 2] = -factor * (v1x * v1y + v2x * v2y)
+        return g
+
+    @cached_property
+    def omega(self):
+        r, _, _, D, v1x, v1y, v2x, v2y = self._parts
+        omega = np.zeros(D.shape + (4, 4))
+        omega[..., 0, 2] = -r * v2y
+        omega[..., 0, 3] = r * v2x
+        omega[..., 1, 2] = r * r * v1y
+        omega[..., 1, 3] = -r * r * v1x
+        omega -= _transpose(omega)
+        return omega
+
+    @cached_property
+    def J(self):
+        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
+        # Cotangent action: columns give the image of each basis 1-form.
+        C = np.zeros(D.shape + (4, 4))
+        C[..., 2, 0] = -r * s * c * v2y / D
+        C[..., 3, 0] = r * s * c * v2x / D
+        C[..., 2, 1] = s * c * v1y / D
+        C[..., 3, 1] = -s * c * v1x / D
+        C[..., 0, 2] = v1x / (r * s * c)
+        C[..., 1, 2] = v2x / (s * c)
+        C[..., 0, 3] = v1y / (r * s * c)
+        C[..., 1, 3] = v2y / (s * c)
+        return -_transpose(C)  # tangent action with omega(X, Y) = g(JX, Y)
 
 
 class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_const")):
@@ -277,39 +335,7 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
         r0, t0 = (float(np.broadcast_to(v, D.shape)[i]) for v in (p.r, p.theta))
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
                          f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
-    r = np.asarray(p.r, dtype=float)
-    v1x, v1y = frame.v1[..., 0], frame.v1[..., 1]
-    v2x, v2y = frame.v2[..., 0], frame.v2[..., 1]
-    shape = D.shape + (4, 4)
-
-    g = np.zeros(shape)
-    g[..., 0, 0] = D / (s * c)
-    g[..., 1, 1] = r * r * D / (s * c)
-    factor = r * r * s * c / D
-    g[..., 2, 2] = factor * (v1y ** 2 + v2y ** 2)
-    g[..., 3, 3] = factor * (v1x ** 2 + v2x ** 2)
-    g[..., 2, 3] = g[..., 3, 2] = -factor * (v1x * v1y + v2x * v2y)
-
-    omega = np.zeros(shape)
-    omega[..., 0, 2] = -r * v2y
-    omega[..., 0, 3] = r * v2x
-    omega[..., 1, 2] = r * r * v1y
-    omega[..., 1, 3] = -r * r * v1x
-    omega -= _transpose(omega)
-
-    # Cotangent action: columns give the image of each basis 1-form.
-    C = np.zeros(shape)
-    C[..., 2, 0] = -r * s * c * v2y / D
-    C[..., 3, 0] = r * s * c * v2x / D
-    C[..., 2, 1] = s * c * v1y / D
-    C[..., 3, 1] = -s * c * v1x / D
-    C[..., 0, 2] = v1x / (r * s * c)
-    C[..., 1, 2] = v2x / (s * c)
-    C[..., 0, 3] = v1y / (r * s * c)
-    C[..., 1, 3] = v2y / (s * c)
-    J = -_transpose(C)  # tangent action with omega(X, Y) = g(JX, Y)
-
-    return MetricSample(g=g, omega=omega, J=J)
+    return MetricSample(frame, np.asarray(p.r, dtype=float), s, c)
 
 
 def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
@@ -338,7 +364,7 @@ def _transpose(m):
 _OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def stencil(fn, u0, u1, h0, h1, second: bool = False) -> dict:
+def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> dict:
     """Central differences of ``fn`` in both coordinates from one call.
 
     Every difference is taken at the steps (h0, h1) and (h0/2, h1/2) and
@@ -347,28 +373,37 @@ def stencil(fn, u0, u1, h0, h1, second: bool = False) -> dict:
     and u1 +- h1; ``second`` adds the four corners (u0 +- h0, u1 +- h1).
     Returns the centre value "f" and the derivatives "d0" and "d1", and
     with ``second`` also "d00", "d11" and "d01", each of shape S + T.
+
+    ``halving`` adds the points at (h0/4, h1/4) and gives every entry a
+    leading axis of length 2: the result at steps (h0, h1), then the one
+    at (h0/2, h1/2), each equal to a call at that step alone.
     """
     u0, u1, h0, h1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u0, u1, h0, h1)))
-    steps = ((h0, h1), (h0 / 2, h1 / 2))
-    signs = _OFFSETS[: 8 if second else 4]
-    values = fn(np.stack([u0] + [u0 + s0 * a0 for a0, _ in steps for s0, _ in signs]),
-                np.stack([u1] + [u1 + s1 * a1 for _, a1 in steps for _, s1 in signs]))
+    batch = (1,) * u0.ndim
+    # Displacements on the axes (step, offset) + S: each offset at h, h/2 (, h/4).
+    halvings = 0.5 ** np.arange(3 if halving else 2).reshape((-1, 1) + batch)
+    signs = np.array(_OFFSETS[: 8 if second else 4], dtype=float).T.reshape((2, 1, -1) + batch)
+    a0, a1 = h0 * halvings, h1 * halvings
+    values = fn(*(np.concatenate([u[None], (u + sign * a).reshape((-1,) + u.shape)])
+                  for u, sign, a in ((u0, signs[0], a0), (u1, signs[1], a1))))
     f0 = values[0]
-    at_step = values[1:].reshape((2, len(signs)) + f0.shape)
-    per_point = u0.shape + (1,) * (f0.ndim - u0.ndim)  # a step over the trailing axes
+    at_step = values[1:].reshape((len(halvings), signs.shape[2]) + f0.shape)
+    per_point = (len(halvings),) + u0.shape + (1,) * (f0.ndim - u0.ndim)  # a step per point
 
     def extrapolate(diff, step):
-        """diff(values) / step(steps) at both steps, extrapolated to h = 0."""
-        coarse, fine = (diff(f) / step(*a).reshape(per_point) for f, a in zip(at_step, steps))
-        return (4.0 * fine - coarse) / 3.0
+        """diff(values) / step(steps) at each step, extrapolated to h = 0 from each pair."""
+        d = diff(at_step) / step(a0, a1).reshape(per_point)
+        ladder = (4.0 * d[1:] - d[:-1]) / 3.0
+        return ladder if halving else ladder[0]
 
-    out = {"f": f0,
-           "d0": extrapolate(lambda f: f[0] - f[1], lambda a0, a1: 2 * a0),
-           "d1": extrapolate(lambda f: f[2] - f[3], lambda a0, a1: 2 * a1)}
+    out = {"f": np.broadcast_to(f0, (2,) + f0.shape) if halving else f0,
+           "d0": extrapolate(lambda f: f[:, 0] - f[:, 1], lambda a0, a1: 2 * a0),
+           "d1": extrapolate(lambda f: f[:, 2] - f[:, 3], lambda a0, a1: 2 * a1)}
     if second:
-        out["d00"] = extrapolate(lambda f: f[0] - 2 * f0 + f[1], lambda a0, a1: a0 * a0)
-        out["d11"] = extrapolate(lambda f: f[2] - 2 * f0 + f[3], lambda a0, a1: a1 * a1)
-        out["d01"] = extrapolate(lambda f: f[4] - f[5] - f[6] + f[7], lambda a0, a1: 4 * a0 * a1)
+        out["d00"] = extrapolate(lambda f: f[:, 0] - 2 * f0 + f[:, 1], lambda a0, a1: a0 * a0)
+        out["d11"] = extrapolate(lambda f: f[:, 2] - 2 * f0 + f[:, 3], lambda a0, a1: a1 * a1)
+        out["d01"] = extrapolate(lambda f: f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7],
+                                 lambda a0, a1: 4 * a0 * a1)
     return out
 
 
@@ -382,15 +417,16 @@ def _v_rows(data, x, y):
     return np.stack([frame.v1, frame.v2], axis=-2)
 
 
-def monopole_residual(data, x, y, h=1e-3):
+def monopole_residual(data, x, y, h=1e-3, halving: bool = False):
     """Finite-difference residual of the defining linear system at (x, y).
 
     Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1
     with central differences of :func:`v_eval`.  Returns the largest
-    component per point.
+    component per point; with ``halving``, the values at steps h and h/2
+    along a leading axis (:func:`stencil`).
     """
     data = as_numeric(data)
-    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h)
+    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h, halving=halving)
     dx, dy, v1 = st["d0"], st["d1"], st["f"][..., 0, :]
     xs = np.asarray(x, dtype=float)[..., None]
     res1 = dy[..., 0, :] - dx[..., 1, :]
@@ -440,29 +476,33 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
     return {"max_domega": worst(1, 0), "max_dintegrability": worst(3, 2)}
 
 
-def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE):
+def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE, halving: bool = False):
     """Scalar curvature from second differences of the metric.
 
     The metric depends only on (r, theta); the torus directions are
     Killing, so all derivatives are taken in the first two coordinates.
     One value per point of ``p``; ``h_scale`` may also be one per point.
+    With ``halving``, the values at steps h and h/2 along a leading axis
+    (:func:`stencil`).
     """
     data = as_numeric(data)
     fn = lambda r, theta: metric_at(data, PolarPoint(r, theta)).g
     r = np.asarray(p.r, dtype=float)
-    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale)
+    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale,
+                                    halving=halving)
 
 
-def scalar_curvature_generic(metric_fn, u0, u1, h0, h1):
+def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
     """Scalar curvature of a metric depending on its first two coordinates.
 
     ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
     (u0, u1) in front; it is called once, on arrays with an extra leading
     stencil axis (module docstring).  Derivatives along the remaining
     coordinates are taken to vanish, so each derivative axis has length 2:
-    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.
+    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.  ``halving``
+    is passed to :func:`stencil`.
     """
-    st = stencil(metric_fn, u0, u1, h0, h1, second=True)
+    st = stencil(metric_fn, u0, u1, h0, h1, second=True, halving=halving)
     g = st["f"]
     n = g.shape[-1]
     ginv = np.linalg.inv(g)
@@ -538,7 +578,8 @@ def potential_residual(data, r):
     from :func:`metric_at`, and its exterior derivative by finite
     differences.  The norm is the metric norm of the 2-form, so the
     expected decay is r^-4.  ``r`` is a radius or an array of them; all
-    radii and seven thetas across the interior form one batch.
+    radii and seven thetas across the interior form one batch.  g and omega
+    are read at those centres only; the stencil differences J df alone.
     """
     data = as_numeric(data)
     theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
@@ -546,22 +587,20 @@ def potential_residual(data, r):
     q = data.source.pq()[1]
     rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], theta_samples)
 
-    def fields(rad, theta):
-        """Rows of g, of omega and of J df; J dx^i has components -J[..., i, :]."""
-        sample = metric_at(data, PolarPoint(rad, theta))
-        J = sample.J
+    def jdf(rad, theta):
+        """J df = f_r J dr + f_theta J dtheta; J dx^i has components -J[..., i, :]."""
+        J = metric_at(data, PolarPoint(rad, theta)).J
         f_r = q * (rad / 2 + (a + b) / (2 * rad))
         f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
-        jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
-        return np.concatenate([sample.g, sample.omega, jdf[..., None, :]], axis=-2)
+        return -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
 
-    st = stencil(fields, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
-    g, omega = st["f"][..., :4, :], st["f"][..., 4:8, :]
+    centre = metric_at(data, PolarPoint(rr, th))
+    st = stencil(jdf, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
     R = np.zeros(rr.shape + (4, 4))
-    R[..., 0, 2:] = omega[..., 0, 2:] - st["d0"][..., 8, 2:]
-    R[..., 1, 2:] = omega[..., 1, 2:] - st["d1"][..., 8, 2:]
+    R[..., 0, 2:] = centre.omega[..., 0, 2:] - st["d0"][..., 2:]
+    R[..., 1, 2:] = centre.omega[..., 1, 2:] - st["d1"][..., 2:]
     R -= _transpose(R)
-    return form2_norm(R, g).max(axis=-1)
+    return form2_norm(R, centre.g).max(axis=-1)
 
 
 def form2_norm(R: np.ndarray, g: np.ndarray):
@@ -659,18 +698,21 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     Raises
     ------
     TypeError
-        If ``samples`` is not an integer (a bool is refused).
+        If ``samples`` or ``seed`` is not an integer (a bool is refused).
     ValueError
-        If ``samples`` is below 1 or above ``MAX_SAMPLES``, if q exceeds
-        ``MAX_Q`` or p/q needs more than ``MAX_LEVELS`` levels, if the
-        levels do not fit the chain, or if a finite level or the exact a,
-        b or mu has no finite float.
+        If ``samples`` is below 1 or above ``MAX_SAMPLES``, if ``seed`` is
+        negative, if q exceeds ``MAX_Q`` or p/q needs more than
+        ``MAX_LEVELS`` levels, if the levels do not fit the chain, or if a
+        finite level or the exact a, b or mu has no finite float.
     """
     samples = integer_field(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    seed = integer_field(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if q > MAX_Q:
         raise ValueError(f"q = {q} is above 2**53, where floats cannot hold the charges exactly")
     k = hj_length(p, q)
@@ -707,16 +749,13 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail="minimum of <v1,v2> over samples"))
 
         # Monopole system residual (finite differences, independent route).
-        # Each point runs at step h and at h/2 in one batch; the change at the
-        # worst point is the error estimate.
+        # One stencil gives the residual at step h and at h/2; the change at
+        # the worst point is the error estimate.
         x, y = from_polar(_head(points, 50))
-        n = len(x)
-        x, y = np.tile(x, 2), np.tile(y, 2)
-        residuals, halved = np.split(
-            monopole_residual(num, x, y, h=np.repeat([H_MONOPOLE, H_MONOPOLE / 2], n) * x), 2)
+        residuals, halved = monopole_residual(num, x, y, h=H_MONOPOLE * x, halving=True)
         i = int(np.argmax(residuals))
         worst = float(residuals[i])
-        checks.append(CheckResult("monopole-system", worst, 1e-8, worst < 1e-8,
+        checks.append(CheckResult("monopole-system", worst, TOL_MONOPOLE, worst < TOL_MONOPOLE,
                                   detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
 
         # Algebraic invariants of each sample.
@@ -731,11 +770,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
 
         # Scalar flatness.
-        curv_pts = _head(points, CURVATURE_POINTS)
-        n = len(curv_pts.r)
-        curvature, halved = np.split(scalar_curvature_at(
-            num, PolarPoint(np.tile(curv_pts.r, 2), np.tile(curv_pts.theta, 2)),
-            h_scale=np.repeat([H_CURVATURE, H_CURVATURE / 2], n)), 2)
+        curvature, halved = scalar_curvature_at(num, _head(points, CURVATURE_POINTS), halving=True)
         i = int(np.argmax(np.abs(curvature)))
         worst = float(abs(curvature[i]))
         checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
@@ -764,8 +799,8 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
             ratio_ok = all(res < 1e-9 for res in residuals)
         else:
             ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
-            ratio_ok = ratio_err < 0.25
-        checks.append(CheckResult("potential-decay", ratio_err, 0.25, ratio_ok,
+            ratio_ok = ratio_err < TOL_DECAY
+        checks.append(CheckResult("potential-decay", ratio_err, TOL_DECAY, ratio_ok,
                                   detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 
         # Fitted mass sign against the exact sign verdict.  The zero band

@@ -190,6 +190,20 @@ def test_level_refusal_leaves_numpy_unloaded():
     assert proc.stderr == "error: levels must be strictly decreasing, got 1, 2, 0\n"
 
 
+def test_seed_refusal_leaves_numpy_unloaded():
+    # A negative seed is refused by name, like the levels, before numpy runs.
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from cscglue.cli import main\n"
+        'code = main(["metric-verify", "1/3", "--seed", "-1"])\n'
+        f"print({NUMPY_RAN}, code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 2\n"
+    assert proc.stderr == "error: seed must be non-negative, got -1\n"
+
+
 def test_metric_verify_without_numpy_is_refused():
     proc = run_python("-c", WITHOUT_NUMPY, "metric-verify", "1/2")
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -1,11 +1,13 @@
 """Numerical verification layer: coordinates, frames, curvature, fits."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cscglue import metricnum
 from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
 from cscglue.metricnum import (
@@ -315,12 +317,24 @@ def _stencil_cases():
         "v_eval": (rows, x, y, 1e-3 * x, 1e-3 * x),
         "metric_at": (sample, pts.r, pts.theta, 1e-2 * np.maximum(pts.r, 1.0), 1e-2),
         "oracle_metric": (_oracle_metric, a, b, 1e-3, 1e-3),
+        "ladder": (sample, pts.r, pts.theta, 1e-2 * np.maximum(pts.r, 1.0), 1e-2),
     }
 
 
-@pytest.mark.parametrize("case", ("v_eval", "metric_at", "oracle_metric"))
+@pytest.mark.parametrize("case", ("v_eval", "metric_at", "oracle_metric", "ladder"))
 def test_stencil_matches_per_offset_oracle(case):
     fn, u0, u1, h0, h1 = _stencil_cases()[case]
+    if case == "ladder":
+        # One call at h, h/2 and h/4 gives, bit for bit, the two stencils
+        # at h and at h/2: the points land on the same floats.
+        for second in (False, True):
+            ladder = stencil(fn, u0, u1, h0, h1, second=second, halving=True)
+            for i, rung in enumerate((1, 2)):
+                single = stencil(fn, u0, u1, h0 / rung, h1 / rung, second=second)
+                assert ladder.keys() == single.keys()
+                for name, value in single.items():
+                    assert np.array_equal(ladder[name][i], value), (second, rung, name)
+        return
     joint = stencil(fn, u0, u1, h0, h1, second=True)
     first_only = stencil(fn, u0, u1, h0, h1)
     expected = {
@@ -495,6 +509,33 @@ def test_verify_metric_refuses_samples_below_one():
 def test_verify_metric_refuses_non_integer_samples(samples):
     with pytest.raises(TypeError, match=f"samples must be an integer, got {samples!r}"):
         verify_metric(1, 3, samples=samples)
+
+
+def test_verify_metric_refuses_seeds_numpy_would_misread():
+    # numpy would take True as 1 and raise its own errors, naming no
+    # argument, for the others; each is refused before numpy runs.
+    for seed in (1.5, "7", True, None):
+        with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            verify_metric(1, 3, seed=seed)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        verify_metric(1, 3, seed=-1)
+    assert type(verify_metric(1, 2, samples=10, seed=np.int64(3)).seed) is int
+
+
+def test_verify_metric_frame_point_count(monkeypatch):
+    # The work of one default run, pinned: the step-halving checks share
+    # one stencil at h, h/2 and h/4, and potential_residual differences
+    # J df alone.
+    seen = []
+
+    def counting(data, x, y):
+        frame = v_eval(data, x, y)
+        seen.append(frame.det.size)
+        return frame
+
+    monkeypatch.setattr(metricnum, "v_eval", counting)
+    verify_metric(4, 9)
+    assert sum(seen) == 4225
 
 
 def test_verify_metric_takes_numpy_integer_samples():
