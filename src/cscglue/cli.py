@@ -12,8 +12,13 @@ One binary with subcommands::
 Surfaces are described by JSON documents (see :func:`parse_surface`).
 Every typed number, on the command line or in a document, is read from
 its text by :func:`to_fraction`, so "3/2", "1.5" and "15e-1" are all 3/2
-exactly and no number passes through floating point.  Every subcommand
-accepts ``--json`` for a machine-readable mirror of the human report.
+exactly and no number passes through floating point.
+
+:func:`main` is the one writer of standard output.  Each ``cmd_*``
+handler returns its exit code, its payload (a dict) and a callable that
+yields the human report's lines.  Under ``--json``, which every
+subcommand accepts, ``main`` prints the payload with a ``version`` key;
+otherwise it prints the human lines one at a time and never joins them.
 
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
@@ -22,7 +27,8 @@ library decides which values are valid (only :func:`check_hj_size`, a
 bound on output size, is the CLI's own).  Every refusal exits 2 through
 one handler in :func:`main`, which prints one ``error:`` line for a
 ``ValueError`` of a parser or of the library, or for the
-``ModuleNotFoundError`` of a metric check without numpy.  A command whose
+``ModuleNotFoundError`` of a metric check without numpy; a line break the
+message quotes from the input is escaped as ``\\n``.  A command whose
 standard output is closed early (``cscglue pipeline doc.json --json |
 head``) exits 141, the status a shell reports for a process ended by
 SIGPIPE.
@@ -55,7 +61,7 @@ from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporad
 from cscglue.resolution import blowup_count, chain_from_strings, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
-from cscglue.metricnum import FLOAT_MAX_INT, default_levels, verify_metric
+from cscglue.metricnum import check_float_range, default_levels, verify_metric
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,11 +96,17 @@ def main(argv=None) -> int:
     # Look the handler up at call time, so a rebound cmd_* takes effect.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = handler(args)
+        code, payload, human = handler(args)
+        if args.json:
+            print(json.dumps({"version": __version__, **payload}, indent=2))
+        else:
+            for line in human():
+                print(line)
         sys.stdout.flush()
         return code
     except (ValueError, ModuleNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even where the message quotes input text with a line break.
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so the flush at
@@ -116,33 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hj = sub.add_parser("hj", help="continued fraction, chain and blow-up data of a weight")
     p_hj.add_argument("fraction", help='weight "p/q" in (0,1)')
-    p_hj.add_argument("--json", action="store_true")
-    p_hj.set_defaults(command="hj")
 
     p_mass = sub.add_parser("mass", help="exact log coefficient and mass sign")
     p_mass.add_argument("fraction", help='"p/q" with 0 < p < q, or "1/1" for the plane blow-up')
     p_mass.add_argument("--u", help="comma-separated positive rationals u_1..u_k")
     p_mass.add_argument("--levels", help="comma-separated decreasing levels ending in 0 (first may be inf)")
-    p_mass.add_argument("--json", action="store_true")
-    p_mass.set_defaults(command="mass")
 
     p_ins = sub.add_parser("blowup-insert", help="insert a blow-up interval into a chain")
     p_ins.add_argument("fraction", help='"p/q" base data')
     p_ins.add_argument("--position", type=int, required=True, help="endpoint index y_j, 1 <= j <= k")
     p_ins.add_argument("--u", help="u parameters for the inserted chain (k+1 entries)")
     p_ins.add_argument("--levels", help="levels for the base chain before insertion")
-    p_ins.add_argument("--json", action="store_true")
-    p_ins.set_defaults(command="blowup-insert")
 
     p_stab = sub.add_parser("stability", help="slope table and polystability verdict")
     p_stab.add_argument("document", help="surface document (JSON)")
-    p_stab.add_argument("--json", action="store_true")
-    p_stab.set_defaults(command="stability")
 
     p_pipe = sub.add_parser("pipeline", help="full existence pipeline for a surface document")
     p_pipe.add_argument("document", help="surface document (JSON)")
-    p_pipe.add_argument("--json", action="store_true")
-    p_pipe.set_defaults(command="pipeline")
 
     p_ver = sub.add_parser("metric-verify", help="numerical verification battery for (p, q)")
     p_ver.add_argument("fraction", help='"p/q" with 0 < p < q')
@@ -151,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--csv", help="write the (r, residual) decay series here")
     p_ver.add_argument("--fit-csv", help="write the (r, coeff_a, coeff_b) series here")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(command="metric-verify")
+    # Added last, so that each subcommand's help lists it after its own options.
+    for name, command in sub.choices.items():
+        command.add_argument("--json", action="store_true")
+        command.set_defaults(command=name)
     return parser
 
 
@@ -309,7 +313,7 @@ def load_document(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer beyond the int('...') digit limit
+    except (ValueError, RecursionError) as exc:  # too many digits in an integer, or too deep
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -327,7 +331,7 @@ def write_csv(path: str, header, rows) -> None:
 # subcommands
 
 
-def cmd_hj(args) -> int:
+def cmd_hj(args):
     p, q = parse_fraction(args.fraction)
     weight = Fraction(p, q)
     check_hj_size(weight)
@@ -335,7 +339,6 @@ def cmd_hj(args) -> int:
     exp, (left, right) = hj_expand(p, q), singular_strings(weight)
     chain = chain_from_strings(left, right)
     payload = {
-        "version": __version__,
         "fraction": f"{p}/{q}",
         "digits": list(exp.digits),
         "dual_digits": [-e for e in right],
@@ -345,24 +348,23 @@ def cmd_hj(args) -> int:
         "singular_strings": [format_chain(left), format_chain(right)],
         "blowup_count": len(left) + len(right),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"weight {p}/{q}")
-    print(f"  digits of {q}/{p}:        {' '.join(map(str, exp.digits))}")
-    print(f"  digits of {q}/{q - p}:        {' '.join(map(str, payload['dual_digits']))}")
-    print(f"  approximants (m, n):  {' '.join(str(t) for t in exp.approximants)}")
-    print(f"  fiber chain:          {payload['fiber_chain']}")
-    print(f"  dual fiber chain:     {payload['dual_fiber_chain']}")
-    print(f"  singular strings:     {payload['singular_strings'][0]}  |  {payload['singular_strings'][1]}")
-    print(f"  blow-ups over fiber:  {payload['blowup_count']}")
-    return EXIT_OK
+
+    def human():
+        yield f"weight {p}/{q}"
+        yield f"  digits of {q}/{p}:        {' '.join(map(str, exp.digits))}"
+        yield f"  digits of {q}/{q - p}:        {' '.join(map(str, payload['dual_digits']))}"
+        yield f"  approximants (m, n):  {' '.join(str(t) for t in exp.approximants)}"
+        yield f"  fiber chain:          {payload['fiber_chain']}"
+        yield f"  dual fiber chain:     {payload['dual_fiber_chain']}"
+        yield f"  singular strings:     {payload['singular_strings'][0]}  |  {payload['singular_strings'][1]}"
+        yield f"  blow-ups over fiber:  {payload['blowup_count']}"
+
+    return EXIT_OK, payload, human
 
 
 def _coeffs_payload(coeffs) -> dict:
     """The exact coefficients and mu's float; both output forms print from it."""
-    if max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.mu)) > FLOAT_MAX_INT:
-        raise ValueError("log coefficients a, b, mu outside the float range")
+    check_float_range(coeffs)
     return {
         "a": str(coeffs.a),
         "b": str(coeffs.b),
@@ -374,7 +376,14 @@ def _coeffs_payload(coeffs) -> dict:
     }
 
 
-def cmd_mass(args) -> int:
+def _coeffs_lines(payload):
+    """The mu line and one line per term, read off :func:`_coeffs_payload`."""
+    yield f"  mu = {payload['mu']}  ({payload['mu_decimal']:.6g})"
+    for i, term in enumerate(payload["per_term"], start=1):
+        yield f"  term {i}: coefficient {term['coefficient']}, u = {term['u']}"
+
+
+def cmd_mass(args):
     p, q = parse_fraction(args.fraction)
     if (p, q) != (1, 1):
         check_hj_size(Fraction(p, q))
@@ -387,66 +396,58 @@ def cmd_mass(args) -> int:
         coeffs = log_coeffs_from_levels(monopole_from_fraction(p, q, levels))
     verdict = verdict_from_coeffs(p, q, coeffs)
     payload = {
-        "version": __version__,
         "fraction": f"{p}/{q}",
         **_coeffs_payload(coeffs),
         "sign": {1: "positive", 0: "zero", -1: "negative"}[verdict.sign],
         "crepant": verdict.crepant,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"fraction {p}/{q}")
-    print(f"  a  = {coeffs.a}  ({float(coeffs.a):.6g})")
-    print(f"  b  = {coeffs.b}  ({float(coeffs.b):.6g})")
-    print(f"  mu = {coeffs.mu}  ({float(coeffs.mu):.6g})")
-    for i, (c, u) in enumerate(coeffs.per_term, start=1):
-        print(f"  term {i}: coefficient {c}, u = {u}")
-    print(f"  sign: {payload['sign']}   crepant: {'yes' if verdict.crepant else 'no'}")
-    return EXIT_OK
+
+    def human():
+        yield f"fraction {p}/{q}"
+        yield f"  a  = {coeffs.a}  ({float(coeffs.a):.6g})"
+        yield f"  b  = {coeffs.b}  ({float(coeffs.b):.6g})"
+        yield from _coeffs_lines(payload)
+        yield f"  sign: {payload['sign']}   crepant: {'yes' if verdict.crepant else 'no'}"
+
+    return EXIT_OK, payload, human
 
 
-def cmd_blowup_insert(args) -> int:
+def cmd_blowup_insert(args):
     p, q = parse_fraction(args.fraction)
     check_hj_size(Fraction(p, q))
     k = hj_length(p, q)
     levels = parse_rational_list(args.levels) if args.levels else default_levels(k)
     inserted = blowup_insert(monopole_from_fraction(p, q, levels), args.position)
+    if args.u:
+        coeffs = mu_from_chain(inserted.chain, parse_rational_list(args.u))
+    else:
+        coeffs = log_coeffs_from_levels(inserted)
     payload = {
-        "version": __version__,
         "fraction": f"{p}/{q}",
         "position": args.position,
         "chain": [list(mn) for mn in inserted.chain],
         "levels": [str(y) for y in inserted.levels],
         "pairs": [list(ab) for ab in inserted.pairs],
+        **_coeffs_payload(coeffs),
     }
-    if args.u:
-        coeffs = mu_from_chain(inserted.chain, parse_rational_list(args.u))
-    else:
-        coeffs = log_coeffs_from_levels(inserted)
-    payload.update(_coeffs_payload(coeffs))
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"insert at endpoint y_{args.position} of the {p}/{q} chain")
-    print(f"  chain (m, n): {' '.join(str(t) for t in inserted.chain)}")
-    print(f"  levels:       {' > '.join(payload['levels'])}")
-    print(f"  mu = {coeffs.mu}  ({float(coeffs.mu):.6g})")
-    for i, (c, u) in enumerate(coeffs.per_term, start=1):
-        print(f"  term {i}: coefficient {c}, u = {u}")
-    return EXIT_OK
+
+    def human():
+        yield f"insert at endpoint y_{args.position} of the {p}/{q} chain"
+        yield f"  chain (m, n): {' '.join(str(t) for t in inserted.chain)}"
+        yield f"  levels:       {' > '.join(payload['levels'])}"
+        yield from _coeffs_lines(payload)
+
+    return EXIT_OK, payload, human
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args):
     surface, _ = parse_surface(load_document(args.document))
     verdict = classify(surface)
-    sporadic = is_sporadic(surface, verdict)
     payload = {
-        "version": __version__,
         "verdict": verdict.kind.value,
         "min_slope": str(verdict.min_slope),
         "relative_to_supplied_sections": verdict.relative_to_supplied,
-        "sporadic": sporadic,
+        "sporadic": is_sporadic(surface, verdict),
         "slopes": [
             {"section": c.id, "slope": str(c.slope), "contains": sorted(
                 surface.points[j] for j in c.contains)}
@@ -454,29 +455,28 @@ def cmd_stability(args) -> int:
         ],
         "witness_pair": [c.id for c in verdict.pair] if verdict.pair else None,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"verdict: {verdict.kind.value}" + (
-        " (relative to supplied sections)" if verdict.relative_to_supplied else ""))
-    print(f"minimum slope: {verdict.min_slope}")
-    if verdict.pair:
-        print(f"slope-zero disjoint pair: {verdict.pair[0].id}, {verdict.pair[1].id}")
-    print(f"sporadic: {'yes' if sporadic else 'no'}")
-    print("slopes:")
-    for c in verdict.table:
-        pts = ", ".join(sorted(surface.points[j] for j in c.contains)) or "-"
-        print(f"  {c.id:<22} slope {str(c.slope):<8} through {pts}")
-    return EXIT_OK
+
+    def human():
+        yield f"verdict: {verdict.kind.value}" + (
+            " (relative to supplied sections)" if verdict.relative_to_supplied else "")
+        yield f"minimum slope: {verdict.min_slope}"
+        if verdict.pair:
+            yield f"slope-zero disjoint pair: {verdict.pair[0].id}, {verdict.pair[1].id}"
+        yield f"sporadic: {'yes' if payload['sporadic'] else 'no'}"
+        yield "slopes:"
+        for row in payload["slopes"]:
+            pts = ", ".join(row["contains"]) or "-"
+            yield f"  {row['section']:<22} slope {row['slope']:<8} through {pts}"
+
+    return EXIT_OK, payload, human
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     surface, extra = parse_surface(load_document(args.document))
     for w in surface.weights:
         check_hj_size(w)
     report = existence_report(surface, extra)
     payload = {
-        "version": __version__,
         "verdict": report.verdict.value,
         "stability": report.stability.kind.value,
         "sporadic": report.sporadic,
@@ -506,34 +506,33 @@ def cmd_pipeline(args) -> int:
             if report.gluing.kernel_witness
             else None,
         }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return VERDICT_EXIT[report.verdict]
-    print(f"verdict: {report.verdict.value}")
-    print(f"stability: {report.stability.kind.value}"
-          + (" (sporadic)" if report.sporadic else ""))
-    print(f"orbifold: genus {report.orbifold.genus}, orders {list(report.orbifold.orders)},"
-          f" good: {'yes' if report.good else 'no'}")
-    print(f"chi_orb = {report.chi_orb}; SFK possible: {'yes' if report.sfk_possible else 'no'}")
-    if report.case:
-        print(f"case: {report.case.value} (dim V0 = {report.case.dim_v0})")
-    print(f"blow-ups: {report.blowup_total}; resulting surface: {report.description}")
-    for pt, (a, b) in report.resolution_strings:
-        print(f"  {pt}: strings {format_chain(a)}  |  {format_chain(b)}")
-    if report.gluing is not None and report.gluing.ncols:
-        row = ", ".join(str(x) for x in report.gluing.rows[0]) if report.gluing.rows else ""
-        print(f"gluing matrix: [{row}]")
-        print(f"  columns: {', '.join(report.gluing.col_labels)}")
-        print(f"  c1 = {report.gluing.c1}, c2 = {report.gluing.c2},"
-              f" positive kernel: {'yes' if report.gluing.positive_kernel else 'no'}")
-        if report.gluing.kernel_witness:
-            print(f"  witness: ({', '.join(str(x) for x in report.gluing.kernel_witness)})")
-    for note in report.notes:
-        print(f"note: {note}")
-    return VERDICT_EXIT[report.verdict]
+
+    def human():
+        yield f"verdict: {report.verdict.value}"
+        yield f"stability: {report.stability.kind.value}" + (" (sporadic)" if report.sporadic else "")
+        yield (f"orbifold: genus {report.orbifold.genus}, orders {payload['orbifold_orders']},"
+               f" good: {'yes' if report.good else 'no'}")
+        yield f"chi_orb = {report.chi_orb}; SFK possible: {'yes' if report.sfk_possible else 'no'}"
+        if report.case:
+            yield f"case: {report.case.value} (dim V0 = {report.case.dim_v0})"
+        yield f"blow-ups: {report.blowup_total}; resulting surface: {report.description}"
+        for entry in payload["resolution_strings"]:
+            yield f"  {entry['point']}: strings {entry['strings'][0]}  |  {entry['strings'][1]}"
+        if report.gluing is not None and report.gluing.ncols:
+            table = payload["gluing"]
+            yield f"gluing matrix: [{', '.join(table['matrix'][0]) if table['matrix'] else ''}]"
+            yield f"  columns: {', '.join(table['columns'])}"
+            yield (f"  c1 = {table['c1']}, c2 = {table['c2']},"
+                   f" positive kernel: {'yes' if table['positive_kernel'] else 'no'}")
+            if table["kernel_witness"]:
+                yield f"  witness: ({', '.join(table['kernel_witness'])})"
+        for note in report.notes:
+            yield f"note: {note}"
+
+    return VERDICT_EXIT[report.verdict], payload, human
 
 
-def cmd_metric_verify(args) -> int:
+def cmd_metric_verify(args):
     p, q = parse_fraction(args.fraction)
     levels = parse_rational_list(args.levels) if args.levels else None
     report = verify_metric(p, q, levels=levels, samples=args.samples, seed=args.seed)
@@ -542,7 +541,6 @@ def cmd_metric_verify(args) -> int:
     if args.fit_csv:
         write_csv(args.fit_csv, ["r", "coeff_a", "coeff_b"], report.fit_series)
     payload = {
-        "version": __version__,
         "fraction": f"{p}/{q}",
         "levels": [str(y) for y in report.levels],
         "seed": report.seed,
@@ -551,19 +549,19 @@ def cmd_metric_verify(args) -> int:
         "checks": [c._asdict() for c in report.checks],
         "passed": report.passed,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if report.passed else 1
-    print(f"metric verification for {p}/{q}   (version {__version__}, seed {report.seed},"
-          f" samples {report.samples})")
-    print(f"levels: {' > '.join(str(y) for y in report.levels)}")
-    print(f"exact a = {report.exact.a}, b = {report.exact.b}, mu = {report.exact.mu}")
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        detail = f"   [{c.detail}]" if c.detail else ""
-        print(f"  {status}  {c.name:<24} value {c.value:.3e}  tolerance {c.tolerance:.3e}{detail}")
-    print("all checks passed" if report.passed else "SOME CHECKS FAILED")
-    return EXIT_OK if report.passed else 1
+
+    def human():
+        yield (f"metric verification for {p}/{q}   (version {__version__}, seed {report.seed},"
+               f" samples {report.samples})")
+        yield f"levels: {' > '.join(payload['levels'])}"
+        yield f"exact a = {report.exact.a}, b = {report.exact.b}, mu = {report.exact.mu}"
+        for c in report.checks:
+            status = "PASS" if c.passed else "FAIL"
+            detail = f"   [{c.detail}]" if c.detail else ""
+            yield f"  {status}  {c.name:<24} value {c.value:.3e}  tolerance {c.tolerance:.3e}{detail}"
+        yield "all checks passed" if report.passed else "SOME CHECKS FAILED"
+
+    return (EXIT_OK if report.passed else 1), payload, human
 
 
 if __name__ == "__main__":

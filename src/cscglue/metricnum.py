@@ -167,6 +167,13 @@ FLOAT_MAX = sys.float_info.max
 # comparison with the float first converts it to a 309-digit Fraction.
 FLOAT_MAX_INT = int(FLOAT_MAX)
 
+
+def check_float_range(coeffs: LogCoefficients) -> None:
+    """Refuse exact log coefficients a, b or mu that have no finite float."""
+    if max(abs(coeffs.a), abs(coeffs.b), abs(coeffs.mu)) > FLOAT_MAX_INT:
+        raise ValueError("log coefficients a, b, mu outside the float range")
+
+
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
 
@@ -202,20 +209,12 @@ class MetricSample:
     """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis.
 
     Each field has shape S + (4, 4) and is built from the frame when it is
-    first read, so a check pays only for the fields it reads.  ``_replace``
-    returns a copy with the given fields swapped in, as for a namedtuple.
+    first read, so a check pays only for the fields it reads.
     """
 
     def __init__(self, frame: FrameData, r, s, c):
         v1, v2 = frame.v1, frame.v2
         self._parts = (r, s, c, frame.det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
-
-    def _replace(self, **fields):
-        if not fields.keys() <= {"g", "omega", "J"}:
-            raise ValueError(f"got unexpected field names: {sorted(fields)!r}")
-        new = object.__new__(type(self))
-        vars(new).update(vars(self), **fields)
-        return new
 
     @cached_property
     def g(self):
@@ -729,8 +728,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         rng = np.random.default_rng(seed)
         num = as_numeric(data)
         exact = num.exact
-        if max(abs(exact.a), abs(exact.b), abs(exact.mu)) > FLOAT_MAX_INT:
-            raise ValueError("these levels give log coefficients a, b, mu outside the float range")
+        check_float_range(exact)
         checks = []
 
         # Flat-model exactness: evaluator versus the closed-form flat metric.
@@ -793,13 +791,16 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         all_residuals = potential_residual(num, np.concatenate([decay_radii, series_radii]))
         residuals = [float(x) for x in all_residuals[: len(decay_radii)]]
         ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
-        if float(exact.mu) == 0.0 and float(exact.a) == 0.0 and float(exact.b) == 0.0:
-            # Flat data: nothing to decay, residual is FD noise.
-            ratio_err = 0.0
-            ratio_ok = all(res < 1e-9 for res in residuals)
-        else:
-            ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
-            ratio_ok = ratio_err < TOL_DECAY
+        # The data is never flat, so there is always a decay to measure:
+        # float(exact.a) < 0.  With 0 < p < q, k >= 1.  The k + 1 steps
+        # m_{j+1} - m_j of the chain never shrink (cfrac docstring) and sum
+        # to q, so the last is q - m_k >= q/(k+1).  Every c_j = 1/y_j >= 0,
+        # and c_k >= 1/FLOAT_MAX_INT since larger finite levels are refused.
+        # So q a = sum c_j (m_j - m_{j+1}) gives a <= -c_k/(k+1) <=
+        # -1/(FLOAT_MAX_INT (MAX_LEVELS - 1)) ~ -8.8e-311, which float()
+        # keeps nonzero (subnormals reach 4.9e-324).
+        ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
+        ratio_ok = ratio_err < TOL_DECAY
         checks.append(CheckResult("potential-decay", ratio_err, TOL_DECAY, ratio_ok,
                                   detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 

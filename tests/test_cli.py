@@ -563,17 +563,40 @@ def test_metric_verify_takes_the_library_sample_floor(capsys):
 
 
 def test_log_coefficients_beyond_float_range_exit_2(capsys):
-    # float(mu) would raise OverflowError; the payload that both output
-    # forms print from refuses first.
+    # float(mu) would raise OverflowError; metricnum.check_float_range
+    # refuses first, for the mass payload and for verify_metric alike.
     for argv in (["mass", "1/3", "--u", "1e400"],
                  ["mass", "1/1", "--u", "1e400"],
                  ["mass", "1/3", "--levels", "2,1e-400,0"],
-                 ["blowup-insert", "1/3", "--position", "1", "--u", "1e400,1"]):
+                 ["blowup-insert", "1/3", "--position", "1", "--u", "1e400,1"],
+                 ["metric-verify", "1/3", "--levels", "2,1e-400,0"]):
         for fmt in ((), ("--json",)):
             assert _main(capsys, *argv, *fmt) == (
                 2, "", "error: log coefficients a, b, mu outside the float range\n"), argv
     code, out, _ = _main(capsys, "mass", "1/3", "--u", "1e308")
     assert code == 0 and "(-3.33333e+307)" in out
+
+
+def test_refusals_stay_one_line(tmp_path, capsys):
+    # A document nested beyond the recursion limit is refused, not a
+    # RecursionError; a path or document text with a line break in it is
+    # quoted with the break escaped.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    doc = tmp_path / "sections.json"
+    doc.write_text(json.dumps({
+        "genus": 1, "model": "sections", "points": ["P"], "weights": ["1/2"], "incidence": ["S\nT"],
+        "sections": [{"id": "S\nT", "self_intersection": "0"}]}))
+    missing = tmp_path / "no\nsuch"
+    for argv, start in (
+        (["stability", str(deep)], f"error: {deep}: "),
+        (["pipeline", str(missing / "doc.json")], f"error: cannot read {tmp_path}/no\\nsuch/doc.json: "),
+        (["metric-verify", "1/2", "--samples", "3", "--csv", str(missing / "x.csv")],
+         f"error: cannot write {tmp_path}/no\\nsuch/x.csv: "),
+        (["stability", str(doc)], "error: bad surface document: self_intersection of section S\\nT "),
+    ):
+        code, out, err = _main(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(start) and err.count("\n") == 1, (argv, err)
 
 
 def test_metric_verify_input_bounds():
@@ -736,7 +759,7 @@ def test_main_dispatches_to_rebound_handler(monkeypatch):
     from cscglue import cli
 
     assert main(["hj", "1/2"]) == 0
-    monkeypatch.setattr(cli, "cmd_hj", lambda args: 7)
-    monkeypatch.setattr(cli, "cmd_metric_verify", lambda args: 8)
+    monkeypatch.setattr(cli, "cmd_hj", lambda args: (7, {}, list))
+    monkeypatch.setattr(cli, "cmd_metric_verify", lambda args: (8, {}, list))
     assert main(["hj", "1/2"]) == 7
     assert main(["metric-verify", "1/2"]) == 8

@@ -1,18 +1,26 @@
-"""Fuzz the CLI input parsers: every input parses or raises ValueError.
+"""Fuzz the CLI input parsers and whole commands.
 
-``cli.main`` maps ``ValueError`` to exit 2 with a one-line message, so an
-input that raises anything else would end in a traceback instead.
+Every parser input parses or raises ValueError: ``cli.main`` maps
+``ValueError`` to exit 2 with a one-line message, so an input that raises
+anything else would end in a traceback instead.  The command properties
+run ``cli.main`` itself on every subcommand, with numbers at and beyond
+each stated input bound.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cscglue.cli import (
+    MAX_DIGITS,
+    MAX_HJ_DIGITS,
     load_document,
     main,
     parse_coord,
@@ -20,6 +28,9 @@ from cscglue.cli import (
     parse_rational_list,
     parse_surface,
 )
+from cscglue.metricnum import MAX_LEVELS, MAX_Q, MAX_SAMPLES
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -174,3 +185,150 @@ def test_decimal_text_reads_back_exactly(numerator, twos, fives, exponent_form):
     text = _decimal_text(frac, exponent_form)
     assert parse_rational_list(text) == [frac], text
     assert parse_rational_list(f"{text},{text}") == [frac, frac], text
+
+
+# ---------------------------------------------------------------------------
+# Whole commands through main.  Whatever the argv, a run ends in an exit
+# code its subcommand documents; exit 2 prints nothing on stdout and one
+# error: line on stderr; no exception escapes.  argparse refuses its own
+# malformed options with its usage text and SystemExit(2).
+
+BOUNDS = (MAX_DIGITS, MAX_HJ_DIGITS, MAX_Q, MAX_LEVELS, MAX_SAMPLES)
+near_bound = st.sampled_from(BOUNDS).flatmap(lambda n: st.sampled_from((n - 1, n, n + 1)))
+# Numbers at and beyond each stated bound: past the float range, with
+# MAX_DIGITS digits and one more, and the integer bounds themselves.
+bound_number = st.one_of(
+    near_bound.map(str),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "1.5e-400", "9" * MAX_DIGITS,
+                     "9" * (MAX_DIGITS + 1), f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS + 1}"]),
+)
+any_number = st.one_of(numeric_token, bound_number)
+small_weight = st.integers(2, 13).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}"))
+weight = st.one_of(
+    small_weight,
+    near_bound.map(lambda n: f"1/{n}"),
+    near_bound.map(lambda n: f"{n - 1}/{n}"),
+    bound_number.map(lambda t: f"1/{t}"),
+    any_number,
+)
+small_positive = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}")
+u_list = st.lists(st.one_of(small_positive, small_positive, any_number),
+                  min_size=1, max_size=3).map(",".join)
+level_value = st.one_of(level_token, near_bound.map(str), st.sampled_from(["1e400", "1e-400"]))
+levels_arg = st.one_of(
+    st.lists(any_number, min_size=1, max_size=4).map(",".join),
+    st.lists(level_value, min_size=1, max_size=3, unique=True).map(
+        lambda ts: ",".join(_descending(ts) + ["0"])),
+)
+# Either route of mass and blowup-insert, or any mix of them.
+routes = st.one_of(st.tuples(u_list, st.none()), st.tuples(st.none(), levels_arg),
+                   st.tuples(st.none() | u_list, st.none() | levels_arg), st.just((None, None)))
+coordinate = st.tuples(st.one_of(st.sampled_from(["0", "1", "2", "-1"]), bound_number),
+                       st.one_of(st.sampled_from(["0", "1", "3"]), bound_number)).map(":".join)
+# Documents whose weights, coordinates and genus reach the bounds.
+bound_document = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
+    {
+        "points": st.lists(st.one_of(st.sampled_from("abcd"), st.text(max_size=3)),
+                           min_size=n, max_size=n, unique=True),
+        "weights": st.lists(st.one_of(small_weight, weight), min_size=n, max_size=n),
+        "incidence": st.lists(coordinate, min_size=n, max_size=n, unique=True),
+    },
+    optional={
+        "genus": st.one_of(near_bound, bound_number),
+        "extra_points": st.lists(coordinate, max_size=3),
+    },
+))
+# The fixtures, with their weights, extra points or genus swapped for bound values.
+fixture_document = st.sampled_from([
+    json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))
+]).flatmap(lambda doc: st.fixed_dictionaries({}, optional={
+    "weights": st.lists(st.one_of(small_weight, weight),
+                        min_size=len(doc["weights"]), max_size=len(doc["weights"])),
+    "extra_points": st.lists(coordinate, max_size=3),
+    "genus": st.one_of(near_bound, bound_number),
+}).map(lambda changes: {**doc, **changes}))
+small_int = st.integers(1, 3).map(str)
+# Few samples keep a run short; the bound itself runs on a few examples only.
+samples_arg = st.one_of(st.integers(1, 12).map(str), st.sampled_from(
+    [str(MAX_SAMPLES), str(MAX_SAMPLES + 1), "0", "-1", "9" * (MAX_DIGITS + 1), "1e400"]))
+
+
+def _argv(command, positional, options):
+    """argvs of ``command``, with --name=value for each option value that is not None."""
+    return st.tuples(positional, st.tuples(*options.values()), st.booleans()).map(lambda t: [
+        command, t[0],
+        *(f"--{name}={value}" for name, value in zip(options, t[1]) if value is not None),
+        *(["--json"] if t[2] else []),
+    ])
+
+
+def _routed(argv_route):
+    argv, (u, levels) = argv_route
+    return argv + [f"--{name}={value}" for name, value in (("u", u), ("levels", levels))
+                   if value is not None]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_command(argv, codes):
+    code, out, err = _run_main(argv)
+    if code == ("argparse", 2):
+        assert out == "" and err.startswith("usage: cscglue "), (argv, err)
+        assert re.match(r"cscglue [\w-]+: error: ", err.splitlines()[-1]), (argv, err)
+        return
+    assert code in codes, (argv, code, err)
+    if code == 2:
+        assert out == "", (argv, out)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+@FUZZ
+@given(_argv("hj", weight, {}))
+def test_hj_command_property(argv):
+    _check_command(argv, {0, 2})
+
+
+@FUZZ
+@given(st.tuples(_argv("mass", st.one_of(weight, st.just("1/1")), {}), routes).map(_routed))
+def test_mass_command_property(argv):
+    _check_command(argv, {0, 2})
+
+
+@FUZZ
+@given(st.tuples(_argv("blowup-insert", st.one_of(small_weight, small_weight, weight), {
+    "position": st.one_of(small_int, small_int, small_int, bound_number, st.none()),
+}), routes).map(_routed))
+def test_blowup_insert_command_property(argv):
+    _check_command(argv, {0, 2})
+
+
+@pytest.mark.parametrize("command, codes", [("stability", {0, 2}), ("pipeline", {0, 2, 3, 4})])
+@FUZZ
+@given(doc=st.one_of(fixture_document, bound_document, surface_document), as_json=st.booleans())
+def test_document_command_property(tmp_path_factory, command, codes, doc, as_json):
+    path = tmp_path_factory.getbasetemp() / "property-doc.json"
+    path.write_text(json.dumps(doc))
+    _check_command([command, str(path), *(["--json"] if as_json else [])], codes)
+
+
+@FUZZ
+@given(_argv("metric-verify", st.one_of(small_weight, small_weight, weight), {
+    "levels": st.none() | levels_arg,
+    "samples": samples_arg,
+    "seed": st.one_of(st.none(), small_int, bound_number),
+    "csv": st.sampled_from([None, "decay.csv", "."]),
+}))
+def test_metric_verify_command_property(tmp_path_factory, argv):
+    # --csv names a file, or the directory itself, under the session's temp directory.
+    base = tmp_path_factory.getbasetemp()
+    _check_command([arg.replace("--csv=", f"--csv={base}/") for arg in argv], {0, 1, 2})

@@ -3,15 +3,19 @@
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cscglue import metricnum
+from cscglue.cfrac import hj_length
 from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
 from cscglue.metricnum import (
     FLOAT_MAX,
+    FLOAT_MAX_INT,
+    MAX_LEVELS,
     TOL_INVARIANT,
     PolarPoint,
     default_levels,
@@ -235,12 +239,14 @@ def test_metric_invariants_roundoff_scale(pq):
 @pytest.mark.parametrize("pq", ((2, 5),) + ROUNDOFF_CHAINS)
 def test_invariant_residual_catches_small_defects(pq):
     # A 1e-8 relative error in omega or J must fail at every sample point.
+    # invariant_residual reads only g, omega and J.
     sample = invariant_batch(*pq)
+    g, omega, J = sample.g, sample.omega, sample.J
     for bad in (
-        sample._replace(omega=sample.omega * (1 + 1e-8)),
-        sample._replace(J=sample.J * (1 + 1e-8)),
-        sample._replace(omega=sample.omega + 1e-8 * sample.omega * (np.arange(4) == 1)),
-        sample._replace(J=sample.J + 1e-8 * sample.J * (np.arange(4) == 3)),
+        SimpleNamespace(g=g, omega=omega * (1 + 1e-8), J=J),
+        SimpleNamespace(g=g, omega=omega, J=J * (1 + 1e-8)),
+        SimpleNamespace(g=g, omega=omega + 1e-8 * omega * (np.arange(4) == 1), J=J),
+        SimpleNamespace(g=g, omega=omega, J=J + 1e-8 * J * (np.arange(4) == 3)),
     ):
         assert np.min(invariant_residual(bad)) > TOL_INVARIANT
 
@@ -551,6 +557,20 @@ def test_verify_metric_float_range_edge():
     assert not rep.passed
     with pytest.raises(ValueError, match="every finite level must lie within the float range"):
         verify_metric(1, 2, levels=[math.inf, edge + 1, 0], samples=10)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (1, 3), (55, 89), (3, 2**52 + 1), (1, 2**53 - 1)])
+def test_exact_a_is_negative_at_extreme_levels(pq):
+    # Levels at the top of the range verify_metric accepts make c_k = 1/y_k
+    # tiny; even there a stays below the bound of the proof in verify_metric,
+    # -1/(FLOAT_MAX_INT (MAX_LEVELS - 1)), and has a nonzero float, so
+    # potential-decay never sees flat data.
+    p, q = pq
+    k = hj_length(p, q)
+    levels = [Fraction(FLOAT_MAX_INT - j) for j in range(k + 1)] + [Fraction(0)]
+    exact = log_coeffs_from_levels(monopole_from_fraction(p, q, levels))
+    assert exact.a <= Fraction(-1, FLOAT_MAX_INT * (MAX_LEVELS - 1))
+    assert float(exact.a) < 0
 
 
 def test_sample_batch_seeded():
