@@ -279,15 +279,16 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             incidence = tuple(parse_coord(i) for i in raw_inc)
         else:
             incidence = tuple(str(i) for i in raw_inc)
-        sections = tuple(
-            SectionData(
+        sections = []
+        for i, s in enumerate(doc.get("sections", ())):
+            if "id" not in s:
+                raise ValueError(f'sections[{i}] has no "id"')
+            sections.append(SectionData(
                 id=str(s["id"]),
                 self_intersection=s.get("self_intersection", 0),
                 contains=frozenset(str(x) for x in s.get("contains", ())),
                 disjoint_from=frozenset(str(x) for x in s.get("disjoint_from", ())),
-            )
-            for s in doc.get("sections", ())
-        )
+            ))
         extra = tuple(parse_coord(c) for c in doc.get("extra_points", ()))
         surface = ParabolicSurface(
             genus=doc.get("genus", 0),
@@ -295,7 +296,7 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
             weights=weights,
             incidence=incidence,
             model=model,
-            sections=sections,
+            sections=tuple(sections),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"bad surface document: {exc}") from None

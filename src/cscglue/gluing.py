@@ -262,8 +262,17 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     * INFEASIBLE / OBSTRUCTED: the matrix check fails; for sporadic
       structures this is expected and flagged (existence is conjectured
       but not provided by this construction).
+
+    An extra point such as [0 : 0], which is no projective point, is a
+    ``ValueError`` naming its index in ``extra_points``.
     """
-    extra_points = tuple(normalize_coord(*c) for c in extra_points)
+    normalized = []
+    for i, coord in enumerate(extra_points):
+        try:
+            normalized.append(normalize_coord(*coord))
+        except ValueError as exc:
+            raise ValueError(f"extra_points[{i}]: {exc}") from None
+    extra_points = tuple(normalized)
     verdict = classify(surface)
     orb = orbifold_from_parabolic(surface)
     good = is_good(orb)

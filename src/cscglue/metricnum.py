@@ -58,15 +58,18 @@ shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
 is the batch with S = (), through the same code.  :func:`as_numeric`
 converts the exact monopole data to float arrays; each function accepts
 either form, and :func:`verify_metric` converts once and passes the
-arrays on.  A finite-difference check evaluates its function once for
-the whole stencil (:func:`stencil`): the centre and every displaced
-point at each step are stacked along a new leading axis, with one step
-per point, so each point is evaluated once.  A function handed to a
-check, such as the ``metric_fn`` of :func:`scalar_curvature_generic`,
-must accept arrays with extra leading axes and return values with those
-axes in front.  :func:`metric_at` evaluates the frame once and builds
-each of g, omega and J on first read: the scalar curvature reads only
-g, the Kähler residual only omega and J.
+arrays on.  :func:`v_eval` sums the level charges as two products
+(S, m) @ (m, 2), for v_1 and v_2.  A finite-difference check evaluates
+its function once for the whole stencil (:func:`stencil`): the centre
+and every displaced point at each step are stacked along a new leading
+axis, with one step per point, so each point is evaluated once.  A
+function handed to a check, such as the ``metric_fn`` of
+:func:`scalar_curvature_generic`, must accept arrays with extra leading
+axes and return values with those axes in front.  :func:`metric_at`
+evaluates the frame once and builds each of g, omega and J on first
+read, for the points an index selects: the scalar curvature reads only
+g, the Kähler residual omega and J, the potential residual J and, at
+its stencil's centres, g and omega.
 
 Steps.  Every check differences with one scheme: central differences
 at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
@@ -214,7 +217,14 @@ class MetricSample:
 
     def __init__(self, frame: FrameData, r, s, c):
         v1, v2 = frame.v1, frame.v2
-        self._parts = (r, s, c, frame.det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
+        self._parts = np.broadcast_arrays(r, s, c, frame.det, v1[..., 0], v1[..., 1],
+                                          v2[..., 0], v2[..., 1])
+
+    def __getitem__(self, index):
+        """The points at ``index`` of the batch, with no field built yet."""
+        sample = object.__new__(MetricSample)
+        sample._parts = tuple(part[index] for part in self._parts)
+        return sample
 
     @cached_property
     def g(self):
@@ -242,17 +252,17 @@ class MetricSample:
     @cached_property
     def J(self):
         r, s, c, D, v1x, v1y, v2x, v2y = self._parts
-        # Cotangent action: columns give the image of each basis 1-form.
-        C = np.zeros(D.shape + (4, 4))
-        C[..., 2, 0] = -r * s * c * v2y / D
-        C[..., 3, 0] = r * s * c * v2x / D
-        C[..., 2, 1] = s * c * v1y / D
-        C[..., 3, 1] = -s * c * v1x / D
-        C[..., 0, 2] = v1x / (r * s * c)
-        C[..., 1, 2] = v2x / (s * c)
-        C[..., 0, 3] = v1y / (r * s * c)
-        C[..., 1, 3] = v2y / (s * c)
-        return -_transpose(C)  # tangent action with omega(X, Y) = g(JX, Y)
+        # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
+        J = np.zeros(D.shape + (4, 4))
+        J[..., 0, 2] = r * s * c * v2y / D
+        J[..., 0, 3] = -r * s * c * v2x / D
+        J[..., 1, 2] = -s * c * v1y / D
+        J[..., 1, 3] = s * c * v1x / D
+        J[..., 2, 0] = -v1x / (r * s * c)
+        J[..., 2, 1] = -v2x / (s * c)
+        J[..., 3, 0] = -v1y / (r * s * c)
+        J[..., 3, 1] = -v2y / (s * c)
+        return J
 
 
 class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_const")):
@@ -304,15 +314,15 @@ def v_eval(data, x, y) -> FrameData:
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if np.any(x <= 0):
         raise ValueError(f"need x > 0, got {x}")
-    xs = x[..., None]
     dy = y[..., None] - data.levels
-    f = np.sqrt(xs * xs + dy * dy)
-    # Rows: the level weights of v_1 / (x/2) and of v_2, summed against
-    # the charges.
-    sums = np.stack([1 / f, dy / (2 * f)], axis=-2) @ data.pairs
-
-    v1 = (x / 2)[..., None] * sums[..., 0, :]
-    v2 = sums[..., 1, :] + data.v2_const
+    f = np.sqrt((x * x)[..., None] + dy * dy)
+    # The level weights of v_2 and of v_1 / (x/2), dy/f and 1/f, made in
+    # place and each summed against the charges as one (S, m) @ (m, 2)
+    # product.  Halving is exact, so (dy/f)/2 has the bits of dy/(2f).
+    dy /= f
+    np.divide(1.0, f, out=f)
+    v1 = (x / 2)[..., None] * (f @ data.pairs)
+    v2 = (dy @ data.pairs) / 2 + data.v2_const
     det = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
     return FrameData(v1=v1, v2=v2, det=det)
 
@@ -354,8 +364,8 @@ def _transpose(m):
 #
 # ``u0``, ``u1`` and the steps are scalars or arrays broadcasting to the
 # batch shape S.  A stencil is one call of ``fn`` at all its points,
-# stacked along a new leading axis of length K, so ``fn`` maps arrays of
-# shape (K,) + S to values of shape (K,) + S + T.
+# stacked along a new leading axis of length K with the centre first, so
+# ``fn`` maps arrays of shape (K,) + S to values of shape (K,) + S + T.
 
 
 # Displacements of a stencil's points from the centre, in units of the
@@ -504,7 +514,8 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
     st = stencil(metric_fn, u0, u1, h0, h1, second=True, halving=halving)
     g = st["f"]
     n = g.shape[-1]
-    ginv = np.linalg.inv(g)
+    # With halving "f" is the centre twice: invert it once (copied, so einsum sums as before).
+    ginv = np.stack([np.linalg.inv(g[0])] * 2) if halving else np.linalg.inv(g)
     # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2.
     derivs = np.stack([np.stack([st[a], st[b]], axis=-3)
                        for a, b in (("d0", "d1"), ("d00", "d01"), ("d01", "d11"))], axis=-4)
@@ -577,24 +588,27 @@ def potential_residual(data, r):
     from :func:`metric_at`, and its exterior derivative by finite
     differences.  The norm is the metric norm of the 2-form, so the
     expected decay is r^-4.  ``r`` is a radius or an array of them; all
-    radii and seven thetas across the interior form one batch.  g and omega
-    are read at those centres only; the stencil differences J df alone.
+    radii and seven thetas across the interior form one batch.  The metric
+    is evaluated once, at the stencil's points; g and omega are read at its
+    centres only, and the stencil differences J df alone.
     """
     data = as_numeric(data)
     theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
     a, b = float(data.exact.a), float(data.exact.b)
     q = data.source.pq()[1]
     rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], theta_samples)
+    evaluated = []
 
     def jdf(rad, theta):
         """J df = f_r J dr + f_theta J dtheta; J dx^i has components -J[..., i, :]."""
-        J = metric_at(data, PolarPoint(rad, theta)).J
+        evaluated.append(metric_at(data, PolarPoint(rad, theta)))
+        J = evaluated[-1].J
         f_r = q * (rad / 2 + (a + b) / (2 * rad))
         f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
         return -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
 
-    centre = metric_at(data, PolarPoint(rr, th))
     st = stencil(jdf, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
+    centre = evaluated[0][0]  # the stencil's first point is its centre
     R = np.zeros(rr.shape + (4, 4))
     R[..., 0, 2:] = centre.omega[..., 0, 2:] - st["d0"][..., 2:]
     R[..., 1, 2:] = centre.omega[..., 1, 2:] - st["d1"][..., 2:]

@@ -94,6 +94,11 @@ class ParabolicSurface(namedtuple("ParabolicSurface",
         if model == "trivial-p1":
             if genus != 0:
                 raise ValueError("the trivial-p1 model requires genus 0")
+            for label, inc in zip(points, incidence):
+                try:
+                    normalize_coord(*inc)
+                except ValueError as exc:
+                    raise ValueError(f"incidence of point {label}: {exc}") from None
         elif model == "sections":
             ids = {s.id for s in sections}
             if len(ids) != len(sections):

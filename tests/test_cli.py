@@ -599,6 +599,16 @@ def test_refusals_stay_one_line(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith(start) and err.count("\n") == 1, (argv, err)
 
 
+def test_section_without_id_is_named(tmp_path, capsys):
+    doc = tmp_path / "sections.json"
+    doc.write_text(json.dumps({
+        "genus": 1, "model": "sections", "points": ["a"], "weights": ["1/2"], "incidence": ["S"],
+        "sections": [{"id": "S", "disjoint_from": ["T"]}, {"contains": ["a"]}]}))
+    for command in ("stability", "pipeline"):
+        assert _main(capsys, command, str(doc)) == (
+            2, "", 'error: bad surface document: sections[1] has no "id"\n'), command
+
+
 def test_metric_verify_input_bounds():
     from cscglue.metricnum import MAX_LEVELS, MAX_SAMPLES
 

@@ -137,16 +137,15 @@ def test_phi_values():
 
 @pytest.mark.parametrize("coord", [(math.inf, 1), (Decimal("Infinity"), 1), (1, math.nan)])
 def test_non_finite_coordinate_is_named(coord):
-    match = r"fiber coordinate \[.* : .*\] is not a finite rational"
-    with pytest.raises(ValueError, match=match):
+    # A surface with such an incidence is refused when it is built, so
+    # classify and existence_report never see one.
+    match = r"fiber coordinate \[.* : .*\] is not a finite rational$"
+    with pytest.raises(ValueError, match="^" + match):
         phi_value(coord)
-    surface = ParabolicSurface(genus=0, points=("P1", "P2"), weights=(F(1, 2), F(1, 2)),
-                               incidence=((1, 0), coord))
-    with pytest.raises(ValueError, match=match):
-        classify(surface)
-    with pytest.raises(ValueError, match=match):
-        existence_report(surface)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="^incidence of point P2: " + match):
+        ParabolicSurface(genus=0, points=("P1", "P2"), weights=(F(1, 2), F(1, 2)),
+                         incidence=((1, 0), coord))
+    with pytest.raises(ValueError, match=r"^extra_points\[0\]: " + match):
         existence_report(TORIC, extra_points=[coord])
 
 

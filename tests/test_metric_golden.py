@@ -13,9 +13,25 @@ over the two live derivative directions.  The same stencil values are
 summed in another order, so only the roundoff of the curvature moved;
 it fell at 161/183 from 5.5e-6 to 3.0e-7 (the true value is 0), and no
 value rose by more than 1e-7 over the coprime p/q with q <= 70.
+
+A second intended change: every value of 21/22, 79/163 and 161/183 that
+moved was re-recorded when v_eval began to sum the level charges as two
+(S, m) @ (m, 2) products instead of one (S, 2, m) stack of S separate
+2 x m products.  The terms are the same; for 16 or more levels OpenBLAS
+adds them in another order, so only roundoff moved.  Over the 1,486
+coprime p/q with q <= 70 that fit MAX_LEVELS, plus 79/163 and 161/183,
+every value of the 1,319 fractions with fewer than 16 levels kept its
+bits, no check changed pass/fail, and no value rose by more than 0.2 of
+its tolerance (the most: monopole-system at 79/163, 3.03e-9 -> 4.86e-9,
+0.18 of 1e-8).
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,37 +198,37 @@ GOLDEN = {
         "checks": (
             ('flat-model-exactness', 5.930161299704233e-16, 1e-12, True,
              ''),
-            ('determinant-positive', 2.2420501852257715, 0.0, True,
+            ('determinant-positive', 2.2420501852257697, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 3.908979806510615e-10, 1e-08, True,
-             'step-halving change 3.08e-10'),
-            ('metric-invariants', 1.1787487600126595e-13, 1e-10, True,
+            ('monopole-system', 2.4277824195451103e-10, 1e-08, True,
+             'step-halving change 1.71e-10'),
+            ('metric-invariants', 1.1571262408748768e-13, 1e-10, True,
              ''),
-            ('domega-residual', 5.102147398388935e-13, 1e-06, True,
+            ('domega-residual', 6.969319275572715e-13, 1e-06, True,
              ''),
-            ('integrability-residual', 1.201040723852275e-12, 1e-06, True,
+            ('integrability-residual', 1.5359204049465698e-12, 1e-06, True,
              ''),
-            ('scalar-curvature', 4.9866833207120535e-08, 0.0001, True,
-             'step-halving change 7.44e-08'),
-            ('asymptotic-fit', 1.6030442323566874e-07, 0.01, True,
+            ('scalar-curvature', 2.0797806156210177e-08, 0.0001, True,
+             'step-halving change 9.79e-08'),
+            ('asymptotic-fit', 1.6030443833470187e-07, 0.01, True,
              'a_fit=-0.167764 b_fit=0.167764'),
-            ('potential-decay', 0.006254644073719562, 0.25, True,
+            ('potential-decay', 0.006234271520836221, 0.25, True,
              "residuals=['1.88e-05', '1.17e-06', '7.28e-08']"),
             ('mass-sign', 0.0, 0.0, True,
-             'mu_fit=4.21423e-09 mu_exact=0'),
+             'mu_fit=4.21418e-09 mu_exact=0'),
         ),
         "decay_series": (
-            (5.0, 0.0003082470741979428),
-            (6.85175492360062, 8.6019746381149e-05),
-            (9.389309106617063, 2.4189459452448643e-05),
-            (12.866648980094318, 6.829307608502747e-06),
-            (17.631825099920427, 1.9321396856013205e-06),
-            (24.16178888808895, 5.472524570405843e-07),
-            (33.11013119539244, 1.5509765099668292e-07),
-            (45.37250088781852, 4.3942150811377564e-08),
+            (5.0, 0.00030824707839815217),
+            (6.85175492360062, 8.601972311965898e-05),
+            (9.389309106617063, 2.418948246628197e-05),
+            (12.866648980094318, 6.829357868778772e-06),
+            (17.631825099920427, 1.932136860245277e-06),
+            (24.16178888808895, 5.471924622447561e-07),
+            (33.11013119539244, 1.5508136400884663e-07),
+            (45.37250088781852, 4.393962665680703e-08),
             (62.176251270836794, 1.2459449167728156e-08),
-            (85.20328715519705, 3.5683675826599603e-09),
-            (116.75840845451575, 1.0025119752110678e-09),
+            (85.20328715519705, 3.533942561287388e-09),
+            (116.75840845451575, 1.0187507750667267e-09),
             (160.0, 2.8484482242247865e-10),
         ),
     },
@@ -220,19 +236,19 @@ GOLDEN = {
         "checks": (
             ('flat-model-exactness', 5.930161299704233e-16, 1e-12, True,
              ''),
-            ('determinant-positive', 15.68590374701938, 0.0, True,
+            ('determinant-positive', 15.685903747019264, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 3.027707862202078e-09, 1e-08, True,
-             'step-halving change 6.28e-10'),
-            ('metric-invariants', 1.7047926184808487e-13, 1e-10, True,
+            ('monopole-system', 4.855792212765664e-09, 1e-08, True,
+             'step-halving change 2.91e-09'),
+            ('metric-invariants', 2.4467546984136317e-13, 1e-10, True,
              ''),
-            ('domega-residual', 1.228114256459767e-12, 1e-06, True,
+            ('domega-residual', 1.2498079100126256e-12, 1e-06, True,
              ''),
-            ('integrability-residual', 3.6228188293095038e-12, 1e-06, True,
+            ('integrability-residual', 3.58639434873533e-12, 1e-06, True,
              ''),
-            ('scalar-curvature', 4.3242767228113266e-08, 0.0001, True,
-             'step-halving change 1.31e-07'),
-            ('asymptotic-fit', 6.334127120449784e-07, 0.01, True,
+            ('scalar-curvature', 3.680220225787956e-08, 0.0001, True,
+             'step-halving change 1.58e-07'),
+            ('asymptotic-fit', 6.334158845211491e-07, 0.01, True,
              'a_fit=-0.440054 b_fit=0.0834691'),
             ('potential-decay', 0.0038208974623281655, 0.25, True,
              "residuals=['8.42e-05', '5.28e-06', '3.3e-07']"),
@@ -258,19 +274,19 @@ GOLDEN = {
         "checks": (
             ('flat-model-exactness', 5.930161299704233e-16, 1e-12, True,
              ''),
-            ('determinant-positive', 17.9083757691554, 0.0, True,
+            ('determinant-positive', 17.90837576915539, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 2.5396502678631805e-09, 1e-08, True,
-             'step-halving change 1.08e-09'),
+            ('monopole-system', 1.428020368621219e-09, 1e-08, True,
+             'step-halving change 1.54e-09'),
             ('metric-invariants', 8.553796308413225e-13, 1e-10, True,
              ''),
-            ('domega-residual', 9.612600587591531e-13, 1e-06, True,
+            ('domega-residual', 9.14280219909276e-13, 1e-06, True,
              ''),
-            ('integrability-residual', 2.277228964801462e-12, 1e-06, True,
+            ('integrability-residual', 2.3547765328756506e-12, 1e-06, True,
              ''),
-            ('scalar-curvature', 3.0065107139987113e-07, 0.0001, True,
-             'step-halving change 4.04e-07'),
-            ('asymptotic-fit', 4.527850457347604e-07, 0.01, True,
+            ('scalar-curvature', 3.20616015930808e-07, 0.0001, True,
+             'step-halving change 5.21e-07'),
+            ('asymptotic-fit', 4.5278802213166713e-07, 0.01, True,
              'a_fit=-0.358179 b_fit=0.101372'),
             ('potential-decay', 0.004363195506027262, 0.25, True,
              "residuals=['5.87e-05', '3.68e-06', '2.3e-07']"),
@@ -301,6 +317,30 @@ def test_verify_metric_golden(pq):
     got = tuple((c.name, c.value, c.tolerance, c.passed, c.detail) for c in report.checks)
     assert got == GOLDEN[pq]["checks"]
     assert report.decay_series == GOLDEN[pq]["decay_series"]
+
+
+# The golden replayed in a child process with one BLAS thread, as the
+# benchmark runs it; the suite runs with the library's default.  A
+# re-record that depends on the thread count fails here or above.
+SINGLE_THREADED = """
+from cscglue.metricnum import verify_metric
+print([(pq, tuple(tuple(c) for c in report.checks), report.decay_series)
+       for pq in {pqs!r} for report in [verify_metric(*pq)]])
+"""
+
+
+def test_golden_holds_with_single_threaded_blas():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SINGLE_THREADED.format(pqs=sorted(GOLDEN))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    replayed = ast.literal_eval(proc.stdout)
+    assert [pq for pq, _, _ in replayed] == sorted(GOLDEN)
+    for pq, checks, decay_series in replayed:
+        assert checks == GOLDEN[pq]["checks"], pq
+        assert decay_series == GOLDEN[pq]["decay_series"], pq
 
 
 # Frozen stdout and exit code of `cscglue metric-verify`, human and --json.

@@ -531,7 +531,7 @@ def test_verify_metric_refuses_seeds_numpy_would_misread():
 def test_verify_metric_frame_point_count(monkeypatch):
     # The work of one default run, pinned: the step-halving checks share
     # one stencil at h, h/2 and h/4, and potential_residual differences
-    # J df alone.
+    # J df alone and reads g and omega at the stencil's own centres.
     seen = []
 
     def counting(data, x, y):
@@ -541,7 +541,7 @@ def test_verify_metric_frame_point_count(monkeypatch):
 
     monkeypatch.setattr(metricnum, "v_eval", counting)
     verify_metric(4, 9)
-    assert sum(seen) == 4225
+    assert sum(seen) == 4120
 
 
 def test_verify_metric_takes_numpy_integer_samples():
@@ -577,6 +577,53 @@ def test_sample_batch_seeded():
     a = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     b = sample_batch(np.random.default_rng(5), 10, 1.0, 5.0)
     assert np.array_equal(a.r, b.r) and np.array_equal(a.theta, b.theta)
+
+
+def _stacked_v_eval(data, x, y):
+    """(v_1, v_2) as v_eval summed them before: both level weights stacked
+    into one (S, 2, m) array and multiplied by the charges as S separate
+    2 x m products.  Also returns the magnitudes of the summed terms."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xs = x[..., None]
+    dy = y[..., None] - data.levels
+    f = np.sqrt(xs * xs + dy * dy)
+    weights = np.stack([1 / f, dy / (2 * f)], axis=-2)
+    sums = weights @ data.pairs
+    terms = np.abs(weights) @ np.abs(data.pairs)
+    half_x = (x / 2)[..., None]
+    return (half_x * sums[..., 0, :], sums[..., 1, :] + data.v2_const,
+            half_x * terms[..., 0, :], terms[..., 1, :] + np.abs(data.v2_const))
+
+
+@pytest.mark.parametrize("infinite_level", [False, True])
+def test_v_eval_matches_stacked_product(infinite_level):
+    # The two 2-D products sum the same terms as the stacked product, in an
+    # order the BLAS picks for each shape, so they agree to a few ulp of
+    # the summed magnitudes at every level count the checks accept.
+    eps = np.finfo(float).eps
+    x, y = from_polar(sample_batch(np.random.default_rng(3), 450, 0.3, 30.0))
+    for m in range(2, MAX_LEVELS + 1):
+        k = m - 1 if infinite_level else m - 2
+        if k == 0:
+            continue
+        levels = default_levels(k)
+        data = metricnum.as_numeric(monopole_from_fraction(
+            k, k + 1, (INF_LEVEL,) + levels[1:] if infinite_level else levels))
+        assert len(data.levels) == m
+        for xx, yy in ((x[0], y[0]), (x, y), (x.reshape(9, 50), y.reshape(9, 50))):
+            frame = v_eval(data, xx, yy)
+            v1, v2, terms1, terms2 = _stacked_v_eval(data, xx, yy)
+            assert frame.v1.shape == v1.shape and frame.v2.shape == v2.shape
+            assert np.all(np.abs(frame.v1 - v1) <= 4 * eps * terms1), (m, np.shape(xx))
+            assert np.all(np.abs(frame.v2 - v2) <= 4 * eps * terms2), (m, np.shape(xx))
+
+
+def test_metric_sample_index_builds_the_same_fields():
+    data = data_for(17, 21)
+    batch = metric_at(data, sample_batch(np.random.default_rng(6), 12, 1.0, 5.0))
+    for name in ("g", "omega", "J"):
+        assert np.array_equal(getattr(batch[3], name), getattr(batch, name)[3])
+        assert np.array_equal(getattr(batch[2:5], name), getattr(batch, name)[2:5])
 
 
 def test_batch_matches_single_points():
