@@ -23,8 +23,8 @@ otherwise it prints the human lines one at a time and never joins them.
 Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
 any tolerance fails.  The parsers here only turn text into values; the
-library decides which values are valid (only :func:`check_hj_size`, a
-bound on output size, is the CLI's own).  Every refusal exits 2 through
+library decides which values are valid (only :func:`check_hj_size` and
+:func:`check_lcm_size`, bounds on output size, are the CLI's own).  Every refusal exits 2 through
 one handler in :func:`main`, which prints one ``error:`` line for a
 ``ValueError`` of a parser or of the library, or for the
 ``ModuleNotFoundError`` of a metric check without numpy; a line break the
@@ -44,6 +44,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from cscglue import __version__
 from cscglue.cfrac import hj_expand, hj_length
@@ -205,6 +206,14 @@ def check_hj_size(weight: Fraction) -> None:
                          f"more than the {MAX_HJ_DIGITS} supported")
 
 
+def check_lcm_size(weights) -> None:
+    """Refuse weights whose denominators' lcm, the denominator of every
+    slope and of chi_orb, has more than MAX_DIGITS digits."""
+    if lcm(*(w.denominator for w in weights)) >= _DIGIT_BOUND:
+        raise ValueError(f"the weight denominators have an lcm of more than {MAX_DIGITS} digits, "
+                         f"the most a slope or chi_orb may print")
+
+
 def parse_fraction(text: str) -> tuple[int, int]:
     """The lowest terms (p, q), q > 0, of a rational; the library checks its range."""
     try:
@@ -272,24 +281,27 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
         raise ValueError(f"surface document must be a JSON object, got {type(doc).__name__}")
     try:
         model = doc.get("model", "trivial-p1")
-        points = tuple(str(p) for p in doc.get("points", ()))
-        weights = tuple(to_fraction(w) for w in doc.get("weights", ()))
-        raw_inc = doc.get("incidence", ())
+        points = tuple(str(p) for p in _array(doc, "points"))
+        weights = tuple(to_fraction(w) for w in _array(doc, "weights"))
+        raw_inc = _array(doc, "incidence")
         if model == "trivial-p1":
             incidence = tuple(parse_coord(i) for i in raw_inc)
         else:
             incidence = tuple(str(i) for i in raw_inc)
         sections = []
-        for i, s in enumerate(doc.get("sections", ())):
+        for i, s in enumerate(_array(doc, "sections")):
+            if not isinstance(s, dict):
+                raise ValueError(f"sections[{i}] must be a JSON object, got {type(s).__name__}")
             if "id" not in s:
                 raise ValueError(f'sections[{i}] has no "id"')
+            where = f"sections[{i}]."
             sections.append(SectionData(
                 id=str(s["id"]),
                 self_intersection=s.get("self_intersection", 0),
-                contains=frozenset(str(x) for x in s.get("contains", ())),
-                disjoint_from=frozenset(str(x) for x in s.get("disjoint_from", ())),
+                contains=frozenset(str(x) for x in _array(s, "contains", where)),
+                disjoint_from=frozenset(str(x) for x in _array(s, "disjoint_from", where)),
             ))
-        extra = tuple(parse_coord(c) for c in doc.get("extra_points", ()))
+        extra = tuple(parse_coord(c) for c in _array(doc, "extra_points"))
         surface = ParabolicSurface(
             genus=doc.get("genus", 0),
             points=points,
@@ -301,6 +313,14 @@ def parse_surface(doc: dict) -> tuple[ParabolicSurface, tuple]:
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"bad surface document: {exc}") from None
     return surface, extra
+
+
+def _array(doc: dict, key: str, where: str = "") -> list:
+    """``doc[key]``, which must be a JSON array if present; [] if absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{where}{key} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def load_document(path: str) -> dict:
@@ -443,6 +463,7 @@ def cmd_blowup_insert(args):
 
 def cmd_stability(args):
     surface, _ = parse_surface(load_document(args.document))
+    check_lcm_size(surface.weights)
     verdict = classify(surface)
     payload = {
         "verdict": verdict.kind.value,
@@ -474,6 +495,7 @@ def cmd_stability(args):
 
 def cmd_pipeline(args):
     surface, extra = parse_surface(load_document(args.document))
+    check_lcm_size(surface.weights)
     for w in surface.weights:
         check_hj_size(w)
     report = existence_report(surface, extra)

@@ -2,12 +2,12 @@
 
 The gluing matrix of a strictly polystable surface has at most one row,
 one entry per log term, because there is exactly one kernel function phi
-beyond the constants.  Its rank is 1 iff that row is nonzero.  For a
-single row r with entry sum s, a strictly positive kernel vector exists
-iff s = 0 or some entry has the sign opposite to s, and then it has a
-closed form: w = 1 when s = 0, otherwise w is 1 except at the first such
-entry r_k, where w_k = 1 - s/r_k > 1 makes r . w = 0.  Everything is
-``fractions.Fraction`` arithmetic.
+beyond the constants.  Its rank is 1 iff that row is nonzero.  A row r
+has a strictly positive kernel vector iff r = 0 or it has entries of both
+signs (Gordan's alternative).  The witness w_i = 1/|r_i|, or 1 if r_i = 0,
+gives r . w = P - N (positive entries less negative ones); if P != N, w_k
+is multiplied by 1 + |P - N| at the first entry r_k of the minority sign.
+Only signs decide, no w_i outgrows one entry, and all is ``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def positive_kernel_vector(rows, ncols: int):
     Returns
     -------
     tuple of Fraction or None
-        A vector with every entry >= 1 annihilated by M, if one exists.
+        A vector with every entry > 0 annihilated by M, if one exists.
 
     Raises
     ------
@@ -44,15 +44,15 @@ def positive_kernel_vector(rows, ncols: int):
     if ncols == 0:
         return None
     row = _single_row(rows)
-    w = [Fraction(1)] * ncols
     if row is None:
-        return tuple(w)
-    s = sum(row)
-    if s != 0:
-        k = next((k for k, x in enumerate(row) if x * s < 0), None)
+        return (Fraction(1),) * ncols
+    w = [1 / abs(x) if x else Fraction(1) for x in row]
+    balance = sum(x > 0 for x in row) - sum(x < 0 for x in row)
+    if balance:
+        k = next((k for k, x in enumerate(row) if x * balance < 0), None)
         if k is None:
             return None
-        w[k] = 1 - s / row[k]
+        w[k] *= 1 + abs(balance)
     return tuple(w)
 
 

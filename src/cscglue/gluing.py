@@ -28,7 +28,7 @@ Feasibility of the glued constant-scalar-curvature metric asks for
 
 where c_2 counts the dimension of ker M when a strictly positive kernel
 vector exists and is zero otherwise.  With one kernel function M has one
-row, and both are decided exactly by :mod:`cscglue.exactlp`.  The
+row, which :mod:`cscglue.exactlp` decides by its signs alone.  The
 positive kernel vector is a balancing condition: its entries weight the
 chosen points so that the configuration is balanced against the kernel
 vector fields, in the spirit of a zero of a moment map.
@@ -214,8 +214,8 @@ def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     * OBSTRUCTED: no columns while dim V_0 > 0 (no log terms are
       available to balance the kernel functions);
     * FEASIBLE: rank c_1 equals dim V_0 and the kernel meets the open
-      positive cone, which an empty matrix with dim V_0 = 0 does
-      vacuously;
+      positive cone, as it does iff the row is zero or has entries of
+      both signs, and vacuously for an empty matrix with dim V_0 = 0;
     * INFEASIBLE: otherwise.
 
     c_2 is reported as dim ker M when a strictly positive kernel vector

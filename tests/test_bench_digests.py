@@ -20,7 +20,7 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 
 SEED_1_DIGESTS = {
     "exact-sweep": "3c91e960e8fe40a4656755af46656864198cda7621be18ed4231f624b937ac52",
-    "pipeline-batch": "4650bf78172107d634ac7dd0a46c8cd96cf582d5b838a1b9b26b730bbe861474",
+    "pipeline-batch": "ad4baf59282d12e3cd0e610fb77b3bec1e232bcbff370785058b60a40ca8699f",
     "metric-verify": "e7c22baa6aed578cbf93cd157c8b2fd8f84099de73826a29964c6a26fb81d6e5",
 }
 

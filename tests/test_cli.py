@@ -609,6 +609,82 @@ def test_section_without_id_is_named(tmp_path, capsys):
             2, "", 'error: bad surface document: sections[1] has no "id"\n'), command
 
 
+_SECTIONS_DOC = {"genus": 1, "model": "sections", "points": ["P1"], "weights": ["1/2"],
+                 "incidence": ["S1"], "sections": [{"id": "S1", "contains": ["P1"]}]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sections": [1]}, "sections[0] must be a JSON object, got int"),
+    ({"sections": ["id"]}, "sections[0] must be a JSON object, got str"),
+    ({"sections": 5}, "sections must be a JSON array, got int"),
+    ({"points": 5}, "points must be a JSON array, got int"),
+    ({"points": "P1"}, "points must be a JSON array, got str"),
+    ({"weights": 5}, "weights must be a JSON array, got int"),
+    ({"weights": "1/2"}, "weights must be a JSON array, got str"),
+    ({"incidence": 5}, "incidence must be a JSON array, got int"),
+    ({"incidence": {"P1": "S1"}}, "incidence must be a JSON array, got dict"),
+    ({"extra_points": 5}, "extra_points must be a JSON array, got int"),
+    ({"extra_points": "1:0"}, "extra_points must be a JSON array, got str"),
+    ({"sections": [{"id": "S1", "contains": 5}]}, "sections[0].contains must be a JSON array, got int"),
+    ({"sections": [{"id": "S1", "contains": "P1"}]},
+     "sections[0].contains must be a JSON array, got str"),
+    ({"sections": [{"id": "S1", "contains": ["P1"]}, {"id": "S2", "disjoint_from": "S1"}]},
+     "sections[1].disjoint_from must be a JSON array, got str"),
+])
+def test_list_fields_of_the_wrong_json_type_are_named(tmp_path, capsys, change, message):
+    # A JSON string is no list of its characters, and a number is no list at all.
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**_SECTIONS_DOC, **change}))
+    for command in ("stability", "pipeline"):
+        assert _main(capsys, command, str(doc)) == (
+            2, "", f"error: bad surface document: {message}\n"), command
+
+
+def _fibonacci_weights():
+    """F(n-2)/F(n) and F(n-3)/F(n-1) for the first 4,299-digit F(n), and
+    their complements: coprime denominators whose lcm has 8,597 digits."""
+    fib = [0, 1]
+    while len(str(fib[-1])) < 4299:
+        fib.append(fib[-1] + fib[-2])
+    weights = [Fraction(fib[-3], fib[-1]), Fraction(fib[-4], fib[-2])]
+    return [str(w) for w in weights + [1 - w for w in weights]]
+
+
+def test_slope_denominators_beyond_max_digits_are_one_refusal(tmp_path, capsys):
+    nines = tmp_path / "nines.json"
+    nines.write_text(json.dumps({"points": ["A", "B"], "weights": ["1/" + "9" * 4300, "1/2"],
+                                 "incidence": ["1:0", "0:1"]}))
+    fibonacci = tmp_path / "fibonacci.json"
+    fibonacci.write_text(json.dumps({"points": ["A", "B", "C", "D"],
+                                     "weights": _fibonacci_weights(),
+                                     "incidence": ["1:0", "1:0", "0:1", "0:1"]}))
+    message = (f"error: the weight denominators have an lcm of more than {cli.MAX_DIGITS} digits, "
+               "the most a slope or chi_orb may print\n")
+    for doc in (nines, fibonacci):
+        for command in ("stability", "pipeline"):
+            start = time.perf_counter()
+            assert _main(capsys, command, str(doc)) == (2, "", message), (doc.name, command)
+            assert time.perf_counter() - start < 1.0, (doc.name, command)
+
+
+def test_feasible_row_of_3000_mixed_points_prints_its_witness(tmp_path, capsys):
+    # The witness of a long row with many distinct entries stays as short
+    # as its entries; a witness built on the exact row sum would not print.
+    from test_exactlp import assert_sign_witness
+
+    extra = [f"{i + 1}:{7 * i + 3}" if i % 2 == 0 else f"{7 * i + 3}:{i + 1}" for i in range(3000)]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"points": ["P1", "P2", "P3", "P4"], "weights": ["1/2"] * 4,
+                               "incidence": ["1:0", "0:1", "1:0", "0:1"], "extra_points": extra}))
+    code, out, err = _main(capsys, "pipeline", str(doc), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "feasible"
+    row = [Fraction(x) for x in report["gluing"]["matrix"][0]]
+    assert_sign_witness(row, [Fraction(x) for x in report["gluing"]["kernel_witness"]])
+    assert max(map(len, report["gluing"]["kernel_witness"])) < 20
+
+
 def test_metric_verify_input_bounds():
     from cscglue.metricnum import MAX_LEVELS, MAX_SAMPLES
 

@@ -22,6 +22,7 @@ from cscglue.gluing import (
 )
 from cscglue.parabolic import ParabolicSurface, SectionData, classify, normalize_coord
 from cscglue.resolution import blowup_count
+from test_exactlp import assert_sign_witness
 
 F = Fraction
 
@@ -71,6 +72,9 @@ def oracle_phi(coord):
     return F(u * u - v * v, u * u + v * v)
 
 
+# The closed form over the row sum s that exactlp used before its sign
+# test: w_k = 1 - s/r_k at the first entry of sign opposite to s.  It
+# decides existence; its witness differs wherever an entry is not +-1.
 def oracle_kernel(row):
     row = tuple(map(F, row))
     w = [F(1)] * len(row)
@@ -219,16 +223,27 @@ def test_normal_pair_returned_unchanged():
 def test_exact_layer_accepts_int_rows():
     report = feasibility([(1, -2, 3)], ncols=3, dim_v0=1, col_labels=("a", "b", "c"))
     assert all(type(x) is Fraction for x in report.rows[0])
-    assert report.kernel_witness == oracle_kernel((1, -2, 3))
+    assert oracle_kernel((1, -2, 3)) is not None
+    assert_sign_witness((1, -2, 3), report.kernel_witness)
     assert rational_rank([(0, 0)]) == 0
     assert rational_rank([(0, 3)]) == 1
     assert rational_rank([]) == 0
     for row in ((1, 2, -1), (2, 3), (0, 0, 0), (-5, 1, 1), (F(1, 2), -1)):
         w = positive_kernel_vector([row], len(row))
-        assert w == oracle_kernel(row)
+        assert (w is None) == (oracle_kernel(row) is None)
         if w is not None:
-            assert all(type(x) is Fraction for x in w)
-            assert sum(r * x for r, x in zip(row, w)) == 0
+            assert_sign_witness(row, w)
+
+
+def test_sign_witness_matches_sum_oracle_on_random_rows():
+    rng = random.Random(25)
+    entries = (0, 0, 1, -1, 2, -3, F(1, 2), F(-4, 3), F(7, 5), F(-22, 7), F(10**12 + 1, 3))
+    for _ in range(3000):
+        row = tuple(rng.choice(entries) for _ in range(rng.randint(1, 8)))
+        w = positive_kernel_vector([row], len(row))
+        assert (w is None) == (oracle_kernel(row) is None), row
+        if w is not None:
+            assert_sign_witness(row, w)
 
 
 def test_pipeline_matches_oracles_on_polystable_surfaces():
@@ -257,5 +272,8 @@ def test_pipeline_matches_oracles_on_polystable_surfaces():
         row = report.gluing.rows[0]
         assert all(type(x) is Fraction for x in row)
         assert row[len(row) - len(extra):] == tuple(oracle_phi(c) for c in extra)
-        assert report.gluing.kernel_witness == oracle_kernel(row)
+        witness = report.gluing.kernel_witness
+        assert (witness is None) == (oracle_kernel(row) is None)
+        if witness is not None:
+            assert_sign_witness(row, witness)
     assert GluingVerdict.FEASIBLE in seen

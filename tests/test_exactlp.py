@@ -1,8 +1,10 @@
 """Exact rank and the one-row positive-kernel test.
 
-The closed form in :func:`positive_kernel_vector` is checked against an
+The sign test in :func:`positive_kernel_vector` is checked against an
 independent oracle: a phase-one simplex (``solve_nonneg``) that decides
-``M s = -M 1, s >= 0`` for any number of rows.
+``M s = -M 1, s >= 0`` for any number of rows.  Each witness is checked
+by :func:`assert_sign_witness`.  On rows of -1, 0 and 1 the witness
+equals the simplex's, and the exhaustive test compares the two exactly.
 """
 
 import itertools
@@ -16,6 +18,24 @@ from cscglue.exactlp import positive_kernel_vector, rational_rank
 
 def F(x):
     return Fraction(x)
+
+
+def assert_sign_witness(row, w):
+    """The witness rule of :mod:`cscglue.exactlp` for one row r.
+
+    r . w = 0 and every w_i > 0; where r_i != 0, w_i |r_i| is 1 or
+    1 + |P - N| (P and N count the positive and negative entries) with at
+    most one entry at the larger value; where r_i = 0, w_i = 1.
+    """
+    row = tuple(map(Fraction, row))
+    imbalance = abs(sum(x > 0 for x in row) - sum(x < 0 for x in row))
+    assert len(w) == len(row)
+    assert all(type(x) is Fraction and x > 0 for x in w)
+    assert sum(r * x for r, x in zip(row, w)) == 0
+    scaled = [x * abs(r) for r, x in zip(row, w) if r]
+    assert set(scaled) <= {1, 1 + imbalance}
+    assert sum(x != 1 for x in scaled) <= 1
+    assert all(x == 1 for r, x in zip(row, w) if not r)
 
 
 def test_rank_basic():
@@ -94,7 +114,10 @@ def test_closed_form_matches_simplex_random():
         row = tuple(
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)
         )
-        assert positive_kernel_vector((row,), n) == simplex_positive_kernel(row)
+        w = positive_kernel_vector((row,), n)
+        assert (w is None) == (simplex_positive_kernel(row) is None)
+        if w is not None:
+            assert_sign_witness(row, w)
 
 
 def test_closed_form_matches_simplex_exhaustive():
