@@ -46,10 +46,10 @@ def positive_kernel_vector(rows, ncols: int):
     row = _single_row(rows)
     if row is None:
         return (Fraction(1),) * ncols
-    w = [1 / abs(x) if x else Fraction(1) for x in row]
-    balance = sum(x > 0 for x in row) - sum(x < 0 for x in row)
+    w = [Fraction(x.denominator, abs(x.numerator)) if x.numerator else Fraction(1) for x in row]
+    balance = sum((x.numerator > 0) - (x.numerator < 0) for x in row)
     if balance:
-        k = next((k for k, x in enumerate(row) if x * balance < 0), None)
+        k = next((k for k, x in enumerate(row) if x.numerator * balance < 0), None)
         if k is None:
             return None
         w[k] *= 1 + abs(balance)
