@@ -24,11 +24,11 @@ Exit codes: 0 success (pipeline: feasible), 2 malformed input,
 3 infeasible or obstructed, 4 not applicable; metric-verify exits 1 if
 any tolerance fails.  The parsers here only turn text into values; the
 library decides which values are valid (only :func:`check_hj_size` and
-:func:`check_lcm_size`, bounds on output size, are the CLI's own).  Every refusal exits 2 through
-one handler in :func:`main`, which prints one ``error:`` line for a
-``ValueError`` of a parser or of the library, or for the
-``ModuleNotFoundError`` of a metric check without numpy; a line break the
-message quotes from the input is escaped as ``\\n``.  A command whose
+:func:`check_lcm_size`, bounds on output size, are the CLI's own).  Every
+refusal exits 2 through one handler in :func:`main`, which prints one
+``error:`` line for a ``ValueError`` of a parser or of the library, or for
+the ``ModuleNotFoundError`` of a metric check without numpy; a line break
+the message quotes from the input is escaped as ``\\n``.  A command whose
 standard output is closed early (``cscglue pipeline doc.json --json |
 head``) exits 141, the status a shell reports for a process ended by
 SIGPIPE.
@@ -211,7 +211,7 @@ def check_lcm_size(weights) -> None:
     slope and of chi_orb, has more than MAX_DIGITS digits."""
     if lcm(*(w.denominator for w in weights)) >= _DIGIT_BOUND:
         raise ValueError(f"the weight denominators have an lcm of more than {MAX_DIGITS} digits, "
-                         f"the most a slope or chi_orb may print")
+                         "the most a slope or chi_orb may print")
 
 
 def parse_fraction(text: str) -> tuple[int, int]:
