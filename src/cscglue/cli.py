@@ -62,7 +62,8 @@ from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporad
 from cscglue.resolution import blowup_count, chain_from_strings, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
-from cscglue.metricnum import check_float_range, default_levels, verify_metric
+from cscglue.metricnum import (check_float_range, decay_series, default_levels, fit_series,
+                               verify_metric)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -560,9 +561,9 @@ def cmd_metric_verify(args):
     levels = parse_rational_list(args.levels) if args.levels else None
     report = verify_metric(p, q, levels=levels, samples=args.samples, seed=args.seed)
     if args.csv:
-        write_csv(args.csv, ["r", "residual"], report.decay_series)
+        write_csv(args.csv, ["r", "residual"], decay_series(report))
     if args.fit_csv:
-        write_csv(args.fit_csv, ["r", "coeff_a", "coeff_b"], report.fit_series)
+        write_csv(args.fit_csv, ["r", "coeff_a", "coeff_b"], fit_series(report))
     payload = {
         "fraction": f"{p}/{q}",
         "levels": [str(y) for y in report.levels],

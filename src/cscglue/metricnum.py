@@ -66,10 +66,15 @@ axis, with one step per point, so each point is evaluated once.  A
 function handed to a check, such as the ``metric_fn`` of
 :func:`scalar_curvature_generic`, must accept arrays with extra leading
 axes and return values with those axes in front.  :func:`metric_at`
-evaluates the frame once and builds each of g, omega and J on first
-read, for the points an index selects: the scalar curvature reads only
-g, the Kähler residual omega and J, the potential residual J and, at
-its stencil's centres, g and omega.
+evaluates the frame once and builds each of g, omega and J, and the
+three nonzero 2 x 2 blocks of omega and J, on first read, for the points
+an index selects.  The scalar curvature reads only g, and the algebraic
+invariants read g, omega and J.  The Kähler residual reads the (r, theta) x
+torus block of omega and the torus x (r, theta) block of J; the
+potential residual reads the (r, theta) x torus block of J and, at its
+stencil's centres, g and the block of omega.  The (r, residual) and fit
+series of the CSV outputs are computed only when asked for
+(:func:`decay_series`, :func:`fit_series`), not by :func:`verify_metric`.
 
 Steps.  Every check differences with one scheme: central differences
 at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
@@ -179,6 +184,14 @@ def check_float_range(coeffs: LogCoefficients) -> None:
 
 # Sample points of verify_metric's scalar-curvature check.
 CURVATURE_POINTS = 40
+# Radii of its potential-decay check, doubling, so each residual ratio is near 2^-4.
+DECAY_RADII = (10.0, 20.0, 40.0)
+# The np.geomspace and np.linspace arguments (numpy loads on first use, not
+# at import) of the asymptotic fit's radii and thetas, which fit_series
+# reuses, and of the radii of decay_series.
+FIT_RADII = (10.0, 1000.0, 25)
+FIT_THETAS = (0.3, math.pi / 2 - 0.3, 5)
+SERIES_RADII = (5.0, 160.0, 12)
 
 
 class PolarPoint(namedtuple("PolarPoint", "r theta")):
@@ -212,7 +225,11 @@ class MetricSample:
     """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis.
 
     Each field has shape S + (4, 4) and is built from the frame when it is
-    first read, so a check pays only for the fields it reads.
+    first read, so a check pays only for the fields it reads.  omega and J
+    vanish outside three 2 x 2 blocks, each of shape S + (2, 2) and built
+    on first read too: ``omega_block`` (rows r, theta; columns t1, t2),
+    ``J_upper`` (the same rows and columns of J) and ``J_lower`` (rows t1,
+    t2; columns r, theta).  ``omega`` and ``J`` are assembled from them.
     """
 
     def __init__(self, frame: FrameData, r, s, c):
@@ -239,30 +256,40 @@ class MetricSample:
         return g
 
     @cached_property
+    def omega_block(self):
+        r, _, _, _, v1x, v1y, v2x, v2y = self._parts
+        return _block(-r * v2y, r * v2x, r * r * v1y, -r * r * v1x)
+
+    @cached_property
+    def J_upper(self):
+        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
+        # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
+        return _block(r * s * c * v2y / D, -r * s * c * v2x / D,
+                      -s * c * v1y / D, s * c * v1x / D)
+
+    @cached_property
+    def J_lower(self):
+        r, s, c, _, v1x, v1y, v2x, v2y = self._parts
+        return _block(-v1x / (r * s * c), -v2x / (s * c), -v1y / (r * s * c), -v2y / (s * c))
+
+    @cached_property
     def omega(self):
-        r, _, _, D, v1x, v1y, v2x, v2y = self._parts
-        omega = np.zeros(D.shape + (4, 4))
-        omega[..., 0, 2] = -r * v2y
-        omega[..., 0, 3] = r * v2x
-        omega[..., 1, 2] = r * r * v1y
-        omega[..., 1, 3] = -r * r * v1x
+        omega = np.zeros(self._parts[0].shape + (4, 4))
+        omega[..., :2, 2:] = self.omega_block
         omega -= _transpose(omega)
         return omega
 
     @cached_property
     def J(self):
-        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
-        # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
-        J = np.zeros(D.shape + (4, 4))
-        J[..., 0, 2] = r * s * c * v2y / D
-        J[..., 0, 3] = -r * s * c * v2x / D
-        J[..., 1, 2] = -s * c * v1y / D
-        J[..., 1, 3] = s * c * v1x / D
-        J[..., 2, 0] = -v1x / (r * s * c)
-        J[..., 2, 1] = -v2x / (s * c)
-        J[..., 3, 0] = -v1y / (r * s * c)
-        J[..., 3, 1] = -v2y / (s * c)
+        J = np.zeros(self._parts[0].shape + (4, 4))
+        J[..., :2, 2:] = self.J_upper
+        J[..., 2:, :2] = self.J_lower
         return J
+
+
+def _block(m00, m01, m10, m11):
+    """The 2 x 2 matrices [[m00, m01], [m10, m11]], shape S + (2, 2)."""
+    return np.stack([m00, m01, m10, m11], axis=-1).reshape(np.shape(m00) + (2, 2))
 
 
 class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_const")):
@@ -466,9 +493,7 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
     def fields(rr, th):
         """omega_{r t_i}, omega_{theta t_i}, (J dt_i)_r, (J dt_i)_theta."""
         sample = metric_at(data, PolarPoint(rr, th))
-        J = sample.J
-        return np.stack([sample.omega[..., 0, 2:], sample.omega[..., 1, 2:],
-                         -J[..., 2:, 0], -J[..., 2:, 1]], axis=-2)
+        return np.concatenate([sample.omega_block, -_transpose(sample.J_lower)], axis=-2)
 
     st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h)
     d_r, d_th, f0 = st["d0"], st["d1"], st["f"]
@@ -544,16 +569,9 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
     return np.einsum("...ab,...ba->...", ginv, ric)
 
 
-def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
-    """Least-squares (a, b) from the r^-2 term of the determinant.
-
-    At each theta, fit <v_1,v_2>/(q s c) - 1 = K/r^2 + L/r^4 over the
-    radii, then solve K(theta) = a sin^2 + b cos^2 across the thetas.
-    The two-term radial fit removes the leading bias of the neglected
-    r^-4 tail.  ``series`` holds the one-radius estimates (r, a, b) from
-    fitting r^2 (<v_1,v_2>/(q s c) - 1) = a sin^2 + b cos^2 at each radius
-    of the same grid.
-    """
+def _fit_grid(data, r_samples, theta_samples):
+    """The sorted radii, E = <v_1,v_2>/(q s c) - 1 on the (r, theta) grid and
+    the angular design (sin^2, cos^2) at the sorted thetas."""
     data = as_numeric(data)
     r_samples = np.asarray(sorted(r_samples), dtype=float)
     theta_samples = np.asarray(sorted(theta_samples), dtype=float)
@@ -566,18 +584,22 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
     r, theta = np.meshgrid(r_samples, theta_samples, indexing="ij")
     det = v_eval(data, *from_polar(PolarPoint(r, theta))).det
     E = det / (q * np.sin(theta) * np.cos(theta)) - 1.0
+    return r_samples, E, np.stack([np.sin(theta_samples) ** 2, np.cos(theta_samples) ** 2], axis=1)
 
+
+def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
+    """Least-squares (a, b) from the r^-2 term of the determinant.
+
+    At each theta, fit <v_1,v_2>/(q s c) - 1 = K/r^2 + L/r^4 over the
+    radii, then solve K(theta) = a sin^2 + b cos^2 across the thetas.
+    The two-term radial fit removes the leading bias of the neglected
+    r^-4 tail.  :func:`fit_series` gives the one-radius estimates.
+    """
+    r_samples, E, S = _fit_grid(data, r_samples, theta_samples)
     A = np.stack([r_samples ** -2.0, r_samples ** -4.0], axis=1)
     K = np.linalg.lstsq(A, E, rcond=None)[0][0]
-    S = np.stack([np.sin(theta_samples) ** 2, np.cos(theta_samples) ** 2], axis=1)
     ab = np.linalg.lstsq(S, K, rcond=None)[0]
-    per_radius = np.linalg.lstsq(S, (E * r * r).T, rcond=None)[0]
-    return {
-        "a_fit": float(ab[0]),
-        "b_fit": float(ab[1]),
-        "series": tuple((float(rr), float(a), float(b))
-                        for rr, a, b in zip(r_samples, *per_radius)),
-    }
+    return {"a_fit": float(ab[0]), "b_fit": float(ab[1])}
 
 
 def potential_residual(data, r):
@@ -589,8 +611,9 @@ def potential_residual(data, r):
     differences.  The norm is the metric norm of the 2-form, so the
     expected decay is r^-4.  ``r`` is a radius or an array of them; all
     radii and seven thetas across the interior form one batch.  The metric
-    is evaluated once, at the stencil's points; g and omega are read at its
-    centres only, and the stencil differences J df alone.
+    is evaluated once, at the stencil's points; g and the block of omega
+    are read at its centres only, and the stencil differences the two
+    torus components of J df alone (the others vanish).
     """
     data = as_numeric(data)
     theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
@@ -600,9 +623,12 @@ def potential_residual(data, r):
     evaluated = []
 
     def jdf(rad, theta):
-        """J df = f_r J dr + f_theta J dtheta; J dx^i has components -J[..., i, :]."""
+        """The (t1, t2) components of J df = f_r J dr + f_theta J dtheta.
+
+        J dx^i has components -J[..., i, :], and its (r, theta) ones vanish.
+        """
         evaluated.append(metric_at(data, PolarPoint(rad, theta)))
-        J = evaluated[-1].J
+        J = evaluated[-1].J_upper
         f_r = q * (rad / 2 + (a + b) / (2 * rad))
         f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
         return -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
@@ -610,8 +636,7 @@ def potential_residual(data, r):
     st = stencil(jdf, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
     centre = evaluated[0][0]  # the stencil's first point is its centre
     R = np.zeros(rr.shape + (4, 4))
-    R[..., 0, 2:] = centre.omega[..., 0, 2:] - st["d0"][..., 2:]
-    R[..., 1, 2:] = centre.omega[..., 1, 2:] - st["d1"][..., 2:]
+    R[..., :2, 2:] = centre.omega_block - np.stack([st["d0"], st["d1"]], axis=-2)
     R -= _transpose(R)
     return form2_norm(R, centre.g).max(axis=-1)
 
@@ -641,12 +666,12 @@ class CheckResult(namedtuple("CheckResult", "name value tolerance passed detail"
         return super().__new__(cls, name, float(value), float(tolerance), bool(passed), detail)
 
 
-class VerificationReport(namedtuple("VerificationReport", "p q levels seed samples checks "
-                                                          "decay_series fit_series exact")):
-    """The checks of :func:`verify_metric` with the series they read.
+class VerificationReport(namedtuple("VerificationReport", "p q levels seed samples checks exact")):
+    """The checks of :func:`verify_metric`; ``exact`` is the exact (a, b, mu).
 
-    ``decay_series`` holds (r, residual) pairs and ``fit_series``
-    (r, a_est, b_est) triples; ``exact`` is the exact (a, b, mu).
+    The series of ``metric-verify --csv`` and ``--fit-csv`` are not part
+    of it: :func:`decay_series` and :func:`fit_series` compute them from
+    its p, q and levels when asked.
     """
 
     __slots__ = ()
@@ -789,21 +814,15 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail=f"step-halving change {abs(halved[i] - curvature[i]):.2e}"))
 
         # Asymptotic fit against the exact coefficients.
-        radii = np.geomspace(10.0, 1000.0, 25)
-        thetas = np.linspace(0.3, math.pi / 2 - 0.3, 5)
-        fit = fit_log_coeffs(num, radii, thetas)
+        fit = fit_log_coeffs(num, np.geomspace(*FIT_RADII), np.linspace(*FIT_THETAS))
         scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
         err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
         fit_ok = err < TOL_FIT_RELATIVE
         checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, fit_ok,
                                   detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
 
-        # Potential residual decay: ratio across doubled radii near 2^-4.  The
-        # same batch gives the series for CSV output.
-        decay_radii = np.array([10.0, 20.0, 40.0])
-        series_radii = np.geomspace(5.0, 160.0, 12)
-        all_residuals = potential_residual(num, np.concatenate([decay_radii, series_radii]))
-        residuals = [float(x) for x in all_residuals[: len(decay_radii)]]
+        # Potential residual decay: ratio across doubled radii near 2^-4.
+        residuals = [float(x) for x in potential_residual(num, np.array(DECAY_RADII))]
         ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
         # The data is never flat, so there is always a decay to measure:
         # float(exact.a) < 0.  With 0 < p < q, k >= 1.  The k + 1 steps
@@ -837,8 +856,33 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
             seed=seed,
             samples=samples,
             checks=tuple(checks),
-            decay_series=tuple((float(r), float(res)) for r, res
-                               in zip(series_radii, all_residuals[len(decay_radii):])),
-            fit_series=fit["series"],
             exact=exact,
         )
+
+
+def _report_data(report: VerificationReport) -> NumericMonopole:
+    return as_numeric(monopole_from_fraction(report.p, report.q, report.levels))
+
+
+def decay_series(report: VerificationReport) -> tuple:
+    """(r, residual) pairs of :func:`potential_residual` on the radii ``SERIES_RADII``.
+
+    Computed from the p, q and levels of a :func:`verify_metric` report.
+    """
+    with np.errstate(all="ignore"):
+        radii = np.geomspace(*SERIES_RADII)
+        return tuple((float(r), float(res))
+                     for r, res in zip(radii, potential_residual(_report_data(report), radii)))
+
+
+def fit_series(report: VerificationReport) -> tuple:
+    """(r, a_est, b_est) triples: at each radius of the asymptotic fit's grid,
+    r^2 (<v_1,v_2>/(q s c) - 1) = a sin^2 + b cos^2 fitted across its thetas.
+
+    Computed from the p, q and levels of a :func:`verify_metric` report.
+    """
+    with np.errstate(all="ignore"):
+        radii, E, S = _fit_grid(_report_data(report), np.geomspace(*FIT_RADII),
+                                np.linspace(*FIT_THETAS))
+        per_radius = np.linalg.lstsq(S, (E * radii[:, None] * radii[:, None]).T, rcond=None)[0]
+    return tuple((float(rr), float(a), float(b)) for rr, a, b in zip(radii, *per_radius))

@@ -386,6 +386,7 @@ def test_metric_verify(tmp_path):
     assert all(a > b for a, b in zip(values, values[1:]))
     fit_rows = fit_path.read_text().strip().splitlines()
     assert fit_rows[0] == "r,coeff_a,coeff_b"
+    assert len(fit_rows) == 1 + 25
 
 
 def test_metric_verify_crepant_mu_near_zero():

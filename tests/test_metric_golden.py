@@ -24,9 +24,14 @@ every value of the 1,319 fractions with fewer than 16 levels kept its
 bits, no check changed pass/fail, and no value rose by more than 0.2 of
 its tolerance (the most: monopole-system at 79/163, 3.03e-9 -> 4.86e-9,
 0.18 of 1e-8).
+
+The series moved out of the report, and the decay check now runs
+potential_residual on its three radii alone, not in one batch with the
+twelve series radii: every check value and series entry kept its bits.
 """
 
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -36,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from cscglue.cli import main
-from cscglue.metricnum import verify_metric
+from cscglue.metricnum import decay_series, verify_metric
 
 # The five metric-verify bench fractions plus the two worst-margin
 # fractions with q < 200 (monopole-system at 79/163, scalar curvature
@@ -316,15 +321,15 @@ def test_verify_metric_golden(pq):
     report = verify_metric(*pq)
     got = tuple((c.name, c.value, c.tolerance, c.passed, c.detail) for c in report.checks)
     assert got == GOLDEN[pq]["checks"]
-    assert report.decay_series == GOLDEN[pq]["decay_series"]
+    assert decay_series(report) == GOLDEN[pq]["decay_series"]
 
 
 # The golden replayed in a child process with one BLAS thread, as the
 # benchmark runs it; the suite runs with the library's default.  A
 # re-record that depends on the thread count fails here or above.
 SINGLE_THREADED = """
-from cscglue.metricnum import verify_metric
-print([(pq, tuple(tuple(c) for c in report.checks), report.decay_series)
+from cscglue.metricnum import decay_series, verify_metric
+print([(pq, tuple(tuple(c) for c in report.checks), decay_series(report))
        for pq in {pqs!r} for report in [verify_metric(*pq)]])
 """
 
@@ -444,3 +449,13 @@ def test_metric_verify_cli_golden(argv, as_json, capsys):
         assert out == json.dumps(payload, indent=2) + "\n"
     else:
         assert out == golden["human"]
+
+
+def test_metric_verify_csv_writes_the_golden_series(tmp_path, capsys):
+    # The series radii are fixed, so --samples and --seed do not move a row.
+    path = tmp_path / "decay.csv"
+    assert main(["metric-verify", "1/2", "--samples", "5", "--seed", "3", "--csv", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r", "residual"]
+    assert tuple((float(r), float(res)) for r, res in rows[1:]) == GOLDEN[(1, 2)]["decay_series"]

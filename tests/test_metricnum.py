@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cscglue import metricnum
+from cscglue import cli, metricnum
 from cscglue.cfrac import hj_length
 from cscglue.logmass import INFINITY as INF_LEVEL
 from cscglue.logmass import flat_monopole, log_coeffs_from_levels, monopole_from_fraction
@@ -18,6 +18,7 @@ from cscglue.metricnum import (
     MAX_LEVELS,
     TOL_INVARIANT,
     PolarPoint,
+    decay_series,
     default_levels,
     fit_log_coeffs,
     flat_metric_matrix,
@@ -500,8 +501,9 @@ def test_verify_metric_driver():
     names = [c.name for c in rep.checks]
     assert "flat-model-exactness" in names
     assert "potential-decay" in names
-    assert len(rep.decay_series) > 5
-    rs = [r for r, _ in rep.decay_series]
+    series = decay_series(rep)
+    assert len(series) > 5
+    rs = [r for r, _ in series]
     assert rs == sorted(rs)
 
 
@@ -528,10 +530,7 @@ def test_verify_metric_refuses_seeds_numpy_would_misread():
     assert type(verify_metric(1, 2, samples=10, seed=np.int64(3)).seed) is int
 
 
-def test_verify_metric_frame_point_count(monkeypatch):
-    # The work of one default run, pinned: the step-halving checks share
-    # one stencil at h, h/2 and h/4, and potential_residual differences
-    # J df alone and reads g and omega at the stencil's own centres.
+def _count_frame_points(monkeypatch):
     seen = []
 
     def counting(data, x, y):
@@ -540,8 +539,28 @@ def test_verify_metric_frame_point_count(monkeypatch):
         return frame
 
     monkeypatch.setattr(metricnum, "v_eval", counting)
+    return seen
+
+
+def test_verify_metric_frame_point_count(monkeypatch):
+    # The work of one default run, pinned: the step-halving checks share
+    # one stencil at h, h/2 and h/4, potential_residual differences J df
+    # alone and reads g and omega at the stencil's own centres, and the
+    # decay check evaluates its three radii only.
+    seen = _count_frame_points(monkeypatch)
     verify_metric(4, 9)
-    assert sum(seen) == 4120
+    assert sum(seen) == 3364
+
+
+@pytest.mark.parametrize("option, extra", [(None, 0), ("--csv", 12 * 7 * 9), ("--fit-csv", 25 * 5)])
+def test_metric_verify_computes_a_series_only_when_asked(option, extra, monkeypatch, tmp_path,
+                                                         capsys):
+    # --csv adds the 9-point stencils of potential_residual at 12 radii and
+    # 7 thetas; --fit-csv the 25 x 5 grid of the asymptotic fit.
+    seen = _count_frame_points(monkeypatch)
+    argv = ["metric-verify", "4/9"] + ([option, str(tmp_path / "series.csv")] if option else [])
+    assert cli.main(argv) == 0
+    assert sum(seen) == 3364 + extra
 
 
 def test_verify_metric_takes_numpy_integer_samples():
@@ -624,6 +643,22 @@ def test_metric_sample_index_builds_the_same_fields():
     for name in ("g", "omega", "J"):
         assert np.array_equal(getattr(batch[3], name), getattr(batch, name)[3])
         assert np.array_equal(getattr(batch[2:5], name), getattr(batch, name)[2:5])
+
+
+def test_blocks_are_the_slices_of_omega_and_J():
+    batch = sample_batch(np.random.default_rng(9), 12, 0.5, 20.0)
+    for data in (data_for(17, 21), flat_monopole()):
+        for p in (batch, PolarPoint(float(batch.r[5]), float(batch.theta[5]))):
+            blocks, full = metric_at(data, p), metric_at(data, p)
+            omega, J = full.omega, full.J
+            for block, whole in ((blocks.omega_block, omega[..., :2, 2:]),
+                                 (blocks.J_upper, J[..., :2, 2:]),
+                                 (blocks.J_lower, J[..., 2:, :2])):
+                assert block.shape == np.shape(p.r) + (2, 2)
+                assert block.tobytes() == whole.tobytes()
+            assert np.array_equal(omega[..., 2:, :2], -np.swapaxes(omega[..., :2, 2:], -1, -2))
+            for m in (omega, J):
+                assert not m[..., :2, :2].any() and not m[..., 2:, 2:].any()
 
 
 def test_batch_matches_single_points():
