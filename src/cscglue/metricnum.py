@@ -75,6 +75,10 @@ potential residual reads the (r, theta) x torus block of J and, at its
 stencil's centres, g and the block of omega.  The (r, residual) and fit
 series of the CSV outputs are computed only when asked for
 (:func:`decay_series`, :func:`fit_series`), not by :func:`verify_metric`.
+Per call, numpy's Python-level helpers stay off the check path: ndarray
+methods replace np.any and np.max, np.empty blocks filled by slices replace
+np.stack, np.broadcast_arrays runs only where shapes differ, and the fixed
+arrays are built once, on first use, read-only (:func:`_constants`).
 
 Steps.  Every check differences with one scheme: central differences
 at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
@@ -104,7 +108,7 @@ import sys
 import types
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from cscglue.cfrac import hj_length
 from cscglue.logmass import (
@@ -186,11 +190,7 @@ def check_float_range(coeffs: LogCoefficients) -> None:
 CURVATURE_POINTS = 40
 # Radii of its potential-decay check, doubling, so each residual ratio is near 2^-4.
 DECAY_RADII = (10.0, 20.0, 40.0)
-# The np.geomspace and np.linspace arguments (numpy loads on first use, not
-# at import) of the asymptotic fit's radii and thetas, which fit_series
-# reuses, and of the radii of decay_series.
-FIT_RADII = (10.0, 1000.0, 25)
-FIT_THETAS = (0.3, math.pi / 2 - 0.3, 5)
+# The np.geomspace arguments of the radii of decay_series.
 SERIES_RADII = (5.0, 160.0, 12)
 
 
@@ -204,10 +204,10 @@ class PolarPoint(namedtuple("PolarPoint", "r theta")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, r, theta):
-        if np.any(np.asarray(r) <= 0):
+        if not (np.asarray(r) > 0).all():
             raise ValueError(f"need r > 0, got r={r}")
         angles = np.asarray(theta)
-        if np.any((angles <= 0) | (angles >= math.pi / 2)):
+        if not ((angles > 0) & (angles < math.pi / 2)).all():
             raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
         return super().__new__(cls, r, theta)
 
@@ -233,9 +233,9 @@ class MetricSample:
     """
 
     def __init__(self, frame: FrameData, r, s, c):
-        v1, v2 = frame.v1, frame.v2
-        self._parts = np.broadcast_arrays(r, s, c, frame.det, v1[..., 0], v1[..., 1],
-                                          v2[..., 0], v2[..., 1])
+        v1, v2, D = frame.v1, frame.v2, frame.det
+        parts = (r, s, c, D, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
+        self._parts = parts if r.shape == s.shape == D.shape else np.broadcast_arrays(*parts)
 
     def __getitem__(self, index):
         """The points at ``index`` of the batch, with no field built yet."""
@@ -276,7 +276,7 @@ class MetricSample:
     def omega(self):
         omega = np.zeros(self._parts[0].shape + (4, 4))
         omega[..., :2, 2:] = self.omega_block
-        omega -= _transpose(omega)
+        omega -= omega.swapaxes(-1, -2)
         return omega
 
     @cached_property
@@ -289,7 +289,9 @@ class MetricSample:
 
 def _block(m00, m01, m10, m11):
     """The 2 x 2 matrices [[m00, m01], [m10, m11]], shape S + (2, 2)."""
-    return np.stack([m00, m01, m10, m11], axis=-1).reshape(np.shape(m00) + (2, 2))
+    block = np.empty(m00.shape + (2, 2))
+    block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1] = m00, m01, m10, m11
+    return block
 
 
 class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_const")):
@@ -338,8 +340,9 @@ def v_eval(data, x, y) -> FrameData:
     limit of the finite formula).
     """
     data = as_numeric(data)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if np.any(x <= 0):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
+    if not (x > 0).all():
         raise ValueError(f"need x > 0, got {x}")
     dy = y[..., None] - data.levels
     f = np.sqrt((x * x)[..., None] + dy * dy)
@@ -366,7 +369,7 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     s, c = np.sin(p.theta), np.cos(p.theta)
     frame = v_eval(data, *from_polar(p))
     D = frame.det
-    if np.any(D <= 0):
+    if (D <= 0).any():
         i = np.unravel_index(np.argmax(D <= 0), D.shape)
         r0, t0 = (float(np.broadcast_to(v, D.shape)[i]) for v in (p.r, p.theta))
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
@@ -378,12 +381,23 @@ def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
     """The flat model dr^2 + r^2 dtheta^2 + r^2(s^2 dt1^2 + c^2 dt2^2)."""
     r = np.asarray(p.r, dtype=float)
     s, c = np.sin(p.theta), np.cos(p.theta)
-    diag = np.stack(np.broadcast_arrays(1.0, r ** 2, (r * s) ** 2, (r * c) ** 2), axis=-1)
-    return diag[..., None] * np.eye(4)
+    diag = np.empty(np.broadcast(r, s).shape + (4,))
+    diag[..., 0], diag[..., 1], diag[..., 2], diag[..., 3] = 1.0, r ** 2, (r * s) ** 2, (r * c) ** 2
+    return diag[..., None] * _constants().eye4
 
 
-def _transpose(m):
-    return np.swapaxes(m, -1, -2)
+@cache
+def _constants():
+    """Arrays fixed by this module, built on first use (numpy loads lazily), read-only."""
+    flat = as_numeric(flat_monopole())
+    const = types.SimpleNamespace(
+        fit_radii=np.geomspace(10.0, 1000.0, 25), fit_thetas=np.linspace(0.3, math.pi / 2 - 0.3, 5),
+        potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7),
+        offsets=np.array(_OFFSETS, dtype=float).T, halvings=0.5 ** np.arange(3.0), eye4=np.eye(4))
+    for array in (*vars(const).values(), flat.levels, flat.pairs, flat.v2_const):
+        array.flags.writeable = False
+    const.flat = flat
+    return const
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +428,23 @@ def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> 
     leading axis of length 2: the result at steps (h0, h1), then the one
     at (h0/2, h1/2), each equal to a call at that step alone.
     """
-    u0, u1, h0, h1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (u0, u1, h0, h1)))
+    u0, u1, h0, h1 = (np.asarray(v, dtype=float) for v in (u0, u1, h0, h1))
+    if not u0.shape == u1.shape == np.broadcast(u0, u1, h0, h1).shape:  # steps may be scalars
+        u0, u1, h0, h1 = np.broadcast_arrays(u0, u1, h0, h1)
     batch = (1,) * u0.ndim
     # Displacements on the axes (step, offset) + S: each offset at h, h/2 (, h/4).
-    halvings = 0.5 ** np.arange(3 if halving else 2).reshape((-1, 1) + batch)
-    signs = np.array(_OFFSETS[: 8 if second else 4], dtype=float).T.reshape((2, 1, -1) + batch)
+    halvings = _constants().halvings[: 3 if halving else 2].reshape((-1, 1) + batch)
+    signs = _constants().offsets[:, : 8 if second else 4].reshape((2, 1, -1) + batch)
     a0, a1 = h0 * halvings, h1 * halvings
     values = fn(*(np.concatenate([u[None], (u + sign * a).reshape((-1,) + u.shape)])
                   for u, sign, a in ((u0, signs[0], a0), (u1, signs[1], a1))))
     f0 = values[0]
     at_step = values[1:].reshape((len(halvings), signs.shape[2]) + f0.shape)
-    per_point = (len(halvings),) + u0.shape + (1,) * (f0.ndim - u0.ndim)  # a step per point
+    per_point = (slice(None), 0, ...) + (None,) * (f0.ndim - u0.ndim)  # a step per point
 
     def extrapolate(diff, step):
         """diff(values) / step(steps) at each step, extrapolated to h = 0 from each pair."""
-        d = diff(at_step) / step(a0, a1).reshape(per_point)
+        d = diff(at_step) / step(a0, a1)[per_point]
         ladder = (4.0 * d[1:] - d[:-1]) / 3.0
         return ladder if halving else ladder[0]
 
@@ -447,12 +463,6 @@ def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> 
 # verification checks
 
 
-def _v_rows(data, x, y):
-    """(v_1, v_2) stacked as rows, shape S + (2, 2)."""
-    frame = v_eval(data, x, y)
-    return np.stack([frame.v1, frame.v2], axis=-2)
-
-
 def monopole_residual(data, x, y, h=1e-3, halving: bool = False):
     """Finite-difference residual of the defining linear system at (x, y).
 
@@ -462,11 +472,12 @@ def monopole_residual(data, x, y, h=1e-3, halving: bool = False):
     along a leading axis (:func:`stencil`).
     """
     data = as_numeric(data)
-    st = stencil(lambda xx, yy: _v_rows(data, xx, yy), x, y, h, h, halving=halving)
-    dx, dy, v1 = st["d0"], st["d1"], st["f"][..., 0, :]
+    v_pair = lambda xx, yy: np.concatenate(v_eval(data, xx, yy)[:2], axis=-1)  # S + (4,)
+    st = stencil(v_pair, x, y, h, h, halving=halving)
+    dx, dy, v1 = st["d0"], st["d1"], st["f"][..., :2]
     xs = np.asarray(x, dtype=float)[..., None]
-    res1 = dy[..., 0, :] - dx[..., 1, :]
-    res2 = xs * dx[..., 0, :] + xs * dy[..., 1, :] - v1
+    res1 = dy[..., :2] - dx[..., 2:]
+    res2 = xs * dx[..., :2] + xs * dy[..., 2:] - v1
     return np.maximum(np.abs(res1).max(axis=-1), np.abs(res2).max(axis=-1))
 
 
@@ -487,13 +498,13 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
     data = as_numeric(data)
     r, theta = np.asarray(p.r, dtype=float), np.asarray(p.theta, dtype=float)
     bad = (theta <= h) | (theta >= math.pi / 2 - h)
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"step {h} too large for theta={theta[bad][0]}")
 
     def fields(rr, th):
         """omega_{r t_i}, omega_{theta t_i}, (J dt_i)_r, (J dt_i)_theta."""
         sample = metric_at(data, PolarPoint(rr, th))
-        return np.concatenate([sample.omega_block, -_transpose(sample.J_lower)], axis=-2)
+        return np.concatenate([sample.omega_block, -sample.J_lower.swapaxes(-1, -2)], axis=-2)
 
     st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h)
     d_r, d_th, f0 = st["d0"], st["d1"], st["f"]
@@ -503,9 +514,9 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
         # magnitudes when both derivatives vanish identically (as they
         # do for the flat datum).
         t1, t2 = d_r[..., dr_of, :], d_th[..., dth_of, :]
-        scale = np.max([np.abs(t1) + np.abs(t2), np.abs(f0[..., dr_of, :]),
-                        np.abs(f0[..., dth_of, :])], axis=0)
-        return float(np.max(np.abs(t1 - t2) / np.maximum(scale, 1e-12)))
+        scale = np.maximum(np.maximum(np.abs(t1) + np.abs(t2), np.abs(f0[..., dr_of, :])),
+                           np.abs(f0[..., dth_of, :]))
+        return float((np.abs(t1 - t2) / np.maximum(scale, 1e-12)).max())
 
     return {"max_domega": worst(1, 0), "max_dintegrability": worst(3, 2)}
 
@@ -539,19 +550,20 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
     st = stencil(metric_fn, u0, u1, h0, h1, second=True, halving=halving)
     g = st["f"]
     n = g.shape[-1]
-    # With halving "f" is the centre twice: invert it once (copied, so einsum sums as before).
-    ginv = np.stack([np.linalg.inv(g[0])] * 2) if halving else np.linalg.inv(g)
+    # With halving "f" is the centre twice: invert it once.
+    ginv = np.linalg.inv(g[:1]).repeat(2, axis=0) if halving else np.linalg.inv(g)
     # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2.
-    derivs = np.stack([np.stack([st[a], st[b]], axis=-3)
-                       for a, b in (("d0", "d1"), ("d00", "d01"), ("d01", "d11"))], axis=-4)
+    derivs = np.empty(g.shape[:-2] + (3, 2) + g.shape[-2:])
+    for k, (a, b) in enumerate((("d0", "d1"), ("d00", "d01"), ("d01", "d11"))):
+        derivs[..., k, 0, :, :], derivs[..., k, 1, :, :] = st[a], st[b]
     dg = derivs[..., 0, :, :, :]
 
     # term[..., k, d, bc] = (d_b g_dc + d_c g_db - d_d g_bc) / 2 and its derivatives,
     # with (b, c) as one axis.  Gamma^a_{bc} = g^{ad} term[d, bc] and, as
     # d_e g^-1 = -g^-1 (d_e g) g^-1, d_e Gamma = g^-1 (d_e term - (d_e g) Gamma).
     half = np.zeros(derivs.shape[:-3] + (n, n, n))
-    half[..., :2, :] = np.swapaxes(derivs, -3, -2)
-    term = half + np.swapaxes(half, -1, -2)
+    half[..., :2, :] = derivs.swapaxes(-3, -2)
+    term = half + half.swapaxes(-1, -2)
     term[..., :2, :, :] -= derivs
     term = 0.5 * term.reshape(term.shape[:-2] + (n * n,))
     gamma = ginv @ term[..., 0, :, :]
@@ -561,12 +573,13 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
     # ric[n, s] = R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms}
     #                      + Gamma^m_{ml} Gamma^l_{ns} - Gamma^m_{nl} Gamma^l_{ms},
     # and swap[x, y, z] = Gamma^y_{xz} makes the last term one matrix product.
-    swap = np.swapaxes(gamma.reshape(g.shape + (n,)), -3, -2)
-    ric = (np.trace(swap, axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(g.shape)
+    swap = gamma.reshape(g.shape + (n,)).swapaxes(-3, -2)
+    ric = (swap.trace(axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(g.shape)
     ric -= swap.reshape(g.shape[:-1] + (n * n,)) @ swap.reshape(g.shape[:-2] + (n * n, n))
     ric += dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
-    ric[..., :2, :] -= np.trace(dgamma, axis1=-3, axis2=-2)
-    return np.einsum("...ab,...ba->...", ginv, ric)
+    ric[..., :2, :] -= dgamma.trace(axis1=-3, axis2=-2)
+    # einsum sums in an order set by its operands' strides; C order fixes it.
+    return np.einsum("...ab,...ba->...", np.ascontiguousarray(ginv), np.ascontiguousarray(ric))
 
 
 def _fit_grid(data, r_samples, theta_samples):
@@ -581,10 +594,9 @@ def _fit_grid(data, r_samples, theta_samples):
         raise ValueError("need at least two interior theta values")
     q = data.source.pq()[1]
 
-    r, theta = np.meshgrid(r_samples, theta_samples, indexing="ij")
-    det = v_eval(data, *from_polar(PolarPoint(r, theta))).det
-    E = det / (q * np.sin(theta) * np.cos(theta)) - 1.0
-    return r_samples, E, np.stack([np.sin(theta_samples) ** 2, np.cos(theta_samples) ** 2], axis=1)
+    det = v_eval(data, *from_polar(PolarPoint(r_samples[:, None], theta_samples))).det
+    s, c = np.sin(theta_samples), np.cos(theta_samples)
+    return r_samples, det / (q * s * c) - 1.0, np.array([s ** 2, c ** 2]).T
 
 
 def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
@@ -596,7 +608,7 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
     r^-4 tail.  :func:`fit_series` gives the one-radius estimates.
     """
     r_samples, E, S = _fit_grid(data, r_samples, theta_samples)
-    A = np.stack([r_samples ** -2.0, r_samples ** -4.0], axis=1)
+    A = np.array([r_samples ** -2.0, r_samples ** -4.0]).T
     K = np.linalg.lstsq(A, E, rcond=None)[0][0]
     ab = np.linalg.lstsq(S, K, rcond=None)[0]
     return {"a_fit": float(ab[0]), "b_fit": float(ab[1])}
@@ -616,7 +628,7 @@ def potential_residual(data, r):
     torus components of J df alone (the others vanish).
     """
     data = as_numeric(data)
-    theta_samples = np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7)
+    theta_samples = _constants().potential_thetas
     a, b = float(data.exact.a), float(data.exact.b)
     q = data.source.pq()[1]
     rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], theta_samples)
@@ -636,15 +648,16 @@ def potential_residual(data, r):
     st = stencil(jdf, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
     centre = evaluated[0][0]  # the stencil's first point is its centre
     R = np.zeros(rr.shape + (4, 4))
-    R[..., :2, 2:] = centre.omega_block - np.stack([st["d0"], st["d1"]], axis=-2)
-    R -= _transpose(R)
+    omega = centre.omega_block
+    R[..., 0, 2:], R[..., 1, 2:] = omega[..., 0, :] - st["d0"], omega[..., 1, :] - st["d1"]
+    R -= R.swapaxes(-1, -2)
     return form2_norm(R, centre.g).max(axis=-1)
 
 
 def form2_norm(R: np.ndarray, g: np.ndarray):
     """Metric norm of an antisymmetric 2-form: sqrt(-tr(GRGR)/2)."""
     G = np.linalg.inv(g)
-    val = -0.5 * np.trace(G @ R @ G @ R, axis1=-2, axis2=-1)
+    val = -0.5 * (G @ R @ G @ R).trace(axis1=-2, axis2=-1)
     return np.sqrt(np.maximum(val, 0.0))
 
 
@@ -711,14 +724,13 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     A g that is not positive definite counts as 1.
     """
     g, J = sample.g, sample.J
-    Jtg = _transpose(J) @ g
-    terms = np.abs(_transpose(J)) @ np.abs(g)
-    tiny = np.finfo(float).tiny
-    worst = np.maximum.reduce([
-        _max_entry(J @ J + np.eye(4)),
-        _max_entry(np.abs(Jtg @ J - g) / np.maximum(terms @ np.abs(J), tiny)),
-        _max_entry(np.abs(sample.omega - Jtg) / np.maximum(terms, tiny)),
-    ])
+    Jt = J.swapaxes(-1, -2)
+    Jtg, terms = Jt @ g, np.abs(Jt) @ np.abs(g)
+    tiny = sys.float_info.min
+    worst = np.maximum(np.maximum(
+        _max_entry(J @ J + _constants().eye4),
+        _max_entry(np.abs(Jtg @ J - g) / np.maximum(terms @ np.abs(J), tiny))),
+        _max_entry(np.abs(sample.omega - Jtg) / np.maximum(terms, tiny)))
     return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
 
 
@@ -773,15 +785,15 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         # Flat-model exactness: evaluator versus the closed-form flat metric.
         flat_pts = sample_batch(rng, samples, 0.2, 30.0)
         expected = flat_metric_matrix(flat_pts)
-        deviation = _max_entry(metric_at(flat_monopole(), flat_pts).g - expected)
-        worst = float(np.max(deviation / np.maximum(1.0, _max_entry(expected))))
+        deviation = _max_entry(metric_at(_constants().flat, flat_pts).g - expected)
+        worst = float((deviation / np.maximum(1.0, _max_entry(expected))).max())
         checks.append(CheckResult("flat-model-exactness", worst, TOL_CLOSED_FORM,
                                   worst < TOL_CLOSED_FORM))
 
         points = sample_batch(rng, samples, 1.0, 5.0)
 
         # Determinant positivity on the sample grid.
-        min_det = float(np.min(v_eval(num, *from_polar(points)).det))
+        min_det = float(v_eval(num, *from_polar(points)).det.min())
         checks.append(CheckResult("determinant-positive", min_det, 0.0, min_det > 0.0,
                                   detail="minimum of <v1,v2> over samples"))
 
@@ -790,13 +802,13 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         # the worst point is the error estimate.
         x, y = from_polar(_head(points, 50))
         residuals, halved = monopole_residual(num, x, y, h=H_MONOPOLE * x, halving=True)
-        i = int(np.argmax(residuals))
+        i = int(residuals.argmax())
         worst = float(residuals[i])
         checks.append(CheckResult("monopole-system", worst, TOL_MONOPOLE, worst < TOL_MONOPOLE,
                                   detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
 
         # Algebraic invariants of each sample.
-        worst = float(np.max(invariant_residual(metric_at(num, _head(points, 100)))))
+        worst = float(invariant_residual(metric_at(num, _head(points, 100))).max())
         checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
 
         # Kähler residuals.
@@ -808,13 +820,13 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
 
         # Scalar flatness.
         curvature, halved = scalar_curvature_at(num, _head(points, CURVATURE_POINTS), halving=True)
-        i = int(np.argmax(np.abs(curvature)))
+        i = int(np.abs(curvature).argmax())
         worst = float(abs(curvature[i]))
         checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
                                   detail=f"step-halving change {abs(halved[i] - curvature[i]):.2e}"))
 
         # Asymptotic fit against the exact coefficients.
-        fit = fit_log_coeffs(num, np.geomspace(*FIT_RADII), np.linspace(*FIT_THETAS))
+        fit = fit_log_coeffs(num, _constants().fit_radii, _constants().fit_thetas)
         scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
         err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
         fit_ok = err < TOL_FIT_RELATIVE
@@ -882,7 +894,7 @@ def fit_series(report: VerificationReport) -> tuple:
     Computed from the p, q and levels of a :func:`verify_metric` report.
     """
     with np.errstate(all="ignore"):
-        radii, E, S = _fit_grid(_report_data(report), np.geomspace(*FIT_RADII),
-                                np.linspace(*FIT_THETAS))
+        radii, E, S = _fit_grid(_report_data(report), _constants().fit_radii,
+                                _constants().fit_thetas)
         per_radius = np.linalg.lstsq(S, (E * radii[:, None] * radii[:, None]).T, rcond=None)[0]
     return tuple((float(rr), float(a), float(b)) for rr, a, b in zip(radii, *per_radius))

@@ -186,6 +186,20 @@ def test_polar_specials():
         PolarPoint(r=1.0, theta=0.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PolarPoint(math.nan, 0.5), "need r > 0"),
+    (lambda: PolarPoint(np.array([1.0, math.nan]), np.array([0.5, 0.5])), "need r > 0"),
+    (lambda: PolarPoint(1.0, math.nan), "theta must lie in"),
+    (lambda: PolarPoint(np.array([1.0, 2.0]), np.array([math.nan, 0.5])), "theta must lie in"),
+    (lambda: v_eval(flat_monopole(), math.nan, 0.0), "need x > 0"),
+    (lambda: v_eval(flat_monopole(), np.array([0.5, math.nan]), 0.0), "need x > 0"),
+], ids=["r", "r-batch", "theta", "theta-batch", "x", "x-batch"])
+def test_nan_coordinates_are_refused(call, message):
+    # A NaN fails every comparison, so each check asks that all points pass.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_flat_frame_closed_form():
     flat = flat_monopole()
     for _ in range(50):
@@ -552,6 +566,39 @@ def test_verify_metric_frame_point_count(monkeypatch):
     assert sum(seen) == 3364
 
 
+def test_verify_metric_numpy_helper_calls(monkeypatch):
+    # The numpy helper calls of one warm default run, pinned: ndarray
+    # methods, np.empty blocks and the constants built once leave only the
+    # broadcast that pairs potential_residual's radii with its thetas.
+    verify_metric(4, 9)
+    names = ("any", "broadcast_arrays", "stack", "geomspace", "linspace")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    verify_metric(4, 9)
+    assert calls == {"any": 0, "broadcast_arrays": 1, "stack": 0, "geomspace": 0, "linspace": 0}
+
+
+def test_constants_are_built_once_and_read_only():
+    first = verify_metric(4, 9)
+    const = metricnum._constants()
+    assert metricnum._constants() is const
+    arrays = [value for value in vars(const).values() if isinstance(value, np.ndarray)]
+    arrays += [const.flat.levels, const.flat.pairs, const.flat.v2_const]
+    assert len(arrays) == 9
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert verify_metric(4, 9) == first
+
+
 @pytest.mark.parametrize("option, extra", [(None, 0), ("--csv", 12 * 7 * 9), ("--fit-csv", 25 * 5)])
 def test_metric_verify_computes_a_series_only_when_asked(option, extra, monkeypatch, tmp_path,
                                                          capsys):
@@ -659,6 +706,22 @@ def test_blocks_are_the_slices_of_omega_and_J():
             assert np.array_equal(omega[..., 2:, :2], -np.swapaxes(omega[..., :2, 2:], -1, -2))
             for m in (omega, J):
                 assert not m[..., :2, :2].any() and not m[..., 2:, 2:].any()
+
+
+@pytest.mark.parametrize("layout", ["broadcast", "fortran"])
+def test_curvature_contraction_ignores_the_layout_of_ginv(layout, monkeypatch):
+    # einsum sums in an order set by its operands' strides.  The same
+    # inverse metric as a stride-0 view or in Fortran order gives the same
+    # bits.  The two rows of the batch are equal, so the view is exact.
+    data = data_for(4, 9)
+    batch = sample_batch(np.random.default_rng(3), 20, 1.0, 5.0)
+    pts = PolarPoint(np.tile(batch.r, (2, 1)), np.tile(batch.theta, (2, 1)))
+    expected = scalar_curvature_at(data, pts)
+    inv = np.linalg.inv
+    relaid = {"broadcast": lambda g: np.broadcast_to(inv(g[:1]), g.shape),
+              "fortran": lambda g: np.asfortranarray(inv(g))}[layout]
+    monkeypatch.setattr(np.linalg, "inv", relaid)
+    assert scalar_curvature_at(data, pts).tobytes() == expected.tobytes()
 
 
 def test_batch_matches_single_points():
