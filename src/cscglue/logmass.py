@@ -419,7 +419,7 @@ def _validate_levels(levels, expected: int) -> tuple:
         raise ValueError(f"expected {expected} levels, got {len(out)}")
     # Every level after y_0 is a Fraction, so the order is decided by integer
     # cross-multiplication (denominators are positive); y_0 = inf is above all.
-    finite = out[1:] if out[0] == INFINITY else out
+    finite = out if isinstance(out[0], Fraction) else out[1:]
     for a, b in zip(finite, finite[1:]):
         if not b.numerator * a.denominator < a.numerator * b.denominator:
             raise ValueError(f"levels must be strictly decreasing, got {', '.join(map(str, out))}")

@@ -92,11 +92,11 @@ bound for the distance to the nearest pole) and of the scalar curvature
 (``H_CURVATURE``, relative in r and absolute in theta) sit at the
 measured minimum of their worst value over every coprime p < q <= 25.
 Both checks report, as an error estimate, how much their value at the
-worst point moves when the step is halved.  For that their one stencil
-runs at h, h/2 and h/4 and gives both extrapolations, at h and at h/2
-(``halving``): the centre and the h/2 points serve both, and since
-halving a float is exact, they are the points a separate call at step
-h/2 would take.
+worst point moves when the step is halved: :func:`verify_metric` runs
+the check on the whole batch at h, then once more on the worst point
+alone at h/2.  Halving a float is exact, so those are the points a
+stencil at h/4 around every sample would have shared with it, and only
+the one point whose value is read pays for them.
 """
 
 
@@ -112,7 +112,6 @@ from functools import cache, cached_property
 
 from cscglue.cfrac import hj_length
 from cscglue.logmass import (
-    INFINITY,
     LogCoefficients,
     flat_monopole,
     log_coeffs_from_levels,
@@ -313,16 +312,25 @@ class NumericMonopole(namedtuple("NumericMonopole", "source levels pairs v2_cons
 
 
 def as_numeric(data) -> NumericMonopole:
-    """Float form of monopole data; returns converted data unchanged."""
+    """Float form of monopole data; returns converted data unchanged.
+
+    A finite level beyond the float range is refused before numpy runs.
+    """
     if isinstance(data, NumericMonopole):
         return data
-    finite = [y != INFINITY for y in data.levels]
+    # Only y_0 may be inf.  A Fraction is finite by its type and is never
+    # compared with inf, which would convert inf to a Fraction first.
+    y0 = data.levels[0]
+    start = int(not isinstance(y0, Fraction) and y0 == math.inf)
+    finite = data.levels[start:]
+    if any(abs(y) > FLOAT_MAX_INT for y in finite):
+        raise ValueError("every finite level must lie within the float range")
     pairs = np.array(data.pairs, dtype=float).reshape(-1, 2)
     return NumericMonopole(
         source=data,
-        levels=np.array([float(y) for y, fin in zip(data.levels, finite) if fin]),
-        pairs=pairs[finite],
-        v2_const=-0.5 * pairs[[not fin for fin in finite]].sum(axis=0),
+        levels=np.array([float(y) for y in finite]),
+        pairs=pairs[start:],
+        v2_const=-0.5 * pairs[:start].sum(axis=0),
     )
 
 
@@ -393,7 +401,7 @@ def _constants():
     const = types.SimpleNamespace(
         fit_radii=np.geomspace(10.0, 1000.0, 25), fit_thetas=np.linspace(0.3, math.pi / 2 - 0.3, 5),
         potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7),
-        offsets=np.array(_OFFSETS, dtype=float).T, halvings=0.5 ** np.arange(3.0), eye4=np.eye(4))
+        offsets=np.array(_OFFSETS, dtype=float).T, halvings=0.5 ** np.arange(2.0), eye4=np.eye(4))
     for array in (*vars(const).values(), flat.levels, flat.pairs, flat.v2_const):
         array.flags.writeable = False
     const.flat = flat
@@ -414,7 +422,7 @@ def _constants():
 _OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> dict:
+def stencil(fn, u0, u1, h0, h1, second: bool = False) -> dict:
     """Central differences of ``fn`` in both coordinates from one call.
 
     Every difference is taken at the steps (h0, h1) and (h0/2, h1/2) and
@@ -423,32 +431,27 @@ def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> 
     and u1 +- h1; ``second`` adds the four corners (u0 +- h0, u1 +- h1).
     Returns the centre value "f" and the derivatives "d0" and "d1", and
     with ``second`` also "d00", "d11" and "d01", each of shape S + T.
-
-    ``halving`` adds the points at (h0/4, h1/4) and gives every entry a
-    leading axis of length 2: the result at steps (h0, h1), then the one
-    at (h0/2, h1/2), each equal to a call at that step alone.
     """
     u0, u1, h0, h1 = (np.asarray(v, dtype=float) for v in (u0, u1, h0, h1))
     if not u0.shape == u1.shape == np.broadcast(u0, u1, h0, h1).shape:  # steps may be scalars
         u0, u1, h0, h1 = np.broadcast_arrays(u0, u1, h0, h1)
     batch = (1,) * u0.ndim
-    # Displacements on the axes (step, offset) + S: each offset at h, h/2 (, h/4).
-    halvings = _constants().halvings[: 3 if halving else 2].reshape((-1, 1) + batch)
+    # Displacements on the axes (step, offset) + S: each offset at h and h/2.
+    halvings = _constants().halvings.reshape((2, 1) + batch)
     signs = _constants().offsets[:, : 8 if second else 4].reshape((2, 1, -1) + batch)
     a0, a1 = h0 * halvings, h1 * halvings
     values = fn(*(np.concatenate([u[None], (u + sign * a).reshape((-1,) + u.shape)])
                   for u, sign, a in ((u0, signs[0], a0), (u1, signs[1], a1))))
     f0 = values[0]
-    at_step = values[1:].reshape((len(halvings), signs.shape[2]) + f0.shape)
+    at_step = values[1:].reshape((2, signs.shape[2]) + f0.shape)
     per_point = (slice(None), 0, ...) + (None,) * (f0.ndim - u0.ndim)  # a step per point
 
     def extrapolate(diff, step):
-        """diff(values) / step(steps) at each step, extrapolated to h = 0 from each pair."""
+        """diff(values) / step(steps) at h and h/2, extrapolated to h = 0."""
         d = diff(at_step) / step(a0, a1)[per_point]
-        ladder = (4.0 * d[1:] - d[:-1]) / 3.0
-        return ladder if halving else ladder[0]
+        return (4.0 * d[1] - d[0]) / 3.0
 
-    out = {"f": np.broadcast_to(f0, (2,) + f0.shape) if halving else f0,
+    out = {"f": f0,
            "d0": extrapolate(lambda f: f[:, 0] - f[:, 1], lambda a0, a1: 2 * a0),
            "d1": extrapolate(lambda f: f[:, 2] - f[:, 3], lambda a0, a1: 2 * a1)}
     if second:
@@ -463,17 +466,16 @@ def stencil(fn, u0, u1, h0, h1, second: bool = False, halving: bool = False) -> 
 # verification checks
 
 
-def monopole_residual(data, x, y, h=1e-3, halving: bool = False):
+def monopole_residual(data, x, y, h=1e-3):
     """Finite-difference residual of the defining linear system at (x, y).
 
     Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1
     with central differences of :func:`v_eval`.  Returns the largest
-    component per point; with ``halving``, the values at steps h and h/2
-    along a leading axis (:func:`stencil`).
+    component per point; ``h`` may also be one step per point.
     """
     data = as_numeric(data)
     v_pair = lambda xx, yy: np.concatenate(v_eval(data, xx, yy)[:2], axis=-1)  # S + (4,)
-    st = stencil(v_pair, x, y, h, h, halving=halving)
+    st = stencil(v_pair, x, y, h, h)
     dx, dy, v1 = st["d0"], st["d1"], st["f"][..., :2]
     xs = np.asarray(x, dtype=float)[..., None]
     res1 = dy[..., :2] - dx[..., 2:]
@@ -521,37 +523,33 @@ def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
     return {"max_domega": worst(1, 0), "max_dintegrability": worst(3, 2)}
 
 
-def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE, halving: bool = False):
+def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE):
     """Scalar curvature from second differences of the metric.
 
     The metric depends only on (r, theta); the torus directions are
     Killing, so all derivatives are taken in the first two coordinates.
-    One value per point of ``p``; ``h_scale`` may also be one per point.
-    With ``halving``, the values at steps h and h/2 along a leading axis
-    (:func:`stencil`).
+    The steps are ``h_scale`` times max(r, 1) in r and ``h_scale`` in theta,
+    one per point if ``h_scale`` is an array.  One value per point of ``p``.
     """
     data = as_numeric(data)
     fn = lambda r, theta: metric_at(data, PolarPoint(r, theta)).g
     r = np.asarray(p.r, dtype=float)
-    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale,
-                                    halving=halving)
+    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale)
 
 
-def scalar_curvature_generic(metric_fn, u0, u1, h0, h1, halving: bool = False):
+def scalar_curvature_generic(metric_fn, u0, u1, h0, h1):
     """Scalar curvature of a metric depending on its first two coordinates.
 
     ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
     (u0, u1) in front; it is called once, on arrays with an extra leading
     stencil axis (module docstring).  Derivatives along the remaining
     coordinates are taken to vanish, so each derivative axis has length 2:
-    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.  ``halving``
-    is passed to :func:`stencil`.
+    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.
     """
-    st = stencil(metric_fn, u0, u1, h0, h1, second=True, halving=halving)
+    st = stencil(metric_fn, u0, u1, h0, h1, second=True)
     g = st["f"]
     n = g.shape[-1]
-    # With halving "f" is the centre twice: invert it once.
-    ginv = np.linalg.inv(g[:1]).repeat(2, axis=0) if halving else np.linalg.inv(g)
+    ginv = np.linalg.inv(g)
     # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2.
     derivs = np.empty(g.shape[:-2] + (3, 2) + g.shape[-2:])
     for k, (a, b) in enumerate((("d0", "d1"), ("d00", "d01"), ("d01", "d11"))):
@@ -770,14 +768,12 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         raise ValueError(f"{p}/{q} needs {k + 2} levels, more than the {MAX_LEVELS} supported")
     # The level refusals are exact, so they come before numpy is loaded.
     data = monopole_from_fraction(p, q, default_levels(k) if levels is None else levels)
-    if any(abs(y) > FLOAT_MAX_INT for y in data.levels if y != INFINITY):
-        raise ValueError("every finite level must lie within the float range")
+    num = as_numeric(data)
     # An overflow in a batch leaves an inf or NaN, which fails a check or
     # makes the monopole data invalid (a ValueError); numpy's warning adds
     # nothing.
     with np.errstate(all="ignore"):
         rng = np.random.default_rng(seed)
-        num = as_numeric(data)
         exact = num.exact
         check_float_range(exact)
         checks = []
@@ -798,14 +794,15 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail="minimum of <v1,v2> over samples"))
 
         # Monopole system residual (finite differences, independent route).
-        # One stencil gives the residual at step h and at h/2; the change at
-        # the worst point is the error estimate.
+        # The error estimate is how much the worst point's residual moves
+        # when its step is halved: one more call, on that point alone.
         x, y = from_polar(_head(points, 50))
-        residuals, halved = monopole_residual(num, x, y, h=H_MONOPOLE * x, halving=True)
+        residuals = monopole_residual(num, x, y, h=H_MONOPOLE * x)
         i = int(residuals.argmax())
         worst = float(residuals[i])
+        halved = monopole_residual(num, x[i], y[i], h=H_MONOPOLE * x[i] / 2)
         checks.append(CheckResult("monopole-system", worst, TOL_MONOPOLE, worst < TOL_MONOPOLE,
-                                  detail=f"step-halving change {abs(halved[i] - worst):.2e}"))
+                                  detail=f"step-halving change {abs(halved - worst):.2e}"))
 
         # Algebraic invariants of each sample.
         worst = float(invariant_residual(metric_at(num, _head(points, 100))).max())
@@ -818,12 +815,14 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
                                   TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
 
-        # Scalar flatness.
-        curvature, halved = scalar_curvature_at(num, _head(points, CURVATURE_POINTS), halving=True)
+        # Scalar flatness, with the same error estimate as the monopole system.
+        curvature = scalar_curvature_at(num, _head(points, CURVATURE_POINTS))
         i = int(np.abs(curvature).argmax())
         worst = float(abs(curvature[i]))
+        halved = scalar_curvature_at(num, PolarPoint(points.r[i], points.theta[i]),
+                                     h_scale=H_CURVATURE / 2)
         checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
-                                  detail=f"step-halving change {abs(halved[i] - curvature[i]):.2e}"))
+                                  detail=f"step-halving change {abs(halved - curvature[i]):.2e}"))
 
         # Asymptotic fit against the exact coefficients.
         fit = fit_log_coeffs(num, _constants().fit_radii, _constants().fit_thetas)
