@@ -8,9 +8,9 @@ The package has three layers:
   (:mod:`cscglue.resolution`), ALE log-term coefficients and masses
   (:mod:`cscglue.logmass`);
 * exact classification: parabolic slopes and polystability
-  (:mod:`cscglue.parabolic`), orbifold bases, the gluing matrix of at
-  most one row and its feasibility from that row's rank and a
-  closed-form positive-kernel test (:mod:`cscglue.gluing`,
+  (:mod:`cscglue.parabolic`), orbifold bases, the one-row gluing
+  matrix and its feasibility from that row's rank and a closed-form
+  positive-kernel test (:mod:`cscglue.gluing`,
   :mod:`cscglue.exactlp`);
 * floating-point verification of the explicit torus-symmetric
   scalar-flat Kähler ansatz and its ALE asymptotics

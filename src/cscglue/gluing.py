@@ -27,8 +27,10 @@ Feasibility of the glued constant-scalar-curvature metric asks for
     c_1 = rank M = dim V_0    and    c_2 != 0,
 
 where c_2 counts the dimension of ker M when a strictly positive kernel
-vector exists and is zero otherwise.  With one kernel function M has one
-row, which :mod:`cscglue.exactlp` decides by its signs alone.  The
+vector exists and is zero otherwise.  With one kernel function M is one
+row, which :mod:`cscglue.exactlp` decides by its signs alone.  A stable
+surface has no kernel function; its row is zero, one column per extra
+point, so c_1 = 0 = dim V_0 and the witness is (1, ..., 1).  The
 positive kernel vector is a balancing condition: its entries weight the
 chosen points so that the configuration is balanced against the kernel
 vector fields, in the spirit of a zero of a moment map.
@@ -46,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from cscglue.exactlp import fraction_rows, positive_kernel_vector, rational_rank
+from cscglue.exactlp import positive_kernel_vector, rational_rank
 from cscglue.parabolic import (
     ParabolicSurface,
     StabilityKind,
@@ -204,30 +206,34 @@ def gluing_matrix(
     for coord in extra_points:
         coord = normalize_coord(*coord)
         entries.append(phi_value(coord))
-        labels.append(f"extra:[{coord_str(coord)}]")
+        labels.append(_extra_label(coord))
     return tuple(entries), tuple(labels)
 
 
-def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
-    """Exact rank / positive-kernel verdict for a gluing matrix.
+def _extra_label(coord) -> str:
+    """Column label of the extra blow-up point at the normalised ``coord``."""
+    return f"extra:[{coord_str(coord)}]"
+
+
+def feasibility(row, dim_v0: int, col_labels=()) -> GluingReport:
+    """Exact rank / positive-kernel verdict for the one-row gluing matrix.
 
     * OBSTRUCTED: no columns while dim V_0 > 0 (no log terms are
-      available to balance the kernel functions);
+      available to balance the kernel function);
     * FEASIBLE: rank c_1 equals dim V_0 and the kernel meets the open
       positive cone, as it does iff the row is zero or has entries of
-      both signs, and vacuously for an empty matrix with dim V_0 = 0;
+      both signs, and vacuously for an empty row with dim V_0 = 0;
     * INFEASIBLE: otherwise.
 
     c_2 is reported as dim ker M when a strictly positive kernel vector
     exists and 0 otherwise: a linear subspace meeting an open cone meets
-    it in full dimension, and only c_2 != 0 is ever consumed.
+    it in full dimension, and only c_2 != 0 is ever consumed.  A zero
+    row with dim V_0 = 0 constrains nothing, so ``rows`` is then empty.
     """
-    rows = fraction_rows(rows)
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    c1 = rational_rank(rows)
-    witness = positive_kernel_vector(rows, ncols)
+    row = tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+    ncols = len(row)
+    c1 = rational_rank(row)
+    witness = positive_kernel_vector(row)
     positive = witness is not None or ncols == dim_v0 == 0
     if ncols == 0 and dim_v0 > 0:
         verdict = GluingVerdict.OBSTRUCTED
@@ -236,7 +242,7 @@ def feasibility(rows, ncols: int, dim_v0: int, col_labels=()) -> GluingReport:
     else:
         verdict = GluingVerdict.INFEASIBLE
     return GluingReport(
-        rows=rows,
+        rows=(row,) if row and (c1 or dim_v0) else (),
         ncols=ncols,
         col_labels=tuple(col_labels),
         c1=c1,
@@ -315,7 +321,8 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
             notes.append("no blow-ups: the minimal ruled surface keeps its product metric")
     elif verdict.kind is StabilityKind.STABLE:
         case = FixType.NO_FIXED_POINT
-        gluing = feasibility((), ncols=len(extra_points), dim_v0=case.dim_v0)
+        gluing = feasibility((Fraction(0),) * len(extra_points), case.dim_v0,
+                             tuple(map(_extra_label, extra_points)))
         final = gluing.verdict
         notes.append("stable: no holomorphic vector fields, gluing is unobstructed")
     elif orb.genus == 0 and len(orb.orders) == 2 and orb.orders[0] == orb.orders[1]:
@@ -342,8 +349,7 @@ def existence_report(surface: ParabolicSurface, extra_points=()) -> PipelineRepo
     else:
         case = FixType.TWO_FIXED_POINTS
         row, labels = gluing_matrix(surface, verdict, extra_points)
-        gluing = feasibility((row,) if row else (), ncols=len(row), dim_v0=case.dim_v0,
-                             col_labels=labels)
+        gluing = feasibility(row, case.dim_v0, labels)
         final = gluing.verdict
         if sporadic and final in (GluingVerdict.INFEASIBLE, GluingVerdict.OBSTRUCTED):
             notes.append(

@@ -42,9 +42,9 @@ def test_counters_read_real_return_values():
     row, labels = gluing_matrix(surface, verdict, extra_points=((1, 1),))
     returns = {
         "parabolic.classify": [verdict],
-        "gluing.feasibility": [feasibility((row,), len(row), 1, labels)],
-        "exactlp.positive_kernel_vector": [positive_kernel_vector((row,), len(row)),
-                                           positive_kernel_vector(((1, 1),), 2)],
+        "gluing.feasibility": [feasibility(row, 1, labels)],
+        "exactlp.positive_kernel_vector": [positive_kernel_vector(row),
+                                           positive_kernel_vector((1, 1))],
     }
     counters = Counter()
     for name, count in runpy.run_path(str(SPANS))["COUNTERS"].items():

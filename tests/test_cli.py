@@ -686,6 +686,25 @@ def test_feasible_row_of_3000_mixed_points_prints_its_witness(tmp_path, capsys):
     assert max(map(len, report["gluing"]["kernel_witness"])) < 20
 
 
+def test_stable_surface_labels_its_extra_point_columns(tmp_path, capsys):
+    # No kernel function: each extra point is a zero column, labelled as
+    # in the two-fixed-point case.
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"points": ["a", "b", "c"], "weights": ["1/5"] * 3,
+                               "incidence": ["0:1", "1:1", "1:0"],
+                               "extra_points": ["1:2", "3:1"]}))
+    code, out, err = _main(capsys, "pipeline", str(doc), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["stability"], report["verdict"]) == ("stable", "feasible")
+    assert report["gluing"] == {"matrix": [], "columns": ["extra:[1/2:1]", "extra:[3:1]"],
+                                "c1": 0, "c2": 2, "positive_kernel": True,
+                                "kernel_witness": ["1", "1"]}
+    code, out, err = _main(capsys, "pipeline", str(doc))
+    assert (code, err) == (0, "")
+    assert "  columns: extra:[1/2:1], extra:[3:1]\n" in out
+
+
 def test_metric_verify_input_bounds():
     from cscglue.metricnum import MAX_LEVELS, MAX_SAMPLES
 

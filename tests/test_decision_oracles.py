@@ -221,15 +221,15 @@ def test_normal_pair_returned_unchanged():
 
 
 def test_exact_layer_accepts_int_rows():
-    report = feasibility([(1, -2, 3)], ncols=3, dim_v0=1, col_labels=("a", "b", "c"))
+    report = feasibility((1, -2, 3), dim_v0=1, col_labels=("a", "b", "c"))
     assert all(type(x) is Fraction for x in report.rows[0])
     assert oracle_kernel((1, -2, 3)) is not None
     assert_sign_witness((1, -2, 3), report.kernel_witness)
-    assert rational_rank([(0, 0)]) == 0
-    assert rational_rank([(0, 3)]) == 1
-    assert rational_rank([]) == 0
+    assert rational_rank((0, 0)) == 0
+    assert rational_rank((0, 3)) == 1
+    assert rational_rank(()) == 0
     for row in ((1, 2, -1), (2, 3), (0, 0, 0), (-5, 1, 1), (F(1, 2), -1)):
-        w = positive_kernel_vector([row], len(row))
+        w = positive_kernel_vector(row)
         assert (w is None) == (oracle_kernel(row) is None)
         if w is not None:
             assert_sign_witness(row, w)
@@ -240,7 +240,7 @@ def test_sign_witness_matches_sum_oracle_on_random_rows():
     entries = (0, 0, 1, -1, 2, -3, F(1, 2), F(-4, 3), F(7, 5), F(-22, 7), F(10**12 + 1, 3))
     for _ in range(3000):
         row = tuple(rng.choice(entries) for _ in range(rng.randint(1, 8)))
-        w = positive_kernel_vector([row], len(row))
+        w = positive_kernel_vector(row)
         assert (w is None) == (oracle_kernel(row) is None), row
         if w is not None:
             assert_sign_witness(row, w)

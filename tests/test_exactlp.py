@@ -11,8 +11,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from cscglue.exactlp import positive_kernel_vector, rational_rank
 
 
@@ -40,37 +38,27 @@ def assert_sign_witness(row, w):
 
 def test_rank_basic():
     assert rational_rank(()) == 0
-    assert rational_rank(((F(0), F(0)),)) == 0
-    assert rational_rank(((F(1), F(2)),)) == 1
-    assert rational_rank(((F(0), Fraction(-1, 3)),)) == 1
-    # The gluing matrix has at most one row.
-    with pytest.raises(ValueError, match="at most one row"):
-        rational_rank(((F(1), F(2)), (F(2), F(4))))
+    assert rational_rank((F(0), F(0))) == 0
+    assert rational_rank((F(1), F(2))) == 1
+    assert rational_rank((F(0), Fraction(-1, 3))) == 1
 
 
 def test_positive_kernel_one_row():
-    w = positive_kernel_vector(((F(-1), F(1)),), 2)
+    w = positive_kernel_vector((F(-1), F(1)))
     assert w is not None
     assert -w[0] + w[1] == 0
     assert all(x >= 1 for x in w)
-    assert positive_kernel_vector(((F(-1), F(-1)),), 2) is None
-    assert positive_kernel_vector(((F(1), F(1)),), 2) is None
-    assert positive_kernel_vector(((F(1), F(-3), F(1)),), 3) is not None
+    assert positive_kernel_vector((F(-1), F(-1))) is None
+    assert positive_kernel_vector((F(1), F(1))) is None
+    assert positive_kernel_vector((F(1), F(-3), F(1))) is not None
 
 
 def test_positive_kernel_edge_cases():
-    assert positive_kernel_vector((), 0) is None
-    assert positive_kernel_vector((), 3) == (F(1), F(1), F(1))
+    assert positive_kernel_vector(()) is None
     # Zero row constrains nothing.
-    assert positive_kernel_vector(((F(0), F(0)),), 2) is not None
+    assert positive_kernel_vector((F(0), F(0), F(0))) == (F(1), F(1), F(1))
     # Zero column together with a one-signed row: still infeasible.
-    assert positive_kernel_vector(((F(0), F(1)),), 2) is None
-
-
-def test_positive_kernel_two_rows_raise():
-    rows = ((F(1), F(-1), F(0)), (F(0), F(1), F(-1)))
-    with pytest.raises(ValueError):
-        positive_kernel_vector(rows, 3)
+    assert positive_kernel_vector((F(0), F(1))) is None
 
 
 def test_solve_nonneg_direct():
@@ -93,7 +81,7 @@ def test_randomised_against_construction():
             row = [Fraction(rng.randint(-4, 4)) for _ in range(n - 1)]
             tail = -sum(a * x for a, x in zip(row, w))
             row.append(tail / w[-1])
-        got = positive_kernel_vector((tuple(row),), n)
+        got = positive_kernel_vector(tuple(row))
         assert got is not None
         assert sum(a * x for a, x in zip(row, got)) == 0
         assert all(x > 0 for x in got)
@@ -104,7 +92,7 @@ def test_randomised_infeasible():
     for _ in range(100):
         n = rng.randint(1, 6)
         row = [Fraction(rng.randint(1, 5)) for _ in range(n)]  # all positive
-        assert positive_kernel_vector((tuple(row),), n) is None
+        assert positive_kernel_vector(tuple(row)) is None
 
 
 def test_closed_form_matches_simplex_random():
@@ -114,7 +102,7 @@ def test_closed_form_matches_simplex_random():
         row = tuple(
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)
         )
-        w = positive_kernel_vector((row,), n)
+        w = positive_kernel_vector(row)
         assert (w is None) == (simplex_positive_kernel(row) is None)
         if w is not None:
             assert_sign_witness(row, w)
@@ -123,7 +111,7 @@ def test_closed_form_matches_simplex_random():
 def test_closed_form_matches_simplex_exhaustive():
     for n in range(1, 9):
         for row in itertools.product((F(-1), F(0), F(1)), repeat=n):
-            assert positive_kernel_vector((row,), n) == simplex_positive_kernel(row)
+            assert positive_kernel_vector(row) == simplex_positive_kernel(row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Orbifold bases, the gluing matrix, feasibility, and the pipeline."""
 
+import itertools
 import math
 import random
 import re
@@ -28,6 +29,7 @@ from cscglue.parabolic import (
     is_sporadic,
     normalize_coord,
 )
+from test_exactlp import assert_sign_witness, simplex_positive_kernel
 
 F = Fraction
 
@@ -181,45 +183,88 @@ def test_gluing_matrix_requires_polystable():
 
 
 def test_feasibility_cases():
-    rep = feasibility(((F(-1), F(1)),), ncols=2, dim_v0=1)
+    rep = feasibility((F(-1), F(1)), dim_v0=1)
     assert rep.verdict is GluingVerdict.FEASIBLE
     assert rep.c1 == 1 and rep.c2 == 1
     assert rep.kernel_witness == (F(1), F(1))
 
-    rep = feasibility(((F(-1), F(-1)),), ncols=2, dim_v0=1)
+    rep = feasibility((F(-1), F(-1)), dim_v0=1)
     assert rep.verdict is GluingVerdict.INFEASIBLE
     assert not rep.positive_kernel
 
-    rep = feasibility((), ncols=0, dim_v0=1)
+    rep = feasibility((), dim_v0=1)
     assert rep.verdict is GluingVerdict.OBSTRUCTED
 
-    rep = feasibility((), ncols=0, dim_v0=0)
+    rep = feasibility((), dim_v0=0)
     assert rep.verdict is GluingVerdict.FEASIBLE
 
-    rep = feasibility((), ncols=3, dim_v0=0)
+    rep = feasibility((F(0),) * 3, dim_v0=0)
     assert rep.verdict is GluingVerdict.FEASIBLE
 
     # Zero entry from an equator point cannot balance the kernel.
-    rep = feasibility(((F(0),),), ncols=1, dim_v0=1)
+    rep = feasibility((F(0),), dim_v0=1)
     assert rep.verdict is GluingVerdict.INFEASIBLE
     assert rep.c1 == 0
 
 
 def test_feasibility_witness_exact():
-    rows = ((F(1), F(-2), F(1)),)
-    rep = feasibility(rows, ncols=3, dim_v0=1)
+    row = (F(1), F(-2), F(1))
+    rep = feasibility(row, dim_v0=1)
     assert rep.verdict is GluingVerdict.FEASIBLE
     w = rep.kernel_witness
-    assert sum(a * x for a, x in zip(rows[0], w)) == 0
+    assert sum(a * x for a, x in zip(row, w)) == 0
     assert all(x > 0 for x in w)
+
+
+def oracle_feasibility(row, dim_v0):
+    """(verdict, c1, c2, positive_kernel) from a nonzero test and the simplex.
+
+    The empty vector is a positive kernel vector of the empty row only
+    when there is no kernel function to balance (dim V_0 = 0); with
+    dim V_0 > 0 the empty row is obstructed.
+    """
+    rank = int(any(x != 0 for x in row))
+    positive = simplex_positive_kernel(row) is not None and (len(row) > 0 or dim_v0 == 0)
+    if not row and dim_v0 > 0:
+        verdict = GluingVerdict.OBSTRUCTED
+    elif rank == dim_v0 and positive:
+        verdict = GluingVerdict.FEASIBLE
+    else:
+        verdict = GluingVerdict.INFEASIBLE
+    return verdict, rank, len(row) - rank if positive else 0, positive
+
+
+def _assert_feasibility_matches_oracle(row, dim_v0):
+    rep = feasibility(row, dim_v0)
+    assert (rep.verdict, rep.c1, rep.c2, rep.positive_kernel) == \
+        oracle_feasibility(row, dim_v0), (row, dim_v0)
+    assert rep.ncols == len(row)
+    if rep.kernel_witness is not None:
+        assert_sign_witness(row, rep.kernel_witness)
+
+
+def test_feasibility_matches_simplex_on_sign_rows():
+    for n in range(7):
+        for row in itertools.product((-1, 0, 1), repeat=n):
+            for dim_v0 in (0, 1):
+                _assert_feasibility_matches_oracle(row, dim_v0)
+
+
+def test_feasibility_matches_simplex_on_random_rows():
+    rng = random.Random(29)
+    for _ in range(1500):
+        row = tuple(rng.choice((rng.randint(-3, 3), F(rng.randint(-9, 9), rng.randint(1, 7))))
+                    for _ in range(rng.randint(0, 8)))
+        for dim_v0 in (0, 1):
+            _assert_feasibility_matches_oracle(row, dim_v0)
 
 
 def test_convention_swap_invariance():
     verdict = classify(FOUR_POINT)
     row, _ = gluing_matrix(FOUR_POINT, verdict)
     swapped = tuple(-x for x in row)
-    a = feasibility((row,), ncols=len(row), dim_v0=1)
-    b = feasibility((swapped,), ncols=len(row), dim_v0=1)
+    a = feasibility(row, dim_v0=1)
+    b = feasibility(swapped, dim_v0=1)
     assert a.c1 == b.c1
     assert a.positive_kernel == b.positive_kernel
     assert a.verdict is b.verdict

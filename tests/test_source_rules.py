@@ -7,7 +7,9 @@ writer of output: the subcommand handlers return their payload and human
 lines, and only ``main`` prints, reads ``--json`` and adds ``version``.
 A third keeps floats off every verdict path: the exact layer names no
 float literal, no ``float`` and no ``inf`` or ``nan`` beyond two listed
-uses.
+uses.  A fourth fails on a top-level function or class that nothing in
+``src/cscglue`` loads beyond the ``__init__`` re-exports, so no code
+survives that no pipeline path or command calls.
 """
 
 import ast
@@ -81,3 +83,56 @@ def _float_uses(module: str):
 def test_exact_layer_is_float_free():
     found = [use for module in EXACT_LAYER for use in _float_uses(module)]
     assert sorted(found) == sorted(ALLOWED_FLOATS)
+
+
+# Top-level names that no module of src/cscglue but __init__ loads.
+# cli.main dispatches every cmd_* handler by name, and each listed name
+# stays for the reason given.
+UNLOADED_ALLOWED = {
+    ("resolution", "fiber_chain"):
+        "exact-sweep (bench/workloads.py) builds chains with it; bench/spans.py traces it",
+    ("resolution", "blow_down_fully"):
+        "exact-sweep (bench/workloads.py) blows chains down with it; bench/spans.py traces it",
+    ("logmass", "mass_verdict"):
+        "exact-sweep (bench/workloads.py) decides mass signs with it; bench/spans.py traces it",
+}
+
+
+def _unloaded_definitions():
+    """(module, name) of each top-level def or class that no other code in src/ loads.
+
+    A load is a read of the name in its own module outside its own
+    definition, or of a name another module imported from it with
+    ``from cscglue.<module> import``.
+    """
+    defined, loaded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        if module == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {(module, name) for name in own}
+        imported = {alias.asname or alias.name: (node.module.removeprefix("cscglue."), alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cscglue.")
+                    for alias in node.names}
+        for statement in tree.body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
+                    continue
+                if node.id in own and node.id != owner:
+                    loaded.add((module, node.id))
+                elif node.id in imported:
+                    loaded.add(imported[node.id])
+    return defined - loaded
+
+
+def test_every_definition_is_loaded_by_the_library():
+    # This also keeps gluing.feasibility calling exactlp.rational_rank,
+    # which the traced benchmark run counts.
+    unloaded = {(module, name) for module, name in _unloaded_definitions()
+                if not (module == "cli" and name.startswith("cmd_"))}
+    assert sorted(unloaded) == sorted(UNLOADED_ALLOWED)
