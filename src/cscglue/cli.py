@@ -58,7 +58,8 @@ from cscglue.logmass import (
     mu_from_u,
     verdict_from_coeffs,
 )
-from cscglue.parabolic import ParabolicSurface, SectionData, classify, is_sporadic
+from cscglue.parabolic import (MAX_QUOTED, ParabolicSurface, SectionData, classify, digit_count,
+                               is_sporadic, quoted)
 from cscglue.resolution import blowup_count, chain_from_strings, format_chain, singular_strings
 # Loads numpy only when a check runs.  `bench/run.py --trace 1` reads this
 # import's line in `-X importtime`, so it stays at module level.
@@ -79,7 +80,6 @@ EXIT_BROKEN_PIPE = 141
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 MAX_HJ_DIGITS = 100_000
-MAX_QUOTED = 40  # longest weight a refusal quotes; longer ones are named by size
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)\s*\Z")
 # JSON numbers stay text for to_fraction; json.load(fh, parse_float=str) rebuilds this per call.
 _DECODER = json.JSONDecoder(parse_float=str)
@@ -196,13 +196,13 @@ def to_fraction(text) -> Fraction:
 
 
 def check_hj_size(weight: Fraction) -> None:
-    """Refuse a weight whose HJ digits and dual digits exceed MAX_HJ_DIGITS."""
+    """Refuse a weight whose HJ digits and dual digits exceed MAX_HJ_DIGITS.
+
+    A weight of more than MAX_QUOTED characters is named by its size."""
     size = blowup_count(weight)
     if size > MAX_HJ_DIGITS:
-        text, count = str(weight), str(size)
-        if len(text) > MAX_QUOTED:
-            text = f"with a {len(str(weight.denominator))}-digit denominator"
-            count = f"a {len(count)}-digit number of"
+        text, count = quoted(weight, size) or (f"with {digit_count(weight.denominator)} denominator",
+                                               f"{digit_count(size)} number of")
         raise ValueError(f"weight {text} expands to {count} HJ digits with its dual, "
                          f"more than the {MAX_HJ_DIGITS} supported")
 

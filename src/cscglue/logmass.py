@@ -51,16 +51,26 @@ metric, so these sums decide its sign exactly.
 
 Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
-numerators with a running common denominator, so each returned value is
-normalised once, as a single ``Fraction``.  Each chain is checked once.
+numerators over the lcm of the term denominators, so each returned value
+is normalised once, as a single ``Fraction``.  Each chain is checked once.
 Approximants from :func:`cfrac.hj_expand` are used as they are: their
 digit runs were checked there, and the :mod:`cfrac` docstring shows that
 this gives the end pairs, det = 1 at junctions 0..k and increasing m_j.
 A chain a caller supplies, and the Burns chain, go through
 ``_validate_chain``.
 
+The sums are taken by halves.  A range of at most ``_LEAF`` terms is one
+loop with a running common denominator; a longer one is split in half,
+and ``_merged`` takes the two numerator pairs over the lcm of the two
+denominators.  That lcm is the running denominator of one loop over the
+whole range, so the numerators are the same integers as well.  A single
+running loop over k terms whose lcm has n digits does O(k n) work, since
+every step rescales the full-size numerators; by halves the work is
+O(M(n) log k), M(n) being the cost of one n-digit multiplication.
+
 The level sums (:func:`log_coeffs_from_levels`) and the u sums
-(``_u_sums``) stay two loops.  Routing the levels through ``_u_sums``, with
+(``_u_sums``) keep two loops, ``_sum_levels`` and ``_sum_u``, which share
+the merge.  Routing the levels through ``_u_sums``, with
 u_j = m_j (c_j - c_{j-1}) and a = a_u - c_0, b = b_u + c_0, gives the same
 (a, b, mu), but builds one more fraction per level: on the HJ sweep of the
 benchmark it took 1.3 to 1.8 times as long, with u as integer pairs or as
@@ -84,6 +94,10 @@ Pair = tuple[int, int]
 
 # The blow-up of the plane at one point, admitted as (p, q) = (1, 1).
 BURNS_CHAIN: tuple[Pair, ...] = ((0, -1), (1, 0), (1, 1), (0, 1))
+
+# Terms per leaf of the halved sums.  A chain of up to 64 terms, which
+# covers every chain of the q <= 60 sweep, is summed by one loop.
+_LEAF = 64
 
 
 class MonopoleData(namedtuple("MonopoleData", "levels pairs chain", defaults=(None,))):
@@ -210,7 +224,9 @@ def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
 
     Uses the summed-by-parts forms of q a and q b from the module
     docstring, with c_j = 1/y_j and c_0 = 0 when y_0 is infinite, in
-    integer arithmetic over a running common denominator.
+    integer arithmetic: the levels are summed by halves, each leaf of at
+    most ``_LEAF`` levels over a running common denominator, so k levels
+    whose lcm has n digits cost O(M(n) log k), not O(k n).
 
     Raises
     ------
@@ -224,16 +240,7 @@ def log_coeffs_from_levels(data: MonopoleData) -> LogCoefficients:
     q, p = chain[-2]
     # c_j = cn / cd with cd > 0: every level up to y_k is positive.
     c = [_reciprocal(y) for y in data.levels[: k + 1]]
-
-    qa = qb = 0
-    den = 1
-    for j, (cn, cd) in enumerate(c):
-        (m0, n0), (m1, n1) = chain[j], chain[j + 1]
-        g = gcd(den, cd)
-        scale, step = cd // g, cn * (den // g)
-        qa = qa * scale + step * (m0 - m1)
-        qb = qb * scale + step * (p * (m0 - m1) - q * (n0 - n1))
-        den *= scale
+    qa, qb, den = _sum_levels(chain, c, p, q, 0, k + 1)
     den *= q
 
     return LogCoefficients(
@@ -301,12 +308,50 @@ def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
     # mu = (p + 1) S / q - (A + B), and in the c_0 = 0 normalisation c_k = A
     # and q a = S - q A, so q b = q mu - q a = p S - q B.  Term j adds
     # u_j (m_j - q) / m_j to q a and u_j (p m_j - q n_j) / m_j to q b, as
-    # numerators over the common denominator den.  The count is checked, so
-    # the loop reads every u_j and refuses a non-positive one.
+    # numerators over a common denominator.  The count is checked, so the
+    # leaves read every u_j and refuse a non-positive one.
     q, p = chain[-2]
+    qa, qb, den = _sum_u(chain, u, p, q, 0, k)
+    return qa, qb, den * q, u
+
+
+def _merged(left, right) -> tuple[int, int, int]:
+    """Two partial sums (A, B, D), numerators A and B over D, over lcm(D1, D2)."""
+    a1, b1, d1 = left
+    a2, b2, d2 = right
+    g = gcd(d1, d2)
+    s1, s2 = d2 // g, d1 // g
+    return a1 * s1 + a2 * s2, b1 * s1 + b2 * s2, d1 * s1
+
+
+def _sum_levels(chain, c, p, q, lo: int, hi: int) -> tuple[int, int, int]:
+    """Levels lo..hi-1 of the q a and q b sums, as numerators over their lcm."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        return _merged(_sum_levels(chain, c, p, q, lo, mid), _sum_levels(chain, c, p, q, mid, hi))
     qa = qb = 0
     den = 1
-    for (m, n), x in zip(chain[1:], u):
+    for j in range(lo, hi):
+        cn, cd = c[j]
+        (m0, n0), (m1, n1) = chain[j], chain[j + 1]
+        g = gcd(den, cd)
+        scale, step = cd // g, cn * (den // g)
+        qa = qa * scale + step * (m0 - m1)
+        qb = qb * scale + step * (p * (m0 - m1) - q * (n0 - n1))
+        den *= scale
+    return qa, qb, den
+
+
+def _sum_u(chain, u, p, q, lo: int, hi: int) -> tuple[int, int, int]:
+    """Terms u_{lo+1}..u_hi of the q a and q b sums, as numerators over their lcm."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        return _merged(_sum_u(chain, u, p, q, lo, mid), _sum_u(chain, u, p, q, mid, hi))
+    qa = qb = 0
+    den = 1
+    for j in range(lo, hi):
+        x = u[j]
+        m, n = chain[j + 1]
         num = x.numerator
         if num <= 0:
             raise ValueError("all u_j must be positive")
@@ -316,7 +361,7 @@ def _u_sums(chain, u) -> tuple[int, int, int, tuple[Fraction, ...]]:
         qa = qa * scale + step * (m - q)
         qb = qb * scale + step * (p * m - q * n)
         den *= scale
-    return qa, qb, den * q, u
+    return qa, qb, den
 
 
 def blowup_insert(data: MonopoleData, position: int) -> MonopoleData:

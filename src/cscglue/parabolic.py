@@ -50,6 +50,7 @@ from math import gcd, lcm
 from numbers import Rational
 
 FiberCoord = tuple[int, int]  # primitive (a, b) with b > 0, or (1, 0): the point [a : b]
+MAX_QUOTED = 40  # longest number a refusal quotes; longer ones are named by digit count
 
 
 class StabilityKind(enum.Enum):
@@ -142,6 +143,18 @@ class StabilityVerdict(namedtuple("StabilityVerdict",
     """Classification outcome; ``pair`` is a disjoint slope-zero pair, if any."""
 
     __slots__ = ()
+
+
+def quoted(*numbers) -> tuple[str, ...] | None:
+    """The numbers as a refusal quotes them, or None when one is longer than
+    MAX_QUOTED characters: the refusal then names each by :func:`digit_count`."""
+    texts = tuple(map(str, numbers))
+    return None if any(len(text) > MAX_QUOTED for text in texts) else texts
+
+
+def digit_count(n: int) -> str:
+    """"a D-digit" for an integer of D digits, "a negative D-digit" below zero."""
+    return f"a {'negative ' if n < 0 else ''}{len(str(abs(n)))}-digit"
 
 
 def integer_field(value, name: str) -> int:
@@ -291,8 +304,8 @@ def _check_section_numbers(sections) -> None:
         if (a.self_intersection - b.self_intersection) % 2:
             raise ValueError(
                 f"sections {a.id} and {b.id} have self-intersections "
-                f"{a.self_intersection} and {b.self_intersection} of "
-                "different parity, but S^2 - S'^2 is even for any two sections"
+                f"{_pair(a.self_intersection, b.self_intersection)} of different parity, "
+                "but S^2 - S'^2 is even for any two sections"
             )
     by_id = {sec.id: sec for sec in sections}
     for sec in sections:
@@ -301,7 +314,7 @@ def _check_section_numbers(sections) -> None:
             if sec.self_intersection + s2 != 0:
                 raise ValueError(
                     f"disjoint sections {sec.id} and {other} need "
-                    f"{other}^2 = -{sec.id}^2, got {sec.self_intersection} and {s2}"
+                    f"{other}^2 = -{sec.id}^2, got {_pair(sec.self_intersection, s2)}"
                 )
     # The two lowest self-intersections give the lowest intersection number.
     low = sorted(sections, key=lambda sec: sec.self_intersection)[:2]
@@ -309,8 +322,13 @@ def _check_section_numbers(sections) -> None:
         a, b = low
         raise ValueError(
             f"distinct sections {a.id} and {b.id} meet in ({a.id}^2 + {b.id}^2)/2 >= 0 "
-            f"points, got {a.self_intersection} and {b.self_intersection}"
+            f"points, got {_pair(a.self_intersection, b.self_intersection)}"
         )
+
+
+def _pair(x: int, y: int) -> str:
+    """Two self-intersections as "x and y", quoted by :func:`quoted`."""
+    return " and ".join(quoted(x, y) or (f"{digit_count(n)} number" for n in (x, y)))
 
 
 def _candidate_builder(weights):

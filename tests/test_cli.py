@@ -1,6 +1,8 @@
 """CLI subcommands, document round trips, and exit codes."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -869,3 +871,52 @@ def test_main_dispatches_to_rebound_handler(monkeypatch):
     monkeypatch.setattr(cli, "cmd_metric_verify", lambda args: (8, {}, list))
     assert main(["hj", "1/2"]) == 7
     assert main(["metric-verify", "1/2"]) == 8
+
+
+def test_section_refusals_name_long_self_intersections_by_size(tmp_path, capsys):
+    # The parity, disjoint and meet rules quote a self-intersection of more
+    # than MAX_QUOTED characters by its digit count, as the weight refusal does.
+    big = 10 ** 4299
+    doc = json.loads((FIXTURES / "sporadic_genus1.json").read_text())
+    meeting = {**doc, "sections": [{k: v for k, v in s.items() if k != "disjoint_from"}
+                                   for s in doc["sections"]]}
+    path = tmp_path / "doc.json"
+    for base, (s1, s2), message in (
+        (doc, (big, big), "disjoint sections S1 and S2 need S2^2 = -S1^2, got a 4300-digit "
+                          "number and a 4300-digit number"),
+        (doc, (big, big + 1), "sections S1 and S2 have self-intersections a 4300-digit number "
+                              "and a 4300-digit number of different parity"),
+        (meeting, (-big, -big), "distinct sections S1 and S2 meet in (S1^2 + S2^2)/2 >= 0 points, "
+                                "got a negative 4300-digit number and a negative 4300-digit number"),
+        (doc, (1, 2), "sections S1 and S2 have self-intersections 1 and 2 of different parity"),
+    ):
+        sections = [{**s, "self_intersection": n} for s, n in zip(base["sections"], (s1, s2))]
+        path.write_text(json.dumps({**base, "sections": sections}))
+        for command in ("stability", "pipeline"):
+            code, out, err = _main(capsys, command, str(path))
+            assert (code, out) == (2, ""), command
+            assert err.startswith(f"error: bad surface document: {message}"), err[:200]
+            assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+def _u_2002():
+    rng = random.Random(2003)
+    return ",".join(f"{rng.randint(1, 10)}/{rng.randint(1, 10)}" for _ in range(2002))
+
+
+# SHA-256 of stdout for long chains, whose exact sums run over many leaves.
+LONG_CHAIN_DIGESTS = {
+    ("blowup-insert", ""): "4e46bd613c001cfc898e07fd8375b576e4a74f83e25e290b702001fb0e0cf99a",
+    ("blowup-insert", "--json"): "aea3660ec9dfbe5c2377300323009553ff4d30be25cb3bf586a05a5a1c093a3f",
+    ("mass", ""): "9fcc6ed979cb319073a04ca33bcf7bfbf1ec0f6741f64bc69bc99f8866e37846",
+    ("mass", "--json"): "f3ba8c03fb41228a1d979edfdda0d133f457ea8a8cecf317eb6367f8317536e7",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(LONG_CHAIN_DIGESTS))
+def test_long_chain_output_digests(command, fmt, capsys):
+    argv = {"blowup-insert": ["blowup-insert", "5999/6000", "--position", "5999"],
+            "mass": ["mass", "2002/2003", "--u", _u_2002()]}[command]
+    code, out, err = _main(capsys, *argv, *filter(None, [fmt]))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_CHAIN_DIGESTS[command, fmt]

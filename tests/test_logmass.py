@@ -593,3 +593,70 @@ def test_equality_covers_per_term():
         via_u.per_term = ()
     assert via_levels != (via_u.a, via_u.b, via_u.mu, via_u.per_term)
     assert repr(via_u) == f"LogCoefficients(a={via_u.a!r}, b={via_u.b!r}, mu={via_u.mu!r})"
+
+
+# ---------------------------------------------------------------------------
+# The halved sums: leaves of logmass._LEAF terms merged over their lcm
+
+
+LEAF = logmass._LEAF
+LEAF_BOUNDARY_LENGTHS = (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 5 * LEAF + 3)
+
+
+def fractions_of_length(k):
+    """The crepant (k)/(k+1) and two other coprime fractions with k HJ digits."""
+    pairs = [(k, k + 1), (k, 2 * k + 1), (2 * k - 1, 3 * k - 1)]
+    assert all(gcd(p, q) == 1 and hj_length(p, q) == k for p, q in pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("k", LEAF_BOUNDARY_LENGTHS)
+def test_halved_sums_match_oracle_at_leaf_boundaries(k):
+    rng = random.Random(k)
+    for p, q in fractions_of_length(k):
+        chain = hj_expand(p, q).approximants
+        for infinite_top in (False, True):
+            assert_kernels_match_oracle(chain, random_u(rng, k), random_levels(rng, k, infinite_top))
+        u = random_u(rng, k)
+        assert mass_verdict(p, q, u).mu == mu_from_u(p, q, u).mu
+    # Chains of k terms made by one blow-up of a (k - 1)-term chain.
+    for p, q in fractions_of_length(k - 1):
+        for infinite_top in (False, True):
+            data = monopole_from_fraction(p, q, random_levels(rng, k - 1, infinite_top))
+            for position in sorted({1, k // 2, k - 1}):
+                inserted = blowup_insert(data, position)
+                assert inserted.k == k
+                assert_kernels_match_oracle(inserted.chain, random_u(rng, k), list(inserted.levels))
+
+
+@pytest.mark.parametrize("k", LEAF_BOUNDARY_LENGTHS[2:])
+def test_halved_sums_refuse_a_late_non_positive_u(k):
+    # The bad u_j lies past the first leaf, so only a later leaf can see it.
+    chain = hj_expand(k, k + 1).approximants
+    for bad in (0, Fraction(-1, 2)):
+        u = [Fraction(1)] * k
+        u[-1] = bad
+        for route in (lambda u: mu_from_u(k, k + 1, u), lambda u: mass_verdict(k, k + 1, u),
+                      lambda u: mu_from_chain(chain, u)):
+            with pytest.raises(ValueError, match=r"^all u_j must be positive$"):
+                route(u)
+
+
+def test_long_level_sums_merge_big_numbers_once_per_leaf(monkeypatch):
+    # A running denominator over 2002/2003 at the default levels passes the
+    # 1,000-bit mark early and then takes one big gcd per level; halved sums
+    # take big gcds only where two halves merge, at most one per leaf.
+    from cscglue.metricnum import default_levels
+
+    real = logmass.gcd
+    big = []
+
+    def counted(a, b):
+        if max(a.bit_length(), b.bit_length()) > 1000:
+            big.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(logmass, "gcd", counted)
+    k = hj_length(2002, 2003)
+    log_coeffs_from_levels(monopole_from_fraction(2002, 2003, default_levels(k)))
+    assert 0 < len(big) <= 2 * k // LEAF
