@@ -26,12 +26,12 @@ provides (v_1, v_2) as finite sums of basic solutions
 
     ( x / sqrt(x^2 + (y - a)^2),  (y - a) / sqrt(x^2 + (y - a)^2) ),
 
-from which g, omega and J are evaluated in closed form.  Finite
-differences (one scheme, :func:`stencil`) enter only where the
-verification must be independent of the identities being verified: the
-monopole system itself, the closedness of omega and of the (1,0)-forms,
-the scalar curvature, and the comparison of omega against the exterior
-derivative of the asymptotic potential
+from which g, omega and J are evaluated in closed form.  Derivatives
+(one mechanism, :class:`Jet`) enter only where the verification must be
+independent of the identities being verified: the monopole system
+itself, the closedness of omega and of the (1,0)-forms, the scalar
+curvature, and the comparison of omega against the exterior derivative
+of the asymptotic potential
 
     f/q = r^2/4 + ((a+b)/2) log r + ((a-b)/4) cos^2 theta,
 
@@ -56,47 +56,25 @@ whose fields are arrays of one shape S is a batch, as are arrays (x, y)
 of shape S, and results gain the leading axes S: ``FrameData.v1`` has
 shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
 is the batch with S = (), through the same code.  :func:`as_numeric`
-converts the exact monopole data to float arrays; each function accepts
-either form, and :func:`verify_metric` converts once and passes the
-arrays on.  :func:`v_eval` sums the level charges as two products
-(S, m) @ (m, 2), for v_1 and v_2.  A finite-difference check evaluates
-its function once for the whole stencil (:func:`stencil`): the centre
-and every displaced point at each step are stacked along a new leading
-axis, with one step per point, so each point is evaluated once.  A
-function handed to a check, such as the ``metric_fn`` of
-:func:`scalar_curvature_generic`, must accept arrays with extra leading
-axes and return values with those axes in front.  :func:`metric_at`
-evaluates the frame once and builds each of g, omega and J, and the
-three nonzero 2 x 2 blocks of omega and J, on first read, for the points
-an index selects.  The scalar curvature reads only g, and the algebraic
-invariants read g, omega and J.  The Kähler residual reads the (r, theta) x
-torus block of omega and the torus x (r, theta) block of J; the
-potential residual reads the (r, theta) x torus block of J and, at its
-stencil's centres, g and the block of omega.  The (r, residual) and fit
-series of the CSV outputs are computed only when asked for
-(:func:`decay_series`, :func:`fit_series`), not by :func:`verify_metric`.
-Per call, numpy's Python-level helpers stay off the check path: ndarray
-methods replace np.any and np.max, np.empty blocks filled by slices replace
-np.stack, np.broadcast_arrays runs only where shapes differ, and the fixed
-arrays are built once, on first use, read-only (:func:`_constants`).
+converts the exact monopole data to float arrays once, and a sample
+builds g, omega and J, and the three nonzero 2 x 2 blocks of omega and
+J, only when a check reads them.  numpy's Python-level helpers stay off
+the check path, and the fixed arrays are built once, read-only
+(:func:`_constants`).
 
-Steps.  Every check differences with one scheme: central differences
-at h and h/2, extrapolated once to (4 D(h/2) - D(h))/3.  It has truncation
-error of order h^4 and roundoff error of order eps/h for a first and
-eps/h^2 for a second derivative (eps = 2.2e-16, h measured against the
-length on which the function varies).  The total is least where the two
-balance, near h = eps^(1/5) ~ 7e-4 and eps^(1/6) ~ 2.5e-3 of that
-length; below it the result is roundoff, not a property of the metric.
-The steps of the monopole-system check (``H_MONOPOLE`` times x, a lower
-bound for the distance to the nearest pole) and of the scalar curvature
-(``H_CURVATURE``, relative in r and absolute in theta) sit at the
-measured minimum of their worst value over every coprime p < q <= 25.
-Both checks report, as an error estimate, how much their value at the
-worst point moves when the step is halved: :func:`verify_metric` runs
-the check on the whole batch at h, then once more on the worst point
-alone at h/2.  Halving a float is exact, so those are the points a
-stencil at h/4 around every sample would have shared with it, and only
-the one point whose value is read pays for them.
+Derivatives.  A check that differentiates evaluates its points once, as
+Taylor jets (Griewank and Walther, *Evaluating Derivatives*, ch. 13):
+:meth:`Jet.variables` makes the two evaluation coordinates, (x, y) or
+(r, theta), jets of order 1 (value and gradient) or 2 (and Hessian), and
+the frame code runs on them unchanged, so a derivative is the
+implemented formula differentiated, with no step and no truncation
+error.  Jets reach the formulas through operators and numpy's
+``__array_ufunc__`` protocol, by which np.sqrt, np.sin and np.cos of a
+jet call the jet's own rules, so every formula has one copy, written for
+floats, and no derivative of g, omega or J is derived by hand.  The
+checks then read roundoff, and the monopole-system and scalar-curvature
+details give its scale: eps times the magnitude of the terms that cancel
+in the check, at the worst point.
 """
 
 
@@ -160,12 +138,6 @@ TOL_CURVATURE = 1e-4
 TOL_FIT_RELATIVE = 0.01
 TOL_DECAY = 0.25
 
-# Finite-difference steps at the roundoff/truncation balance (module
-# docstring): relative to x for the monopole system, relative in r and
-# absolute in theta for the scalar curvature.
-H_MONOPOLE = 1e-3
-H_CURVATURE = 1e-2
-
 # Input bounds of verify_metric.  Batches hold samples x levels values
 # per array, and every HJ digit of p/q adds a level.
 MAX_SAMPLES = 10_000
@@ -203,9 +175,9 @@ class PolarPoint(namedtuple("PolarPoint", "r theta")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, r, theta):
-        if not (np.asarray(r) > 0).all():
+        if not (_value(r) > 0).all():
             raise ValueError(f"need r > 0, got r={r}")
-        angles = np.asarray(theta)
+        angles = _value(theta)
         if not ((angles > 0) & (angles < math.pi / 2)).all():
             raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
         return super().__new__(cls, r, theta)
@@ -229,6 +201,7 @@ class MetricSample:
     on first read too: ``omega_block`` (rows r, theta; columns t1, t2),
     ``J_upper`` (the same rows and columns of J) and ``J_lower`` (rows t1,
     t2; columns r, theta).  ``omega`` and ``J`` are assembled from them.
+    A sample at jet coordinates gives jets of g and of the three blocks.
     """
 
     def __init__(self, frame: FrameData, r, s, c):
@@ -236,19 +209,20 @@ class MetricSample:
         parts = (r, s, c, D, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
         self._parts = parts if r.shape == s.shape == D.shape else np.broadcast_arrays(*parts)
 
-    def __getitem__(self, index):
-        """The points at ``index`` of the batch, with no field built yet."""
+    def values(self):
+        """The sample at the value parts of jet coordinates, with no field built yet."""
         sample = object.__new__(MetricSample)
-        sample._parts = tuple(part[index] for part in self._parts)
+        sample._parts = tuple(_value(part) for part in self._parts)
         return sample
 
     @cached_property
     def g(self):
         r, s, c, D, v1x, v1y, v2x, v2y = self._parts
-        g = np.zeros(D.shape + (4, 4))
-        g[..., 0, 0] = D / (s * c)
-        g[..., 1, 1] = r * r * D / (s * c)
-        factor = r * r * s * c / D
+        rr, sc = r * r, s * c
+        g = _new_like(D, D.shape + (4, 4), np.zeros)
+        g[..., 0, 0] = D / sc
+        g[..., 1, 1] = rr * D / sc
+        factor = rr * s * c / D
         g[..., 2, 2] = factor * (v1y ** 2 + v2y ** 2)
         g[..., 3, 3] = factor * (v1x ** 2 + v2x ** 2)
         g[..., 2, 3] = g[..., 3, 2] = -factor * (v1x * v1y + v2x * v2y)
@@ -263,13 +237,14 @@ class MetricSample:
     def J_upper(self):
         r, s, c, D, v1x, v1y, v2x, v2y = self._parts
         # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
-        return _block(r * s * c * v2y / D, -r * s * c * v2x / D,
-                      -s * c * v1y / D, s * c * v1x / D)
+        rsc, sc = r * s * c, s * c
+        return _block(rsc * v2y / D, -(rsc * v2x / D), -(sc * v1y / D), sc * v1x / D)
 
     @cached_property
     def J_lower(self):
         r, s, c, _, v1x, v1y, v2x, v2y = self._parts
-        return _block(-v1x / (r * s * c), -v2x / (s * c), -v1y / (r * s * c), -v2y / (s * c))
+        rsc, sc = r * s * c, s * c
+        return _block(-v1x / rsc, -v2x / sc, -v1y / rsc, -v2y / sc)
 
     @cached_property
     def omega(self):
@@ -288,7 +263,7 @@ class MetricSample:
 
 def _block(m00, m01, m10, m11):
     """The 2 x 2 matrices [[m00, m01], [m10, m11]], shape S + (2, 2)."""
-    block = np.empty(m00.shape + (2, 2))
+    block = _new_like(m00, m00.shape + (2, 2), np.empty)
     block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1] = m00, m01, m10, m11
     return block
 
@@ -336,7 +311,7 @@ def as_numeric(data) -> NumericMonopole:
 
 def from_polar(p: PolarPoint):
     """Half-space coordinates (x, y) = r^-2 (sin 2theta, cos 2theta)."""
-    rho = np.asarray(p.r, dtype=float) ** -2.0
+    rho = _real(p.r) ** -2.0
     return rho * np.sin(2 * p.theta), rho * np.cos(2 * p.theta)
 
 
@@ -348,17 +323,17 @@ def v_eval(data, x, y) -> FrameData:
     limit of the finite formula).
     """
     data = as_numeric(data)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = _real(x), _real(y)
     x, y = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
-    if not (x > 0).all():
-        raise ValueError(f"need x > 0, got {x}")
+    if not (_value(x) > 0).all():
+        raise ValueError(f"need x > 0, got {_value(x)}")
     dy = y[..., None] - data.levels
     f = np.sqrt((x * x)[..., None] + dy * dy)
-    # The level weights of v_2 and of v_1 / (x/2), dy/f and 1/f, made in
-    # place and each summed against the charges as one (S, m) @ (m, 2)
-    # product.  Halving is exact, so (dy/f)/2 has the bits of dy/(2f).
+    # The level weights of v_2 and of v_1 / (x/2), dy/f and 1/f, each
+    # summed against the charges as one (S, m) @ (m, 2) product.  Halving
+    # is exact, so (dy/f)/2 has the bits of dy/(2f).
     dy /= f
-    np.divide(1.0, f, out=f)
+    f = 1.0 / f
     v1 = (x / 2)[..., None] * (f @ data.pairs)
     v2 = (dy @ data.pairs) / 2 + data.v2_const
     det = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
@@ -376,13 +351,13 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     data = as_numeric(data)
     s, c = np.sin(p.theta), np.cos(p.theta)
     frame = v_eval(data, *from_polar(p))
-    D = frame.det
+    D = _value(frame.det)
     if (D <= 0).any():
         i = np.unravel_index(np.argmax(D <= 0), D.shape)
-        r0, t0 = (float(np.broadcast_to(v, D.shape)[i]) for v in (p.r, p.theta))
+        r0, t0 = (float(np.broadcast_to(_value(v), D.shape)[i]) for v in (p.r, p.theta))
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
                          f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
-    return MetricSample(frame, np.asarray(p.r, dtype=float), s, c)
+    return MetricSample(frame, _real(p.r), s, c)
 
 
 def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
@@ -400,8 +375,7 @@ def _constants():
     flat = as_numeric(flat_monopole())
     const = types.SimpleNamespace(
         fit_radii=np.geomspace(10.0, 1000.0, 25), fit_thetas=np.linspace(0.3, math.pi / 2 - 0.3, 5),
-        potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7),
-        offsets=np.array(_OFFSETS, dtype=float).T, halvings=0.5 ** np.arange(2.0), eye4=np.eye(4))
+        potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7), eye4=np.eye(4))
     for array in (*vars(const).values(), flat.levels, flat.pairs, flat.v2_const):
         array.flags.writeable = False
     const.flat = flat
@@ -409,151 +383,229 @@ def _constants():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
-#
-# ``u0``, ``u1`` and the steps are scalars or arrays broadcasting to the
-# batch shape S.  A stencil is one call of ``fn`` at all its points,
-# stacked along a new leading axis of length K with the centre first, so
-# ``fn`` maps arrays of shape (K,) + S to values of shape (K,) + S + T.
+# Taylor jets
 
 
-# Displacements of a stencil's points from the centre, in units of the
-# step; the last four, the corners, serve the mixed derivative only.
-_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+class Jet:
+    """A function of two coordinates and its partial derivatives, on a batch.
 
-
-def stencil(fn, u0, u1, h0, h1, second: bool = False) -> dict:
-    """Central differences of ``fn`` in both coordinates from one call.
-
-    Every difference is taken at the steps (h0, h1) and (h0/2, h1/2) and
-    extrapolated once, (4 fine - coarse)/3, which cancels the h^2 term
-    of its error.  The points are the centre and, at each step, u0 +- h0
-    and u1 +- h1; ``second`` adds the four corners (u0 +- h0, u1 +- h1).
-    Returns the centre value "f" and the derivatives "d0" and "d1", and
-    with ``second`` also "d00", "d11" and "d01", each of shape S + T.
+    ``value`` has the value's shape V; ``parts``, of shape (2,) + V at order
+    1 and (6,) + V at order 2, holds the gradient and then the Hessian rows.
+    Each operation applies the sum, product, quotient or chain rule to all
+    the parts in a few numpy calls, and computes the value part with the
+    float operation itself.  A jet stands first in each operation, or after
+    a Python number; both jets of an operation have one order.
     """
-    u0, u1, h0, h1 = (np.asarray(v, dtype=float) for v in (u0, u1, h0, h1))
-    if not u0.shape == u1.shape == np.broadcast(u0, u1, h0, h1).shape:  # steps may be scalars
-        u0, u1, h0, h1 = np.broadcast_arrays(u0, u1, h0, h1)
-    batch = (1,) * u0.ndim
-    # Displacements on the axes (step, offset) + S: each offset at h and h/2.
-    halvings = _constants().halvings.reshape((2, 1) + batch)
-    signs = _constants().offsets[:, : 8 if second else 4].reshape((2, 1, -1) + batch)
-    a0, a1 = h0 * halvings, h1 * halvings
-    values = fn(*(np.concatenate([u[None], (u + sign * a).reshape((-1,) + u.shape)])
-                  for u, sign, a in ((u0, signs[0], a0), (u1, signs[1], a1))))
-    f0 = values[0]
-    at_step = values[1:].reshape((2, signs.shape[2]) + f0.shape)
-    per_point = (slice(None), 0, ...) + (None,) * (f0.ndim - u0.ndim)  # a step per point
 
-    def extrapolate(diff, step):
-        """diff(values) / step(steps) at h and h/2, extrapolated to h = 0."""
-        d = diff(at_step) / step(a0, a1)[per_point]
-        return (4.0 * d[1] - d[0]) / 3.0
+    __slots__ = ("value", "parts")
+    shape = property(lambda self: self.value.shape)
+    grad = property(lambda self: self.parts[:2])
 
-    out = {"f": f0,
-           "d0": extrapolate(lambda f: f[:, 0] - f[:, 1], lambda a0, a1: 2 * a0),
-           "d1": extrapolate(lambda f: f[:, 2] - f[:, 3], lambda a0, a1: 2 * a1)}
-    if second:
-        out["d00"] = extrapolate(lambda f: f[:, 0] - 2 * f0 + f[:, 1], lambda a0, a1: a0 * a0)
-        out["d11"] = extrapolate(lambda f: f[:, 2] - 2 * f0 + f[:, 3], lambda a0, a1: a1 * a1)
-        out["d01"] = extrapolate(lambda f: f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7],
-                                 lambda a0, a1: 4 * a0 * a1)
-    return out
+    def __init__(self, value, parts):
+        self.value, self.parts = value, parts
+
+    @classmethod
+    def variables(cls, u0, u1, order: int = 1):
+        """The coordinates as jets of ``order`` (1 or 2) at the points (u0, u1)."""
+        u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+        u0, u1 = (u0, u1) if u0.shape == u1.shape else np.broadcast_arrays(u0, u1)
+        parts = np.zeros((2, 2 if order == 1 else 6) + u0.shape)
+        parts[0, 0] = parts[1, 1] = 1.0
+        return cls(u0, parts[0]), cls(u1, parts[1])
+
+    def _padded(self, ndim: int):
+        """``parts`` with batch axes in front up to ``ndim``, so that it broadcasts."""
+        pad, parts = ndim - self.value.ndim, self.parts
+        return parts.reshape(parts.shape[:1] + (1,) * pad + parts.shape[1:]) if pad else parts
+
+    def _chain(self, value, d1, d2):
+        """phi(self), from the value of phi and phi', phi'' at this jet's value."""
+        inner = self._padded(value.ndim)
+        parts = d1 * inner
+        if len(parts) > 2:
+            parts[2:] += 0.5 * d2 * _symmetric(inner, inner)
+        return Jet(value, parts)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            value = self.value + other.value
+            return Jet(value, self._padded(value.ndim) + other._padded(value.ndim))
+        value = self.value + other
+        parts = self._padded(value.ndim)  # an array constant may widen the value
+        return Jet(value, parts if value.shape == self.value.shape
+                   else np.broadcast_to(parts, parts.shape[:1] + value.shape))
+
+    __neg__ = lambda self: Jet(-self.value, -self.parts)
+    __sub__ = lambda self, other: self + -other  # x - y and x + (-y) round alike
+    __matmul__ = lambda self, matrix: Jet(self.value @ matrix, self.parts @ matrix)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            value = self.value * other
+            return Jet(value, self._padded(value.ndim) * other)
+        value = self.value * other.value
+        a, b = self._padded(value.ndim), other._padded(value.ndim)
+        parts = a * other.value + self.value * b
+        if len(parts) > 2:
+            parts[2:] += _symmetric(a, b)
+        return Jet(value, parts)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            value = self.value / other
+            return Jet(value, self._padded(value.ndim) / other)
+        # q = a/b from a = q b: q' = (a' - q b')/b and q'' = (a'' - q b'' - sym(q' b'))/b.
+        value = self.value / other.value
+        b = other._padded(value.ndim)
+        parts = (self._padded(value.ndim) - value * b) / other.value
+        if len(parts) > 2:
+            parts[2:] -= _symmetric(parts, b) / other.value
+        return Jet(value, parts)
+
+    def __rtruediv__(self, other):
+        value = other / self.value
+        d1 = -value / self.value
+        return self._chain(value, d1, -2.0 * d1 / self.value)
+
+    def __pow__(self, p):
+        u = self.value
+        return self._chain(u ** p, p * u ** (p - 1), p * (p - 1) * u ** (p - 2))
+
+    def __getitem__(self, index):
+        index = index if isinstance(index, tuple) else (index,)
+        return Jet(self.value[index], self.parts[(slice(None),) + index])
+
+    def __setitem__(self, index, item):
+        index = index if isinstance(index, tuple) else (index,)
+        self.value[index], self.parts[(slice(None),) + index] = item.value, item.parts
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """np.sqrt, np.sin or np.cos of a jet; any other ufunc refuses a jet."""
+        rule = _JET_RULES.get(ufunc.__name__)
+        if method != "__call__" or kwargs or len(inputs) != 1 or rule is None:
+            return NotImplemented
+        value = ufunc(self.value)
+        return self._chain(value, *rule(self.value, value))
+
+
+# phi' and phi'' of the ufuncs a jet takes, from u and the value v = phi(u).
+_JET_RULES = {"sqrt": lambda u, v: (0.5 / v, -0.25 / (v * u)),
+              "sin": lambda u, v: (np.cos(u), -v),
+              "cos": lambda u, v: (-np.sin(u), -v)}
+
+
+def _symmetric(a, b):
+    """a_i b_j + a_j b_i from the gradients of two parts arrays, as Hessian rows (4,) + V."""
+    product = a[:2, None] * b[None, :2]
+    return (product + product.swapaxes(0, 1)).reshape((4,) + product.shape[2:])
+
+
+def _new_like(like, shape, make):
+    """``make(shape)`` (np.zeros or np.empty), or a jet of such arrays if ``like`` is one."""
+    if isinstance(like, Jet):
+        return Jet(make(shape), make(like.parts.shape[:1] + shape))
+    return make(shape)
+
+
+def _value(u):
+    """The value part of a jet, or ``u`` as an array."""
+    return u.value if isinstance(u, Jet) else np.asarray(u)
+
+
+def _real(u):
+    """A jet as it is, anything else as a float array."""
+    return u if isinstance(u, Jet) else np.asarray(u, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # verification checks
 
 
-def monopole_residual(data, x, y, h=1e-3):
-    """Finite-difference residual of the defining linear system at (x, y).
+class Residual(namedtuple("Residual", "value terms")):
+    """A check's value at each point and the magnitude of the terms that cancel in it.
 
-    Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1
-    with central differences of :func:`v_eval`.  Returns the largest
-    component per point; ``h`` may also be one step per point.
+    eps times ``terms`` is the scale of the value's roundoff.
+    """
+
+    __slots__ = ()
+
+
+def monopole_residual(data, x, y) -> Residual:
+    """Residual of the defining linear system at (x, y), from jets of :func:`v_eval`.
+
+    Checks d(v_1)/dy - d(v_2)/dx and x d(v_1)/dx + x d(v_2)/dy - v_1,
+    with first-order jets in (x, y).  The value is the largest component
+    at each point, and the terms the largest sum of magnitudes.
     """
     data = as_numeric(data)
-    v_pair = lambda xx, yy: np.concatenate(v_eval(data, xx, yy)[:2], axis=-1)  # S + (4,)
-    st = stencil(v_pair, x, y, h, h)
-    dx, dy, v1 = st["d0"], st["d1"], st["f"][..., :2]
-    xs = np.asarray(x, dtype=float)[..., None]
-    res1 = dy[..., :2] - dx[..., 2:]
-    res2 = xs * dx[..., :2] + xs * dy[..., 2:] - v1
-    return np.maximum(np.abs(res1).max(axis=-1), np.abs(res2).max(axis=-1))
+    jx, jy = Jet.variables(x, y)
+    frame = v_eval(data, jx, jy)
+    v1, (v1_x, v1_y), (v2_x, v2_y) = frame.v1.value, frame.v1.grad, frame.v2.grad
+    xs = jx.value[..., None]
+    res1, terms1 = v1_y - v2_x, np.abs(v1_y) + np.abs(v2_x)
+    res2 = xs * v1_x + xs * v2_y - v1
+    terms2 = np.abs(xs * v1_x) + np.abs(xs * v2_y) + np.abs(v1)
+    return Residual(np.maximum(np.abs(res1).max(axis=-1), np.abs(res2).max(axis=-1)),
+                    np.maximum(terms1.max(axis=-1), terms2.max(axis=-1)))
 
 
-def kahler_residual(data, p: PolarPoint, h: float = 1e-3) -> dict:
-    """Maximum relative FD residual of d(omega) = 0 and d(J dt) = 0.
+def kahler_residual(data, p: PolarPoint) -> dict:
+    """Maximum relative residual of d(omega) = 0 and d(J dt) = 0.
 
     omega has components only in dr^dt_i and dtheta^dt_i depending on
     (r, theta), so d(omega) reduces to dr(omega_{theta t_i}) -
     dtheta(omega_{r t_i}); similarly d(J dt_i) reduces to one dr^dtheta
-    coefficient per i.  Residuals are normalised by the magnitudes of
-    the cancelling terms, worst over the points of ``p``.
-
-    Raises
-    ------
-    ValueError
-        If a step would leave the valid theta range for some point.
+    coefficient per i, dr((J dt_i)_theta) - dtheta((J dt_i)_r), where
+    (J dt_i)_j = -J[t_i, j].  The derivatives come from first-order jets
+    in (r, theta).  Residuals are normalised by the magnitudes of the
+    cancelling terms, worst over the points of ``p``.
     """
     data = as_numeric(data)
-    r, theta = np.asarray(p.r, dtype=float), np.asarray(p.theta, dtype=float)
-    bad = (theta <= h) | (theta >= math.pi / 2 - h)
-    if bad.any():
-        raise ValueError(f"step {h} too large for theta={theta[bad][0]}")
+    sample = metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta)))
+    omega, J = sample.omega_block, sample.J_lower
 
-    def fields(rr, th):
-        """omega_{r t_i}, omega_{theta t_i}, (J dt_i)_r, (J dt_i)_theta."""
-        sample = metric_at(data, PolarPoint(rr, th))
-        return np.concatenate([sample.omega_block, -sample.J_lower.swapaxes(-1, -2)], axis=-2)
-
-    st = stencil(fields, r, theta, h * np.maximum(r, 1.0), h)
-    d_r, d_th, f0 = st["d0"], st["d1"], st["f"]
-
-    def worst(dr_of, dth_of):
+    def worst(along_r, along_theta):
         # Normalise by the cancelling terms, falling back to the field
         # magnitudes when both derivatives vanish identically (as they
         # do for the flat datum).
-        t1, t2 = d_r[..., dr_of, :], d_th[..., dth_of, :]
-        scale = np.maximum(np.maximum(np.abs(t1) + np.abs(t2), np.abs(f0[..., dr_of, :])),
-                           np.abs(f0[..., dth_of, :]))
+        t1, t2 = along_r.grad[0], along_theta.grad[1]
+        scale = np.maximum(np.maximum(np.abs(t1) + np.abs(t2), np.abs(along_r.value)),
+                           np.abs(along_theta.value))
         return float((np.abs(t1 - t2) / np.maximum(scale, 1e-12)).max())
 
-    return {"max_domega": worst(1, 0), "max_dintegrability": worst(3, 2)}
+    return {"max_domega": worst(omega[..., 1, :], omega[..., 0, :]),
+            "max_dintegrability": worst(J[..., :, 1], J[..., :, 0])}
 
 
-def scalar_curvature_at(data, p: PolarPoint, h_scale=H_CURVATURE):
-    """Scalar curvature from second differences of the metric.
+def scalar_curvature_at(data, p: PolarPoint) -> Residual:
+    """Scalar curvature from a second-order jet of the metric in (r, theta).
 
     The metric depends only on (r, theta); the torus directions are
     Killing, so all derivatives are taken in the first two coordinates.
-    The steps are ``h_scale`` times max(r, 1) in r and ``h_scale`` in theta,
-    one per point if ``h_scale`` is an array.  One value per point of ``p``.
+    One value per point of ``p``.
     """
     data = as_numeric(data)
-    fn = lambda r, theta: metric_at(data, PolarPoint(r, theta)).g
-    r = np.asarray(p.r, dtype=float)
-    return scalar_curvature_generic(fn, r, p.theta, h_scale * np.maximum(r, 1.0), h_scale)
+    return scalar_curvature_generic(
+        metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta, order=2))).g)
 
 
-def scalar_curvature_generic(metric_fn, u0, u1, h0, h1):
+def scalar_curvature_generic(g: Jet) -> Residual:
     """Scalar curvature of a metric depending on its first two coordinates.
 
-    ``metric_fn(u0, u1)`` returns the full n x n metric, with the axes of
-    (u0, u1) in front; it is called once, on arrays with an extra leading
-    stencil axis (module docstring).  Derivatives along the remaining
-    coordinates are taken to vanish, so each derivative axis has length 2:
-    d_e g and d_e Gamma for e < 2, d_e d_f g for e, f < 2.
+    ``g`` is a second-order jet of the n x n metric in those coordinates,
+    value shape S + (n, n).  Derivatives along the remaining coordinates
+    are taken to vanish, so each derivative axis has length 2: d_e g and
+    d_e Gamma for e < 2, d_e d_f g for e, f < 2.  The terms are the four
+    Ricci terms' magnitudes, contracted with |g^-1|.
     """
-    st = stencil(metric_fn, u0, u1, h0, h1, second=True)
-    g = st["f"]
-    n = g.shape[-1]
-    ginv = np.linalg.inv(g)
-    # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2.
-    derivs = np.empty(g.shape[:-2] + (3, 2) + g.shape[-2:])
-    for k, (a, b) in enumerate((("d0", "d1"), ("d00", "d01"), ("d01", "d11"))):
-        derivs[..., k, 0, :, :], derivs[..., k, 1, :, :] = st[a], st[b]
+    metric = g.value
+    n = metric.shape[-1]
+    ginv = np.linalg.inv(metric)
+    # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2:
+    # the jet's parts, gradient then Hessian rows, behind the batch axes.
+    derivs = np.moveaxis(g.parts.reshape((3, 2) + metric.shape), (0, 1), (-4, -3))
     dg = derivs[..., 0, :, :, :]
 
     # term[..., k, d, bc] = (d_b g_dc + d_c g_db - d_d g_bc) / 2 and its derivatives,
@@ -568,16 +620,25 @@ def scalar_curvature_generic(metric_fn, u0, u1, h0, h1):
     dgamma = ginv[..., None, :, :] @ (term[..., 1:, :, :] - dg @ gamma[..., None, :, :])
     dgamma = dgamma.reshape(dg.shape + (n,))
 
-    # ric[n, s] = R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms}
-    #                      + Gamma^m_{ml} Gamma^l_{ns} - Gamma^m_{nl} Gamma^l_{ms},
+    # R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms} + Gamma^m_{ml} Gamma^l_{ns}
+    #          - Gamma^m_{nl} Gamma^l_{ms},
     # and swap[x, y, z] = Gamma^y_{xz} makes the last term one matrix product.
-    swap = gamma.reshape(g.shape + (n,)).swapaxes(-3, -2)
-    ric = (swap.trace(axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(g.shape)
-    ric -= swap.reshape(g.shape[:-1] + (n * n,)) @ swap.reshape(g.shape[:-2] + (n * n, n))
-    ric += dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
-    ric[..., :2, :] -= dgamma.trace(axis1=-3, axis2=-2)
+    swap = gamma.reshape(metric.shape + (n,)).swapaxes(-3, -2)
+    # The four terms in order, the second only in the rows n < 2.
+    divergence = dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
+    gradient = dgamma.trace(axis1=-3, axis2=-2)
+    contracted = (swap.trace(axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(metric.shape)
+    crossed = swap.reshape(metric.shape[:-1] + (n * n,)) @ swap.reshape(
+        metric.shape[:-2] + (n * n, n))
+    ric = contracted - crossed
+    ric += divergence
+    ric[..., :2, :] -= gradient
+    terms = np.abs(divergence) + np.abs(contracted) + np.abs(crossed)
+    terms[..., :2, :] += np.abs(gradient)
     # einsum sums in an order set by its operands' strides; C order fixes it.
-    return np.einsum("...ab,...ba->...", np.ascontiguousarray(ginv), np.ascontiguousarray(ric))
+    ginv = np.ascontiguousarray(ginv)
+    return Residual(np.einsum("...ab,...ba->...", ginv, np.ascontiguousarray(ric)),
+                    np.einsum("...ab,...ba->...", np.abs(ginv), terms))
 
 
 def _fit_grid(data, r_samples, theta_samples):
@@ -617,39 +678,33 @@ def potential_residual(data, r):
 
     f is the analytic asymptotic potential built from the exact log
     coefficients of the data, J df = f_r J dr + f_theta J dtheta is taken
-    from :func:`metric_at`, and its exterior derivative by finite
-    differences.  The norm is the metric norm of the 2-form, so the
+    from :func:`metric_at`, and its exterior derivative from first-order
+    jets in (r, theta).  The norm is the metric norm of the 2-form, so the
     expected decay is r^-4.  ``r`` is a radius or an array of them; all
-    radii and seven thetas across the interior form one batch.  The metric
-    is evaluated once, at the stencil's points; g and the block of omega
-    are read at its centres only, and the stencil differences the two
-    torus components of J df alone (the others vanish).
+    radii and seven thetas across the interior form one batch, evaluated
+    once.  g and the block of omega are read at the value parts, and only
+    the two torus components of J df are differentiated (the others
+    vanish).
     """
     data = as_numeric(data)
     theta_samples = _constants().potential_thetas
     a, b = float(data.exact.a), float(data.exact.b)
     q = data.source.pq()[1]
-    rr, th = np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], theta_samples)
-    evaluated = []
-
-    def jdf(rad, theta):
-        """The (t1, t2) components of J df = f_r J dr + f_theta J dtheta.
-
-        J dx^i has components -J[..., i, :], and its (r, theta) ones vanish.
-        """
-        evaluated.append(metric_at(data, PolarPoint(rad, theta)))
-        J = evaluated[-1].J_upper
-        f_r = q * (rad / 2 + (a + b) / (2 * rad))
-        f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
-        return -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
-
-    st = stencil(jdf, rr, th, 1e-3 * np.maximum(rr, 1.0), 1e-3)
-    centre = evaluated[0][0]  # the stencil's first point is its centre
-    R = np.zeros(rr.shape + (4, 4))
-    omega = centre.omega_block
-    R[..., 0, 2:], R[..., 1, 2:] = omega[..., 0, :] - st["d0"], omega[..., 1, :] - st["d1"]
+    rad, theta = Jet.variables(*np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
+                                                    theta_samples))
+    sample = metric_at(data, PolarPoint(rad, theta))
+    # The (t1, t2) components of J df: J dx^i has components -J[..., i, :],
+    # and its (r, theta) ones vanish.
+    J = sample.J_upper
+    f_r = q * (rad / 2 + (a + b) / (2 * rad))
+    f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
+    jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
+    plain = sample.values()
+    R = np.zeros(rad.shape + (4, 4))
+    omega = plain.omega_block
+    R[..., 0, 2:], R[..., 1, 2:] = omega[..., 0, :] - jdf.grad[0], omega[..., 1, :] - jdf.grad[1]
     R -= R.swapaxes(-1, -2)
-    return form2_norm(R, centre.g).max(axis=-1)
+    return form2_norm(R, plain.g).max(axis=-1)
 
 
 def form2_norm(R: np.ndarray, g: np.ndarray):
@@ -732,6 +787,14 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
 
 
+def _worst_point_check(name: str, residual: Residual, tolerance: float) -> CheckResult:
+    """The check of the largest |value|, with eps times its cancelling terms as the detail."""
+    i = int(np.abs(residual.value).argmax())
+    worst = float(abs(residual.value[i]))
+    return CheckResult(name, worst, tolerance, worst < tolerance,
+                       detail=f"roundoff scale {sys.float_info.epsilon * residual.terms[i]:.2e}")
+
+
 def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                   seed: int = 0) -> VerificationReport:
     """Run the full verification battery for the (p, q) metric.
@@ -746,13 +809,15 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     Raises
     ------
     TypeError
-        If ``samples`` or ``seed`` is not an integer (a bool is refused).
+        If ``p``, ``q``, ``samples`` or ``seed`` is not an integer (a bool
+        is refused).
     ValueError
         If ``samples`` is below 1 or above ``MAX_SAMPLES``, if ``seed`` is
         negative, if q exceeds ``MAX_Q`` or p/q needs more than
         ``MAX_LEVELS`` levels, if the levels do not fit the chain, or if a
         finite level or the exact a, b or mu has no finite float.
     """
+    p, q = integer_field(p, "p"), integer_field(q, "q")
     samples = integer_field(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -793,16 +858,9 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks.append(CheckResult("determinant-positive", min_det, 0.0, min_det > 0.0,
                                   detail="minimum of <v1,v2> over samples"))
 
-        # Monopole system residual (finite differences, independent route).
-        # The error estimate is how much the worst point's residual moves
-        # when its step is halved: one more call, on that point alone.
-        x, y = from_polar(_head(points, 50))
-        residuals = monopole_residual(num, x, y, h=H_MONOPOLE * x)
-        i = int(residuals.argmax())
-        worst = float(residuals[i])
-        halved = monopole_residual(num, x[i], y[i], h=H_MONOPOLE * x[i] / 2)
-        checks.append(CheckResult("monopole-system", worst, TOL_MONOPOLE, worst < TOL_MONOPOLE,
-                                  detail=f"step-halving change {abs(halved - worst):.2e}"))
+        # Monopole system residual, from jets (an independent route).
+        checks.append(_worst_point_check(
+            "monopole-system", monopole_residual(num, *from_polar(_head(points, 50))), TOL_MONOPOLE))
 
         # Algebraic invariants of each sample.
         worst = float(invariant_residual(metric_at(num, _head(points, 100))).max())
@@ -815,14 +873,10 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
                                   TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
 
-        # Scalar flatness, with the same error estimate as the monopole system.
-        curvature = scalar_curvature_at(num, _head(points, CURVATURE_POINTS))
-        i = int(np.abs(curvature).argmax())
-        worst = float(abs(curvature[i]))
-        halved = scalar_curvature_at(num, PolarPoint(points.r[i], points.theta[i]),
-                                     h_scale=H_CURVATURE / 2)
-        checks.append(CheckResult("scalar-curvature", worst, TOL_CURVATURE, worst < TOL_CURVATURE,
-                                  detail=f"step-halving change {abs(halved - curvature[i]):.2e}"))
+        # Scalar flatness.
+        checks.append(_worst_point_check(
+            "scalar-curvature", scalar_curvature_at(num, _head(points, CURVATURE_POINTS)),
+            TOL_CURVATURE))
 
         # Asymptotic fit against the exact coefficients.
         fit = fit_log_coeffs(num, _constants().fit_radii, _constants().fit_thetas)

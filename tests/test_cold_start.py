@@ -23,18 +23,20 @@ ROOT = Path(__file__).resolve().parent.parent
 FOUR_POINTS = str(ROOT / "fixtures" / "sphere_four_points.json")
 NUMPY_RAN = 'any(m in sys.modules for m in ("numpy._core", "numpy.core"))'
 
-# Recorded while metricnum still imported numpy at module level.
+# Recorded while metricnum still imported numpy at module level; the lines of
+# the checks that differentiate were re-recorded when Taylor jets replaced
+# finite differences.
 METRIC_VERIFY_1_2 = """\
 metric verification for 1/2   (version 0.1.0, seed 0, samples 10)
 levels: 2 > 1 > 0
 exact a = -3/4, b = 3/4, mu = 0
   PASS  flat-model-exactness     value 3.090e-16  tolerance 1.000e-12
   PASS  determinant-positive     value 3.541e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
-  PASS  monopole-system          value 8.045e-12  tolerance 1.000e-08   [step-halving change 1.82e-12]
+  PASS  monopole-system          value 1.776e-15  tolerance 1.000e-08   [roundoff scale 4.54e-15]
   PASS  metric-invariants        value 6.694e-16  tolerance 1.000e-10
-  PASS  domega-residual          value 2.852e-13  tolerance 1.000e-06
-  PASS  integrability-residual   value 9.209e-13  tolerance 1.000e-06
-  PASS  scalar-curvature         value 3.688e-09  tolerance 1.000e-04   [step-halving change 3.52e-09]
+  PASS  domega-residual          value 1.577e-16  tolerance 1.000e-06
+  PASS  integrability-residual   value 5.277e-16  tolerance 1.000e-06
+  PASS  scalar-curvature         value 2.379e-15  tolerance 1.000e-04   [roundoff scale 6.25e-15]
   PASS  asymptotic-fit           value 1.653e-06  tolerance 1.000e-02   [a_fit=-0.750002 b_fit=0.750002]
   PASS  potential-decay          value 1.480e-03  tolerance 2.500e-01   [residuals=['0.000124', '7.75e-06', '4.84e-07']]
   PASS  mass-sign                value 0.000e+00  tolerance 0.000e+00   [mu_fit=4.55078e-08 mu_exact=0]

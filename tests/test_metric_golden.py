@@ -40,6 +40,31 @@ all at 16 or more levels, and this is the only golden one.
 The series moved out of the report, and the decay check now runs
 potential_residual on its three radii alone, not in one batch with the
 twelve series radii: every check value and series entry kept its bits.
+
+A fourth intended change: Taylor jets replaced the finite-difference
+stencil, so every value of a check that differentiates was re-recorded,
+and every other check kept its bits (flat-model-exactness,
+determinant-positive, metric-invariants, asymptotic-fit, mass-sign, with
+their details), and no check changed pass/fail.  The moved entries, at
+every golden fraction and in the two CLI goldens:
+
+- monopole-system value, and its detail, now "roundoff scale ..." in
+  place of "step-halving change ...": 1/2 1.12e-11 -> 3.55e-15, 4/9
+  8.08e-11 -> 1.42e-14, 13/14 2.61e-10 -> 2.84e-14, 17/21 2.57e-10 ->
+  2.84e-14, 21/22 2.43e-10 -> 5.68e-14, 79/163 4.86e-9 -> 4.55e-13,
+  161/183 1.43e-9 -> 4.55e-13;
+- domega-residual value, 6.2e-13..5.3e-12 -> 3.6e-16..4.7e-16;
+- integrability-residual value, 1.5e-12..1.7e-11 -> 4.9e-15..6.9e-15;
+- scalar-curvature value and its detail, as for monopole-system: 1/2
+  1.01e-7 -> 2.66e-13, 4/9 1.86e-9 -> 1.90e-12, 13/14 1.28e-8 ->
+  6.64e-12, 17/21 3.80e-8 -> 1.51e-11, 21/22 2.08e-8 -> 1.63e-11,
+  79/163 3.68e-8 -> 2.56e-11, 161/183 3.21e-7 -> 3.04e-10;
+- potential-decay value (its detail kept its three digits), by at most
+  0.3 % (13/14, 5.643e-3 -> 5.660e-3);
+- every decay_series entry, by at most 1.6 % (21/22 at r = 160) and
+  0.05 % or less at 1/2 and 4/9: the series lost the differencing error.
+
+Every true value but potential-decay's is 0, and each now reads roundoff.
 """
 
 import ast
@@ -65,36 +90,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 0.17611728871718316, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 1.1169731806148775e-11, 1e-08, True,
-             'step-halving change 2.13e-12'),
+            ('monopole-system', 3.552713678800501e-15, 1e-08, True,
+             'roundoff scale 3.31e-15'),
             ('metric-invariants', 4.199502420296989e-15, 1e-10, True,
              ''),
-            ('domega-residual', 5.322034563698711e-12, 1e-06, True,
+            ('domega-residual', 3.313125572882375e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 1.7351481130759017e-11, 1e-06, True,
+            ('integrability-residual', 5.147484364359507e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 1.007715206276397e-07, 0.0001, True,
-             'step-halving change 9.57e-08'),
+            ('scalar-curvature', 2.69468961451788e-13, 0.0001, True,
+             'roundoff scale 4.95e-14'),
             ('asymptotic-fit', 1.6527547725964098e-06, 0.01, True,
              'a_fit=-0.750002 b_fit=0.750002'),
-            ('potential-decay', 0.00148021849143265, 0.25, True,
+            ('potential-decay', 0.001480125021001144, 0.25, True,
              "residuals=['0.000124', '7.75e-06', '4.84e-07']"),
             ('mass-sign', 0.0, 0.0, True,
              'mu_fit=4.55078e-08 mu_exact=0'),
         ),
         "decay_series": (
-            (5.0, 0.001998755682796765),
-            (6.85175492360062, 0.0005646392666053362),
-            (9.389309106617063, 0.00015980018117579904),
-            (12.866648980094318, 4.526823974340038e-05),
-            (17.631825099920427, 1.2829940201297512e-05),
-            (24.16178888808895, 3.637218157235652e-06),
-            (33.11013119539244, 1.0312728182627518e-06),
-            (45.37250088781852, 2.92419842762054e-07),
-            (62.176251270836794, 8.292037244085168e-08),
-            (85.20328715519705, 2.3513950279173882e-08),
-            (116.75840845451575, 6.668971788987409e-09),
-            (160.0, 1.89184972952734e-09),
+            (5.0, 0.0019987556815723286),
+            (6.85175492360062, 0.0005646392676581661),
+            (9.389309106617063, 0.00015980018234868686),
+            (12.866648980094318, 4.526823824376805e-05),
+            (17.631825099920427, 1.2829941943127681e-05),
+            (24.16178888808895, 3.6372164630706275e-06),
+            (33.11013119539244, 1.0312730876576547e-06),
+            (45.37250088781852, 2.924220646704361e-07),
+            (62.176251270836794, 8.292081139960519e-08),
+            (85.20328715519705, 2.3513984613688552e-08),
+            (116.75840845451575, 6.6679654302036955e-09),
+            (160.0, 1.8908628790143827e-09),
         ),
     },
     (4, 9): {
@@ -103,36 +128,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 0.8566552084046225, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 8.0849105188463e-11, 1e-08, True,
-             'step-halving change 3.83e-11'),
+            ('monopole-system', 1.4210854715202004e-14, 1e-08, True,
+             'roundoff scale 1.49e-14'),
             ('metric-invariants', 1.4318838746535028e-14, 1e-10, True,
              ''),
-            ('domega-residual', 1.6340114316760924e-12, 1e-06, True,
+            ('domega-residual', 4.0845086054960615e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 4.483048239538042e-12, 1e-06, True,
+            ('integrability-residual', 5.170253215798867e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 1.8605936999427364e-09, 0.0001, True,
-             'step-halving change 6.30e-09'),
+            ('scalar-curvature', 1.9277218710200827e-12, 0.0001, True,
+             'roundoff scale 1.51e-13'),
             ('asymptotic-fit', 8.114306722095677e-07, 0.01, True,
              'a_fit=-0.485186 b_fit=0.342593'),
-            ('potential-decay', 0.0034416626674484974, 0.25, True,
+            ('potential-decay', 0.0034414855697759705, 0.25, True,
              "residuals=['7.73e-05', '4.85e-06', '3.03e-07']"),
             ('mass-sign', -1.0, -1.0, True,
              'mu_fit=-0.142592 mu_exact=-0.142593'),
         ),
         "decay_series": (
-            (5.0, 0.0012207720989765498),
-            (6.85175492360062, 0.00034906283100639664),
-            (9.389309106617063, 9.943280873469668e-05),
-            (12.866648980094318, 2.8265310282987412e-05),
-            (17.631825099920427, 8.025821941309574e-06),
-            (24.16178888808895, 2.2775246150024833e-06),
-            (33.11013119539244, 6.460945718223505e-07),
-            (45.37250088781852, 1.8325500503199585e-07),
-            (62.176251270836794, 5.197249262404902e-08),
-            (85.20328715519705, 1.4738128523268552e-08),
-            (116.75840845451575, 4.1808555618495085e-09),
-            (160.0, 1.1854437049553826e-09),
+            (5.0, 0.001220772097818821),
+            (6.85175492360062, 0.00034906283105263814),
+            (9.389309106617063, 9.943280847717924e-05),
+            (12.866648980094318, 2.8265310348885823e-05),
+            (17.631825099920427, 8.025822150434392e-06),
+            (24.16178888808895, 2.277524235760857e-06),
+            (33.11013119539244, 6.460946600799624e-07),
+            (45.37250088781852, 1.8325438764184875e-07),
+            (62.176251270836794, 5.197238696487675e-08),
+            (85.20328715519705, 1.473905573669607e-08),
+            (116.75840845451575, 4.1797979108126354e-09),
+            (160.0, 1.1853180469552203e-09),
         ),
     },
     (13, 14): {
@@ -141,36 +166,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 1.4074504510385268, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 2.6064128633151995e-10, 1e-08, True,
-             'step-halving change 1.25e-10'),
+            ('monopole-system', 2.842170943040401e-14, 1e-08, True,
+             'roundoff scale 3.27e-14'),
             ('metric-invariants', 8.923563602974075e-14, 1e-10, True,
              ''),
-            ('domega-residual', 6.227979756632906e-13, 1e-06, True,
+            ('domega-residual', 4.006289654827293e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 1.4928072244560066e-12, 1e-06, True,
+            ('integrability-residual', 4.855534477739332e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 1.2788376045924605e-08, 0.0001, True,
-             'step-halving change 1.13e-10'),
+            ('scalar-curvature', 6.635987230565822e-12, 0.0001, True,
+             'roundoff scale 1.05e-12'),
             ('asymptotic-fit', 2.516190041046418e-07, 0.01, True,
              'a_fit=-0.232255 b_fit=0.232255'),
-            ('potential-decay', 0.005642583146910463, 0.25, True,
+            ('potential-decay', 0.005660201583198243, 0.25, True,
              "residuals=['2.78e-05', '1.73e-06', '1.08e-07']"),
             ('mass-sign', 0.0, 0.0, True,
              'mu_fit=6.62161e-09 mu_exact=0'),
         ),
         "decay_series": (
-            (5.0, 0.00045515777215330503),
-            (6.85175492360062, 0.0001271991320577799),
-            (9.389309106617063, 3.5796464918874884e-05),
-            (12.866648980094318, 1.0110327223406594e-05),
-            (17.631825099920427, 2.8609661011793503e-06),
-            (24.16178888808895, 8.103779269826029e-07),
-            (33.11013119539244, 2.2968702265994493e-07),
-            (45.37250088781852, 6.50870089632679e-08),
-            (62.176251270836794, 1.845650108408908e-08),
-            (85.20328715519705, 5.261074307462206e-09),
-            (116.75840845451575, 1.5035088180579994e-09),
-            (160.0, 4.2229504994553657e-10),
+            (5.0, 0.000455157792111697),
+            (6.85175492360062, 0.00012719916540761064),
+            (9.389309106617063, 3.579644315710146e-05),
+            (12.866648980094318, 1.011030004553476e-05),
+            (17.631825099920427, 2.860952396635334e-06),
+            (24.16178888808895, 8.103854007284648e-07),
+            (33.11013119539244, 2.2966926428981888e-07),
+            (45.37250088781852, 6.510833294773735e-08),
+            (62.176251270836794, 1.8460206799492076e-08),
+            (85.20328715519705, 5.2343419443631965e-09),
+            (116.75840845451575, 1.4843379722992992e-09),
+            (160.0, 4.209352012574134e-10),
         ),
     },
     (17, 21): {
@@ -179,36 +204,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 1.8117535986354794, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 2.5707436179800425e-10, 1e-08, True,
-             'step-halving change 1.42e-14'),
+            ('monopole-system', 2.842170943040401e-14, 1e-08, True,
+             'roundoff scale 3.47e-14'),
             ('metric-invariants', 6.347214460884654e-14, 1e-10, True,
              ''),
-            ('domega-residual', 2.9842855600712906e-12, 1e-06, True,
+            ('domega-residual', 3.9408988371788866e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 1.3161878821098956e-11, 1e-06, True,
+            ('integrability-residual', 5.7555945247797004e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 3.804885628788668e-08, 0.0001, True,
-             'step-halving change 1.77e-08'),
+            ('scalar-curvature', 1.5065004799197368e-11, 0.0001, True,
+             'roundoff scale 1.20e-12'),
             ('asymptotic-fit', 2.583811436474015e-06, 0.01, True,
              'a_fit=-0.830952 b_fit=0.323812'),
-            ('potential-decay', 0.0013939212118974087, 0.25, True,
+            ('potential-decay', 0.0013938441241825306, 0.25, True,
              "residuals=['0.000207', '1.3e-05', '8.11e-07']"),
             ('mass-sign', -1.0, -1.0, True,
              'mu_fit=-0.50714 mu_exact=-0.507143'),
         ),
         "decay_series": (
-            (5.0, 0.0032983005784753875),
-            (6.85175492360062, 0.0009385297531178379),
-            (9.389309106617063, 0.0002666360282694898),
-            (12.866648980094318, 7.56865310010491e-05),
-            (17.631825099920427, 2.1474314556783485e-05),
-            (24.16178888808895, 6.091351980517421e-06),
-            (33.11013119539244, 1.727631439013315e-06),
-            (45.37250088781852, 4.899568789034333e-07),
-            (62.176251270836794, 1.3894694558656496e-07),
-            (85.20328715519705, 3.940362225633828e-08),
-            (116.75840845451575, 1.1174370224712325e-08),
-            (160.0, 3.169193159791693e-09),
+            (5.0, 0.0032983005778973694),
+            (6.85175492360062, 0.0009385297528913345),
+            (9.389309106617063, 0.0002666360284058102),
+            (12.866648980094318, 7.56865308633674e-05),
+            (17.631825099920427, 2.1474315116684036e-05),
+            (24.16178888808895, 6.091351068203368e-06),
+            (33.11013119539244, 1.7276316529381574e-06),
+            (45.37250088781852, 4.899574920213879e-07),
+            (62.176251270836794, 1.3894710952580547e-07),
+            (85.20328715519705, 3.9403250761956865e-08),
+            (116.75840845451575, 1.1174034343299372e-08),
+            (160.0, 3.1687315240451434e-09),
         ),
     },
     (21, 22): {
@@ -217,36 +242,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 2.2420501852257697, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 2.4277824195451103e-10, 1e-08, True,
-             'step-halving change 4.00e-10'),
+            ('monopole-system', 5.684341886080802e-14, 1e-08, True,
+             'roundoff scale 5.14e-14'),
             ('metric-invariants', 1.1571262408748768e-13, 1e-10, True,
              ''),
-            ('domega-residual', 6.969319275572715e-13, 1e-06, True,
+            ('domega-residual', 3.63033243383386e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 1.5359204049465698e-12, 1e-06, True,
+            ('integrability-residual', 5.007739367150919e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 2.0797806156210177e-08, 0.0001, True,
-             'step-halving change 9.79e-08'),
+            ('scalar-curvature', 1.6540253948588327e-11, 0.0001, True,
+             'roundoff scale 1.78e-12'),
             ('asymptotic-fit', 1.6030443833470187e-07, 0.01, True,
              'a_fit=-0.167764 b_fit=0.167764'),
-            ('potential-decay', 0.006234271520836221, 0.25, True,
+            ('potential-decay', 0.006216748244437298, 0.25, True,
              "residuals=['1.88e-05', '1.17e-06', '7.28e-08']"),
             ('mass-sign', 0.0, 0.0, True,
              'mu_fit=4.21418e-09 mu_exact=0'),
         ),
         "decay_series": (
-            (5.0, 0.00030824707839815217),
-            (6.85175492360062, 8.601972311965898e-05),
-            (9.389309106617063, 2.418948246628197e-05),
-            (12.866648980094318, 6.829357868778772e-06),
-            (17.631825099920427, 1.932136860245277e-06),
-            (24.16178888808895, 5.471924622447561e-07),
-            (33.11013119539244, 1.5508136400884663e-07),
-            (45.37250088781852, 4.393962665680703e-08),
-            (62.176251270836794, 1.2459449167728156e-08),
-            (85.20328715519705, 3.533942561287388e-09),
-            (116.75840845451575, 1.0187507750667267e-09),
-            (160.0, 2.8484482242247865e-10),
+            (5.0, 0.00030824703684164827),
+            (6.85175492360062, 8.601971514485085e-05),
+            (9.389309106617063, 2.418951104553296e-05),
+            (12.866648980094318, 6.829341646212388e-06),
+            (17.631825099920427, 1.9321200777254875e-06),
+            (24.16178888808895, 5.472255787170518e-07),
+            (33.11013119539244, 1.550785441677587e-07),
+            (45.37250088781852, 4.3961375987210676e-08),
+            (62.176251270836794, 1.246424166462346e-08),
+            (85.20328715519705, 3.5341469858839264e-09),
+            (116.75840845451575, 1.0021478450195642e-09),
+            (160.0, 2.8431305980843196e-10),
         ),
     },
     (79, 163): {
@@ -255,36 +280,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 15.685903747019264, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 4.855792212765664e-09, 1e-08, True,
-             'step-halving change 2.91e-09'),
+            ('monopole-system', 4.547473508864641e-13, 1e-08, True,
+             'roundoff scale 4.29e-13'),
             ('metric-invariants', 2.4467546984136317e-13, 1e-10, True,
              ''),
-            ('domega-residual', 1.2498079100126256e-12, 1e-06, True,
+            ('domega-residual', 3.9656254708668877e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 3.58639434873533e-12, 1e-06, True,
+            ('integrability-residual', 6.847948576239562e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 3.680220225787956e-08, 0.0001, True,
-             'step-halving change 1.58e-07'),
+            ('scalar-curvature', 2.5445867635198738e-11, 0.0001, True,
+             'roundoff scale 3.81e-12'),
             ('asymptotic-fit', 6.334158845211491e-07, 0.01, True,
              'a_fit=-0.440054 b_fit=0.0834691'),
-            ('potential-decay', 0.0038208974623281655, 0.25, True,
+            ('potential-decay', 0.003820772565243047, 0.25, True,
              "residuals=['8.42e-05', '5.28e-06', '3.3e-07']"),
             ('mass-sign', -1.0, -1.0, True,
              'mu_fit=-0.356585 mu_exact=-0.356586'),
         ),
         "decay_series": (
-            (5.0, 0.0013268941050589567),
-            (6.85175492360062, 0.0003797586197190292),
-            (9.389309106617063, 0.00010823061515352577),
-            (12.866648980094318, 3.0774430287032554e-05),
-            (17.631825099920427, 8.73952151319792e-06),
-            (24.16178888808895, 2.4802435026573366e-06),
-            (33.11013119539244, 7.036313136279507e-07),
-            (45.37250088781852, 1.9957787392270608e-07),
-            (62.176251270836794, 5.6602272282100915e-08),
-            (85.20328715519705, 1.605210147318731e-08),
-            (116.75840845451575, 4.552879585488921e-09),
-            (160.0, 1.2923135543541135e-09),
+            (5.0, 0.0013268941043877494),
+            (6.85175492360062, 0.0003797586187332399),
+            (9.389309106617063, 0.0001082306129406688),
+            (12.866648980094318, 3.0774429572954865e-05),
+            (17.631825099920427, 8.739521401039874e-06),
+            (24.16178888808895, 2.4802423585802613e-06),
+            (33.11013119539244, 7.036308162383765e-07),
+            (45.37250088781852, 1.9957789602378101e-07),
+            (62.176251270836794, 5.660251253281215e-08),
+            (85.20328715519705, 1.6052232398884506e-08),
+            (116.75840845451575, 4.552210696258448e-09),
+            (160.0, 1.2909290218775718e-09),
         ),
     },
     (161, 183): {
@@ -293,36 +318,36 @@ GOLDEN = {
              ''),
             ('determinant-positive', 17.90837576915539, 0.0, True,
              'minimum of <v1,v2> over samples'),
-            ('monopole-system', 1.428020368621219e-09, 1e-08, True,
-             'step-halving change 1.54e-09'),
+            ('monopole-system', 4.547473508864641e-13, 1e-08, True,
+             'roundoff scale 4.28e-13'),
             ('metric-invariants', 8.553796308413225e-13, 1e-10, True,
              ''),
-            ('domega-residual', 9.14280219909276e-13, 1e-06, True,
+            ('domega-residual', 4.746318040421118e-16, 1e-06, True,
              ''),
-            ('integrability-residual', 2.3547765328756506e-12, 1e-06, True,
+            ('integrability-residual', 5.13055285362695e-15, 1e-06, True,
              ''),
-            ('scalar-curvature', 3.20616015930808e-07, 0.0001, True,
-             'step-halving change 5.21e-07'),
+            ('scalar-curvature', 3.053723107715456e-10, 0.0001, True,
+             'roundoff scale 1.22e-11'),
             ('asymptotic-fit', 4.5278802213166713e-07, 0.01, True,
              'a_fit=-0.358179 b_fit=0.101372'),
-            ('potential-decay', 0.004363195506027262, 0.25, True,
+            ('potential-decay', 0.004363192599866839, 0.25, True,
              "residuals=['5.87e-05', '3.68e-06', '2.3e-07']"),
             ('mass-sign', -1.0, -1.0, True,
              'mu_fit=-0.256807 mu_exact=-0.256807'),
         ),
         "decay_series": (
-            (5.0, 0.0009230145194576461),
-            (6.85175492360062, 0.00026450831180104955),
-            (9.389309106617063, 7.543755223500182e-05),
-            (12.866648980094318, 2.1458165974317162e-05),
-            (17.631825099920427, 6.095070179241867e-06),
-            (24.16178888808895, 1.7299486444219533e-06),
-            (33.11013119539244, 4.908047376825008e-07),
-            (45.37250088781852, 1.392162502879108e-07),
-            (62.176251270836794, 3.948318544879725e-08),
-            (85.20328715519705, 1.1198508379593144e-08),
-            (116.75840845451575, 3.175301771085941e-09),
-            (160.0, 9.025026104645332e-10),
+            (5.0, 0.0009230145189401491),
+            (6.85175492360062, 0.000264508311293748),
+            (9.389309106617063, 7.543755129586312e-05),
+            (12.866648980094318, 2.1458166278091797e-05),
+            (17.631825099920427, 6.0950720009133475e-06),
+            (24.16178888808895, 1.7299465198630142e-06),
+            (33.11013119539244, 4.908046698935456e-07),
+            (45.37250088781852, 1.3921619535258145e-07),
+            (62.176251270836794, 3.948391127781431e-08),
+            (85.20328715519705, 1.119756883019081e-08),
+            (116.75840845451575, 3.1755081880390992e-09),
+            (160.0, 9.005269719727675e-10),
         ),
     },
 }
@@ -370,19 +395,19 @@ HALF_10_CHECKS = (
      ''),
     ('determinant-positive', 0.3541017866737089, 0.0, True,
      'minimum of <v1,v2> over samples'),
-    ('monopole-system', 8.045120125643734e-12, 1e-08, True,
-     'step-halving change 1.82e-12'),
+    ('monopole-system', 1.7763568394002505e-15, 1e-08, True,
+     'roundoff scale 4.54e-15'),
     ('metric-invariants', 6.693557713246412e-16, 1e-10, True,
      ''),
-    ('domega-residual', 2.8516492469820573e-13, 1e-06, True,
+    ('domega-residual', 1.5767678960957653e-16, 1e-06, True,
      ''),
-    ('integrability-residual', 9.20928788634505e-13, 1e-06, True,
+    ('integrability-residual', 5.27658101404493e-16, 1e-06, True,
      ''),
-    ('scalar-curvature', 3.688068697619122e-09, 0.0001, True,
-     'step-halving change 3.52e-09'),
+    ('scalar-curvature', 2.3788727724118604e-15, 0.0001, True,
+     'roundoff scale 6.25e-15'),
     ('asymptotic-fit', 1.6527547725964098e-06, 0.01, True,
      'a_fit=-0.750002 b_fit=0.750002'),
-    ('potential-decay', 0.00148021849143265, 0.25, True,
+    ('potential-decay', 0.001480125021001144, 0.25, True,
      "residuals=['0.000124', '7.75e-06', '4.84e-07']"),
     ('mass-sign', 0.0, 0.0, True,
      'mu_fit=4.55078e-08 mu_exact=0'),
@@ -396,11 +421,11 @@ levels: 2 > 1 > 0
 exact a = -3/4, b = 3/4, mu = 0
   PASS  flat-model-exactness     value 3.090e-16  tolerance 1.000e-12
   PASS  determinant-positive     value 3.541e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
-  PASS  monopole-system          value 8.045e-12  tolerance 1.000e-08   [step-halving change 1.82e-12]
+  PASS  monopole-system          value 1.776e-15  tolerance 1.000e-08   [roundoff scale 4.54e-15]
   PASS  metric-invariants        value 6.694e-16  tolerance 1.000e-10
-  PASS  domega-residual          value 2.852e-13  tolerance 1.000e-06
-  PASS  integrability-residual   value 9.209e-13  tolerance 1.000e-06
-  PASS  scalar-curvature         value 3.688e-09  tolerance 1.000e-04   [step-halving change 3.52e-09]
+  PASS  domega-residual          value 1.577e-16  tolerance 1.000e-06
+  PASS  integrability-residual   value 5.277e-16  tolerance 1.000e-06
+  PASS  scalar-curvature         value 2.379e-15  tolerance 1.000e-04   [roundoff scale 6.25e-15]
   PASS  asymptotic-fit           value 1.653e-06  tolerance 1.000e-02   [a_fit=-0.750002 b_fit=0.750002]
   PASS  potential-decay          value 1.480e-03  tolerance 2.500e-01   [residuals=['0.000124', '7.75e-06', '4.84e-07']]
   PASS  mass-sign                value 0.000e+00  tolerance 0.000e+00   [mu_fit=4.55078e-08 mu_exact=0]
@@ -424,13 +449,13 @@ levels: 5 > 4 > 3 > 2 > 1 > 0
 exact a = -131/270, b = 37/108, mu = -77/540
   PASS  flat-model-exactness     value 5.930e-16  tolerance 1.000e-12
   PASS  determinant-positive     value 8.567e-01  tolerance 0.000e+00   [minimum of <v1,v2> over samples]
-  PASS  monopole-system          value 8.085e-11  tolerance 1.000e-08   [step-halving change 3.83e-11]
+  PASS  monopole-system          value 1.421e-14  tolerance 1.000e-08   [roundoff scale 1.49e-14]
   PASS  metric-invariants        value 1.432e-14  tolerance 1.000e-10
-  PASS  domega-residual          value 1.634e-12  tolerance 1.000e-06
-  PASS  integrability-residual   value 4.483e-12  tolerance 1.000e-06
-  PASS  scalar-curvature         value 1.861e-09  tolerance 1.000e-04   [step-halving change 6.30e-09]
+  PASS  domega-residual          value 4.085e-16  tolerance 1.000e-06
+  PASS  integrability-residual   value 5.170e-15  tolerance 1.000e-06
+  PASS  scalar-curvature         value 1.928e-12  tolerance 1.000e-04   [roundoff scale 1.51e-13]
   PASS  asymptotic-fit           value 8.114e-07  tolerance 1.000e-02   [a_fit=-0.485186 b_fit=0.342593]
-  PASS  potential-decay          value 3.442e-03  tolerance 2.500e-01   [residuals=['7.73e-05', '4.85e-06', '3.03e-07']]
+  PASS  potential-decay          value 3.441e-03  tolerance 2.500e-01   [residuals=['7.73e-05', '4.85e-06', '3.03e-07']]
   PASS  mass-sign                value -1.000e+00  tolerance -1.000e+00   [mu_fit=-0.142592 mu_exact=-0.142593]
 all checks passed
 """,

@@ -9,7 +9,9 @@ A third keeps floats off every verdict path: the exact layer names no
 float literal, no ``float`` and no ``inf`` or ``nan`` beyond two listed
 uses.  A fourth fails on a top-level function or class that nothing in
 ``src/cscglue`` loads beyond the ``__init__`` re-exports, so no code
-survives that no pipeline path or command calls.
+survives that no pipeline path or command calls.  A fifth keeps the
+metric checks on one derivative mechanism, Taylor jets: no function or
+lambda takes a finite-difference step (``h``, ``h_scale``, ``h0``, ``h1``).
 """
 
 import ast
@@ -136,3 +138,18 @@ def test_every_definition_is_loaded_by_the_library():
     unloaded = {(module, name) for module, name in _unloaded_definitions()
                 if not (module == "cli" and name.startswith("cmd_"))}
     assert sorted(unloaded) == sorted(UNLOADED_ALLOWED)
+
+
+STEP_PARAMETERS = {"h", "h_scale", "h0", "h1"}
+
+
+def test_no_function_takes_a_step():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         *filter(None, (args.vararg, args.kwarg)))}
+                found += [f"{path.name}:{node.lineno} {name}" for name in names & STEP_PARAMETERS]
+    assert not found, f"a finite-difference step is a second derivative mechanism: {found}"
