@@ -53,10 +53,10 @@ from cscglue.logmass import (
     INFINITY,
     blowup_insert,
     log_coeffs_from_levels,
+    mass_sign,
     monopole_from_fraction,
     mu_from_chain,
     mu_from_u,
-    verdict_from_coeffs,
 )
 from cscglue.parabolic import (MAX_QUOTED, ParabolicSurface, SectionData, classify, digit_count,
                                is_sporadic, quoted)
@@ -416,12 +416,12 @@ def cmd_mass(args):
     else:
         levels = parse_rational_list(args.levels)
         coeffs = log_coeffs_from_levels(monopole_from_fraction(p, q, levels))
-    verdict = verdict_from_coeffs(p, q, coeffs)
+    sign = mass_sign(p, q)
     payload = {
         "fraction": f"{p}/{q}",
         **_coeffs_payload(coeffs),
-        "sign": {1: "positive", 0: "zero", -1: "negative"}[verdict.sign],
-        "crepant": verdict.crepant,
+        "sign": {1: "positive", 0: "zero", -1: "negative"}[sign],
+        "crepant": sign == 0,
     }
 
     def human():
@@ -429,7 +429,7 @@ def cmd_mass(args):
         yield f"  a  = {coeffs.a}  ({float(coeffs.a):.6g})"
         yield f"  b  = {coeffs.b}  ({float(coeffs.b):.6g})"
         yield from _coeffs_lines(payload)
-        yield f"  sign: {payload['sign']}   crepant: {'yes' if verdict.crepant else 'no'}"
+        yield f"  sign: {payload['sign']}   crepant: {'yes' if sign == 0 else 'no'}"
 
     return EXIT_OK, payload, human
 

@@ -16,11 +16,12 @@ holomorphic kernel function phi beyond the constants; it equals +1 at one
 family of fixed points and -1 at the other.  Each parabolic point of
 weight p_j/q_j produces two cyclic quotient singularities in the quotient
 model, Gamma_{p_j, q_j} on the section containing Q_j and
-Gamma_{q_j - p_j, q_j} on the opposite one.  A singularity enters the
-gluing matrix with entry -phi(x) iff its local parameters (p, q) satisfy
-p != q - 1 (the crepant strings contribute no log term and drop out);
-extra blow-up points y enter with entry +phi(y), where phi([u : v]) =
-(|u|^2 - |v|^2)/(|u|^2 + |v|^2).
+Gamma_{q_j - p_j, q_j} on the opposite one.  The gluing (after
+Rollin-Singer) balances the ALE log terms against phi, so a singularity
+x with local parameters (p, q) enters the one-row gluing matrix as its
+mass sign :func:`cscglue.logmass.mass_sign` (p, q) times phi(x), and an
+extra blow-up point y, a Burns datum (1, 1), as +phi(y), where
+phi([u : v]) = (|u|^2 - |v|^2)/(|u|^2 + |v|^2).  A zero sign adds no column.
 
 Feasibility of the glued constant-scalar-curvature metric asks for
 
@@ -49,6 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from cscglue.exactlp import positive_kernel_vector, rational_rank
+from cscglue.logmass import mass_sign
 from cscglue.parabolic import (
     ParabolicSurface,
     StabilityKind,
@@ -174,11 +176,11 @@ def gluing_matrix(
 ):
     """Single-row gluing matrix for a strictly polystable surface.
 
-    Returns ``(row, labels)``.  For each marked point, the singularity on
-    the section containing it is Gamma_{p_j, q_j} and contributes -phi of
-    its side; the opposite singularity is Gamma_{q_j - p_j, q_j}.  A
-    singularity is included iff its local p differs from q - 1.  Extra
-    points contribute +phi of their fiber position.
+    Returns ``(row, labels)``.  A marked point of weight p/q gives
+    Gamma_{p, q} on the section containing it and Gamma_{q - p, q} on the
+    opposite one; each enters as its :func:`mass_sign` times phi of its
+    side, when that sign is nonzero.  An extra point y enters as phi(y),
+    as ``mass_sign(1, 1)`` is +1.
     """
     if verdict.kind is not StabilityKind.STRICTLY_POLYSTABLE or verdict.pair is None:
         raise ValueError("gluing matrix requires a strictly polystable verdict")
@@ -188,21 +190,18 @@ def gluing_matrix(
     for j, w in enumerate(surface.weights):
         p, q = w.numerator, w.denominator
         if j in s1.contains:
-            on_side, off_side = +1, -1
+            side = 1
         elif j in s2.contains:
-            on_side, off_side = -1, +1
+            side = -1
         else:
             raise ValueError(
                 f"marked point {surface.points[j]} lies on neither witness section"
             )
-        # Singularity on the section through Q_j: Gamma_{p, q}.
-        if p != q - 1:
-            entries.append(Fraction(-on_side))
-            labels.append(f"{surface.points[j]}:on-section G({p},{q})")
-        # Opposite singularity: Gamma_{q-p, q}.
-        if q - p != q - 1:
-            entries.append(Fraction(-off_side))
-            labels.append(f"{surface.points[j]}:off-section G({q - p},{q})")
+        for local, phi, where in ((p, side, "on"), (q - p, -side, "off")):
+            sign = mass_sign(local, q)
+            if sign:
+                entries.append(Fraction(sign * phi))
+                labels.append(f"{surface.points[j]}:{where}-section G({local},{q})")
     for coord in extra_points:
         coord = normalize_coord(*coord)
         entries.append(phi_value(coord))

@@ -47,7 +47,8 @@ N_j vanishes only when every digit is 2, that is in the crepant case
 p = q - 1, where all of them do (the tests check this against a walk over
 the digit runs).  So mu is never positive and vanishes precisely in the
 crepant case.  The coefficient mu equals the ADM-type mass of the
-metric, so these sums decide its sign exactly.
+metric, so :func:`mass_sign` decides its sign from (p, q) alone, and
+the sums give its value.
 
 Everything here is exact rational arithmetic; ``math.inf`` is the one
 permitted non-rational level value.  The sums run over integer
@@ -170,8 +171,8 @@ class LogCoefficients(namedtuple("LogCoefficients", "a b mu terms")):
 class MassVerdict(namedtuple("MassVerdict", "mu sign crepant")):
     """Sign report for the mass of the metric attached to (p, q, u).
 
-    ``sign`` is -1, 0 or +1, the sign of ``mu``; ``crepant`` says whether
-    p = q - 1.
+    ``sign`` is :func:`mass_sign` of (p, q), which is the sign of ``mu``;
+    ``crepant`` says whether it is 0.
     """
 
     __slots__ = ()
@@ -396,26 +397,22 @@ def blowup_insert(data: MonopoleData, position: int) -> MonopoleData:
     return monopole_from_chain(new_chain, new_levels)
 
 
-def mass_verdict(p: int, q: int, u) -> MassVerdict:
-    """Sign of the mass of the (p, q) metric for parameters u.
+def mass_sign(p: int, q: int) -> int:
+    """The sign of the mass of every (p, q) metric, by the module docstring's theorem.
 
-    The mass equals the log coefficient mu; for Hirzebruch-Jung data the
-    sign is never positive and is zero exactly in the crepant case
-    p = q - 1.  The Burns datum (1, 1) is the positive-mass exception.
-    Only mu is built, with the sums and the u checks of :func:`mu_from_u`.
+    +1 for the Burns datum (1, 1), 0 in the crepant case p = q - 1 and -1
+    otherwise.  This is the one place the sign is decided.
     """
+    if (p, q) == (1, 1):
+        return 1
+    return 0 if p == q - 1 else -1
+
+
+def mass_verdict(p: int, q: int, u) -> MassVerdict:
+    """The :func:`mass_sign` of (p, q), with mu for u built first, as :func:`mu_from_u` builds it."""
     qa, qb, den, _ = _u_sums(_chain_for(p, q), u)
-    return _verdict(p, q, Fraction(qa + qb, den))
-
-
-def verdict_from_coeffs(p: int, q: int, coeffs: LogCoefficients) -> MassVerdict:
-    """The mass sign rule of :func:`mass_verdict`, on coefficients of (p, q)."""
-    return _verdict(p, q, coeffs.mu)
-
-
-def _verdict(p: int, q: int, mu: Fraction) -> MassVerdict:
-    sign = 0 if mu == 0 else (1 if mu > 0 else -1)
-    return MassVerdict(mu=mu, sign=sign, crepant=(p == q - 1))
+    sign = mass_sign(p, q)
+    return MassVerdict(Fraction(qa + qb, den), sign, sign == 0)
 
 
 def _chain_for(p: int, q: int) -> tuple[Pair, ...]:

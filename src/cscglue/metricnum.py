@@ -72,9 +72,10 @@ error.  Jets reach the formulas through operators and numpy's
 ``__array_ufunc__`` protocol, by which np.sqrt, np.sin and np.cos of a
 jet call the jet's own rules, so every formula has one copy, written for
 floats, and no derivative of g, omega or J is derived by hand.  The
-checks then read roundoff, and the monopole-system and scalar-curvature
-details give its scale: eps times the magnitude of the terms that cancel
-in the check, at the worst point.
+checks then read roundoff.  The monopole-system and scalar-curvature
+details are eps times the terms that cancel in the check, at the worst
+point.  The curvature's terms leave out the roundoff that the frame's
+level sums carry into g, so its detail is only a lower bound on the scale.
 """
 
 
@@ -93,8 +94,8 @@ from cscglue.logmass import (
     LogCoefficients,
     flat_monopole,
     log_coeffs_from_levels,
+    mass_sign,
     monopole_from_fraction,
-    verdict_from_coeffs,
 )
 from cscglue.parabolic import integer_field
 
@@ -526,7 +527,7 @@ def _real(u):
 class Residual(namedtuple("Residual", "value terms")):
     """A check's value at each point and the magnitude of the terms that cancel in it.
 
-    eps times ``terms`` is the scale of the value's roundoff.
+    eps times ``terms`` estimates the scale of the value's roundoff.
     """
 
     __slots__ = ()
@@ -598,7 +599,9 @@ def scalar_curvature_generic(g: Jet) -> Residual:
     value shape S + (n, n).  Derivatives along the remaining coordinates
     are taken to vanish, so each derivative axis has length 2: d_e g and
     d_e Gamma for e < 2, d_e d_f g for e, f < 2.  The terms are the four
-    Ricci terms' magnitudes, contracted with |g^-1|.
+    Ricci terms' magnitudes, contracted with |g^-1|.  They leave out the
+    roundoff that the jet of g carries from the frame's level sums, so
+    eps times them is a lower bound on the value's roundoff.
     """
     metric = g.value
     n = metric.shape[-1]
@@ -906,7 +909,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         # grows with |a| and |b|, so a sign read off a fit that missed them
         # says nothing: the check also needs the asymptotic fit to pass.
         mu_fit = fit["a_fit"] + fit["b_fit"]
-        sign_exact = verdict_from_coeffs(p, q, exact).sign
+        sign_exact = mass_sign(p, q)
         tol0 = 0.01 * scale
         sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
         checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),

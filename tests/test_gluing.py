@@ -21,11 +21,13 @@ from cscglue.gluing import (
     orbifold_from_parabolic,
     phi_value,
 )
+from cscglue.logmass import mass_sign
 from cscglue.parabolic import (
     ParabolicSurface,
     SectionData,
     StabilityKind,
     classify,
+    coord_str,
     is_sporadic,
     normalize_coord,
 )
@@ -406,6 +408,62 @@ def random_balanced_surface(rng):
                 incidence=tuple(coords),
             )
         return sections_surface(genus, weights, incidence)
+
+
+def two_branch_gluing_row(surface, verdict, extra_points=()):
+    """The gluing row built branch by branch, each with its own crepancy test.
+
+    A marked point on the first witness section has side +1, one on the
+    second -1; the singularity on its own section, Gamma_{p, q}, enters as
+    -side unless p = q - 1, and the opposite one, Gamma_{q - p, q}, as +side
+    unless q - p = q - 1.  Each extra point enters as +phi.
+    """
+    s1, _ = verdict.pair
+    entries, labels = [], []
+    for j, w in enumerate(surface.weights):
+        p, q = w.numerator, w.denominator
+        on_side, off_side = (+1, -1) if j in s1.contains else (-1, +1)
+        if p != q - 1:
+            entries.append(F(-on_side))
+            labels.append(f"{surface.points[j]}:on-section G({p},{q})")
+        if q - p != q - 1:
+            entries.append(F(-off_side))
+            labels.append(f"{surface.points[j]}:off-section G({q - p},{q})")
+    for coord in extra_points:
+        coord = normalize_coord(*coord)
+        entries.append(phi_value(coord))
+        labels.append(f"extra:[{coord_str(coord)}]")
+    return tuple(entries), tuple(labels)
+
+
+def assert_row_matches_two_branch_rule(surface, extra_points=()):
+    verdict = classify(surface)
+    assert verdict.kind is StabilityKind.STRICTLY_POLYSTABLE
+    row, labels = gluing_matrix(surface, verdict, extra_points)
+    assert (row, labels) == two_branch_gluing_row(surface, verdict, extra_points)
+    assert all(type(x) is F for x in row)
+    burns = mass_sign(1, 1)
+    assert row[len(row) - len(extra_points):] == tuple(burns * phi_value(c) for c in extra_points)
+
+
+def test_gluing_row_matches_two_branch_rule_on_every_small_weight():
+    # Each weight p/q with q <= 30 on both witness sections of a balanced
+    # two-point torus: the marked point on S1 has side +1, the other -1.
+    for q in range(2, 31):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                for incidence in (["S1", "S2"], ["S2", "S1"]):
+                    surface = sections_surface(1, [F(p, q)] * 2, incidence)
+                    assert_row_matches_two_branch_rule(surface)
+
+
+def test_gluing_row_matches_two_branch_rule_on_random_surfaces():
+    rng = random.Random(3201)
+    for _ in range(300):
+        surface = random_balanced_surface(rng)
+        extra = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 16))]
+        extra = [coord if any(coord) else (1, 0) for coord in extra]
+        assert_row_matches_two_branch_rule(surface, extra)
 
 
 def test_sporadic_iff_infeasible_random():

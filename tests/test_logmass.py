@@ -31,12 +31,12 @@ from cscglue.logmass import (
     blowup_insert,
     flat_monopole,
     log_coeffs_from_levels,
+    mass_sign,
     mass_verdict,
     monopole_from_chain,
     monopole_from_fraction,
     mu_from_chain,
     mu_from_u,
-    verdict_from_coeffs,
 )
 
 
@@ -75,6 +75,10 @@ def random_levels(rng, k, infinite_top):
     if infinite_top:
         levels[0] = INFINITY
     return levels
+
+
+def sign_of(x):
+    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,34 @@ def test_mass_verdict_matches_full_path():
     cases = [(1, 1, random_u(rng, 1))]
     cases += [(p, q, random_u(rng, len(hj_expand(p, q).digits))) for p, q in coprime_pairs(60)]
     for p, q, u in cases:
-        assert mass_verdict(p, q, u) == verdict_from_coeffs(p, q, mu_from_u(p, q, u))
+        mu = mu_from_u(p, q, u).mu
+        sign = sign_of(mu)
+        assert mass_verdict(p, q, u) == (mu, sign, sign == 0)
+
+
+# Every coprime p < q <= 60, the one- and all-twos-digit tails at two large
+# q, and the Burns datum.
+MASS_SIGN_CASES = ([(1, 1)] + list(coprime_pairs(60))
+                   + [(p, q) for q in (1009, 2003) for p in (1, q - 1)])
+
+
+@pytest.mark.parametrize("integer", [int, np.int64])
+def test_mass_sign_is_the_sign_of_mu(integer):
+    # The sign theorem against the exact mu of both routes: the u sums with
+    # seeded u, and the level sums with seeded levels, finite and infinite
+    # at the top.  A numpy p and q give a Python int sign, not a numpy bool.
+    rng = random.Random(3200)
+    for p, q in MASS_SIGN_CASES:
+        k = 1 if (p, q) == (1, 1) else hj_length(p, q)
+        p_, q_ = integer(p), integer(q)
+        sign = mass_sign(p_, q_)
+        assert type(sign) is int
+        mus = [mu_from_u(p_, q_, random_u(rng, k)).mu]
+        mus += [log_coeffs_from_levels(monopole_from_fraction(
+            p_, q_, random_levels(rng, k, infinite_top))).mu for infinite_top in (False, True)]
+        assert [sign_of(mu) for mu in mus] == [sign] * 3, (p, q)
+        u = random_u(rng, k)
+        assert mass_verdict(p_, q_, u) == (mu_from_u(p, q, u).mu, sign, sign == 0)
 
 
 def test_mass_verdict_u_errors():
@@ -540,6 +571,7 @@ def test_scaling_linearity(q, p, lam):
 def test_per_term_built_on_first_read(monkeypatch):
     built = count_calls(monkeypatch, logmass, "_coefficients")
     chain = hj_expand(3, 7).approximants
+    signs = (-1, 1, -1, -1, 1)
     results = (
         mu_from_u(3, 7, [1, 2, 3]),
         mu_from_u(1, 1, [2]),
@@ -548,9 +580,9 @@ def test_per_term_built_on_first_read(monkeypatch):
         log_coeffs_from_levels(monopole_from_chain(BURNS_CHAIN, [INFINITY, 1, 0])),
     )
     mass_verdict(3, 7, [1, 2, 3])
-    for coeffs in results:
+    for coeffs, sign in zip(results, signs):
         repr(coeffs)
-        verdict_from_coeffs(3, 7, coeffs)
+        assert sign_of(coeffs.mu) == sign
         assert coeffs.a + coeffs.b == coeffs.mu
     assert built == []
     for coeffs in results:

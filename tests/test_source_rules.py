@@ -12,6 +12,9 @@ uses.  A fourth fails on a top-level function or class that nothing in
 survives that no pipeline path or command calls.  A fifth keeps the
 metric checks on one derivative mechanism, Taylor jets: no function or
 lambda takes a finite-difference step (``h``, ``h_scale``, ``h0``, ``h1``).
+A sixth keeps one mass-sign rule: no comparison ``x == y - 1`` or
+``x != y - 1`` of a variable y, the crepancy test, outside
+``logmass.mass_sign`` and one listed use.
 """
 
 import ast
@@ -153,3 +156,45 @@ def test_no_function_takes_a_step():
                                          *filter(None, (args.vararg, args.kwarg)))}
                 found += [f"{path.name}:{node.lineno} {name}" for name in names & STEP_PARAMETERS]
     assert not found, f"a finite-difference step is a second derivative mechanism: {found}"
+
+
+# Functions that may compare x with y - 1, each for the reason given.
+CREPANCY_TESTS_ALLOWED = {
+    ("logmass", "mass_sign"): "the one mass-sign rule: p = q - 1 is the crepant case",
+    ("parabolic", "_pattern"):
+        "the paper's weight definition of a sporadic structure, weights (q - 1)/q on one "
+        "section, not a mass sign",
+}
+
+
+def _is_minus_one(node) -> bool:
+    """Is ``node`` a variable or attribute minus 1, such as ``q - 1``?
+
+    An index such as ``len(out) - 1`` is a call's result minus 1, not a
+    crepancy test, so it is left out.
+    """
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, (ast.Name, ast.Attribute))
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def test_crepancy_is_decided_by_mass_sign_alone():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(isinstance(op, (ast.Eq, ast.NotEq))
+                       and (_is_minus_one(operands[i]) or _is_minus_one(operands[i + 1]))
+                       for i, op in enumerate(node.ops)):
+                continue
+            function = node
+            while function in parents and not isinstance(function, ast.FunctionDef):
+                function = parents[function]
+            name = function.name if isinstance(function, ast.FunctionDef) else "<module>"
+            if (path.stem, name) not in CREPANCY_TESTS_ALLOWED:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"the mass sign and its zero are decided by logmass.mass_sign: {found}"
