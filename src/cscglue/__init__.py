@@ -28,20 +28,16 @@ copy, checked as a new record is.
 
 from cscglue.cfrac import HJExpansion, hj_expand
 from cscglue.resolution import (
-    blow_down_fully,
     blowup_count,
-    fiber_chain,
     format_chain,
     singular_strings,
 )
 from cscglue.logmass import (
     LogCoefficients,
-    MassVerdict,
     MonopoleData,
     blowup_insert,
     flat_monopole,
     log_coeffs_from_levels,
-    mass_verdict,
     monopole_from_chain,
     monopole_from_fraction,
     mu_from_chain,
@@ -74,14 +70,11 @@ __version__ = "0.1.0"
 __all__ = [
     "HJExpansion",
     "hj_expand",
-    "fiber_chain",
-    "blow_down_fully",
     "blowup_count",
     "singular_strings",
     "format_chain",
     "MonopoleData",
     "LogCoefficients",
-    "MassVerdict",
     "monopole_from_chain",
     "monopole_from_fraction",
     "flat_monopole",
@@ -89,7 +82,6 @@ __all__ = [
     "mu_from_u",
     "mu_from_chain",
     "blowup_insert",
-    "mass_verdict",
     "ParabolicSurface",
     "SectionData",
     "StabilityKind",

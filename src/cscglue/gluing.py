@@ -23,6 +23,14 @@ mass sign :func:`cscglue.logmass.mass_sign` (p, q) times phi(x), and an
 extra blow-up point y, a Burns datum (1, 1), as +phi(y), where
 phi([u : v]) = (|u|^2 - |v|^2)/(|u|^2 + |v|^2).  A zero sign adds no column.
 
+Without extra points a sporadic row is one-signed, so its verdict is
+INFEASIBLE or OBSTRUCTED: the row holds the nonzero values of
+:func:`cscglue.parabolic.witness_signs`, which never differ in sign when
+:func:`cscglue.parabolic.is_sporadic` holds.  By Gordan's alternative a
+row has a vector x > 0 in its kernel iff it is zero or has both signs, so
+a one-signed row with an entry is INFEASIBLE and an empty one OBSTRUCTED;
+any other row has both signs and is FEASIBLE.
+
 Feasibility of the glued constant-scalar-curvature metric asks for
 
     c_1 = rank M = dim V_0    and    c_2 != 0,
@@ -50,7 +58,6 @@ from fractions import Fraction
 from math import lcm
 
 from cscglue.exactlp import positive_kernel_vector, rational_rank
-from cscglue.logmass import mass_sign
 from cscglue.parabolic import (
     ParabolicSurface,
     StabilityKind,
@@ -60,6 +67,7 @@ from cscglue.parabolic import (
     integer_field,
     is_sporadic,
     normalize_coord,
+    witness_signs,
 )
 from cscglue.resolution import singular_strings
 
@@ -178,30 +186,22 @@ def gluing_matrix(
 
     Returns ``(row, labels)``.  A marked point of weight p/q gives
     Gamma_{p, q} on the section containing it and Gamma_{q - p, q} on the
-    opposite one; each enters as its :func:`mass_sign` times phi of its
-    side, when that sign is nonzero.  An extra point y enters as phi(y),
-    as ``mass_sign(1, 1)`` is +1.
+    opposite one; each enters as its signed mass from
+    :func:`cscglue.parabolic.witness_signs`, when that is nonzero.  An
+    extra point y enters as phi(y), as ``mass_sign(1, 1)`` is +1.
     """
     if verdict.kind is not StabilityKind.STRICTLY_POLYSTABLE or verdict.pair is None:
         raise ValueError("gluing matrix requires a strictly polystable verdict")
-    s1, s2 = verdict.pair
     entries: list[Fraction] = []
     labels: list[str] = []
-    for j, w in enumerate(surface.weights):
+    for point, w, signs in zip(surface.points, surface.weights, witness_signs(surface, verdict)):
+        if signs is None:
+            raise ValueError(f"marked point {point} lies on neither witness section")
         p, q = w.numerator, w.denominator
-        if j in s1.contains:
-            side = 1
-        elif j in s2.contains:
-            side = -1
-        else:
-            raise ValueError(
-                f"marked point {surface.points[j]} lies on neither witness section"
-            )
-        for local, phi, where in ((p, side, "on"), (q - p, -side, "off")):
-            sign = mass_sign(local, q)
+        for local, sign, where in zip((p, q - p), signs, ("on", "off")):
             if sign:
-                entries.append(Fraction(sign * phi))
-                labels.append(f"{surface.points[j]}:{where}-section G({local},{q})")
+                entries.append(Fraction(sign))
+                labels.append(f"{point}:{where}-section G({local},{q})")
     for coord in extra_points:
         coord = normalize_coord(*coord)
         entries.append(phi_value(coord))

@@ -34,10 +34,10 @@ Two data models are supported:
   supplied list of sections.  The verdict is then only as strong as that
   list, and reports carry a flag saying so.
 
-The sporadic detector recognises the one strictly polystable weight
-pattern for which the downstream gluing matrix degenerates: every marked
-point on one section has weight 1/q_j and every marked point on the other
-has weight (q_j - 1)/q_j.
+The sporadic detector recognises the strictly polystable structures
+whose gluing row is one-signed: every marked point lies on a witness
+section and no two signs of :func:`witness_signs` differ.  That is
+weight 1/q_j on one section and (q_j - 1)/q_j on the other.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+
+from cscglue.logmass import mass_sign
 
 FiberCoord = tuple[int, int]  # primitive (a, b) with b > 0, or (1, 0): the point [a : b]
 MAX_QUOTED = 40  # longest number a refusal quotes; longer ones are named by digit count
@@ -262,34 +264,38 @@ def classify(surface: ParabolicSurface) -> StabilityVerdict:
     )
 
 
+def witness_signs(surface: ParabolicSurface, verdict: StabilityVerdict) -> tuple:
+    """The signed masses of each marked point's two singularities over ``verdict.pair``.
+
+    A point of weight p/q gives ``(side * mass_sign(p, q), -side *
+    mass_sign(q - p, q))``: Gamma_{p, q} on its own section and
+    Gamma_{q - p, q} on the opposite one, each times the kernel function
+    phi of its side, with side +1 on the first witness section and -1 on
+    the second.  A point on neither section gives None.
+    """
+    s1, s2 = verdict.pair
+    table = []
+    for j, w in enumerate(surface.weights):
+        side = 1 if j in s1.contains else -1 if j in s2.contains else 0
+        p, q = w.numerator, w.denominator
+        table.append((side * mass_sign(p, q), -side * mass_sign(q - p, q)) if side else None)
+    return tuple(table)
+
+
 def is_sporadic(surface: ParabolicSurface, verdict: StabilityVerdict) -> bool:
-    """Detect the degenerate strictly polystable weight pattern.
+    """Detect the strictly polystable structures whose gluing row is one-signed.
 
     True iff the verdict is strictly polystable, there is a marked point,
-    the base is not the sphere with exactly two marked points, and (up to
-    exchanging the two witness sections) every marked point on the first
-    has weight 1/q_j while every marked point on the second has weight
-    (q_j - 1)/q_j.  Without marked points there is no weight pattern.
+    the base is not the sphere with exactly two marked points, and the
+    :func:`witness_signs` table has no None and no two nonzero signs that
+    differ.  Without marked points there is no weight pattern.
     """
     if verdict.kind is not StabilityKind.STRICTLY_POLYSTABLE or verdict.pair is None:
         return False
     if surface.n == 0 or (surface.genus == 0 and surface.n == 2):
         return False
-    s1, s2 = verdict.pair
-    if s1.contains | s2.contains != frozenset(range(surface.n)):
-        return False
-    return _pattern(surface, s1, s2) or _pattern(surface, s2, s1)
-
-
-def _pattern(surface, s_low, s_high) -> bool:
-    for j in s_low.contains:
-        if surface.weights[j].numerator != 1:
-            return False
-    for j in s_high.contains:
-        w = surface.weights[j]
-        if w.numerator != w.denominator - 1:
-            return False
-    return True
+    table = witness_signs(surface, verdict)
+    return None not in table and len({sign for pair in table for sign in pair if sign}) <= 1
 
 
 def _check_section_numbers(sections) -> None:

@@ -10,13 +10,17 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from cscglue.gluing import gluing_matrix
 from cscglue.parabolic import (
+    CandidateSection,
     ParabolicSurface,
     SectionData,
     StabilityKind,
+    StabilityVerdict,
     classify,
     is_sporadic,
     normalize_coord,
+    witness_signs,
 )
 
 F = Fraction
@@ -172,30 +176,70 @@ def test_sporadic_examples():
     assert is_sporadic(sporadic2, classify(sporadic2))
 
 
-def test_sporadic_trusts_given_verdict():
-    # The pattern predicate applies to whatever slope-zero pair the
-    # verdict carries: weights 1/3 on one section and 2/3 on the other
-    # fit the pattern whenever such a verdict holds.
-    from cscglue.parabolic import CandidateSection, StabilityVerdict
-
-    surf = torus_surface([F(1, 3), F(2, 3)], ["S1", "S2"])
-    s1 = CandidateSection(id="S1", self_intersection=0, contains=frozenset({0}),
+def given_verdict(on_first, on_second):
+    """A strictly polystable verdict whose witness pair S1, S2 holds the given point indices."""
+    s1 = CandidateSection(id="S1", self_intersection=0, contains=frozenset(on_first),
                           slope=F(0), kind="declared")
-    s2 = CandidateSection(id="S2", self_intersection=0, contains=frozenset({1}),
+    s2 = CandidateSection(id="S2", self_intersection=0, contains=frozenset(on_second),
                           slope=F(0), kind="declared")
-    verdict = StabilityVerdict(
+    return StabilityVerdict(
         kind=StabilityKind.STRICTLY_POLYSTABLE,
         min_slope=F(0),
         table=(s1, s2),
         pair=(s1, s2),
         relative_to_supplied=True,
     )
-    assert is_sporadic(surf, verdict)
+
+
+def test_sporadic_trusts_given_verdict():
+    # The pattern predicate applies to whatever slope-zero pair the
+    # verdict carries: weights 1/3 on one section and 2/3 on the other
+    # fit the pattern whenever such a verdict holds.
+    surf = torus_surface([F(1, 3), F(2, 3)], ["S1", "S2"])
+    assert is_sporadic(surf, given_verdict({0}, {1}))
 
 
 def test_sporadic_all_halves_on_torus():
     surf = torus_surface([F(1, 2), F(1, 2)], ["S1", "S2"])
     assert is_sporadic(surf, classify(surf))
+
+
+def numerator_rule(surface, verdict):
+    """The sporadic weight pattern by numerators, as an independent oracle.
+
+    Up to exchanging the witness sections, every marked point on the first
+    has weight 1/q and every one on the second (q - 1)/q.
+    """
+    def pattern(low, high):
+        return (all(surface.weights[j].numerator == 1 for j in low.contains)
+                and all(surface.weights[j].numerator == surface.weights[j].denominator - 1
+                        for j in high.contains))
+
+    s1, s2 = verdict.pair
+    return pattern(s1, s2) or pattern(s2, s1)
+
+
+def test_sporadic_matches_numerator_rule_and_one_signed_row():
+    weights = [F(p, q) for q in range(2, 21) for p in range(1, q) if gcd(p, q) == 1]
+    verdict = given_verdict({0}, {1})
+    sporadic = 0
+    for w1, w2 in product(weights, repeat=2):
+        surf = torus_surface([w1, w2], ["S1", "S2"])
+        flag = is_sporadic(surf, verdict)
+        assert flag == numerator_rule(surf, verdict), (w1, w2)
+        row, _ = gluing_matrix(surf, verdict)
+        assert flag == (not (min(row, default=0) < 0 < max(row, default=0))), (w1, w2)
+        sporadic += flag
+    assert len(weights) ** 2 == 16129 and sporadic == 721
+
+
+def test_point_off_the_witness_pair():
+    surf = torus_surface([F(1, 3), F(1, 3), F(2, 3)], ["S1", "S1", "S2"])
+    verdict = given_verdict({0}, {2})
+    assert witness_signs(surf, verdict) == ((-1, 0), None, (0, -1))
+    assert not is_sporadic(surf, verdict)
+    with pytest.raises(ValueError, match=r"^marked point P2 lies on neither witness section$"):
+        gluing_matrix(surf, verdict)
 
 
 def test_permutation_invariance():
