@@ -60,7 +60,9 @@ converts the exact monopole data to float arrays once, and a sample
 builds g, omega and J, and the three nonzero 2 x 2 blocks of omega and
 J, only when a check reads them.  numpy's Python-level helpers stay off
 the check path, and the fixed arrays are built once, read-only
-(:func:`_constants`).
+(:func:`_constants`).  A numpy call on batches this small costs more
+than its arithmetic, so checks share passes (see Derivatives); the
+determinant check keeps a float pass to report what metric_at refuses.
 
 Derivatives.  A check that differentiates evaluates its points once, as
 Taylor jets (Griewank and Walther, *Evaluating Derivatives*, ch. 13):
@@ -76,6 +78,12 @@ checks then read roundoff.  The monopole-system and scalar-curvature
 details are eps times the terms that cancel in the check, at the worst
 point.  The curvature's terms leave out the roundoff that the frame's
 level sums carry into g, so its detail is only a lower bound on the scale.
+:func:`verify_metric` makes three jet passes: (x, y) at order 1 for the
+monopole system; (r, theta) at order 1 over its first samples and the
+decay grid, whose values (the bits of the float evaluation) serve the
+invariants and whose gradients the Kähler and potential checks; and
+order 2 for the curvature, over fewer points, since one order-2 pass
+over all of them measured no faster.
 """
 
 
@@ -158,8 +166,8 @@ def check_float_range(coeffs: LogCoefficients) -> None:
         raise ValueError("log coefficients a, b, mu outside the float range")
 
 
-# Sample points of verify_metric's scalar-curvature check.
-CURVATURE_POINTS = 40
+# How many samples verify_metric's monopole, invariant (and Kähler) and curvature checks read.
+MONOPOLE_POINTS, INVARIANT_POINTS, CURVATURE_POINTS = 50, 100, 40
 # Radii of its potential-decay check, doubling, so each residual ratio is near 2^-4.
 DECAY_RADII = (10.0, 20.0, 40.0)
 # The np.geomspace arguments of the radii of decay_series.
@@ -205,16 +213,16 @@ class MetricSample:
     A sample at jet coordinates gives jets of g and of the three blocks.
     """
 
-    def __init__(self, frame: FrameData, r, s, c):
-        v1, v2, D = frame.v1, frame.v2, frame.det
-        parts = (r, s, c, D, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
-        self._parts = parts if r.shape == s.shape == D.shape else np.broadcast_arrays(*parts)
+    def __init__(self, parts):
+        self._parts = parts  # r, s, c, D, v1x, v1y, v2x, v2y, of one shape S
 
     def values(self):
         """The sample at the value parts of jet coordinates, with no field built yet."""
-        sample = object.__new__(MetricSample)
-        sample._parts = tuple(_value(part) for part in self._parts)
-        return sample
+        return MetricSample(tuple(_value(part) for part in self._parts))
+
+    def __getitem__(self, index):
+        """The sample at the points ``index`` picks from the batch, with no field built yet."""
+        return MetricSample(tuple(part[index] for part in self._parts))
 
     @cached_property
     def g(self):
@@ -350,15 +358,21 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
         If the determinant <v_1, v_2> is not positive at some point.
     """
     data = as_numeric(data)
-    s, c = np.sin(p.theta), np.cos(p.theta)
-    frame = v_eval(data, *from_polar(p))
-    D = _value(frame.det)
+    r, s, c = _real(p.r), np.sin(p.theta), np.cos(p.theta)
+    v1, v2, det = v_eval(data, *from_polar(p))
+    D = _value(det)
     if (D <= 0).any():
         i = np.unravel_index(np.argmax(D <= 0), D.shape)
         r0, t0 = (float(np.broadcast_to(_value(v), D.shape)[i]) for v in (p.r, p.theta))
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
                          f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
-    return MetricSample(frame, _real(p.r), s, c)
+    parts = (r, s, c, det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
+    return MetricSample(parts if r.shape == s.shape == D.shape else np.broadcast_arrays(*parts))
+
+
+def jet_sample(data, p: PolarPoint, order: int = 1) -> MetricSample:
+    """:func:`metric_at` with (r, theta) made jets of ``order``: its fields are jets."""
+    return metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta, order)))
 
 
 def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
@@ -552,19 +566,17 @@ def monopole_residual(data, x, y) -> Residual:
                     np.maximum(terms1.max(axis=-1), terms2.max(axis=-1)))
 
 
-def kahler_residual(data, p: PolarPoint) -> dict:
+def kahler_residual(sample: MetricSample) -> dict:
     """Maximum relative residual of d(omega) = 0 and d(J dt) = 0.
 
     omega has components only in dr^dt_i and dtheta^dt_i depending on
     (r, theta), so d(omega) reduces to dr(omega_{theta t_i}) -
     dtheta(omega_{r t_i}); similarly d(J dt_i) reduces to one dr^dtheta
     coefficient per i, dr((J dt_i)_theta) - dtheta((J dt_i)_r), where
-    (J dt_i)_j = -J[t_i, j].  The derivatives come from first-order jets
-    in (r, theta).  Residuals are normalised by the magnitudes of the
-    cancelling terms, worst over the points of ``p``.
+    (J dt_i)_j = -J[t_i, j].  The derivatives are the gradients of
+    ``sample``, a :func:`jet_sample` of order 1.  Residuals are normalised
+    by the magnitudes of the cancelling terms, worst over its points.
     """
-    data = as_numeric(data)
-    sample = metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta)))
     omega, J = sample.omega_block, sample.J_lower
 
     def worst(along_r, along_theta):
@@ -587,9 +599,7 @@ def scalar_curvature_at(data, p: PolarPoint) -> Residual:
     Killing, so all derivatives are taken in the first two coordinates.
     One value per point of ``p``.
     """
-    data = as_numeric(data)
-    return scalar_curvature_generic(
-        metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta, order=2))).g)
+    return scalar_curvature_generic(jet_sample(data, p, order=2).g)
 
 
 def scalar_curvature_generic(g: Jet) -> Residual:
@@ -676,38 +686,40 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
     return {"a_fit": float(ab[0]), "b_fit": float(ab[1])}
 
 
-def potential_residual(data, r):
-    """Pointwise metric norm of omega - d(J df), worst over theta, per radius.
+def potential_grid(r) -> PolarPoint:
+    """The radii ``r`` (one or an array) against seven thetas across the interior."""
+    return PolarPoint(*np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
+                                           _constants().potential_thetas))
+
+
+def potential_residual(data, sample: MetricSample):
+    """Metric norm of omega - d(J df) at each point of ``sample``.
 
     f is the analytic asymptotic potential built from the exact log
-    coefficients of the data, J df = f_r J dr + f_theta J dtheta is taken
-    from :func:`metric_at`, and its exterior derivative from first-order
-    jets in (r, theta).  The norm is the metric norm of the 2-form, so the
-    expected decay is r^-4.  ``r`` is a radius or an array of them; all
-    radii and seven thetas across the interior form one batch, evaluated
-    once.  g and the block of omega are read at the value parts, and only
-    the two torus components of J df are differentiated (the others
-    vanish).
+    coefficients of the data, J df = f_r J dr + f_theta J dtheta is read
+    from ``sample``, a :func:`jet_sample` of order 1, and its exterior
+    derivative from the sample's gradients.  The norm is the metric norm of
+    the 2-form, so the expected decay is r^-4; the decay check takes the
+    worst over the thetas of :func:`potential_grid`.  g and the block of
+    omega are read at the value parts, and only the two torus components
+    of J df are differentiated (the others vanish).
     """
     data = as_numeric(data)
-    theta_samples = _constants().potential_thetas
     a, b = float(data.exact.a), float(data.exact.b)
     q = data.source.pq()[1]
-    rad, theta = Jet.variables(*np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
-                                                    theta_samples))
-    sample = metric_at(data, PolarPoint(rad, theta))
+    rad, s, c = sample._parts[:3]
     # The (t1, t2) components of J df: J dx^i has components -J[..., i, :],
     # and its (r, theta) ones vanish.
     J = sample.J_upper
     f_r = q * (rad / 2 + (a + b) / (2 * rad))
-    f_th = -q * (a - b) * np.sin(theta) * np.cos(theta) / 2
+    f_th = -q * (a - b) * s * c / 2
     jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
     plain = sample.values()
     R = np.zeros(rad.shape + (4, 4))
     omega = plain.omega_block
     R[..., 0, 2:], R[..., 1, 2:] = omega[..., 0, :] - jdf.grad[0], omega[..., 1, :] - jdf.grad[1]
     R -= R.swapaxes(-1, -2)
-    return form2_norm(R, plain.g).max(axis=-1)
+    return form2_norm(R, plain.g)
 
 
 def form2_norm(R: np.ndarray, g: np.ndarray):
@@ -807,7 +819,9 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     closedness of omega and of the (1,0)-forms, scalar flatness, the
     asymptotic (a, b) fit against the exact coefficients, the r^-4 decay
     of the potential residual, and the sign of the fitted mass against
-    the exact verdict.
+    the exact verdict.  The invariants, Kähler and decay checks read one
+    :func:`jet_sample` over the first ``INVARIANT_POINTS`` samples and the
+    :func:`potential_grid` of ``DECAY_RADII``.
 
     Raises
     ------
@@ -862,15 +876,20 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail="minimum of <v1,v2> over samples"))
 
         # Monopole system residual, from jets (an independent route).
-        checks.append(_worst_point_check(
-            "monopole-system", monopole_residual(num, *from_polar(_head(points, 50))), TOL_MONOPOLE))
+        checks.append(_worst_point_check("monopole-system", monopole_residual(
+            num, *from_polar(_head(points, MONOPOLE_POINTS))), TOL_MONOPOLE))
+
+        # One jet pass over the head samples, then the decay grid's points.
+        n, grid = min(samples, INVARIANT_POINTS), potential_grid(DECAY_RADII)
+        shared = jet_sample(num, PolarPoint(np.concatenate((points.r[:n], grid.r.ravel())),
+                                            np.concatenate((points.theta[:n], grid.theta.ravel()))))
 
         # Algebraic invariants of each sample.
-        worst = float(invariant_residual(metric_at(num, _head(points, 100))).max())
+        worst = float(invariant_residual(shared[:n].values()).max())
         checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
 
         # Kähler residuals.
-        res = kahler_residual(num, _head(points, 100))
+        res = kahler_residual(shared[:n])
         checks.append(CheckResult("domega-residual", res["max_domega"], TOL_FIRST_DERIV,
                                   res["max_domega"] < TOL_FIRST_DERIV))
         checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
@@ -890,7 +909,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
 
         # Potential residual decay: ratio across doubled radii near 2^-4.
-        residuals = [float(x) for x in potential_residual(num, np.array(DECAY_RADII))]
+        residuals = potential_residual(num, shared[n:]).reshape(grid.r.shape).max(axis=-1).tolist()
         ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
         # The data is never flat, so there is always a decay to measure:
         # float(exact.a) < 0.  With 0 < p < q, k >= 1.  The k + 1 steps
@@ -938,9 +957,9 @@ def decay_series(report: VerificationReport) -> tuple:
     Computed from the p, q and levels of a :func:`verify_metric` report.
     """
     with np.errstate(all="ignore"):
-        radii = np.geomspace(*SERIES_RADII)
-        return tuple((float(r), float(res))
-                     for r, res in zip(radii, potential_residual(_report_data(report), radii)))
+        radii, num = np.geomspace(*SERIES_RADII), _report_data(report)
+        worst = potential_residual(num, jet_sample(num, potential_grid(radii))).max(axis=-1)
+        return tuple((float(r), float(res)) for r, res in zip(radii, worst))
 
 
 def fit_series(report: VerificationReport) -> tuple:

@@ -29,9 +29,11 @@ from cscglue.metricnum import (
     form2_norm,
     from_polar,
     invariant_residual,
+    jet_sample,
     kahler_residual,
     metric_at,
     monopole_residual,
+    potential_grid,
     potential_residual,
     sample_batch,
     scalar_curvature_at,
@@ -469,7 +471,8 @@ def test_scalar_flatness_sample():
 
 
 def test_kahler_residual_flat():
-    res = kahler_residual(flat_monopole(), PolarPoint(np.array([2.0, 0.9]), np.array([0.7, 0.4])))
+    flat = flat_monopole()
+    res = kahler_residual(jet_sample(flat, PolarPoint(np.array([2.0, 0.9]), np.array([0.7, 0.4]))))
     assert res["max_domega"] < 1e-9
     assert res["max_dintegrability"] < 1e-9
 
@@ -479,7 +482,7 @@ def test_kahler_residual_at_roundoff_up_to_the_axes():
     # evaluated like any other point, and every residual is roundoff.
     data = data_for(1, 2)
     pts = PolarPoint(np.array([2.0, 1.3, 1.0, 3.0]), np.array([0.7, 0.5, 0.05, math.pi / 2 - 0.05]))
-    res = kahler_residual(data, pts)
+    res = kahler_residual(jet_sample(data, pts))
     assert res["max_domega"] < 1e-13
     assert res["max_dintegrability"] < 1e-13
 
@@ -508,15 +511,20 @@ def test_fit_input_validation():
         fit_log_coeffs(data, np.geomspace(10, 100, 12), [0.5])
 
 
+def decay_residual(data, r):
+    """The potential residual at radius r, worst over the thetas of its grid."""
+    return potential_residual(data, jet_sample(data, potential_grid(r))).max()
+
+
 def test_potential_residual_flat():
     flat = flat_monopole()
     for r in (5.0, 20.0, 100.0):
-        assert potential_residual(flat, r) < 1e-9
+        assert decay_residual(flat, r) < 1e-9
 
 
 def test_potential_residual_decay():
     data = data_for(1, 3)
-    res = [potential_residual(data, r) for r in (10.0, 20.0, 40.0)]
+    res = [decay_residual(data, r) for r in (10.0, 20.0, 40.0)]
     assert res[0] > res[1] > res[2]
     for a, b in zip(res, res[1:]):
         assert abs(b / a * 16.0 - 1.0) < 0.25
@@ -570,14 +578,76 @@ def _count_frame_points(monkeypatch):
 
 
 def test_verify_metric_frame_point_count(monkeypatch):
-    # The work of one default run, pinned: each check evaluates the frame
+    # The work of one default run, pinned: each pass evaluates the frame
     # once at each of its points, as jets where it differentiates, and the
     # decay check evaluates its three radii only.  The 200 flat-model and
-    # 200 determinant samples, 50 monopole, 100 invariant, 100 Kähler and
-    # 40 curvature points, the fit's 25 x 5 grid and 3 x 7 decay points.
+    # 200 determinant samples, 50 monopole points, the shared first-order
+    # pass over 100 invariant and Kähler points and the 3 x 7 decay grid,
+    # 40 curvature points and the fit's 25 x 5 grid.
     seen = _count_frame_points(monkeypatch)
     verify_metric(4, 9)
-    assert sum(seen) == 200 + 200 + 50 + 100 + 100 + 40 + 125 + 21 == 836
+    assert seen == [200, 200, 50, 100 + 21, 40, 125]
+    assert sum(seen) == 736
+
+
+def test_verify_metric_makes_three_jet_passes(monkeypatch):
+    # One default run differentiates in three passes: (x, y) at order 1
+    # for the monopole system, (r, theta) at order 1 for the invariants,
+    # the Kähler residuals and the potential decay, and (r, theta) at
+    # order 2 for the scalar curvature.
+    seen = []
+    variables = Jet.variables.__func__
+
+    def counting(cls, u0, u1, order=1):
+        seen.append((np.shape(u0), order))
+        return variables(cls, u0, u1, order)
+
+    monkeypatch.setattr(Jet, "variables", classmethod(counting))
+    verify_metric(4, 9)
+    n = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7
+    assert seen == [((metricnum.MONOPOLE_POINTS,), 1), ((n,), 1),
+                    ((metricnum.CURVATURE_POINTS,), 2)]
+
+
+def _separate_passes(p, q, samples, seed):
+    """The metric-invariants, Kähler and potential-decay values of
+    verify_metric, each from a pass of its own over its own points."""
+    data = data_for(p, q)
+    rng = np.random.default_rng(seed)
+    sample_batch(rng, samples, 0.2, 30.0)  # the flat-model points are drawn first
+    points = sample_batch(rng, samples, 1.0, 5.0)
+    n = metricnum.INVARIANT_POINTS
+    head = PolarPoint(points.r[:n], points.theta[:n])
+    kahler = kahler_residual(jet_sample(data, head))
+    grid = potential_grid(metricnum.DECAY_RADII)
+    residuals = [float(x) for x in potential_residual(data, jet_sample(data, grid)).max(axis=-1)]
+    return {"metric-invariants": float(invariant_residual(metric_at(data, head)).max()),
+            "domega-residual": kahler["max_domega"],
+            "integrability-residual": kahler["max_dintegrability"],
+            "potential-decay": max(abs(b / a * 16.0 - 1.0) for a, b in zip(residuals, residuals[1:]))}
+
+
+@pytest.mark.parametrize("samples, seed", [(200, 0), (17, 3)])
+def test_shared_pass_matches_separate_passes(samples, seed):
+    # The checks that read verify_metric's shared first-order pass, against
+    # separate passes.  Below 16 levels they keep every bit; from 16 on,
+    # OpenBLAS may sum the level charges of the longer batch in another
+    # order, which moves only roundoff.
+    bit_equal = 0
+    for q in range(2, 41):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            checks = {c.name: c for c in verify_metric(p, q, samples=samples, seed=seed).checks}
+            for name, want in _separate_passes(p, q, samples, seed).items():
+                got = checks[name]
+                if hj_length(p, q) + 2 < 16:
+                    assert got.value == want, (p, q, name)
+                    bit_equal += 1
+                else:
+                    assert abs(got.value - want) <= 1e-3 * got.tolerance, (p, q, name)
+                assert got.passed == (want < got.tolerance), (p, q, name)
+    assert bit_equal > 1000
 
 
 @pytest.mark.parametrize("pq", [(4, 9), (21, 22)])
@@ -593,7 +663,8 @@ def test_roundoff_detail_is_eps_times_the_terms_at_the_worst_point(pq):
     points = sample_batch(rng, report.samples, 1.0, 5.0)
     eps = np.finfo(float).eps
 
-    residual = monopole_residual(data, *from_polar(PolarPoint(points.r[:50], points.theta[:50])))
+    n = metricnum.MONOPOLE_POINTS
+    residual = monopole_residual(data, *from_polar(PolarPoint(points.r[:n], points.theta[:n])))
     i = int(residual.value.argmax())
     assert residual.value[i] == checks["monopole-system"].value
     assert checks["monopole-system"].detail == f"roundoff scale {eps * residual.terms[i]:.2e}"
@@ -629,7 +700,8 @@ def test_verify_metric_compares_no_fraction_with_a_float(p, q, levels, monkeypat
 def test_verify_metric_numpy_helper_calls(monkeypatch):
     # The numpy helper calls of one warm default run, pinned: ndarray
     # methods, np.empty blocks and the constants built once leave only the
-    # broadcast that pairs potential_residual's radii with its thetas.
+    # broadcast that pairs the decay radii with their thetas
+    # (potential_grid).
     verify_metric(4, 9)
     names = ("any", "broadcast_arrays", "stack", "geomspace", "linspace")
     calls = dict.fromkeys(names, 0)
@@ -662,12 +734,14 @@ def test_constants_are_built_once_and_read_only():
 @pytest.mark.parametrize("option, extra", [(None, 0), ("--csv", 12 * 7), ("--fit-csv", 25 * 5)])
 def test_metric_verify_computes_a_series_only_when_asked(option, extra, monkeypatch, tmp_path,
                                                          capsys):
-    # --csv adds the jets of potential_residual at 12 radii and 7 thetas;
-    # --fit-csv the 25 x 5 grid of the asymptotic fit.
+    # A default run evaluates 736 frame points (see
+    # test_verify_metric_frame_point_count); --csv adds its own jet pass of
+    # potential_residual at 12 radii and 7 thetas, --fit-csv the 25 x 5
+    # grid of the asymptotic fit.
     seen = _count_frame_points(monkeypatch)
     argv = ["metric-verify", "4/9"] + ([option, str(tmp_path / "series.csv")] if option else [])
     assert cli.main(argv) == 0
-    assert sum(seen) == 836 + extra
+    assert sum(seen) == 736 + extra
 
 
 def test_verify_metric_takes_numpy_integer_samples():
