@@ -58,10 +58,12 @@ shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
 is the batch with S = (), through the same code.  :func:`as_numeric`
 converts the exact monopole data to float arrays once, and a sample
 builds g, omega and J, and the three nonzero 2 x 2 blocks of omega and
-J, only when a check reads them.  numpy's Python-level helpers stay off
-the check path, and the fixed arrays are built once, read-only
+J, only when a check reads them, and a frame its determinant likewise.
+numpy's Python-level helpers stay off the check path, and the fixed
+arrays, the decay grid among them, are built once, read-only
 (:func:`_constants`).  A numpy call on batches this small costs more
-than its arithmetic, so checks share passes (see Derivatives); the
+than its arithmetic, so checks share passes (see Derivatives), and a
+slice or the value view of a sample keeps the fields already built; the
 determinant check keeps a float pass to report what metric_at refuses.
 
 Derivatives.  A check that differentiates evaluates its points once, as
@@ -79,11 +81,14 @@ details are eps times the terms that cancel in the check, at the worst
 point.  The curvature's terms leave out the roundoff that the frame's
 level sums carry into g, so its detail is only a lower bound on the scale.
 :func:`verify_metric` makes three jet passes: (x, y) at order 1 for the
-monopole system; (r, theta) at order 1 over its first samples and the
-decay grid, whose values (the bits of the float evaluation) serve the
-invariants and whose gradients the Kähler and potential checks; and
-order 2 for the curvature, over fewer points, since one order-2 pass
-over all of them measured no faster.
+monopole system, which reads no determinant and builds none; (r, theta)
+at order 1 over its first samples and the decay grid, whose values (the
+bits of the float evaluation) serve the invariants and whose gradients
+the Kähler and potential checks; and order 2 for the curvature, over
+fewer points, since one order-2 pass over all of them measured no
+faster.  The shared first-order pass builds the three blocks once as
+jets over all its points and g once at their values, and each of its
+checks reads slices of those builds.
 """
 
 
@@ -91,6 +96,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
 import types
 from collections import namedtuple
@@ -184,21 +190,36 @@ class PolarPoint(namedtuple("PolarPoint", "r theta")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, r, theta):
-        if not (_value(r) > 0).all():
-            raise ValueError(f"need r > 0, got r={r}")
-        angles = _value(theta)
-        if not ((angles > 0) & (angles < math.pi / 2)).all():
-            raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
+        radii, angles = _value(r), _value(theta)
+        ok = radii > 0
+        if not ok.all():
+            raise ValueError("need r > 0" + _where_not(ok, radii, "r"))
+        ok = (angles > 0) & (angles < math.pi / 2)
+        if not ok.all():
+            raise ValueError("theta must lie in (0, pi/2)" + _where_not(ok, angles, "theta"))
         return super().__new__(cls, r, theta)
 
 
-class FrameData(namedtuple("FrameData", "v1 v2 det")):
-    """(v_1, v_2) and their determinant; leading axes are the batch axes.
+def _where_not(ok, values, name: str) -> str:
+    """' at k of n points, first name=v': where ``ok`` fails, for a one-line refusal."""
+    bad = ~ok
+    return f" at {bad.sum()} of {bad.size} points, first {name}={values[bad][0]:.6g}"
 
-    ``v1`` and ``v2`` have shape S + (2,), ``det`` shape S.
+
+class FrameData(namedtuple("FrameData", "v1 v2")):
+    """(v_1, v_2); leading axes are the batch axes.
+
+    ``v1`` and ``v2`` have shape S + (2,).  The determinant ``det``, shape
+    S, is computed when read, so a pass that never reads it builds none.
     """
 
     __slots__ = ()
+
+    @property
+    def det(self):
+        """<v_1, v_2> = v1_x v2_y - v1_y v2_x."""
+        v1, v2 = self
+        return v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
 
 
 class MetricSample:
@@ -211,18 +232,35 @@ class MetricSample:
     ``J_upper`` (the same rows and columns of J) and ``J_lower`` (rows t1,
     t2; columns r, theta).  ``omega`` and ``J`` are assembled from them.
     A sample at jet coordinates gives jets of g and of the three blocks.
+    Its value view and its slices start with the fields built so far, so
+    checks that read parts of one pass share one build of each field.
     """
 
     def __init__(self, parts):
         self._parts = parts  # r, s, c, D, v1x, v1y, v2x, v2y, of one shape S
+        self._values = None
 
     def values(self):
-        """The sample at the value parts of jet coordinates, with no field built yet."""
-        return MetricSample(tuple(_value(part) for part in self._parts))
+        """The sample at the value parts of jet coordinates, built once; it
+        starts with the value parts of the fields built before it."""
+        if self._values is None:
+            self._values = self._map(_value)
+        return self._values
 
     def __getitem__(self, index):
-        """The sample at the points ``index`` picks from the batch, with no field built yet."""
-        return MetricSample(tuple(part[index] for part in self._parts))
+        """The sample at the points ``index`` picks from the batch; it starts
+        with those points of the fields and the value view built so far."""
+        sample = self._map(lambda u: u[index])
+        if self._values is not None:
+            sample._values = self._values[index]
+        return sample
+
+    def _map(self, take):
+        """The sample of ``take`` of each part, with ``take`` of each field built so far."""
+        sample = MetricSample(tuple(map(take, self._parts)))
+        sample.__dict__.update((name, take(field)) for name, field in vars(self).items()
+                               if not name.startswith("_"))
+        return sample
 
     @cached_property
     def g(self):
@@ -325,7 +363,7 @@ def from_polar(p: PolarPoint):
 
 
 def v_eval(data, x, y) -> FrameData:
-    """Evaluate (v_1, v_2) and their determinant at points (x, y).
+    """Evaluate (v_1, v_2) at points (x, y).
 
     ``x`` and ``y`` broadcast to the batch shape S.  An infinite level
     contributes zero to v_1 and the constant -(a_0, b_0)/2 to v_2 (the
@@ -334,8 +372,9 @@ def v_eval(data, x, y) -> FrameData:
     data = as_numeric(data)
     x, y = _real(x), _real(y)
     x, y = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
-    if not (_value(x) > 0).all():
-        raise ValueError(f"need x > 0, got {_value(x)}")
+    ok = _value(x) > 0
+    if not ok.all():
+        raise ValueError("need x > 0" + _where_not(ok, _value(x), "x"))
     dy = y[..., None] - data.levels
     f = np.sqrt((x * x)[..., None] + dy * dy)
     # The level weights of v_2 and of v_1 / (x/2), dy/f and 1/f, each
@@ -345,8 +384,7 @@ def v_eval(data, x, y) -> FrameData:
     f = 1.0 / f
     v1 = (x / 2)[..., None] * (f @ data.pairs)
     v2 = (dy @ data.pairs) / 2 + data.v2_const
-    det = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
-    return FrameData(v1=v1, v2=v2, det=det)
+    return FrameData(v1=v1, v2=v2)
 
 
 def metric_at(data, p: PolarPoint) -> MetricSample:
@@ -359,7 +397,8 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
     """
     data = as_numeric(data)
     r, s, c = _real(p.r), np.sin(p.theta), np.cos(p.theta)
-    v1, v2, det = v_eval(data, *from_polar(p))
+    v1, v2 = frame = v_eval(data, *from_polar(p))
+    det = frame.det
     D = _value(det)
     if (D <= 0).any():
         i = np.unravel_index(np.argmax(D <= 0), D.shape)
@@ -391,9 +430,10 @@ def _constants():
     const = types.SimpleNamespace(
         fit_radii=np.geomspace(10.0, 1000.0, 25), fit_thetas=np.linspace(0.3, math.pi / 2 - 0.3, 5),
         potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7), eye4=np.eye(4))
-    for array in (*vars(const).values(), flat.levels, flat.pairs, flat.v2_const):
+    decay_grid = _polar_grid(DECAY_RADII, const.potential_thetas)
+    for array in (*vars(const).values(), *decay_grid, flat.levels, flat.pairs, flat.v2_const):
         array.flags.writeable = False
-    const.flat = flat
+    const.flat, const.decay_grid = flat, decay_grid
     return const
 
 
@@ -441,17 +481,19 @@ class Jet:
             parts[2:] += 0.5 * d2 * _symmetric(inner, inner)
         return Jet(value, parts)
 
-    def __add__(self, other):
+    def _linear(self, other, op):
+        """self + other or self - other, by ``op``: one float operation per value and part."""
         if isinstance(other, Jet):
-            value = self.value + other.value
-            return Jet(value, self._padded(value.ndim) + other._padded(value.ndim))
-        value = self.value + other
+            value = op(self.value, other.value)
+            return Jet(value, op(self._padded(value.ndim), other._padded(value.ndim)))
+        value = op(self.value, other)
         parts = self._padded(value.ndim)  # an array constant may widen the value
         return Jet(value, parts if value.shape == self.value.shape
                    else np.broadcast_to(parts, parts.shape[:1] + value.shape))
 
     __neg__ = lambda self: Jet(-self.value, -self.parts)
-    __sub__ = lambda self, other: self + -other  # x - y and x + (-y) round alike
+    __add__ = lambda self, other: self._linear(other, operator.add)
+    __sub__ = lambda self, other: self._linear(other, operator.sub)
     __matmul__ = lambda self, matrix: Jet(self.value @ matrix, self.parts @ matrix)
 
     def __mul__(self, other):
@@ -658,8 +700,8 @@ def _fit_grid(data, r_samples, theta_samples):
     """The sorted radii, E = <v_1,v_2>/(q s c) - 1 on the (r, theta) grid and
     the angular design (sin^2, cos^2) at the sorted thetas."""
     data = as_numeric(data)
-    r_samples = np.asarray(sorted(r_samples), dtype=float)
-    theta_samples = np.asarray(sorted(theta_samples), dtype=float)
+    r_samples = np.sort(np.asarray(r_samples, dtype=float))
+    theta_samples = np.sort(np.asarray(theta_samples, dtype=float))
     if len(r_samples) < 10:
         raise ValueError("need at least 10 radii for the asymptotic fit")
     if len(theta_samples) < 2:
@@ -688,8 +730,11 @@ def fit_log_coeffs(data, r_samples, theta_samples) -> dict:
 
 def potential_grid(r) -> PolarPoint:
     """The radii ``r`` (one or an array) against seven thetas across the interior."""
-    return PolarPoint(*np.broadcast_arrays(np.asarray(r, dtype=float)[..., None],
-                                           _constants().potential_thetas))
+    return _polar_grid(r, _constants().potential_thetas)
+
+
+def _polar_grid(r, thetas) -> PolarPoint:
+    return PolarPoint(*np.broadcast_arrays(np.asarray(r, dtype=float)[..., None], thetas))
 
 
 def potential_residual(data, sample: MetricSample):
@@ -880,16 +925,21 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
             num, *from_polar(_head(points, MONOPOLE_POINTS))), TOL_MONOPOLE))
 
         # One jet pass over the head samples, then the decay grid's points.
-        n, grid = min(samples, INVARIANT_POINTS), potential_grid(DECAY_RADII)
+        n, grid = min(samples, INVARIANT_POINTS), _constants().decay_grid
         shared = jet_sample(num, PolarPoint(np.concatenate((points.r[:n], grid.r.ravel())),
                                             np.concatenate((points.theta[:n], grid.theta.ravel()))))
+        # Each field the three checks read is built once, over all the points:
+        # the blocks as jets, then g at the value view, which takes the blocks'
+        # values.  The checks read slices, which keep them.
+        shared.omega_block, shared.J_lower, shared.J_upper, shared.values().g
+        head, decay = shared[:n], shared[n:]
 
         # Algebraic invariants of each sample.
-        worst = float(invariant_residual(shared[:n].values()).max())
+        worst = float(invariant_residual(head.values()).max())
         checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
 
         # Kähler residuals.
-        res = kahler_residual(shared[:n])
+        res = kahler_residual(head)
         checks.append(CheckResult("domega-residual", res["max_domega"], TOL_FIRST_DERIV,
                                   res["max_domega"] < TOL_FIRST_DERIV))
         checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
@@ -909,7 +959,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
                                   detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
 
         # Potential residual decay: ratio across doubled radii near 2^-4.
-        residuals = potential_residual(num, shared[n:]).reshape(grid.r.shape).max(axis=-1).tolist()
+        residuals = potential_residual(num, decay).reshape(grid.r.shape).max(axis=-1).tolist()
         ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
         # The data is never flat, so there is always a decay to measure:
         # float(exact.a) < 0.  With 0 < p < q, k >= 1.  The k + 1 steps

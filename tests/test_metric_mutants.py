@@ -33,7 +33,7 @@ def off_system_v_eval(eps):
         f = np.sqrt((x * x)[..., None] + dy * dy + eps)
         v1 = (x / 2)[..., None] * ((1.0 / f) @ data.pairs)
         v2 = ((dy / f) @ data.pairs) / 2 + data.v2_const
-        return FrameData(v1=v1, v2=v2, det=v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0])
+        return FrameData(v1=v1, v2=v2)
 
     return v_eval
 

@@ -20,7 +20,9 @@ from cscglue.metricnum import (
     FLOAT_MAX_INT,
     MAX_LEVELS,
     TOL_INVARIANT,
+    FrameData,
     Jet,
+    MetricSample,
     PolarPoint,
     decay_series,
     default_levels,
@@ -180,6 +182,21 @@ def test_nan_coordinates_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: PolarPoint(bad, np.full(31, 0.5)), "need r > 0 at 2 of 31 points, first r=-1"),
+    (lambda bad: PolarPoint(np.ones(31), bad - 0.5), "theta must lie in (0, pi/2) "
+                                                     "at 2 of 31 points, first theta=-1.5"),
+    (lambda bad: v_eval(flat_monopole(), bad, 0.0), "need x > 0 at 2 of 31 points, first x=-1"),
+], ids=["r", "theta", "x"])
+def test_batch_refusals_are_one_line(call, message):
+    # A refusal names the count of bad points and the first, not the batch.
+    bad = np.ones(31)
+    bad[[4, 9]] = -1.0, math.nan
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    assert str(refused.value) == message
+
+
 def test_flat_frame_closed_form():
     flat = flat_monopole()
     for _ in range(50):
@@ -315,7 +332,7 @@ def _jet_cases(order):
     u0, u1 = np.array([0.7, 1.3, 2.1]), np.array([0.4, -0.9, 1.6])
     a, b = Jet.variables(u0, u1, order)
     one, zero = np.ones(3), np.zeros(3)
-    m = np.array([[1.5, -2.0], [0.5, 3.0]])
+    m, w = np.array([[1.5, -2.0], [0.5, 3.0]]), np.array([0.5, -3.0])
     return [
         (a + b, u0 + u1, [one, one], [[zero, zero], [zero, zero]]),
         (-(a * b) + 2.5, 2.5 - u0 * u1, [-u1, -u0], [[zero, -one], [-one, zero]]),
@@ -338,6 +355,11 @@ def _jet_cases(order):
         # A level axis: (S, 1) - (m,) widens the batch, then a matrix product.
         ((a[:, None] - np.array([0.0, 1.0])) @ m, (u0[:, None] - [0.0, 1.0]) @ m,
          [np.tile(m.sum(axis=0), (3, 1)), np.zeros((3, 2))], [[np.zeros((3, 2))] * 2] * 2),
+        # Jet - jet, each one rounding: (S,) - (S,) with Hessians, and
+        # (S, 1) - (S, m) across batch ranks.
+        (a * b - b * b, u0 * u1 - u1 * u1, [u1, u0 - 2 * u1], [[zero, one], [one, -2 * one]]),
+        (a[:, None] - b[:, None] * w, u0[:, None] - u1[:, None] * w,
+         [np.ones((3, 2)), np.tile(-w, (3, 1))], [[np.zeros((3, 2))] * 2] * 2),
     ]
 
 
@@ -570,7 +592,7 @@ def _count_frame_points(monkeypatch):
 
     def counting(data, x, y):
         frame = v_eval(data, x, y)
-        seen.append(math.prod(frame.det.shape))
+        seen.append(math.prod(frame.v1.shape[:-1]))
         return frame
 
     monkeypatch.setattr(metricnum, "v_eval", counting)
@@ -607,6 +629,48 @@ def test_verify_metric_makes_three_jet_passes(monkeypatch):
     n = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7
     assert seen == [((metricnum.MONOPOLE_POINTS,), 1), ((n,), 1),
                     ((metricnum.CURVATURE_POINTS,), 2)]
+
+
+def test_verify_metric_builds_each_field_of_the_shared_pass_once(monkeypatch):
+    # The metric-invariants, Kähler and potential-decay checks read slices
+    # of one build of each field over the shared pass's points: the three
+    # blocks as jets and g at the values.  Besides it, the flat model
+    # builds g on its 200 points and the curvature a jet of g on its 40.
+    built = []
+
+    def counting(name, build):
+        def counted(sample):
+            field = build(sample)
+            built.append((name, len(field.value if isinstance(field, Jet) else field),
+                          isinstance(field, Jet)))
+            return field
+        return counted
+
+    for name in ("g", "omega_block", "J_upper", "J_lower"):
+        field = functools.cached_property(counting(name, getattr(MetricSample, name).func))
+        field.__set_name__(MetricSample, name)
+        monkeypatch.setattr(MetricSample, name, field)
+    verify_metric(4, 9)
+    n = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7
+    assert built == [("g", 200, False), ("omega_block", n, True), ("J_lower", n, True),
+                     ("J_upper", n, True), ("g", n, False), ("g", metricnum.CURVATURE_POINTS, True)]
+
+
+def test_verify_metric_reads_no_determinant_in_the_monopole_pass(monkeypatch):
+    # FrameData holds v_1 and v_2, and the determinant is computed when
+    # read: once by each pass that needs it, never by the monopole system.
+    assert FrameData._fields == ("v1", "v2")
+    reads = []
+    det = FrameData.det.fget
+
+    def counting(frame):
+        reads.append(math.prod(frame.v1.shape[:-1]))
+        return det(frame)
+
+    monkeypatch.setattr(FrameData, "det", property(counting))
+    verify_metric(4, 9)
+    n = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7
+    assert reads == [200, 200, n, metricnum.CURVATURE_POINTS, 125]
 
 
 def _separate_passes(p, q, samples, seed):
@@ -699,9 +763,8 @@ def test_verify_metric_compares_no_fraction_with_a_float(p, q, levels, monkeypat
 
 def test_verify_metric_numpy_helper_calls(monkeypatch):
     # The numpy helper calls of one warm default run, pinned: ndarray
-    # methods, np.empty blocks and the constants built once leave only the
-    # broadcast that pairs the decay radii with their thetas
-    # (potential_grid).
+    # methods, np.empty blocks and the constants built once, the decay grid
+    # among them, leave none.
     verify_metric(4, 9)
     names = ("any", "broadcast_arrays", "stack", "geomspace", "linspace")
     calls = dict.fromkeys(names, 0)
@@ -715,7 +778,7 @@ def test_verify_metric_numpy_helper_calls(monkeypatch):
     for name in names:
         monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
     verify_metric(4, 9)
-    assert calls == {"any": 0, "broadcast_arrays": 1, "stack": 0, "geomspace": 0, "linspace": 0}
+    assert calls == {"any": 0, "broadcast_arrays": 0, "stack": 0, "geomspace": 0, "linspace": 0}
 
 
 def test_constants_are_built_once_and_read_only():
@@ -723,8 +786,8 @@ def test_constants_are_built_once_and_read_only():
     const = metricnum._constants()
     assert metricnum._constants() is const
     arrays = [value for value in vars(const).values() if isinstance(value, np.ndarray)]
-    arrays += [const.flat.levels, const.flat.pairs, const.flat.v2_const]
-    assert len(arrays) == 7
+    arrays += [const.flat.levels, const.flat.pairs, const.flat.v2_const, *const.decay_grid]
+    assert len(arrays) == 9
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
