@@ -41,12 +41,13 @@ d(J d(q cos^2 theta)) = 4 s c (c^2 - s^2) dtheta ^ (dphi - dpsi) + ...,
 and matching the r^-2 part of omega fixes the quarter.  The log
 coefficient, which carries the mass, is (a+b)/2 regardless.)
 
-Conventions.  Tensors are returned in the coordinate basis
-(r, theta, t_1, t_2).  ``MetricSample.J`` acts on tangent vectors, with
-omega(X, Y) = g(JX, Y).  The flat model (the k = 0, y_0 = infinity
-datum) equals dr^2 + r^2 dtheta^2 + r^2 (s^2 dt_1^2 + c^2 dt_2^2); the
-identification with linear coordinates on C^2 is t_1 = -psi, t_2 = phi
-for z_1 = r cos(theta) e^{i phi}, z_2 = r sin(theta) e^{i psi}.
+Conventions.  Tensors are returned in the coordinate basis (r, theta,
+t_1, t_2), as their nonzero 2 x 2 blocks (:class:`MetricSample`).  J acts
+on tangent vectors, with omega(X, Y) = g(JX, Y).  The flat model (the
+k = 0, y_0 = infinity datum) equals dr^2 + r^2 dtheta^2 + r^2 (s^2 dt_1^2
++ c^2 dt_2^2); the identification with linear coordinates on C^2 is
+t_1 = -psi, t_2 = phi for z_1 = r cos(theta) e^{i phi}, z_2 = r
+sin(theta) e^{i psi}.
 
 All sampling keeps theta in [0.1, pi/2 - 0.1]; the blown-down circles at
 the boundary are outside numerical scope.
@@ -54,17 +55,19 @@ the boundary are outside numerical scope.
 Batching.  Every evaluator works on arrays of points.  A ``PolarPoint``
 whose fields are arrays of one shape S is a batch, as are arrays (x, y)
 of shape S, and results gain the leading axes S: ``FrameData.v1`` has
-shape S + (2,), ``MetricSample.g`` has shape S + (4, 4).  A single point
+shape S + (2,), ``MetricSample.G`` has shape S + (2, 2).  A single point
 is the batch with S = (), through the same code.  :func:`as_numeric`
-converts the exact monopole data to float arrays once, and a sample
-builds g, omega and J, and the three nonzero 2 x 2 blocks of omega and
-J, only when a check reads them, and a frame its determinant likewise.
-numpy's Python-level helpers stay off the check path, and the fixed
-arrays, the decay grid among them, are built once, read-only
-(:func:`_constants`).  A numpy call on batches this small costs more
-than its arithmetic, so checks share passes (see Derivatives), and a
-slice or the value view of a sample keeps the fields already built; the
-determinant check keeps a float pass to report what metric_at refuses.
+converts the exact monopole data to float arrays once, a sample builds
+each block of g, omega and J only when a check reads it, and a frame its
+determinant likewise.  No check builds a 4 x 4 matrix or calls
+np.linalg: each inverse is a closed-form 2 x 2 one.  numpy's
+Python-level helpers stay off the check path, and the fixed arrays, the
+decay grid among them, are built once, read-only (:func:`_constants`).
+A numpy call on batches this small costs more than its arithmetic, so
+checks share passes (see Derivatives), and a slice or the value view of
+a sample keeps the fields already built and takes each frame quantity
+only when it reads it; the determinant check keeps a float pass to
+report what metric_at refuses.
 
 Derivatives.  A check that differentiates evaluates its points once, as
 Taylor jets (Griewank and Walther, *Evaluating Derivatives*, ch. 13):
@@ -75,20 +78,21 @@ implemented formula differentiated, with no step and no truncation
 error.  Jets reach the formulas through operators and numpy's
 ``__array_ufunc__`` protocol, by which np.sqrt, np.sin and np.cos of a
 jet call the jet's own rules, so every formula has one copy, written for
-floats, and no derivative of g, omega or J is derived by hand.  The
-checks then read roundoff.  The monopole-system and scalar-curvature
-details are eps times the terms that cancel in the check, at the worst
-point.  The curvature's terms leave out the roundoff that the frame's
-level sums carry into g, so its detail is only a lower bound on the scale.
+floats, and no derivative of a block is derived by hand.  A rule's
+second derivative is computed at order 2 only.  The checks then read
+roundoff.  The monopole-system and scalar-curvature details are eps
+times the terms that cancel in the check, at the worst point; the
+curvature's leave out the roundoff that the frame's level sums carry
+into h and G, so its detail is an estimate, not a bound.
 :func:`verify_metric` makes three jet passes: (x, y) at order 1 for the
 monopole system, which reads no determinant and builds none; (r, theta)
 at order 1 over its first samples and the decay grid, whose values (the
 bits of the float evaluation) serve the invariants and whose gradients
 the Kähler and potential checks; and order 2 for the curvature, over
 fewer points, since one order-2 pass over all of them measured no
-faster.  The shared first-order pass builds the three blocks once as
-jets over all its points and g once at their values, and each of its
-checks reads slices of those builds.
+faster.  The shared first-order pass builds the blocks of omega and J
+once as jets over all its points and h and G once at their values, and
+each of its checks reads slices of those builds.
 """
 
 
@@ -101,7 +105,7 @@ import sys
 import types
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from cscglue.cfrac import hj_length
 from cscglue.logmass import (
@@ -222,23 +226,44 @@ class FrameData(namedtuple("FrameData", "v1 v2")):
         return v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
 
 
-class MetricSample:
-    """g, omega and J at a point or batch, in the (r, theta, t1, t2) basis.
+_PARTS = ("r", "s", "c", "D", "v1x", "v1y", "v2x", "v2y")
 
-    Each field has shape S + (4, 4) and is built from the frame when it is
-    first read, so a check pays only for the fields it reads.  omega and J
-    vanish outside three 2 x 2 blocks, each of shape S + (2, 2) and built
-    on first read too: ``omega_block`` (rows r, theta; columns t1, t2),
-    ``J_upper`` (the same rows and columns of J) and ``J_lower`` (rows t1,
-    t2; columns r, theta).  ``omega`` and ``J`` are assembled from them.
-    A sample at jet coordinates gives jets of g and of the three blocks.
-    Its value view and its slices start with the fields built so far, so
-    checks that read parts of one pass share one build of each field.
+
+class _Parts:
+    """The frame quantities ``_PARTS`` of a sample, of one shape S: given, or
+    ``take`` of a source's when first read.  It refers to no sample, so a
+    sample and its value view form no reference cycle."""
+
+    def __init__(self, parts=(), source=None, take=None):
+        vars(self).update(zip(_PARTS, parts))
+        self._source, self._take = source, take
+
+    def __getattr__(self, name):
+        source = vars(self).get("_source")
+        if source is None or name not in _PARTS:
+            raise AttributeError(f"no frame part {name!r}")
+        part = self._take(getattr(source, name))
+        setattr(self, name, part)
+        return part
+
+
+class MetricSample:
+    """The blocks of g = h + G, omega and J at a point or batch.
+
+    ``h``, shape S + (2,), holds E = D/(s c) and F = r^2 D/(s c) of the
+    orbit-space metric E dr^2 + F dtheta^2, and ``G``, shape S + (2, 2),
+    is the Gram matrix of d/dt1, d/dt2 (D = <v_1, v_2>).  omega and J
+    vanish outside three blocks of shape S + (2, 2): ``omega_block`` (rows
+    r, theta; columns t1, t2), ``J_upper`` (the same rows and columns of
+    J) and ``J_lower`` (rows t1, t2; columns r, theta).  Each field is
+    built from the frame quantities ``_parts`` when first read, as jets at
+    jet coordinates.  The value view and the slices start with the fields
+    built so far, so checks that read parts of one pass share one build
+    of each, and take a frame quantity only when they read it.
     """
 
-    def __init__(self, parts):
-        self._parts = parts  # r, s, c, D, v1x, v1y, v2x, v2y, of one shape S
-        self._values = None
+    def __init__(self, parts: _Parts):
+        self._parts, self._values = parts, None
 
     def values(self):
         """The sample at the value parts of jet coordinates, built once; it
@@ -256,56 +281,45 @@ class MetricSample:
         return sample
 
     def _map(self, take):
-        """The sample of ``take`` of each part, with ``take`` of each field built so far."""
-        sample = MetricSample(tuple(map(take, self._parts)))
-        sample.__dict__.update((name, take(field)) for name, field in vars(self).items()
-                               if not name.startswith("_"))
+        """The sample of ``take`` of each field built so far, and of each part when read."""
+        sample = MetricSample(_Parts(source=self._parts, take=take))
+        vars(sample).update((name, take(field)) for name, field in vars(self).items()
+                            if not name.startswith("_"))
         return sample
 
     @cached_property
-    def g(self):
-        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
-        rr, sc = r * r, s * c
-        g = _new_like(D, D.shape + (4, 4), np.zeros)
-        g[..., 0, 0] = D / sc
-        g[..., 1, 1] = rr * D / sc
-        factor = rr * s * c / D
-        g[..., 2, 2] = factor * (v1y ** 2 + v2y ** 2)
-        g[..., 3, 3] = factor * (v1x ** 2 + v2x ** 2)
-        g[..., 2, 3] = g[..., 3, 2] = -factor * (v1x * v1y + v2x * v2y)
-        return g
+    def h(self):
+        p = self._parts
+        sc, D = p.s * p.c, p.D
+        h = _new_like(D, D.shape + (2,), np.empty)
+        h[..., 0], h[..., 1] = D / sc, p.r * p.r * D / sc
+        return h
+
+    @cached_property
+    def G(self):
+        p = self._parts
+        v1x, v1y, v2x, v2y = p.v1x, p.v1y, p.v2x, p.v2y
+        factor = p.r * p.r * p.s * p.c / p.D
+        off = -factor * (v1x * v1y + v2x * v2y)
+        return _block(factor * (v1y ** 2 + v2y ** 2), off, off, factor * (v1x ** 2 + v2x ** 2))
 
     @cached_property
     def omega_block(self):
-        r, _, _, _, v1x, v1y, v2x, v2y = self._parts
-        return _block(-r * v2y, r * v2x, r * r * v1y, -r * r * v1x)
+        p = self._parts
+        return _block(-p.r * p.v2y, p.r * p.v2x, p.r * p.r * p.v1y, -p.r * p.r * p.v1x)
 
     @cached_property
     def J_upper(self):
-        r, s, c, D, v1x, v1y, v2x, v2y = self._parts
+        p = self._parts
         # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
-        rsc, sc = r * s * c, s * c
-        return _block(rsc * v2y / D, -(rsc * v2x / D), -(sc * v1y / D), sc * v1x / D)
+        rsc, sc, D = p.r * p.s * p.c, p.s * p.c, p.D
+        return _block(rsc * p.v2y / D, -(rsc * p.v2x / D), -(sc * p.v1y / D), sc * p.v1x / D)
 
     @cached_property
     def J_lower(self):
-        r, s, c, _, v1x, v1y, v2x, v2y = self._parts
-        rsc, sc = r * s * c, s * c
-        return _block(-v1x / rsc, -v2x / sc, -v1y / rsc, -v2y / sc)
-
-    @cached_property
-    def omega(self):
-        omega = np.zeros(self._parts[0].shape + (4, 4))
-        omega[..., :2, 2:] = self.omega_block
-        omega -= omega.swapaxes(-1, -2)
-        return omega
-
-    @cached_property
-    def J(self):
-        J = np.zeros(self._parts[0].shape + (4, 4))
-        J[..., :2, 2:] = self.J_upper
-        J[..., 2:, :2] = self.J_lower
-        return J
+        p = self._parts
+        rsc, sc = p.r * p.s * p.c, p.s * p.c
+        return _block(-p.v1x / rsc, -p.v2x / sc, -p.v1y / rsc, -p.v2y / sc)
 
 
 def _block(m00, m01, m10, m11):
@@ -406,7 +420,8 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
                          f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
     parts = (r, s, c, det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
-    return MetricSample(parts if r.shape == s.shape == D.shape else np.broadcast_arrays(*parts))
+    return MetricSample(_Parts(parts if r.shape == s.shape == D.shape
+                               else np.broadcast_arrays(*parts)))
 
 
 def jet_sample(data, p: PolarPoint, order: int = 1) -> MetricSample:
@@ -414,13 +429,16 @@ def jet_sample(data, p: PolarPoint, order: int = 1) -> MetricSample:
     return metric_at(data, PolarPoint(*Jet.variables(p.r, p.theta, order)))
 
 
-def flat_metric_matrix(p: PolarPoint) -> np.ndarray:
-    """The flat model dr^2 + r^2 dtheta^2 + r^2(s^2 dt1^2 + c^2 dt2^2)."""
+def flat_model_deviation(p: PolarPoint):
+    """At each point, the largest entry of the flat datum's h and G less the flat
+    model's, (1, r^2) and r^2 diag(s^2, c^2), over the model's largest entry or 1."""
     r = np.asarray(p.r, dtype=float)
-    s, c = np.sin(p.theta), np.cos(p.theta)
-    diag = np.empty(np.broadcast(r, s).shape + (4,))
-    diag[..., 0], diag[..., 1], diag[..., 2], diag[..., 3] = 1.0, r ** 2, (r * s) ** 2, (r * c) ** 2
-    return diag[..., None] * _constants().eye4
+    s, c, rr = np.sin(p.theta), np.cos(p.theta), r ** 2
+    sample = metric_at(_constants().flat, p)
+    h, G = sample.h, sample.G - _block((r * s) ** 2, 0.0, 0.0, (r * c) ** 2)
+    deviation = np.maximum(np.abs(h[..., 0] - 1.0), np.abs(h[..., 1] - rr))
+    # The model's largest entry is r^2 or 1: (r s)^2, (r c)^2 <= r^2 in floats too.
+    return np.maximum(deviation, np.abs(G).max(axis=(-2, -1))) / np.maximum(1.0, rr)
 
 
 @cache
@@ -429,7 +447,7 @@ def _constants():
     flat = as_numeric(flat_monopole())
     const = types.SimpleNamespace(
         fit_radii=np.geomspace(10.0, 1000.0, 25), fit_thetas=np.linspace(0.3, math.pi / 2 - 0.3, 5),
-        potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7), eye4=np.eye(4))
+        potential_thetas=np.linspace(THETA_MARGIN, math.pi / 2 - THETA_MARGIN, 7))
     decay_grid = _polar_grid(DECAY_RADII, const.potential_thetas)
     for array in (*vars(const).values(), *decay_grid, flat.levels, flat.pairs, flat.v2_const):
         array.flags.writeable = False
@@ -474,11 +492,12 @@ class Jet:
         return parts.reshape(parts.shape[:1] + (1,) * pad + parts.shape[1:]) if pad else parts
 
     def _chain(self, value, d1, d2):
-        """phi(self), from the value of phi and phi', phi'' at this jet's value."""
+        """phi(self), from the value of phi and phi' at this jet's value, and
+        ``d2()``, which gives phi'' there and is called only at order 2."""
         inner = self._padded(value.ndim)
         parts = d1 * inner
         if len(parts) > 2:
-            parts[2:] += 0.5 * d2 * _symmetric(inner, inner)
+            parts[2:] += 0.5 * d2() * _symmetric(inner, inner)
         return Jet(value, parts)
 
     def _linear(self, other, op):
@@ -524,11 +543,11 @@ class Jet:
     def __rtruediv__(self, other):
         value = other / self.value
         d1 = -value / self.value
-        return self._chain(value, d1, -2.0 * d1 / self.value)
+        return self._chain(value, d1, lambda: -2.0 * d1 / self.value)
 
     def __pow__(self, p):
         u = self.value
-        return self._chain(u ** p, p * u ** (p - 1), p * (p - 1) * u ** (p - 2))
+        return self._chain(u ** p, p * u ** (p - 1), lambda: p * (p - 1) * u ** (p - 2))
 
     def __getitem__(self, index):
         index = index if isinstance(index, tuple) else (index,)
@@ -547,10 +566,10 @@ class Jet:
         return self._chain(value, *rule(self.value, value))
 
 
-# phi' and phi'' of the ufuncs a jet takes, from u and the value v = phi(u).
-_JET_RULES = {"sqrt": lambda u, v: (0.5 / v, -0.25 / (v * u)),
-              "sin": lambda u, v: (np.cos(u), -v),
-              "cos": lambda u, v: (-np.sin(u), -v)}
+# phi' of the ufuncs a jet takes, and a function giving phi'', from u and v = phi(u).
+_JET_RULES = {"sqrt": lambda u, v: (0.5 / v, lambda: -0.25 / (v * u)),
+              "sin": lambda u, v: (np.cos(u), lambda: -v),
+              "cos": lambda u, v: (-np.sin(u), lambda: -v)}
 
 
 def _symmetric(a, b):
@@ -635,65 +654,44 @@ def kahler_residual(sample: MetricSample) -> dict:
 
 
 def scalar_curvature_at(data, p: PolarPoint) -> Residual:
-    """Scalar curvature from a second-order jet of the metric in (r, theta).
+    """Scalar curvature by O'Neill's formula, from a second-order :func:`jet_sample`.
 
-    The metric depends only on (r, theta); the torus directions are
-    Killing, so all derivatives are taken in the first two coordinates.
-    One value per point of ``p``.
+    g = h + G submerses onto the (r, theta) plane with flat torus fibres
+    and an integrable horizontal distribution, so O'Neill's formula
+    (Michigan Math. J. 13, 1966; Besse, *Einstein Manifolds*, ch. 9) is
+
+        s = 2 K_h - h^ab tr(G^-1 d_a G G^-1 d_b G)/4 - |dl|_h^2/4 - Lap_h l
+
+    with l = log det G.  With tr(M^2) = tr(M)^2 - 2 det M on 2 x 2
+    matrices, it is the sum over the directions a of
+
+        (-d_aa P/P + p(p + q)/2 - d_aa det G/det G - l_a(p - q)/2 + l_a^2/2
+         + det(d_a G)/(2 det G)) / Q,
+
+    where (P, Q) = (F, E) along r and (E, F) along theta, and p, q, l_a
+    are the d_a of log P, log Q and l.  E, F and det G are separate jets,
+    so the ansatz's F = r^2 E and det G = (r^2 s c)^2 hide no fault.  The
+    terms are the addends' magnitudes over Q, those with det G times its
+    cancellation (|G_11 G_22| + G_12^2 + |det G|)/|det G|.
     """
-    return scalar_curvature_generic(jet_sample(data, p, order=2).g)
-
-
-def scalar_curvature_generic(g: Jet) -> Residual:
-    """Scalar curvature of a metric depending on its first two coordinates.
-
-    ``g`` is a second-order jet of the n x n metric in those coordinates,
-    value shape S + (n, n).  Derivatives along the remaining coordinates
-    are taken to vanish, so each derivative axis has length 2: d_e g and
-    d_e Gamma for e < 2, d_e d_f g for e, f < 2.  The terms are the four
-    Ricci terms' magnitudes, contracted with |g^-1|.  They leave out the
-    roundoff that the jet of g carries from the frame's level sums, so
-    eps times them is a lower bound on the value's roundoff.
-    """
-    metric = g.value
-    n = metric.shape[-1]
-    ginv = np.linalg.inv(metric)
-    # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2:
-    # the jet's parts, gradient then Hessian rows, behind the batch axes.
-    derivs = np.moveaxis(g.parts.reshape((3, 2) + metric.shape), (0, 1), (-4, -3))
-    dg = derivs[..., 0, :, :, :]
-
-    # term[..., k, d, bc] = (d_b g_dc + d_c g_db - d_d g_bc) / 2 and its derivatives,
-    # with (b, c) as one axis.  Gamma^a_{bc} = g^{ad} term[d, bc] and, as
-    # d_e g^-1 = -g^-1 (d_e g) g^-1, d_e Gamma = g^-1 (d_e term - (d_e g) Gamma).
-    half = np.zeros(derivs.shape[:-3] + (n, n, n))
-    half[..., :2, :] = derivs.swapaxes(-3, -2)
-    term = half + half.swapaxes(-1, -2)
-    term[..., :2, :, :] -= derivs
-    term = 0.5 * term.reshape(term.shape[:-2] + (n * n,))
-    gamma = ginv @ term[..., 0, :, :]
-    dgamma = ginv[..., None, :, :] @ (term[..., 1:, :, :] - dg @ gamma[..., None, :, :])
-    dgamma = dgamma.reshape(dg.shape + (n,))
-
-    # R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms} + Gamma^m_{ml} Gamma^l_{ns}
-    #          - Gamma^m_{nl} Gamma^l_{ms},
-    # and swap[x, y, z] = Gamma^y_{xz} makes the last term one matrix product.
-    swap = gamma.reshape(metric.shape + (n,)).swapaxes(-3, -2)
-    # The four terms in order, the second only in the rows n < 2.
-    divergence = dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
-    gradient = dgamma.trace(axis1=-3, axis2=-2)
-    contracted = (swap.trace(axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(metric.shape)
-    crossed = swap.reshape(metric.shape[:-1] + (n * n,)) @ swap.reshape(
-        metric.shape[:-2] + (n * n, n))
-    ric = contracted - crossed
-    ric += divergence
-    ric[..., :2, :] -= gradient
-    terms = np.abs(divergence) + np.abs(contracted) + np.abs(crossed)
-    terms[..., :2, :] += np.abs(gradient)
-    # einsum sums in an order set by its operands' strides; C order fixes it.
-    ginv = np.ascontiguousarray(ginv)
-    return Residual(np.einsum("...ab,...ba->...", ginv, np.ascontiguousarray(ric)),
-                    np.einsum("...ab,...ba->...", np.abs(ginv), terms))
+    sample = jet_sample(data, p, order=2)
+    h, G = sample.h, sample.G
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 0, 1]
+    # Axis 0 is the direction a: Q = h_aa and P is h's other entry.
+    Q = np.moveaxis(h.value, -1, 0)
+    P = Q[::-1]
+    dlog_P, dlog_Q = h.parts[[0, 1], ..., [1, 0]] / P, h.parts[[0, 1], ..., [0, 1]] / Q
+    curve_P, curve_det = h.parts[[2, 5], ..., [1, 0]] / P, det.parts[[2, 5]] / det.value
+    dlog_det, dG = det.grad / det.value, G.grad
+    det_dG = (dG[..., 0, 0] * dG[..., 1, 1] - dG[..., 0, 1] * dG[..., 0, 1]) / det.value
+    value = (dlog_P * (dlog_P + dlog_Q) / 2 - curve_P - curve_det - dlog_det * (dlog_P - dlog_Q) / 2
+             + dlog_det * dlog_det / 2 + det_dG / 2) / Q
+    p, q, l, G = np.abs(dlog_P), np.abs(dlog_Q), np.abs(dlog_det), G.value
+    cancellation = (np.abs(G[..., 0, 0] * G[..., 1, 1]) + G[..., 0, 1] ** 2
+                    + np.abs(det.value)) / np.abs(det.value)
+    terms = (p * (p + q) / 2 + np.abs(curve_P) + cancellation * (
+        np.abs(curve_det) + l * (p + q) / 2 + l * l / 2 + np.abs(det_dG) / 2)) / Q
+    return Residual(value.sum(axis=0), terms.sum(axis=0))
 
 
 def _fit_grid(data, r_samples, theta_samples):
@@ -745,33 +743,28 @@ def potential_residual(data, sample: MetricSample):
     from ``sample``, a :func:`jet_sample` of order 1, and its exterior
     derivative from the sample's gradients.  The norm is the metric norm of
     the 2-form, so the expected decay is r^-4; the decay check takes the
-    worst over the thetas of :func:`potential_grid`.  g and the block of
+    worst over the thetas of :func:`potential_grid`.  h, G and the block of
     omega are read at the value parts, and only the two torus components
-    of J df are differentiated (the others vanish).
+    of J df are differentiated (the others vanish).  The 2-form is
+    X_ai du^a ^ dt^i (u = r, theta), of squared norm tr(h^-1 X G^-1 X^T).
     """
     data = as_numeric(data)
-    a, b = float(data.exact.a), float(data.exact.b)
-    q = data.source.pq()[1]
-    rad, s, c = sample._parts[:3]
+    a, b, q = float(data.exact.a), float(data.exact.b), data.source.pq()[1]
     # The (t1, t2) components of J df: J dx^i has components -J[..., i, :],
     # and its (r, theta) ones vanish.
-    J = sample.J_upper
-    f_r = q * (rad / 2 + (a + b) / (2 * rad))
-    f_th = -q * (a - b) * s * c / 2
+    parts, J = sample._parts, sample.J_upper
+    f_r = q * (parts.r / 2 + (a + b) / (2 * parts.r))
+    f_th = -q * (a - b) * parts.s * parts.c / 2
     jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
     plain = sample.values()
-    R = np.zeros(rad.shape + (4, 4))
-    omega = plain.omega_block
-    R[..., 0, 2:], R[..., 1, 2:] = omega[..., 0, :] - jdf.grad[0], omega[..., 1, :] - jdf.grad[1]
-    R -= R.swapaxes(-1, -2)
-    return form2_norm(R, plain.g)
-
-
-def form2_norm(R: np.ndarray, g: np.ndarray):
-    """Metric norm of an antisymmetric 2-form: sqrt(-tr(GRGR)/2)."""
-    G = np.linalg.inv(g)
-    val = -0.5 * (G @ R @ G @ R).trace(axis1=-2, axis2=-1)
-    return np.sqrt(np.maximum(val, 0.0))
+    X = plain.omega_block - np.moveaxis(jdf.grad, 0, -2)
+    G = plain.G
+    g00, g01, g11 = G[..., 0, 0, None], G[..., 0, 1, None], G[..., 1, 1, None]
+    x0, x1 = X[..., 0], X[..., 1]
+    # Row a of X (last axis a) against adj(G) = det G G^-1, over h_aa.
+    rows = (g11 * x0 * x0 - 2.0 * g01 * x0 * x1 + g00 * x1 * x1) / plain.h
+    squared = (rows[..., 0] + rows[..., 1]) / (g00 * g11 - g01 * g01)[..., 0]
+    return np.sqrt(np.maximum(squared, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -823,28 +816,37 @@ def _head(batch: PolarPoint, n: int) -> PolarPoint:
     return PolarPoint(batch.r[:n], batch.theta[:n])
 
 
-def _max_entry(m):
-    """Largest absolute entry of each matrix in a batch."""
-    return np.abs(m).max(axis=(-2, -1))
-
-
 def invariant_residual(sample: MetricSample) -> np.ndarray:
     """Worst defect of the algebraic invariants at each point of a batch.
 
-    J^2 = -1 is measured as is.  J^T g J = g and omega = J^T g are
-    measured entrywise against the magnitudes of their summed terms,
-    |J|^T |g| |J| and |J|^T |g|, which bound the roundoff of the products.
-    A g that is not positive definite counts as 1.
+    The invariants of J, on its blocks U = ``J_upper`` and L = ``J_lower``:
+    J^2 = -1 is UL = LU = -1, measured as is; J^T g J = g is L^T G L = h
+    and U^T h U = G; omega = J^T g is ``omega_block`` = L^T G and
+    -``omega_block``^T = U^T h.  The last four are measured entrywise
+    against the magnitudes of their summed terms, |L|^T |G| |L| and so on,
+    which bound the roundoff of the products.  A metric that is not
+    positive definite (E, F, det G or tr G not positive) counts as 1.
     """
-    g, J = sample.g, sample.J
-    Jt = J.swapaxes(-1, -2)
-    Jtg, terms = Jt @ g, np.abs(Jt) @ np.abs(g)
-    tiny = sys.float_info.min
-    worst = np.maximum(np.maximum(
-        _max_entry(J @ J + _constants().eye4),
-        _max_entry(np.abs(Jtg @ J - g) / np.maximum(terms @ np.abs(J), tiny))),
-        _max_entry(np.abs(sample.omega - Jtg) / np.maximum(terms, tiny)))
-    return np.where(np.linalg.eigvalsh(g).min(axis=-1) > 0, worst, np.maximum(worst, 1.0))
+    h, G, U, L = sample.h, sample.G, sample.J_upper, sample.J_lower
+    Lt, Ut = L.swapaxes(-1, -2), U.swapaxes(-1, -2)
+    # h is diagonal, so U^T h takes one product per entry.
+    LtG, Uth = Lt @ G, Ut * h[..., None, :]
+    terms_G, terms_h = np.abs(Lt) @ np.abs(G), np.abs(Ut) * np.abs(h[..., None, :])
+    UL, LU, LtGL = U @ L, L @ U, LtG @ L
+    for i in (0, 1):
+        UL[..., i, i] += 1.0
+        LU[..., i, i] += 1.0
+        LtGL[..., i, i] -= h[..., i]
+    tiny, W = sys.float_info.min, sample.omega_block
+    defects = (np.abs(UL), np.abs(LU),
+               np.abs(LtGL) / np.maximum(terms_G @ np.abs(L), tiny),
+               np.abs(Uth @ U - G) / np.maximum(terms_h @ np.abs(U), tiny),
+               np.abs(W - LtG) / np.maximum(terms_G, tiny),
+               np.abs(W.swapaxes(-1, -2) + Uth) / np.maximum(terms_h, tiny))
+    worst = reduce(np.maximum, defects).max(axis=(-2, -1))
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+    positive = (h > 0).all(axis=-1) & (det > 0) & (G[..., 0, 0] + G[..., 1, 1] > 0)
+    return np.where(positive, worst, np.maximum(worst, 1.0))
 
 
 def _worst_point_check(name: str, residual: Residual, tolerance: float) -> CheckResult:
@@ -906,10 +908,7 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks = []
 
         # Flat-model exactness: evaluator versus the closed-form flat metric.
-        flat_pts = sample_batch(rng, samples, 0.2, 30.0)
-        expected = flat_metric_matrix(flat_pts)
-        deviation = _max_entry(metric_at(_constants().flat, flat_pts).g - expected)
-        worst = float((deviation / np.maximum(1.0, _max_entry(expected))).max())
+        worst = float(flat_model_deviation(sample_batch(rng, samples, 0.2, 30.0)).max())
         checks.append(CheckResult("flat-model-exactness", worst, TOL_CLOSED_FORM,
                                   worst < TOL_CLOSED_FORM))
 
@@ -928,10 +927,10 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         n, grid = min(samples, INVARIANT_POINTS), _constants().decay_grid
         shared = jet_sample(num, PolarPoint(np.concatenate((points.r[:n], grid.r.ravel())),
                                             np.concatenate((points.theta[:n], grid.theta.ravel()))))
-        # Each field the three checks read is built once, over all the points:
-        # the blocks as jets, then g at the value view, which takes the blocks'
-        # values.  The checks read slices, which keep them.
-        shared.omega_block, shared.J_lower, shared.J_upper, shared.values().g
+        # Each field the three checks read is built once over all the points, the
+        # value view after the jets to take their values; the slices keep them.
+        shared.omega_block, shared.J_lower, shared.J_upper
+        shared.values().h, shared.values().G
         head, decay = shared[:n], shared[n:]
 
         # Algebraic invariants of each sample.

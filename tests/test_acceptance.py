@@ -26,7 +26,6 @@ from cscglue.logmass import (
 from cscglue.metricnum import (
     default_levels,
     fit_log_coeffs,
-    flat_metric_matrix,
     jet_sample,
     kahler_residual,
     metric_at,
@@ -233,9 +232,14 @@ def test_criterion_9_flat_model_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(424242)
     pts = sample_batch(rng, 1000, 0.2, 30.0)
-    expected = flat_metric_matrix(pts)
-    deviation = np.abs(metric_at(flat_monopole(), pts).g - expected).max(axis=(-2, -1))
-    worst = float(np.max(deviation / np.maximum(1.0, np.abs(expected).max(axis=(-2, -1)))))
+    # The flat model on the blocks: h = (1, r^2), G = r^2 diag(s^2, c^2).
+    sample = metric_at(flat_monopole(), pts)
+    r, s, c = pts.r, np.sin(pts.theta), np.cos(pts.theta)
+    deviation = np.abs(sample.h - np.stack([np.ones_like(r), r ** 2], axis=-1)).max(axis=-1)
+    G = np.zeros(r.shape + (2, 2))
+    G[..., 0, 0], G[..., 1, 1] = (r * s) ** 2, (r * c) ** 2
+    deviation = np.maximum(deviation, np.abs(sample.G - G).max(axis=(-2, -1)))
+    worst = float(np.max(deviation / np.maximum(1.0, r ** 2)))
     elapsed = time.perf_counter() - start
     assert worst < 1e-12
     assert elapsed < 1.0, f"flat sweep took {elapsed:.2f}s"

@@ -36,7 +36,7 @@ exact a = -3/4, b = 3/4, mu = 0
   PASS  metric-invariants        value 6.694e-16  tolerance 1.000e-10
   PASS  domega-residual          value 1.577e-16  tolerance 1.000e-06
   PASS  integrability-residual   value 5.277e-16  tolerance 1.000e-06
-  PASS  scalar-curvature         value 2.379e-15  tolerance 1.000e-04   [roundoff scale 6.25e-15]
+  PASS  scalar-curvature         value 3.109e-15  tolerance 1.000e-04   [roundoff scale 1.20e-14]
   PASS  asymptotic-fit           value 1.653e-06  tolerance 1.000e-02   [a_fit=-0.750002 b_fit=0.750002]
   PASS  potential-decay          value 1.480e-03  tolerance 2.500e-01   [residuals=['0.000124', '7.75e-06', '4.84e-07']]
   PASS  mass-sign                value 0.000e+00  tolerance 0.000e+00   [mu_fit=4.55078e-08 mu_exact=0]

@@ -2,13 +2,14 @@
 
 The monopole-system, Kähler, scalar-curvature and potential-decay checks
 differentiate the implemented frame, so their power is shown by mutants
-of it: a basic solution off the monopole system, a torus entry of g
-scaled by 1 + eps r^2, a sign flip in one entry of omega or J, and the
-potential's cos^2 coefficient doubled.  Each mutant replaces a public
-function or attribute of ``metricnum`` (``v_eval``, ``MetricSample.g``
-and the blocks of omega and J, ``NumericMonopole.exact``) with code that
-runs on floats and on jets alike, and the check it targets must fail
-with every other setting at its default.
+of it: a basic solution off the monopole system, a torus entry of G or
+the dtheta^2 entry of h scaled by 1 + eps r^2, a sign flip in one entry
+of omega or J, and the potential's cos^2 coefficient doubled.  Each
+mutant replaces a public function or attribute of ``metricnum``
+(``v_eval``, the blocks ``MetricSample.G``, ``MetricSample.h``,
+``omega_block``, ``J_upper`` and ``J_lower``, ``NumericMonopole.exact``)
+with code that runs on floats and on jets alike, and the check it
+targets must fail with every other setting at its default.
 """
 
 import numpy as np
@@ -45,18 +46,35 @@ def test_monopole_system_fails_off_the_system(pq, eps, monkeypatch):
     assert "monopole-system" in failed_checks(pq)
 
 
+def scaled(field, entry, eps):
+    """MetricSample.<field> with one entry times 1 + eps r^2."""
+    plain = getattr(MetricSample, field).func
+    index = (Ellipsis,) + entry
+
+    def build(sample):
+        block = plain(sample)
+        block[index] = block[index] * (sample._parts.r * sample._parts.r * eps + 1)
+        return block
+
+    return property(build)
+
+
 @pytest.mark.parametrize("pq", FRACTIONS)
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_scalar_curvature_fails_on_a_scaled_torus_entry(pq, eps, monkeypatch):
-    plain = MetricSample.g.func
+    monkeypatch.setattr(MetricSample, "G", scaled("G", (0, 0), eps))
+    assert "scalar-curvature" in failed_checks(pq)
 
-    def scaled(sample):
-        g = plain(sample)
-        r2 = g[..., 1, 1] / g[..., 0, 0]  # g_thetatheta = r^2 g_rr
-        g[..., 2, 2] = g[..., 2, 2] * (r2 * eps + 1)
-        return g
 
-    monkeypatch.setattr(MetricSample, "g", property(scaled))
+@pytest.mark.parametrize("pq", FRACTIONS)
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_scalar_curvature_fails_on_a_scaled_h_thetatheta(pq, eps, monkeypatch):
+    # The curvature reads E and F as separate jets, so a fault in
+    # F = h_thetatheta alone is seen: it is not rebuilt as r^2 E.  Its
+    # curvature is about 100 times smaller than a torus entry's at one eps
+    # (7.9e-7 at eps = 1e-6 on 21/22), so eps starts at 1e-3 to clear the
+    # 1e-4 tolerance.
+    monkeypatch.setattr(MetricSample, "h", scaled("h", (1,), eps))
     assert "scalar-curvature" in failed_checks(pq)
 
 

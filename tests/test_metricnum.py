@@ -24,11 +24,11 @@ from cscglue.metricnum import (
     Jet,
     MetricSample,
     PolarPoint,
+    Residual,
     decay_series,
     default_levels,
     fit_log_coeffs,
-    flat_metric_matrix,
-    form2_norm,
+    flat_model_deviation,
     from_polar,
     invariant_residual,
     jet_sample,
@@ -39,7 +39,6 @@ from cscglue.metricnum import (
     potential_residual,
     sample_batch,
     scalar_curvature_at,
-    scalar_curvature_generic,
     v_eval,
     verify_metric,
 )
@@ -72,7 +71,7 @@ def hessian(jet):
 def jet_exp(u):
     """exp of a jet, by the chain rule: exp is its own first and second derivative."""
     value = np.exp(u.value)
-    return u._chain(value, value, value)
+    return u._chain(value, value, lambda: value)
 
 
 def _oracle_metric(a, b):
@@ -102,6 +101,93 @@ def _polynomial_metric(seed):
         return functools.reduce(operator.add, terms) + 3.0 * np.eye(4)
 
     return metric
+
+
+def assemble(sample):
+    """g, omega and J of a sample as 4 x 4 matrices in the (r, theta, t1, t2)
+    basis, zero-padded from its blocks: g = diag(h) + G, omega and J off the
+    diagonal blocks.  g is a jet if the sample's fields are."""
+    h, G = sample.h, sample.G
+    shape = h.shape[:-1] + (4, 4)
+    g = jet_zeros(h, shape) if isinstance(h, Jet) else np.zeros(shape)
+    g[..., 0, 0], g[..., 1, 1] = h[..., 0], h[..., 1]
+    g[..., 2:, 2:] = G
+    omega, J = np.zeros(shape), np.zeros(shape)
+    omega[..., :2, 2:] = _value(sample.omega_block)
+    omega[..., 2:, :2] = -np.swapaxes(_value(sample.omega_block), -1, -2)
+    J[..., :2, 2:], J[..., 2:, :2] = _value(sample.J_upper), _value(sample.J_lower)
+    return g, omega, J
+
+
+def _value(field):
+    return field.value if isinstance(field, Jet) else field
+
+
+def flat_metric_matrix(p):
+    """The flat model dr^2 + r^2 dtheta^2 + r^2(s^2 dt1^2 + c^2 dt2^2)."""
+    r = np.asarray(p.r, dtype=float)
+    s, c = np.sin(p.theta), np.cos(p.theta)
+    diag = np.empty(np.broadcast(r, s).shape + (4,))
+    diag[..., 0], diag[..., 1], diag[..., 2], diag[..., 3] = 1.0, r ** 2, (r * s) ** 2, (r * c) ** 2
+    return diag[..., None] * np.eye(4)
+
+
+def form2_norm(R, g):
+    """Metric norm of an antisymmetric 2-form: sqrt(-tr(g^-1 R g^-1 R)/2)."""
+    ginv = np.linalg.inv(g)
+    return np.sqrt(np.maximum(-0.5 * (ginv @ R @ ginv @ R).trace(axis1=-2, axis2=-1), 0.0))
+
+
+def scalar_curvature_generic(g: Jet) -> Residual:
+    """Scalar curvature of a metric depending on its first two coordinates (the oracle).
+
+    ``g`` is a second-order jet of the n x n metric in those coordinates,
+    value shape S + (n, n).  Derivatives along the remaining coordinates
+    are taken to vanish, so each derivative axis has length 2: d_e g and
+    d_e Gamma for e < 2, d_e d_f g for e, f < 2.  The terms are the four
+    Ricci terms' magnitudes, contracted with |g^-1|.  They leave out the
+    roundoff that the jet of g carries from the frame's level sums, so
+    eps times them is a lower bound on the value's roundoff.
+    """
+    metric = g.value
+    n = metric.shape[-1]
+    ginv = np.linalg.inv(metric)
+    # derivs[..., k, e, :, :] is d_e g for k = 0 and d_{k-1} d_e g for k = 1, 2:
+    # the jet's parts, gradient then Hessian rows, behind the batch axes.
+    derivs = np.moveaxis(g.parts.reshape((3, 2) + metric.shape), (0, 1), (-4, -3))
+    dg = derivs[..., 0, :, :, :]
+
+    # term[..., k, d, bc] = (d_b g_dc + d_c g_db - d_d g_bc) / 2 and its derivatives,
+    # with (b, c) as one axis.  Gamma^a_{bc} = g^{ad} term[d, bc] and, as
+    # d_e g^-1 = -g^-1 (d_e g) g^-1, d_e Gamma = g^-1 (d_e term - (d_e g) Gamma).
+    half = np.zeros(derivs.shape[:-3] + (n, n, n))
+    half[..., :2, :] = derivs.swapaxes(-3, -2)
+    term = half + half.swapaxes(-1, -2)
+    term[..., :2, :, :] -= derivs
+    term = 0.5 * term.reshape(term.shape[:-2] + (n * n,))
+    gamma = ginv @ term[..., 0, :, :]
+    dgamma = ginv[..., None, :, :] @ (term[..., 1:, :, :] - dg @ gamma[..., None, :, :])
+    dgamma = dgamma.reshape(dg.shape + (n,))
+
+    # R_{ns} = d_m Gamma^m_{ns} - d_n Gamma^m_{ms} + Gamma^m_{ml} Gamma^l_{ns}
+    #          - Gamma^m_{nl} Gamma^l_{ms},
+    # and swap[x, y, z] = Gamma^y_{xz} makes the last term one matrix product.
+    swap = gamma.reshape(metric.shape + (n,)).swapaxes(-3, -2)
+    # The four terms in order, the second only in the rows n < 2.
+    divergence = dgamma[..., 0, 0, :, :] + dgamma[..., 1, 1, :, :]
+    gradient = dgamma.trace(axis1=-3, axis2=-2)
+    contracted = (swap.trace(axis1=-3, axis2=-2)[..., None, :] @ gamma).reshape(metric.shape)
+    crossed = swap.reshape(metric.shape[:-1] + (n * n,)) @ swap.reshape(
+        metric.shape[:-2] + (n * n, n))
+    ric = contracted - crossed
+    ric += divergence
+    ric[..., :2, :] -= gradient
+    terms = np.abs(divergence) + np.abs(contracted) + np.abs(crossed)
+    terms[..., :2, :] += np.abs(gradient)
+    # einsum sums in an order set by its operands' strides; C order fixes it.
+    ginv = np.ascontiguousarray(ginv)
+    return Residual(np.einsum("...ab,...ba->...", ginv, np.ascontiguousarray(ric)),
+                    np.einsum("...ab,...ba->...", np.abs(ginv), terms))
 
 
 def _einsum_curvature(jet):
@@ -213,23 +299,34 @@ def test_flat_metric_exact():
     flat = flat_monopole()
     for _ in range(200):
         pt = PolarPoint(float(RNG.uniform(0.3, 20.0)), float(RNG.uniform(0.1, math.pi / 2 - 0.1)))
-        sample = metric_at(flat, pt)
+        g, _, _ = assemble(metric_at(flat, pt))
         expected = flat_metric_matrix(pt)
-        assert np.max(np.abs(sample.g - expected)) < 1e-12 * max(1.0, expected.max())
+        assert np.max(np.abs(g - expected)) < 1e-12 * max(1.0, expected.max())
+
+
+def test_flat_model_deviation_is_the_4x4_comparison():
+    # verify_metric compares the blocks with the flat model; over the 4 x 4
+    # matrices the deviation has the same bits.
+    pts = sample_batch(np.random.default_rng(12), 300, 0.2, 30.0)
+    g, _, _ = assemble(metric_at(flat_monopole(), pts))
+    expected = flat_metric_matrix(pts)
+    dense = np.abs(g - expected).max(axis=(-2, -1)) / np.maximum(
+        1.0, np.abs(expected).max(axis=(-2, -1)))
+    assert flat_model_deviation(pts).tobytes() == dense.tobytes()
 
 
 def test_metric_invariants():
     data = data_for(2, 5)
     for _ in range(50):
         pt = PolarPoint(float(RNG.uniform(0.8, 6.0)), float(RNG.uniform(0.1, math.pi / 2 - 0.1)))
-        sample = metric_at(data, pt)
-        scale = np.max(np.abs(sample.g))
-        assert np.max(np.abs(sample.J @ sample.J + np.eye(4))) < 1e-10
-        assert np.max(np.abs(sample.J.T @ sample.g @ sample.J - sample.g)) < 1e-10 * scale
-        assert np.max(np.abs(sample.omega - sample.J.T @ sample.g)) < 1e-10 * scale
-        assert np.linalg.eigvalsh(sample.g).min() > 0
+        g, omega, J = assemble(metric_at(data, pt))
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(J @ J + np.eye(4))) < 1e-10
+        assert np.max(np.abs(J.T @ g @ J - g)) < 1e-10 * scale
+        assert np.max(np.abs(omega - J.T @ g)) < 1e-10 * scale
+        assert np.linalg.eigvalsh(g).min() > 0
         # Kähler form has metric norm sqrt(2) in real dimension 4.
-        assert abs(form2_norm(sample.omega, sample.g) - math.sqrt(2)) < 1e-9
+        assert abs(form2_norm(omega, g) - math.sqrt(2)) < 1e-9
 
 
 # Long chains on which the old max|g| scale exceeded TOL_INVARIANT from
@@ -251,16 +348,37 @@ def test_metric_invariants_roundoff_scale(pq):
 @pytest.mark.parametrize("pq", ((2, 5),) + ROUNDOFF_CHAINS)
 def test_invariant_residual_catches_small_defects(pq):
     # A 1e-8 relative error in omega or J must fail at every sample point.
-    # invariant_residual reads only g, omega and J.
+    # invariant_residual reads only the blocks h, G, omega_block, J_upper
+    # and J_lower.  The defects, as in the 4 x 4 matrices: all of omega,
+    # all of J, omega's theta row and column, and J's t2 column.
     sample = invariant_batch(*pq)
-    g, omega, J = sample.g, sample.omega, sample.J
+    fields = {name: getattr(sample, name)
+              for name in ("h", "G", "omega_block", "J_upper", "J_lower")}
+    omega, U, L = fields["omega_block"], fields["J_upper"], fields["J_lower"]
     for bad in (
-        SimpleNamespace(g=g, omega=omega * (1 + 1e-8), J=J),
-        SimpleNamespace(g=g, omega=omega, J=J * (1 + 1e-8)),
-        SimpleNamespace(g=g, omega=omega + 1e-8 * omega * (np.arange(4) == 1), J=J),
-        SimpleNamespace(g=g, omega=omega, J=J + 1e-8 * J * (np.arange(4) == 3)),
+        dict(omega_block=omega * (1 + 1e-8)),
+        dict(J_upper=U * (1 + 1e-8), J_lower=L * (1 + 1e-8)),
+        dict(omega_block=omega + 1e-8 * omega * (np.arange(2) == 1)[:, None]),
+        dict(J_upper=U + 1e-8 * U * (np.arange(2) == 1)),
     ):
-        assert np.min(invariant_residual(bad)) > TOL_INVARIANT
+        assert np.min(invariant_residual(SimpleNamespace(**{**fields, **bad}))) > TOL_INVARIANT
+
+
+@pytest.mark.parametrize("pq", ((2, 5),) + ROUNDOFF_CHAINS)
+def test_invariant_residual_has_the_bits_of_the_4x4_products(pq):
+    # The block products sum the nonzero terms of the 4 x 4 products, and
+    # the BLAS sums a zero term exactly, so each point's defect keeps its bits.
+    sample = invariant_batch(*pq)
+    g, omega, J = assemble(sample)
+    Jt = J.swapaxes(-1, -2)
+    Jtg, terms = Jt @ g, np.abs(Jt) @ np.abs(g)
+    tiny = np.finfo(float).tiny
+    worst = np.maximum(np.maximum(
+        np.abs(J @ J + np.eye(4)).max(axis=(-2, -1)),
+        (np.abs(Jtg @ J - g) / np.maximum(terms @ np.abs(J), tiny)).max(axis=(-2, -1))),
+        (np.abs(omega - Jtg) / np.maximum(terms, tiny)).max(axis=(-2, -1)))
+    assert np.linalg.eigvalsh(g).min() > 0
+    assert invariant_residual(sample).tobytes() == worst.tobytes()
 
 
 def test_monopole_system_per_basic_solution():
@@ -379,6 +497,63 @@ def test_jet_gradients_do_not_depend_on_the_order():
         assert np.array_equal(first[0].grad, second[0].grad)
 
 
+def test_second_derivatives_are_computed_at_order_2_only(monkeypatch):
+    # phi'' of sqrt, sin, cos, 1/x and x^p is computed only where a Hessian
+    # reads it: never in a first-order pass, once per operation at order 2.
+    calls = []
+    chain = Jet._chain
+
+    def counting(self, value, d1, d2):
+        def counted():
+            calls.append(len(self.parts))
+            return d2()
+        return chain(self, value, d1, counted)
+
+    monkeypatch.setattr(Jet, "_chain", counting)
+    for order in (1, 2):
+        a, b = Jet.variables(np.array([0.7, 1.3]), np.array([0.4, 0.9]), order)
+        np.sqrt(a * a + b * b), np.sin(a), np.cos(b), 3.0 / a, a ** -2.0
+    assert calls == [6] * 5
+    calls.clear()
+    verify_metric(4, 9)
+    assert calls and set(calls) == {6}
+
+
+def test_slices_take_only_the_parts_they_read():
+    # verify_metric's slices of the shared pass find every field they read
+    # already built; a slice takes a frame part (r, s, c, D, v) only when it
+    # reads it, as potential_residual reads r, s and c.
+    data = data_for(4, 9)
+    shared = jet_sample(data, sample_batch(np.random.default_rng(2), 30, 1.0, 5.0))
+    shared.omega_block, shared.J_lower, shared.J_upper
+    shared.values().h, shared.values().G
+    head, decay = shared[:20], shared[20:]
+    invariant_residual(head.values())
+    kahler_residual(head)
+    potential_residual(data, decay)
+    assert set(vars(decay._parts)) & set(metricnum._PARTS) == {"r", "s", "c"}
+    for sample in (head, head.values(), decay.values()):
+        assert not set(vars(sample._parts)) & set(metricnum._PARTS)
+    assert decay._parts.r.value.tobytes() == shared._parts.r.value[20:].tobytes()
+
+
+def test_a_sample_and_its_value_view_form_no_reference_cycle():
+    # A sample refers to its value view and the view to the sample's parts,
+    # not to the sample, so both are freed as soon as the last reference goes.
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        sample = jet_sample(data_for(4, 9), sample_batch(np.random.default_rng(2), 30, 1.0, 5.0))
+        sample.values().h, sample[:10].values().G
+        refs = [weakref.ref(sample), weakref.ref(sample.values()), weakref.ref(sample._parts)]
+        del sample
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("pq", [(17, 21), (21, 22)])
 def test_jets_match_central_differences_of_the_frame(pq):
     # An oracle independent of jets: extrapolated central differences of
@@ -394,11 +569,11 @@ def test_jets_match_central_differences_of_the_frame(pq):
             _assert_close_relative(getattr(frame, name).grad[k], fd, 1e-8)
     sample = metric_at(data, PolarPoint(*Jet.variables(pts.r, pts.theta)))
     for k, (step_r, step_t) in enumerate(((1e-3 * pts.r, 0.0), (0.0, 1e-3))):
-        for name in ("g", "omega_block", "J_upper", "J_lower"):
+        for name in ("h", "G", "omega_block", "J_upper", "J_lower"):
             fd = central_diff(lambda t: getattr(metric_at(
                 data, PolarPoint(pts.r + t * step_r, pts.theta + t * step_t)), name), 0.0, 1.0)
-            _assert_close_relative(getattr(sample, name).grad[k],
-                                   fd / np.reshape(step_r + step_t, (-1, 1, 1)), 1e-7)
+            step = np.reshape(step_r + step_t, (-1,) + (1,) * (fd.ndim - 1))
+            _assert_close_relative(getattr(sample, name).grad[k], fd / step, 1e-7)
 
 
 @pytest.mark.parametrize("pq", [(4, 9), (21, 22)])
@@ -412,7 +587,7 @@ def test_jet_values_have_the_bits_of_the_float_evaluation(pq):
             assert getattr(jets, name).value.tobytes() == getattr(frame, name).tobytes()
         plain = metric_at(data, pts)
         sample = metric_at(data, PolarPoint(*Jet.variables(pts.r, pts.theta, order)))
-        for name in ("g", "omega_block", "J_upper", "J_lower"):
+        for name in ("h", "G", "omega_block", "J_upper", "J_lower"):
             assert getattr(sample, name).value.tobytes() == getattr(plain, name).tobytes()
             assert getattr(sample.values(), name).tobytes() == getattr(plain, name).tobytes()
 
@@ -552,6 +727,32 @@ def test_potential_residual_decay():
         assert abs(b / a * 16.0 - 1.0) < 0.25
 
 
+def dense_potential_residual(data, sample):
+    """potential_residual with the norm of the 2-form taken on 4 x 4 matrices,
+    sqrt(-tr(g^-1 R g^-1 R)/2) (the oracle of the block norm)."""
+    data = metricnum.as_numeric(data)
+    a, b, q = float(data.exact.a), float(data.exact.b), data.source.pq()[1]
+    J, parts = sample.J_upper, sample._parts
+    f_r = q * (parts.r / 2 + (a + b) / (2 * parts.r))
+    f_th = -q * (a - b) * parts.s * parts.c / 2
+    jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
+    g, R, _ = assemble(sample.values())
+    R[..., :2, 2:] -= np.moveaxis(jdf.grad, 0, -2)
+    R[..., 2:, :2] = -np.swapaxes(R[..., :2, 2:], -1, -2)
+    return form2_norm(R, g)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (4, 9), (21, 22), (161, 183)])
+def test_potential_residual_is_the_4x4_form_norm(pq):
+    # tr(h^-1 X G^-1 X^T) on the blocks against the 4 x 4 trace, at the
+    # radii of the decay check and of the series: both read roundoff of
+    # a sum of positive terms, so they agree far inside the decay tolerance.
+    data = data_for(*pq)
+    sample = jet_sample(data, potential_grid(np.geomspace(5.0, 160.0, 12)))
+    got, want = potential_residual(data, sample), dense_potential_residual(data, sample)
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
+
+
 def test_verify_metric_driver():
     rep = verify_metric(1, 2, samples=60, seed=3)
     assert rep.passed
@@ -633,9 +834,10 @@ def test_verify_metric_makes_three_jet_passes(monkeypatch):
 
 def test_verify_metric_builds_each_field_of_the_shared_pass_once(monkeypatch):
     # The metric-invariants, Kähler and potential-decay checks read slices
-    # of one build of each field over the shared pass's points: the three
-    # blocks as jets and g at the values.  Besides it, the flat model
-    # builds g on its 200 points and the curvature a jet of g on its 40.
+    # of one build of each field over the shared pass's points: the blocks
+    # of omega and J as jets, h and G at the values.  Besides it, the flat
+    # model builds h and G on its 200 points and the curvature their jets
+    # on its 40.
     built = []
 
     def counting(name, build):
@@ -646,14 +848,15 @@ def test_verify_metric_builds_each_field_of_the_shared_pass_once(monkeypatch):
             return field
         return counted
 
-    for name in ("g", "omega_block", "J_upper", "J_lower"):
+    for name in ("h", "G", "omega_block", "J_upper", "J_lower"):
         field = functools.cached_property(counting(name, getattr(MetricSample, name).func))
         field.__set_name__(MetricSample, name)
         monkeypatch.setattr(MetricSample, name, field)
     verify_metric(4, 9)
-    n = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7
-    assert built == [("g", 200, False), ("omega_block", n, True), ("J_lower", n, True),
-                     ("J_upper", n, True), ("g", n, False), ("g", metricnum.CURVATURE_POINTS, True)]
+    n, m = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7, metricnum.CURVATURE_POINTS
+    assert built == [("h", 200, False), ("G", 200, False), ("omega_block", n, True),
+                     ("J_lower", n, True), ("J_upper", n, True), ("h", n, False), ("G", n, False),
+                     ("h", m, True), ("G", m, True)]
 
 
 def test_verify_metric_reads_no_determinant_in_the_monopole_pass(monkeypatch):
@@ -787,7 +990,7 @@ def test_constants_are_built_once_and_read_only():
     assert metricnum._constants() is const
     arrays = [value for value in vars(const).values() if isinstance(value, np.ndarray)]
     arrays += [const.flat.levels, const.flat.pairs, const.flat.v2_const, *const.decay_grid]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
@@ -881,38 +1084,109 @@ def test_v_eval_matches_stacked_product(infinite_level):
             assert np.all(np.abs(frame.v2 - v2) <= 4 * eps * terms2), (m, np.shape(xx))
 
 
+def dense_fields(data, p):
+    """g, omega and J as 4 x 4 matrices written out from the frame, in the
+    closed forms of the metricnum docstring, each entry in the evaluation
+    order of the blocks."""
+    r, s, c = np.asarray(p.r, dtype=float), np.sin(p.theta), np.cos(p.theta)
+    frame = v_eval(data, *from_polar(p))
+    (v1x, v1y), (v2x, v2y), D = np.moveaxis(frame.v1, -1, 0), np.moveaxis(frame.v2, -1, 0), frame.det
+    rr, sc, rsc = r * r, s * c, r * s * c
+    factor = rr * s * c / D
+    g, omega, J = (np.zeros(D.shape + (4, 4)) for _ in range(3))
+    g[..., 0, 0], g[..., 1, 1] = D / sc, rr * D / sc
+    g[..., 2, 2], g[..., 3, 3] = factor * (v1y ** 2 + v2y ** 2), factor * (v1x ** 2 + v2x ** 2)
+    g[..., 2, 3] = g[..., 3, 2] = -factor * (v1x * v1y + v2x * v2y)
+    omega[..., 0, 2], omega[..., 0, 3] = -r * v2y, r * v2x
+    omega[..., 1, 2], omega[..., 1, 3] = rr * v1y, -rr * v1x
+    omega -= omega.swapaxes(-1, -2)
+    J[..., 0, 2], J[..., 0, 3] = rsc * v2y / D, -(rsc * v2x / D)
+    J[..., 1, 2], J[..., 1, 3] = -(sc * v1y / D), sc * v1x / D
+    J[..., 2, 0], J[..., 2, 1], J[..., 3, 0], J[..., 3, 1] = (
+        -v1x / rsc, -v2x / sc, -v1y / rsc, -v2y / sc)
+    return g, omega, J
+
+
 def test_blocks_are_the_slices_of_omega_and_J():
+    # The blocks of a sample, zero-padded to 4 x 4, are g, omega and J
+    # written out from the frame, bit for bit, at a batch and at one point.
     batch = sample_batch(np.random.default_rng(9), 12, 0.5, 20.0)
     for data in (data_for(17, 21), flat_monopole()):
         for p in (batch, PolarPoint(float(batch.r[5]), float(batch.theta[5]))):
-            blocks, full = metric_at(data, p), metric_at(data, p)
-            omega, J = full.omega, full.J
-            for block, whole in ((blocks.omega_block, omega[..., :2, 2:]),
-                                 (blocks.J_upper, J[..., :2, 2:]),
-                                 (blocks.J_lower, J[..., 2:, :2])):
-                assert block.shape == np.shape(p.r) + (2, 2)
+            sample = metric_at(data, p)
+            for name, shape in (("h", (2,)), ("G", (2, 2)), ("omega_block", (2, 2)),
+                                ("J_upper", (2, 2)), ("J_lower", (2, 2))):
+                assert getattr(sample, name).shape == np.shape(p.r) + shape
+            for block, whole in zip(assemble(sample), dense_fields(data, p)):
                 assert block.tobytes() == whole.tobytes()
-            assert np.array_equal(omega[..., 2:, :2], -np.swapaxes(omega[..., :2, 2:], -1, -2))
-            for m in (omega, J):
-                assert not m[..., :2, :2].any() and not m[..., 2:, 2:].any()
+
+
+def test_det_G_is_the_square_of_r2_s_c():
+    # det G = (r^2 s c)^2 for this ansatz (Lagrange's identity on v_1, v_2).
+    # The curvature takes det G from the jets of G and not from this
+    # identity, which would hide a fault in G; here it is pinned.
+    for p, q in [(1, 2), (4, 9), (21, 22)]:
+        pts = sample_batch(np.random.default_rng(q), 50, 0.5, 20.0)
+        G = metric_at(data_for(p, q), pts).G
+        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        expected = (pts.r ** 2 * np.sin(pts.theta) * np.cos(pts.theta)) ** 2
+        cancellation = (np.abs(G[..., 0, 0] * G[..., 1, 1]) + G[..., 0, 1] ** 2) / expected
+        assert np.all(np.abs(det - expected) <= 1e-12 * cancellation * expected), (p, q)
 
 
 @pytest.mark.parametrize("layout", ["broadcast", "fortran"])
 def test_curvature_contraction_ignores_the_layout_of_ginv(layout, monkeypatch):
-    # einsum sums in an order set by its operands' strides.  The same
-    # inverse metric as a stride-0 view or in Fortran order gives the same
-    # bits.  The two rows of the batch are equal, so the view is exact.
+    # The oracle's einsum sums in an order set by its operands' strides.
+    # The same inverse metric as a stride-0 view or in Fortran order gives
+    # the same bits.  The two rows of the batch are equal, so the view is exact.
     data = data_for(4, 9)
     batch = sample_batch(np.random.default_rng(3), 20, 1.0, 5.0)
     pts = PolarPoint(np.tile(batch.r, (2, 1)), np.tile(batch.theta, (2, 1)))
-    expected = scalar_curvature_at(data, pts)
+    g, _, _ = assemble(jet_sample(data, pts, order=2))
+    expected = scalar_curvature_generic(g)
     inv = np.linalg.inv
     relaid = {"broadcast": lambda g: np.broadcast_to(inv(g[:1]), g.shape),
               "fortran": lambda g: np.asfortranarray(inv(g))}[layout]
     monkeypatch.setattr(np.linalg, "inv", relaid)
-    got = scalar_curvature_at(data, pts)
+    got = scalar_curvature_generic(g)
     assert got.value.tobytes() == expected.value.tobytes()
     assert got.terms.tobytes() == expected.terms.tobytes()
+
+
+def _scaled(field, entries, eps):
+    """MetricSample.<field> with each of its ``entries`` times 1 + eps r^2."""
+    build = getattr(MetricSample, field).func
+
+    def scaled(sample):
+        block, factor = build(sample), sample._parts.r * sample._parts.r * eps + 1
+        for entry in entries:
+            block[(Ellipsis,) + entry] = block[(Ellipsis,) + entry] * factor
+        return block
+
+    return property(scaled)
+
+
+ORACLE_MUTANTS = {"G_11": ("G", [(0, 0)]), "G_12": ("G", [(0, 1), (1, 0)]),
+                  "h_thetatheta": ("h", [(1,)])}
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (4, 9), (21, 22)])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+@pytest.mark.parametrize("mutant", sorted(ORACLE_MUTANTS))
+def test_curvature_matches_the_generic_oracle_off_scalar_flatness(pq, eps, mutant, monkeypatch):
+    # O'Neill's formula on the blocks against the generic contraction on the
+    # 4 x 4 assembly of the same jets, on metrics that are not scalar-flat:
+    # one entry of G or h times 1 + eps r^2.  They differ by roundoff alone,
+    # within eps times the two roundoff scales, far below the curvature.
+    field, entries = ORACLE_MUTANTS[mutant]
+    monkeypatch.setattr(MetricSample, field, _scaled(field, entries, eps))
+    data = data_for(*pq)
+    pts = sample_batch(np.random.default_rng(1), 40, 1.0, 5.0)
+    got = scalar_curvature_at(data, pts)
+    want = scalar_curvature_generic(assemble(jet_sample(data, pts, order=2))[0])
+    bound = 2 * np.finfo(float).eps * (got.terms + want.terms)
+    assert np.all(np.abs(got.value - want.value) <= bound)
+    assert np.all(np.abs(want.value) > 100 * bound)
 
 
 def test_batch_matches_single_points():
@@ -926,7 +1200,7 @@ def test_batch_matches_single_points():
         for name in ("v1", "v2", "det"):
             _assert_close_relative(getattr(frames, name)[i], getattr(frame, name))
         sample = metric_at(data, pt)
-        for name in ("g", "omega", "J"):
+        for name in ("h", "G", "omega_block", "J_upper", "J_lower"):
             _assert_close_relative(getattr(samples, name)[i], getattr(sample, name))
 
     a = np.array([0.7, 1.1, 0.2, 0.45])

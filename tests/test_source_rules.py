@@ -16,7 +16,9 @@ mechanism, Taylor jets: no function or lambda takes a finite-difference
 step (``h``, ``h_scale``, ``h0``, ``h1``).  A sixth keeps one mass-sign
 rule: no comparison ``x == y - 1`` or ``x != y - 1`` of a variable y, the
 crepancy test, outside ``logmass.mass_sign``, so the sporadic pattern and
-the gluing row read their signs from it too.
+the gluing row read their signs from it too.  A seventh keeps the metric
+checks on 2 x 2 blocks with closed-form inverses: ``metricnum`` makes no
+``np.linalg`` call and names no (4, 4) shape, save the least-squares fits.
 """
 
 import ast
@@ -206,3 +208,25 @@ def test_crepancy_is_decided_by_mass_sign_alone():
             if (path.stem, name) not in CREPANCY_TESTS_ALLOWED:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"the mass sign and its zero are decided by logmass.mass_sign: {found}"
+
+
+# (function, np.linalg routine) pairs metricnum may call: the asymptotic fits.
+LINALG_ALLOWED = {("fit_log_coeffs", "lstsq"), ("fit_series", "lstsq")}
+
+
+def test_metric_checks_use_no_linalg_and_no_4x4_matrix():
+    path = SRC / "metricnum.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def enclosing(node):
+        while node in parents and not isinstance(node, ast.FunctionDef):
+            node = parents[node]
+        return getattr(node, "name", "<module>")
+
+    linalg = {(enclosing(node), node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"}
+    shapes = [f"metricnum.py:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and [ast.unparse(e) for e in node.elts] == ["4", "4"]]
+    assert linalg == LINALG_ALLOWED and not shapes, (sorted(linalg), shapes)
