@@ -72,15 +72,15 @@ report what metric_at refuses.
 Derivatives.  A check that differentiates evaluates its points once, as
 Taylor jets (Griewank and Walther, *Evaluating Derivatives*, ch. 13):
 :meth:`Jet.variables` makes the two evaluation coordinates, (x, y) or
-(r, theta), jets of order 1 (value and gradient) or 2 (and Hessian), and
-the frame code runs on them unchanged, so a derivative is the
-implemented formula differentiated, with no step and no truncation
-error.  Jets reach the formulas through operators and numpy's
-``__array_ufunc__`` protocol, by which np.sqrt, np.sin and np.cos of a
-jet call the jet's own rules, so every formula has one copy, written for
-floats, and no derivative of a block is derived by hand.  A rule's
-second derivative is computed at order 2 only.  The checks then read
-roundoff.  The monopole-system and scalar-curvature details are eps
+(r, theta), jets of order 1 (value and gradient) or 2 (and d_00, d_11:
+no check reads a mixed partial), and the frame code runs on them
+unchanged, so a derivative is the implemented formula differentiated,
+with no step and no truncation error.  Jets reach the formulas through
+operators and numpy's ``__array_ufunc__`` protocol, by which np.sqrt,
+np.sin and np.cos of a jet call the jet's own rules, so every formula
+has one copy, written for floats, and no derivative of a block is
+derived by hand.  A rule's second derivative is computed at order 2
+only.  The checks then read roundoff.  The monopole-system and scalar-curvature details are eps
 times the terms that cancel in the check, at the worst point; the
 curvature's leave out the roundoff that the frame's level sums carry
 into h and G, so its detail is an estimate, not a bound.
@@ -89,10 +89,10 @@ monopole system, which reads no determinant and builds none; (r, theta)
 at order 1 over its first samples and the decay grid, whose values (the
 bits of the float evaluation) serve the invariants and whose gradients
 the Kähler and potential checks; and order 2 for the curvature, over
-fewer points, since one order-2 pass over all of them measured no
-faster.  The shared first-order pass builds the blocks of omega and J
-once as jets over all its points and h and G once at their values, and
-each of its checks reads slices of those builds.
+fewer points, since one order-2 pass over all of them measured slower
+and moved roundoff.  The shared first-order pass builds the blocks of
+omega and J once as jets over all its points and h and G once at their
+values, and each of its checks reads slices of those builds.
 """
 
 
@@ -463,11 +463,12 @@ class Jet:
     """A function of two coordinates and its partial derivatives, on a batch.
 
     ``value`` has the value's shape V; ``parts``, of shape (2,) + V at order
-    1 and (6,) + V at order 2, holds the gradient and then the Hessian rows.
-    Each operation applies the sum, product, quotient or chain rule to all
-    the parts in a few numpy calls, and computes the value part with the
-    float operation itself.  A jet stands first in each operation, or after
-    a Python number; both jets of an operation have one order.
+    1 and (4,) + V at order 2, holds d_0, d_1, then d_00, d_11 (Griewank
+    and Walther, ch. 13).  Each operation applies the sum, product,
+    quotient or chain rule to all the parts in a few numpy calls, and
+    computes the value part with the float operation itself, in a jet of
+    its operand's class.  A jet stands first in each operation, or after a
+    Python number; both jets of an operation have one order.
     """
 
     __slots__ = ("value", "parts")
@@ -482,7 +483,7 @@ class Jet:
         """The coordinates as jets of ``order`` (1 or 2) at the points (u0, u1)."""
         u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
         u0, u1 = (u0, u1) if u0.shape == u1.shape else np.broadcast_arrays(u0, u1)
-        parts = np.zeros((2, 2 if order == 1 else 6) + u0.shape)
+        parts = np.zeros((2, 2 if order == 1 else 4) + u0.shape)
         parts[0, 0] = parts[1, 1] = 1.0
         return cls(u0, parts[0]), cls(u1, parts[1])
 
@@ -497,48 +498,48 @@ class Jet:
         inner = self._padded(value.ndim)
         parts = d1 * inner
         if len(parts) > 2:
-            parts[2:] += 0.5 * d2() * _symmetric(inner, inner)
-        return Jet(value, parts)
+            parts[2:] += 0.5 * d2() * self._symmetric(inner, inner)
+        return type(self)(value, parts)
 
     def _linear(self, other, op):
         """self + other or self - other, by ``op``: one float operation per value and part."""
         if isinstance(other, Jet):
             value = op(self.value, other.value)
-            return Jet(value, op(self._padded(value.ndim), other._padded(value.ndim)))
+            return type(self)(value, op(self._padded(value.ndim), other._padded(value.ndim)))
         value = op(self.value, other)
         parts = self._padded(value.ndim)  # an array constant may widen the value
-        return Jet(value, parts if value.shape == self.value.shape
-                   else np.broadcast_to(parts, parts.shape[:1] + value.shape))
+        return type(self)(value, parts if value.shape == self.value.shape
+                          else np.broadcast_to(parts, parts.shape[:1] + value.shape))
 
-    __neg__ = lambda self: Jet(-self.value, -self.parts)
+    __neg__ = lambda self: type(self)(-self.value, -self.parts)
     __add__ = lambda self, other: self._linear(other, operator.add)
     __sub__ = lambda self, other: self._linear(other, operator.sub)
-    __matmul__ = lambda self, matrix: Jet(self.value @ matrix, self.parts @ matrix)
+    __matmul__ = lambda self, matrix: type(self)(self.value @ matrix, self.parts @ matrix)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             value = self.value * other
-            return Jet(value, self._padded(value.ndim) * other)
+            return type(self)(value, self._padded(value.ndim) * other)
         value = self.value * other.value
         a, b = self._padded(value.ndim), other._padded(value.ndim)
         parts = a * other.value + self.value * b
         if len(parts) > 2:
-            parts[2:] += _symmetric(a, b)
-        return Jet(value, parts)
+            parts[2:] += self._symmetric(a, b)
+        return type(self)(value, parts)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             value = self.value / other
-            return Jet(value, self._padded(value.ndim) / other)
+            return type(self)(value, self._padded(value.ndim) / other)
         # q = a/b from a = q b: q' = (a' - q b')/b and q'' = (a'' - q b'' - sym(q' b'))/b.
         value = self.value / other.value
         b = other._padded(value.ndim)
         parts = (self._padded(value.ndim) - value * b) / other.value
         if len(parts) > 2:
-            parts[2:] -= _symmetric(parts, b) / other.value
-        return Jet(value, parts)
+            parts[2:] -= self._symmetric(parts, b) / other.value
+        return type(self)(value, parts)
 
     def __rtruediv__(self, other):
         value = other / self.value
@@ -551,7 +552,7 @@ class Jet:
 
     def __getitem__(self, index):
         index = index if isinstance(index, tuple) else (index,)
-        return Jet(self.value[index], self.parts[(slice(None),) + index])
+        return type(self)(self.value[index], self.parts[(slice(None),) + index])
 
     def __setitem__(self, index, item):
         index = index if isinstance(index, tuple) else (index,)
@@ -565,6 +566,11 @@ class Jet:
         value = ufunc(self.value)
         return self._chain(value, *rule(self.value, value))
 
+    @staticmethod
+    def _symmetric(a, b):
+        """a_i b_i + a_i b_i, the d_ii parts (2,) + V of a product, from two parts arrays."""
+        return (a[:2] * b[:2]) * 2.0
+
 
 # phi' of the ufuncs a jet takes, and a function giving phi'', from u and v = phi(u).
 _JET_RULES = {"sqrt": lambda u, v: (0.5 / v, lambda: -0.25 / (v * u)),
@@ -572,16 +578,10 @@ _JET_RULES = {"sqrt": lambda u, v: (0.5 / v, lambda: -0.25 / (v * u)),
               "cos": lambda u, v: (-np.sin(u), lambda: -v)}
 
 
-def _symmetric(a, b):
-    """a_i b_j + a_j b_i from the gradients of two parts arrays, as Hessian rows (4,) + V."""
-    product = a[:2, None] * b[None, :2]
-    return (product + product.swapaxes(0, 1)).reshape((4,) + product.shape[2:])
-
-
 def _new_like(like, shape, make):
     """``make(shape)`` (np.zeros or np.empty), or a jet of such arrays if ``like`` is one."""
     if isinstance(like, Jet):
-        return Jet(make(shape), make(like.parts.shape[:1] + shape))
+        return type(like)(make(shape), make(like.parts.shape[:1] + shape))
     return make(shape)
 
 
@@ -654,7 +654,7 @@ def kahler_residual(sample: MetricSample) -> dict:
 
 
 def scalar_curvature_at(data, p: PolarPoint) -> Residual:
-    """Scalar curvature by O'Neill's formula, from a second-order :func:`jet_sample`.
+    """Scalar curvature by O'Neill's formula, from d_a and d_aa of an order-2 :func:`jet_sample`.
 
     g = h + G submerses onto the (r, theta) plane with flat torus fibres
     and an integrable horizontal distribution, so O'Neill's formula
@@ -681,7 +681,7 @@ def scalar_curvature_at(data, p: PolarPoint) -> Residual:
     Q = np.moveaxis(h.value, -1, 0)
     P = Q[::-1]
     dlog_P, dlog_Q = h.parts[[0, 1], ..., [1, 0]] / P, h.parts[[0, 1], ..., [0, 1]] / Q
-    curve_P, curve_det = h.parts[[2, 5], ..., [1, 0]] / P, det.parts[[2, 5]] / det.value
+    curve_P, curve_det = h.parts[[2, 3], ..., [1, 0]] / P, det.parts[2:] / det.value
     dlog_det, dG = det.grad / det.value, G.grad
     det_dG = (dG[..., 0, 0] * dG[..., 1, 1] - dG[..., 0, 1] * dG[..., 0, 1]) / det.value
     value = (dlog_P * (dlog_P + dlog_Q) / 2 - curve_P - curve_det - dlog_det * (dlog_P - dlog_Q) / 2

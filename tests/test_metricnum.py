@@ -58,13 +58,45 @@ def central_diff(fn, x, h):
     return (4.0 * d(h / 2) - d(h)) / 3.0
 
 
+class HessianJet(Jet):
+    """The full-Hessian jet, the oracle for mixed partials: at order 2 its
+    parts are (6,) + V, the gradient and then the Hessian rows d_00, d_01,
+    d_10, d_11.
+
+    Each jet operation builds a jet of its operand's class, so this one runs
+    through the library's frame code unchanged; only the seed and the
+    second-order product rule differ from :class:`Jet`'s.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def variables(cls, u0, u1, order=1):
+        jets = super().variables(u0, u1, 1)
+        if order == 1:
+            return jets
+        return tuple(cls(jet.value, np.concatenate((jet.parts, np.zeros((4,) + jet.shape))))
+                     for jet in jets)
+
+    @staticmethod
+    def _symmetric(a, b):
+        """a_i b_j + a_j b_i from the gradients of two parts arrays, as Hessian rows (4,) + V."""
+        product = a[:2, None] * b[None, :2]
+        return (product + product.swapaxes(0, 1)).reshape((4,) + product.shape[2:])
+
+
+def hessian_sample(data, p):
+    """:func:`metric_at` with (r, theta) made full-Hessian jets of order 2."""
+    return metric_at(data, PolarPoint(*HessianJet.variables(p.r, p.theta, 2)))
+
+
 def jet_zeros(like, shape):
-    """A jet of zeros of ``like``'s order, with value shape ``shape``."""
-    return Jet(np.zeros(shape), np.zeros(like.parts.shape[:1] + shape))
+    """A jet of zeros of ``like``'s class and order, with value shape ``shape``."""
+    return type(like)(np.zeros(shape), np.zeros(like.parts.shape[:1] + shape))
 
 
 def hessian(jet):
-    """The second derivatives of an order-2 jet, shape (2, 2) + V."""
+    """The second derivatives of an order-2 :class:`HessianJet`, shape (2, 2) + V."""
     return jet.parts[2:].reshape((2, 2) + jet.shape)
 
 
@@ -444,11 +476,11 @@ def test_chain_rule_identities():
         assert np.allclose(fd_th, rot, atol=1e-7)
 
 
-def _jet_cases(order):
+def _jet_cases(order, cls=Jet):
     """(expression, value, gradient, Hessian) at (u0, u1): each jet operation
     against its closed-form derivatives, for jets and for arrays beside them."""
     u0, u1 = np.array([0.7, 1.3, 2.1]), np.array([0.4, -0.9, 1.6])
-    a, b = Jet.variables(u0, u1, order)
+    a, b = cls.variables(u0, u1, order)
     one, zero = np.ones(3), np.zeros(3)
     m, w = np.array([[1.5, -2.0], [0.5, 3.0]]), np.array([0.5, -3.0])
     return [
@@ -483,18 +515,39 @@ def _jet_cases(order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_jet_matches_closed_form_derivatives(order):
+    # At order 2 a jet carries the Hessian's diagonal, d_00 and d_11; the
+    # oracle carries all four entries, and its diagonal has the jet's bits.
     for case, (jet, value, grad, hess) in enumerate(_jet_cases(order)):
         assert np.array_equal(jet.value, value), case  # the value part is the float operation
+        hess = np.array(hess)
         expected = np.array(grad) if order == 1 else np.concatenate(
-            [np.array(grad), np.array(hess).reshape((4,) + jet.shape)])
+            [np.array(grad), hess[[0, 1], [0, 1]]])
         assert jet.parts.shape == expected.shape, case
         _assert_close_relative(jet.parts, expected, 1e-14)
+    if order == 2:
+        pairs = zip(_jet_cases(2, HessianJet), _jet_cases(2))
+        for case, ((oracle, value, grad, hess), (jet, *_)) in enumerate(pairs):
+            assert type(oracle) is HessianJet and np.array_equal(oracle.value, value), case
+            expected = np.concatenate([np.array(grad), np.array(hess).reshape((4,) + oracle.shape)])
+            assert oracle.parts.shape == expected.shape, case
+            _assert_close_relative(oracle.parts, expected, 1e-14)
+            assert oracle.parts[[0, 1, 2, 5]].tobytes() == jet.parts.tobytes(), case
 
 
 def test_jet_gradients_do_not_depend_on_the_order():
     for first, second in zip(_jet_cases(1), _jet_cases(2)):
-        assert len(first[0].parts) == 2 and len(second[0].parts) == 6
+        assert len(first[0].parts) == 2 and len(second[0].parts) == 4
         assert np.array_equal(first[0].grad, second[0].grad)
+
+
+def test_order_2_jet_sample_fields_have_four_parts():
+    # The curvature's jets carry the gradient and the pure second
+    # derivatives d_rr and d_thetatheta, which are all that O'Neill's formula reads.
+    pts = sample_batch(np.random.default_rng(5), 7, 1.0, 5.0)
+    sample = jet_sample(data_for(4, 9), pts, order=2)
+    for name in ("h", "G", "omega_block", "J_upper", "J_lower"):
+        field = getattr(sample, name)
+        assert type(field) is Jet and field.parts.shape == (4,) + field.shape, name
 
 
 def test_second_derivatives_are_computed_at_order_2_only(monkeypatch):
@@ -513,10 +566,10 @@ def test_second_derivatives_are_computed_at_order_2_only(monkeypatch):
     for order in (1, 2):
         a, b = Jet.variables(np.array([0.7, 1.3]), np.array([0.4, 0.9]), order)
         np.sqrt(a * a + b * b), np.sin(a), np.cos(b), 3.0 / a, a ** -2.0
-    assert calls == [6] * 5
+    assert calls == [4] * 5
     calls.clear()
     verify_metric(4, 9)
-    assert calls and set(calls) == {6}
+    assert calls and set(calls) == {4}
 
 
 def test_slices_take_only_the_parts_they_read():
@@ -594,7 +647,7 @@ def test_jet_values_have_the_bits_of_the_float_evaluation(pq):
 
 def test_curvature_positive_control():
     # Round 2-sphere times flat 2-torus: scalar curvature 2.
-    a, b = Jet.variables(0.8, 0.3, order=2)
+    a, b = HessianJet.variables(0.8, 0.3, order=2)
     g = jet_zeros(a, (4, 4))
     g.value[...] = np.eye(4)
     g[..., 1, 1] = np.sin(a) ** 2
@@ -603,7 +656,7 @@ def test_curvature_positive_control():
 
 def test_curvature_flat_polar_control():
     # dr^2 + r^2 dtheta^2 + r^2 (s^2 dt1^2 + c^2 dt2^2), written out here.
-    r, th = Jet.variables(1.5, 0.7, order=2)
+    r, th = HessianJet.variables(1.5, 0.7, order=2)
     g = jet_zeros(r, (4, 4))
     g.value[..., 0, 0] = 1.0
     g[..., 1, 1] = r * r
@@ -642,7 +695,7 @@ def test_curvature_generic_against_symbolic_oracle():
         (0.2, 0.9): -0.98218496343148765680,
     }
     for (a, b), val in expected.items():
-        got = scalar_curvature_generic(_oracle_metric(*Jet.variables(a, b, order=2)))
+        got = scalar_curvature_generic(_oracle_metric(*HessianJet.variables(a, b, order=2)))
         assert abs(got.value - val) < 1e-13
 
 
@@ -652,10 +705,10 @@ def test_curvature_matches_einsum_contraction(seed):
     # roundoff alone.
     metric = _oracle_metric if seed is None else _polynomial_metric(seed)
     rng = np.random.default_rng(seed)
-    g = metric(*Jet.variables(*rng.uniform(-0.5, 0.5, size=(2, 6)), order=2))
+    g = metric(*HessianJet.variables(*rng.uniform(-0.5, 0.5, size=(2, 6)), order=2))
     assert np.linalg.eigvalsh(g.value).min() > 0
     _assert_close_relative(scalar_curvature_generic(g).value, _einsum_curvature(g), 1e-10)
-    single = scalar_curvature_generic(metric(*Jet.variables(0.1, -0.2, order=2)))
+    single = scalar_curvature_generic(metric(*HessianJet.variables(0.1, -0.2, order=2)))
     assert np.ndim(single.value) == np.ndim(single.terms) == 0
 
 
@@ -1142,7 +1195,7 @@ def test_curvature_contraction_ignores_the_layout_of_ginv(layout, monkeypatch):
     data = data_for(4, 9)
     batch = sample_batch(np.random.default_rng(3), 20, 1.0, 5.0)
     pts = PolarPoint(np.tile(batch.r, (2, 1)), np.tile(batch.theta, (2, 1)))
-    g, _, _ = assemble(jet_sample(data, pts, order=2))
+    g, _, _ = assemble(hessian_sample(data, pts))
     expected = scalar_curvature_generic(g)
     inv = np.linalg.inv
     relaid = {"broadcast": lambda g: np.broadcast_to(inv(g[:1]), g.shape),
@@ -1183,10 +1236,33 @@ def test_curvature_matches_the_generic_oracle_off_scalar_flatness(pq, eps, mutan
     data = data_for(*pq)
     pts = sample_batch(np.random.default_rng(1), 40, 1.0, 5.0)
     got = scalar_curvature_at(data, pts)
-    want = scalar_curvature_generic(assemble(jet_sample(data, pts, order=2))[0])
+    want = scalar_curvature_generic(assemble(hessian_sample(data, pts))[0])
     bound = 2 * np.finfo(float).eps * (got.terms + want.terms)
     assert np.all(np.abs(got.value - want.value) <= bound)
     assert np.all(np.abs(want.value) > 100 * bound)
+
+
+def test_curvature_has_the_bits_of_the_full_hessian_on_the_pure_entries(monkeypatch):
+    # A jet drops only the mixed partial, which O'Neill's formula never
+    # reads.  The oracle's gradient and pure second derivatives, d_rr and
+    # d_thetatheta, give the same value and terms bit for bit, through the same formula.
+    fractions = [(p, q) for q in range(2, 41) for p in range(1, q) if math.gcd(p, q) == 1]
+    pts = sample_batch(np.random.default_rng(12), metricnum.CURVATURE_POINTS, 1.0, 5.0)
+    datas = [data_for(p, q) for p, q in fractions + [(79, 163), (161, 183)]]
+    got = [scalar_curvature_at(data, pts) for data in datas]
+
+    def pure(jet):
+        return Jet(jet.value, jet.parts[[0, 1, 2, 5]])
+
+    def oracle_sample(data, p, order):
+        sample = hessian_sample(data, p)
+        return SimpleNamespace(h=pure(sample.h), G=pure(sample.G))
+
+    monkeypatch.setattr(metricnum, "jet_sample", oracle_sample)
+    for data, jets in zip(datas, got):
+        want = scalar_curvature_at(data, pts)
+        assert jets.value.tobytes() == want.value.tobytes(), data.source
+        assert jets.terms.tobytes() == want.terms.tobytes(), data.source
 
 
 def test_batch_matches_single_points():
@@ -1205,10 +1281,10 @@ def test_batch_matches_single_points():
 
     a = np.array([0.7, 1.1, 0.2, 0.45])
     b = np.array([0.4, -0.3, 0.9, 0.1])
-    values = scalar_curvature_generic(_oracle_metric(*Jet.variables(a, b, order=2))).value
+    values = scalar_curvature_generic(_oracle_metric(*HessianJet.variables(a, b, order=2))).value
     assert values.shape == a.shape
     for i in range(len(a)):
-        single = scalar_curvature_generic(_oracle_metric(*Jet.variables(a[i], b[i], order=2)))
+        single = scalar_curvature_generic(_oracle_metric(*HessianJet.variables(a[i], b[i], order=2)))
         _assert_close_relative(values[i], single.value)
     # The batched oracle metric reproduces the frozen symbolic value.
     assert abs(values[0] - -0.86043286947471933346) < 1e-13
