@@ -64,10 +64,10 @@ np.linalg: each inverse is a closed-form 2 x 2 one.  numpy's
 Python-level helpers stay off the check path, and the fixed arrays, the
 decay grid among them, are built once, read-only (:func:`_constants`).
 A numpy call on batches this small costs more than its arithmetic, so
-checks share passes (see Derivatives), and a slice or the value view of
-a sample keeps the fields already built and takes each frame quantity
-only when it reads it; the determinant check keeps a float pass to
-report what metric_at refuses.
+checks share passes (see Derivatives): every residual is computed point
+by point, so a check runs on a whole pass and reduces over its own
+points.  The determinant check keeps a float pass to report what
+metric_at refuses.
 
 Derivatives.  A check that differentiates evaluates its points once, as
 Taylor jets (Griewank and Walther, *Evaluating Derivatives*, ch. 13):
@@ -91,8 +91,9 @@ bits of the float evaluation) serve the invariants and whose gradients
 the Kähler and potential checks; and order 2 for the curvature, over
 fewer points, since one order-2 pass over all of them measured slower
 and moved roundoff.  The shared first-order pass builds the blocks of
-omega and J once as jets over all its points and h and G once at their
-values, and each of its checks reads slices of those builds.
+omega and J once as jets over all its points, then h and G once in its
+value view, which starts with the values of those jets; each of its
+checks runs on all the points and keeps the worst of its own.
 """
 
 
@@ -226,25 +227,7 @@ class FrameData(namedtuple("FrameData", "v1 v2")):
         return v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
 
 
-_PARTS = ("r", "s", "c", "D", "v1x", "v1y", "v2x", "v2y")
-
-
-class _Parts:
-    """The frame quantities ``_PARTS`` of a sample, of one shape S: given, or
-    ``take`` of a source's when first read.  It refers to no sample, so a
-    sample and its value view form no reference cycle."""
-
-    def __init__(self, parts=(), source=None, take=None):
-        vars(self).update(zip(_PARTS, parts))
-        self._source, self._take = source, take
-
-    def __getattr__(self, name):
-        source = vars(self).get("_source")
-        if source is None or name not in _PARTS:
-            raise AttributeError(f"no frame part {name!r}")
-        part = self._take(getattr(source, name))
-        setattr(self, name, part)
-        return part
+_Parts = namedtuple("_Parts", "r s c D v1x v1y v2x v2y")
 
 
 class MetricSample:
@@ -255,41 +238,29 @@ class MetricSample:
     is the Gram matrix of d/dt1, d/dt2 (D = <v_1, v_2>).  omega and J
     vanish outside three blocks of shape S + (2, 2): ``omega_block`` (rows
     r, theta; columns t1, t2), ``J_upper`` (the same rows and columns of
-    J) and ``J_lower`` (rows t1, t2; columns r, theta).  Each field is
-    built from the frame quantities ``_parts`` when first read, as jets at
-    jet coordinates.  The value view and the slices start with the fields
-    built so far, so checks that read parts of one pass share one build
-    of each, and take a frame quantity only when they read it.
+    J) and ``J_lower`` (rows t1, t2; columns r, theta).  ``parts`` is the
+    namedtuple of the frame quantities r, s, c, D, v1x, v1y, v2x, v2y, of
+    shape S, and each field is built from them when first read, as jets
+    at jet coordinates.  The value view starts with the values of the
+    fields built so far, so the checks that read one pass share one build
+    of each field.
     """
 
     def __init__(self, parts: _Parts):
-        self._parts, self._values = parts, None
+        self.parts, self._values = parts, None
 
     def values(self):
         """The sample at the value parts of jet coordinates, built once; it
         starts with the value parts of the fields built before it."""
         if self._values is None:
-            self._values = self._map(_value)
+            self._values = MetricSample(_Parts._make(map(_value, self.parts)))
+            vars(self._values).update((name, _value(field)) for name, field in vars(self).items()
+                                      if name not in ("parts", "_values"))
         return self._values
-
-    def __getitem__(self, index):
-        """The sample at the points ``index`` picks from the batch; it starts
-        with those points of the fields and the value view built so far."""
-        sample = self._map(lambda u: u[index])
-        if self._values is not None:
-            sample._values = self._values[index]
-        return sample
-
-    def _map(self, take):
-        """The sample of ``take`` of each field built so far, and of each part when read."""
-        sample = MetricSample(_Parts(source=self._parts, take=take))
-        vars(sample).update((name, take(field)) for name, field in vars(self).items()
-                            if not name.startswith("_"))
-        return sample
 
     @cached_property
     def h(self):
-        p = self._parts
+        p = self.parts
         sc, D = p.s * p.c, p.D
         h = _new_like(D, D.shape + (2,), np.empty)
         h[..., 0], h[..., 1] = D / sc, p.r * p.r * D / sc
@@ -297,7 +268,7 @@ class MetricSample:
 
     @cached_property
     def G(self):
-        p = self._parts
+        p = self.parts
         v1x, v1y, v2x, v2y = p.v1x, p.v1y, p.v2x, p.v2y
         factor = p.r * p.r * p.s * p.c / p.D
         off = -factor * (v1x * v1y + v2x * v2y)
@@ -305,19 +276,19 @@ class MetricSample:
 
     @cached_property
     def omega_block(self):
-        p = self._parts
+        p = self.parts
         return _block(-p.r * p.v2y, p.r * p.v2x, p.r * p.r * p.v1y, -p.r * p.r * p.v1x)
 
     @cached_property
     def J_upper(self):
-        p = self._parts
+        p = self.parts
         # Tangent action, omega(X, Y) = g(JX, Y): row i is minus the image of dx^i.
         rsc, sc, D = p.r * p.s * p.c, p.s * p.c, p.D
         return _block(rsc * p.v2y / D, -(rsc * p.v2x / D), -(sc * p.v1y / D), sc * p.v1x / D)
 
     @cached_property
     def J_lower(self):
-        p = self._parts
+        p = self.parts
         rsc, sc = p.r * p.s * p.c, p.s * p.c
         return _block(-p.v1x / rsc, -p.v2x / sc, -p.v1y / rsc, -p.v2y / sc)
 
@@ -420,8 +391,8 @@ def metric_at(data, p: PolarPoint) -> MetricSample:
         raise ValueError(f"invalid monopole data: determinant <= 0 at {np.sum(D <= 0)} of "
                          f"{D.size} points, min {np.min(D):.6g}, first r={r0:.6g} theta={t0:.6g}")
     parts = (r, s, c, det, v1[..., 0], v1[..., 1], v2[..., 0], v2[..., 1])
-    return MetricSample(_Parts(parts if r.shape == s.shape == D.shape
-                               else np.broadcast_arrays(*parts)))
+    return MetricSample(_Parts._make(parts if r.shape == s.shape == D.shape
+                                     else np.broadcast_arrays(*parts)))
 
 
 def jet_sample(data, p: PolarPoint, order: int = 1) -> MetricSample:
@@ -627,8 +598,8 @@ def monopole_residual(data, x, y) -> Residual:
                     np.maximum(terms1.max(axis=-1), terms2.max(axis=-1)))
 
 
-def kahler_residual(sample: MetricSample) -> dict:
-    """Maximum relative residual of d(omega) = 0 and d(J dt) = 0.
+def kahler_residual(sample: MetricSample) -> tuple:
+    """Relative residuals of d(omega) = 0 and d(J dt) = 0 at each point.
 
     omega has components only in dr^dt_i and dtheta^dt_i depending on
     (r, theta), so d(omega) reduces to dr(omega_{theta t_i}) -
@@ -636,7 +607,8 @@ def kahler_residual(sample: MetricSample) -> dict:
     coefficient per i, dr((J dt_i)_theta) - dtheta((J dt_i)_r), where
     (J dt_i)_j = -J[t_i, j].  The derivatives are the gradients of
     ``sample``, a :func:`jet_sample` of order 1.  Residuals are normalised
-    by the magnitudes of the cancelling terms, worst over its points.
+    by the magnitudes of the cancelling terms, worst over i, and returned
+    as two arrays of the batch shape S, (d omega, d J dt).
     """
     omega, J = sample.omega_block, sample.J_lower
 
@@ -647,10 +619,9 @@ def kahler_residual(sample: MetricSample) -> dict:
         t1, t2 = along_r.grad[0], along_theta.grad[1]
         scale = np.maximum(np.maximum(np.abs(t1) + np.abs(t2), np.abs(along_r.value)),
                            np.abs(along_theta.value))
-        return float((np.abs(t1 - t2) / np.maximum(scale, 1e-12)).max())
+        return (np.abs(t1 - t2) / np.maximum(scale, 1e-12)).max(axis=-1)
 
-    return {"max_domega": worst(omega[..., 1, :], omega[..., 0, :]),
-            "max_dintegrability": worst(J[..., :, 1], J[..., :, 0])}
+    return worst(omega[..., 1, :], omega[..., 0, :]), worst(J[..., :, 1], J[..., :, 0])
 
 
 def scalar_curvature_at(data, p: PolarPoint) -> Residual:
@@ -752,7 +723,7 @@ def potential_residual(data, sample: MetricSample):
     a, b, q = float(data.exact.a), float(data.exact.b), data.source.pq()[1]
     # The (t1, t2) components of J df: J dx^i has components -J[..., i, :],
     # and its (r, theta) ones vanish.
-    parts, J = sample._parts, sample.J_upper
+    parts, J = sample.parts, sample.J_upper
     f_r = q * (parts.r / 2 + (a + b) / (2 * parts.r))
     f_th = -q * (a - b) * parts.s * parts.c / 2
     jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
@@ -849,12 +820,16 @@ def invariant_residual(sample: MetricSample) -> np.ndarray:
     return np.where(positive, worst, np.maximum(worst, 1.0))
 
 
+def _below(name: str, value, tolerance: float, detail: str = "") -> CheckResult:
+    """The check that passes when ``value`` is below ``tolerance``."""
+    return CheckResult(name, value, tolerance, value < tolerance, detail)
+
+
 def _worst_point_check(name: str, residual: Residual, tolerance: float) -> CheckResult:
     """The check of the largest |value|, with eps times its cancelling terms as the detail."""
     i = int(np.abs(residual.value).argmax())
-    worst = float(abs(residual.value[i]))
-    return CheckResult(name, worst, tolerance, worst < tolerance,
-                       detail=f"roundoff scale {sys.float_info.epsilon * residual.terms[i]:.2e}")
+    return _below(name, abs(residual.value[i]), tolerance,
+                  detail=f"roundoff scale {sys.float_info.epsilon * residual.terms[i]:.2e}")
 
 
 def verify_metric(p: int, q: int, levels=None, samples: int = 200,
@@ -866,9 +841,10 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
     closedness of omega and of the (1,0)-forms, scalar flatness, the
     asymptotic (a, b) fit against the exact coefficients, the r^-4 decay
     of the potential residual, and the sign of the fitted mass against
-    the exact verdict.  The invariants, Kähler and decay checks read one
+    the exact verdict.  The invariants, Kähler and decay checks run on one
     :func:`jet_sample` over the first ``INVARIANT_POINTS`` samples and the
-    :func:`potential_grid` of ``DECAY_RADII``.
+    :func:`potential_grid` of ``DECAY_RADII``, each reduced over its own
+    points.
 
     Raises
     ------
@@ -908,9 +884,8 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks = []
 
         # Flat-model exactness: evaluator versus the closed-form flat metric.
-        worst = float(flat_model_deviation(sample_batch(rng, samples, 0.2, 30.0)).max())
-        checks.append(CheckResult("flat-model-exactness", worst, TOL_CLOSED_FORM,
-                                  worst < TOL_CLOSED_FORM))
+        checks.append(_below("flat-model-exactness", flat_model_deviation(
+            sample_batch(rng, samples, 0.2, 30.0)).max(), TOL_CLOSED_FORM))
 
         points = sample_batch(rng, samples, 1.0, 5.0)
 
@@ -923,26 +898,23 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         checks.append(_worst_point_check("monopole-system", monopole_residual(
             num, *from_polar(_head(points, MONOPOLE_POINTS))), TOL_MONOPOLE))
 
-        # One jet pass over the head samples, then the decay grid's points.
+        # One jet pass over the head samples, then the decay grid's points.  Each
+        # check runs on all of them and keeps its own: the head for the invariants
+        # and Kähler checks, the rest for the decay.  The jets are read before the
+        # value view is made, so the view starts with their values.
         n, grid = min(samples, INVARIANT_POINTS), _constants().decay_grid
         shared = jet_sample(num, PolarPoint(np.concatenate((points.r[:n], grid.r.ravel())),
                                             np.concatenate((points.theta[:n], grid.theta.ravel()))))
-        # Each field the three checks read is built once over all the points, the
-        # value view after the jets to take their values; the slices keep them.
-        shared.omega_block, shared.J_lower, shared.J_upper
-        shared.values().h, shared.values().G
-        head, decay = shared[:n], shared[n:]
+        domega, dintegrability = kahler_residual(shared)
+        residuals = potential_residual(num, shared)[n:].reshape(grid.r.shape).max(axis=-1).tolist()
+        invariants = invariant_residual(shared.values())
 
         # Algebraic invariants of each sample.
-        worst = float(invariant_residual(head.values()).max())
-        checks.append(CheckResult("metric-invariants", worst, TOL_INVARIANT, worst < TOL_INVARIANT))
+        checks.append(_below("metric-invariants", invariants[:n].max(), TOL_INVARIANT))
 
         # Kähler residuals.
-        res = kahler_residual(head)
-        checks.append(CheckResult("domega-residual", res["max_domega"], TOL_FIRST_DERIV,
-                                  res["max_domega"] < TOL_FIRST_DERIV))
-        checks.append(CheckResult("integrability-residual", res["max_dintegrability"],
-                                  TOL_FIRST_DERIV, res["max_dintegrability"] < TOL_FIRST_DERIV))
+        checks.append(_below("domega-residual", domega[:n].max(), TOL_FIRST_DERIV))
+        checks.append(_below("integrability-residual", dintegrability[:n].max(), TOL_FIRST_DERIV))
 
         # Scalar flatness.
         checks.append(_worst_point_check(
@@ -953,12 +925,11 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         fit = fit_log_coeffs(num, _constants().fit_radii, _constants().fit_thetas)
         scale = max(1.0, abs(float(exact.a)), abs(float(exact.b)))
         err = max(abs(fit["a_fit"] - float(exact.a)), abs(fit["b_fit"] - float(exact.b))) / scale
-        fit_ok = err < TOL_FIT_RELATIVE
-        checks.append(CheckResult("asymptotic-fit", err, TOL_FIT_RELATIVE, fit_ok,
-                                  detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}"))
+        fit_check = _below("asymptotic-fit", err, TOL_FIT_RELATIVE,
+                           detail=f"a_fit={fit['a_fit']:.6g} b_fit={fit['b_fit']:.6g}")
+        checks.append(fit_check)
 
         # Potential residual decay: ratio across doubled radii near 2^-4.
-        residuals = potential_residual(num, decay).reshape(grid.r.shape).max(axis=-1).tolist()
         ratios = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
         # The data is never flat, so there is always a decay to measure:
         # float(exact.a) < 0.  With 0 < p < q, k >= 1.  The k + 1 steps
@@ -969,9 +940,8 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         # -1/(FLOAT_MAX_INT (MAX_LEVELS - 1)) ~ -8.8e-311, which float()
         # keeps nonzero (subnormals reach 4.9e-324).
         ratio_err = max(abs(rt * 16.0 - 1.0) for rt in ratios)
-        ratio_ok = ratio_err < TOL_DECAY
-        checks.append(CheckResult("potential-decay", ratio_err, TOL_DECAY, ratio_ok,
-                                  detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
+        checks.append(_below("potential-decay", ratio_err, TOL_DECAY,
+                             detail=f"residuals={['%.3g' % rr for rr in residuals]}"))
 
         # Fitted mass sign against the exact sign verdict.  The zero band
         # grows with |a| and |b|, so a sign read off a fit that missed them
@@ -981,9 +951,9 @@ def verify_metric(p: int, q: int, levels=None, samples: int = 200,
         tol0 = 0.01 * scale
         sign_fit = 0 if abs(mu_fit) < tol0 else (1 if mu_fit > 0 else -1)
         checks.append(CheckResult("mass-sign", float(sign_fit), float(sign_exact),
-                                  fit_ok and sign_fit == sign_exact,
+                                  fit_check.passed and sign_fit == sign_exact,
                                   detail=f"mu_fit={mu_fit:.6g} mu_exact={float(exact.mu):.6g}"
-                                  + ("" if fit_ok else "; asymptotic fit failed")))
+                                  + ("" if fit_check.passed else "; asymptotic fit failed")))
 
         return VerificationReport(
             p=p,

@@ -53,7 +53,7 @@ def scaled(field, entry, eps):
 
     def build(sample):
         block = plain(sample)
-        block[index] = block[index] * (sample._parts.r * sample._parts.r * eps + 1)
+        block[index] = block[index] * (sample.parts.r * sample.parts.r * eps + 1)
         return block
 
     return property(build)

@@ -572,37 +572,20 @@ def test_second_derivatives_are_computed_at_order_2_only(monkeypatch):
     assert calls and set(calls) == {4}
 
 
-def test_slices_take_only_the_parts_they_read():
-    # verify_metric's slices of the shared pass find every field they read
-    # already built; a slice takes a frame part (r, s, c, D, v) only when it
-    # reads it, as potential_residual reads r, s and c.
-    data = data_for(4, 9)
-    shared = jet_sample(data, sample_batch(np.random.default_rng(2), 30, 1.0, 5.0))
-    shared.omega_block, shared.J_lower, shared.J_upper
-    shared.values().h, shared.values().G
-    head, decay = shared[:20], shared[20:]
-    invariant_residual(head.values())
-    kahler_residual(head)
-    potential_residual(data, decay)
-    assert set(vars(decay._parts)) & set(metricnum._PARTS) == {"r", "s", "c"}
-    for sample in (head, head.values(), decay.values()):
-        assert not set(vars(sample._parts)) & set(metricnum._PARTS)
-    assert decay._parts.r.value.tobytes() == shared._parts.r.value[20:].tobytes()
-
-
 def test_a_sample_and_its_value_view_form_no_reference_cycle():
-    # A sample refers to its value view and the view to the sample's parts,
-    # not to the sample, so both are freed as soon as the last reference goes.
+    # A sample refers to its value view, and the view to the values of the
+    # sample's parts and built fields, not to the sample, so both are freed
+    # as soon as the last reference goes.
     import gc
     import weakref
 
     gc.disable()
     try:
         sample = jet_sample(data_for(4, 9), sample_batch(np.random.default_rng(2), 30, 1.0, 5.0))
-        sample.values().h, sample[:10].values().G
-        refs = [weakref.ref(sample), weakref.ref(sample.values()), weakref.ref(sample._parts)]
+        sample.J_upper, sample.values().h
+        refs = [weakref.ref(sample), weakref.ref(sample.values())]
         del sample
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -722,9 +705,10 @@ def test_scalar_flatness_sample():
 
 def test_kahler_residual_flat():
     flat = flat_monopole()
-    res = kahler_residual(jet_sample(flat, PolarPoint(np.array([2.0, 0.9]), np.array([0.7, 0.4]))))
-    assert res["max_domega"] < 1e-9
-    assert res["max_dintegrability"] < 1e-9
+    domega, dintegrability = kahler_residual(
+        jet_sample(flat, PolarPoint(np.array([2.0, 0.9]), np.array([0.7, 0.4]))))
+    assert domega.max() < 1e-9
+    assert dintegrability.max() < 1e-9
 
 
 def test_kahler_residual_at_roundoff_up_to_the_axes():
@@ -732,9 +716,23 @@ def test_kahler_residual_at_roundoff_up_to_the_axes():
     # evaluated like any other point, and every residual is roundoff.
     data = data_for(1, 2)
     pts = PolarPoint(np.array([2.0, 1.3, 1.0, 3.0]), np.array([0.7, 0.5, 0.05, math.pi / 2 - 0.05]))
-    res = kahler_residual(jet_sample(data, pts))
-    assert res["max_domega"] < 1e-13
-    assert res["max_dintegrability"] < 1e-13
+    domega, dintegrability = kahler_residual(jet_sample(data, pts))
+    assert domega.max() < 1e-13
+    assert dintegrability.max() < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3), ()])
+def test_point_residuals_have_the_batch_shape(shape):
+    # The Kähler, invariant and potential residuals give one value per point
+    # of the batch shape S, a single point included, so verify_metric can run
+    # them on its whole shared pass and reduce over each check's own points.
+    data = data_for(4, 9)
+    batch = sample_batch(np.random.default_rng(8), math.prod(shape), 1.0, 5.0)
+    sample = jet_sample(data, PolarPoint(batch.r.reshape(shape), batch.theta.reshape(shape)))
+    domega, dintegrability = kahler_residual(sample)
+    residuals = (domega, dintegrability, invariant_residual(sample.values()),
+                 potential_residual(data, sample))
+    assert [(np.shape(res), np.asarray(res).dtype) for res in residuals] == [(shape, float)] * 4
 
 
 def test_fit_matches_exact():
@@ -785,7 +783,7 @@ def dense_potential_residual(data, sample):
     sqrt(-tr(g^-1 R g^-1 R)/2) (the oracle of the block norm)."""
     data = metricnum.as_numeric(data)
     a, b, q = float(data.exact.a), float(data.exact.b), data.source.pq()[1]
-    J, parts = sample.J_upper, sample._parts
+    J, parts = sample.J_upper, sample.parts
     f_r = q * (parts.r / 2 + (a + b) / (2 * parts.r))
     f_th = -q * (a - b) * parts.s * parts.c / 2
     jdf = -(f_r[..., None] * J[..., 0, :] + f_th[..., None] * J[..., 1, :])
@@ -886,11 +884,11 @@ def test_verify_metric_makes_three_jet_passes(monkeypatch):
 
 
 def test_verify_metric_builds_each_field_of_the_shared_pass_once(monkeypatch):
-    # The metric-invariants, Kähler and potential-decay checks read slices
-    # of one build of each field over the shared pass's points: the blocks
-    # of omega and J as jets, h and G at the values.  Besides it, the flat
-    # model builds h and G on its 200 points and the curvature their jets
-    # on its 40.
+    # The metric-invariants, Kähler and potential-decay checks run on one
+    # build of each field over the shared pass's points: the blocks of omega
+    # and J as jets, read before the value view is made, then G and h at the
+    # values.  Besides it, the flat model builds h and G on its 200 points
+    # and the curvature their jets on its 40.
     built = []
 
     def counting(name, build):
@@ -908,7 +906,7 @@ def test_verify_metric_builds_each_field_of_the_shared_pass_once(monkeypatch):
     verify_metric(4, 9)
     n, m = metricnum.INVARIANT_POINTS + len(metricnum.DECAY_RADII) * 7, metricnum.CURVATURE_POINTS
     assert built == [("h", 200, False), ("G", 200, False), ("omega_block", n, True),
-                     ("J_lower", n, True), ("J_upper", n, True), ("h", n, False), ("G", n, False),
+                     ("J_lower", n, True), ("J_upper", n, True), ("G", n, False), ("h", n, False),
                      ("h", m, True), ("G", m, True)]
 
 
@@ -938,12 +936,12 @@ def _separate_passes(p, q, samples, seed):
     points = sample_batch(rng, samples, 1.0, 5.0)
     n = metricnum.INVARIANT_POINTS
     head = PolarPoint(points.r[:n], points.theta[:n])
-    kahler = kahler_residual(jet_sample(data, head))
+    domega, dintegrability = kahler_residual(jet_sample(data, head))
     grid = potential_grid(metricnum.DECAY_RADII)
     residuals = [float(x) for x in potential_residual(data, jet_sample(data, grid)).max(axis=-1)]
     return {"metric-invariants": float(invariant_residual(metric_at(data, head)).max()),
-            "domega-residual": kahler["max_domega"],
-            "integrability-residual": kahler["max_dintegrability"],
+            "domega-residual": float(domega.max()),
+            "integrability-residual": float(dintegrability.max()),
             "potential-decay": max(abs(b / a * 16.0 - 1.0) for a, b in zip(residuals, residuals[1:]))}
 
 
@@ -1211,7 +1209,7 @@ def _scaled(field, entries, eps):
     build = getattr(MetricSample, field).func
 
     def scaled(sample):
-        block, factor = build(sample), sample._parts.r * sample._parts.r * eps + 1
+        block, factor = build(sample), sample.parts.r * sample.parts.r * eps + 1
         for entry in entries:
             block[(Ellipsis,) + entry] = block[(Ellipsis,) + entry] * factor
         return block
